@@ -58,7 +58,6 @@ def _build_spec(config: RunConfig):
         config.simulation,
         scale=config.scale,
         participation_fraction=config.participation_fraction,
-        local_epochs=config.local_epochs,
         global_epochs=config.global_epochs,
     )
 
@@ -73,7 +72,6 @@ def _write_manifest(path: str, command: str, config: RunConfig, spec,
             "n_clients": spec.n_clients,
             "size_range": list(spec.size_range),
             "participation_fraction": spec.participation_fraction,
-            "local_epochs": spec.local_epochs,
             "global_epochs": spec.global_epochs,
         },
     }
@@ -163,6 +161,11 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
               seeds: list[int]) -> int:
     if not seeds:
         raise ValueError("at least one seed is required")
+    # a repeated value would write duplicate rows and count its runs twice in report
+    for flag, items in (("--values", values), ("--seeds", seeds)):
+        repeated = sorted({x for x in items if items.count(x) > 1})
+        if repeated:
+            raise ValueError(f"{flag} repeats {', '.join(f'{x:g}' for x in repeated)}")
     table, surveys, corpus = _load_inputs(config)
     spec = _build_spec(config)
     base = _federation_config(config, NO_NOISE)

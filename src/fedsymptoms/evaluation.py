@@ -11,7 +11,7 @@ group, mirroring the two curves of the sweep figures.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .embeddings import EmbeddingTable, encode_phrase
 from .federation import (
@@ -188,12 +188,7 @@ def _sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[i
         evalset = build_evalset(surveys)
     merged = SweepResult()
     for mechanism in mechanisms:
-        config = FederationConfig(
-            noise=mechanism,
-            train=base_config.train,
-            weighting=base_config.weighting,
-            fixed_client_data=base_config.fixed_client_data,
-        )
+        config = replace(base_config, noise=mechanism)
         for seed in seeds:
             snapshots, _ = run_simulation(spec, surveys, corpus, embeddings,
                                           config, seed)

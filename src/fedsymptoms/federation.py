@@ -60,7 +60,6 @@ class SimulationSpec:
     id: str
     size_range: tuple[int, int]
     n_clients: int
-    local_epochs: int = 5
     global_epochs: int = 5
     participation_fraction: float = 1.0
 
@@ -76,13 +75,13 @@ class SimulationSpec:
             raise ValueError("participation_fraction must be in (0, 1]")
         if self.participation_fraction * self.n_clients < 1.0:
             raise ValueError("participation_fraction selects no clients")
-        if self.local_epochs < 0 or self.global_epochs < 0:
-            raise ValueError("epoch counts must be non-negative")
+        if self.global_epochs < 0:
+            raise ValueError("global_epochs must be non-negative")
 
 
 def simulation_spec(sim_id: str, scale: float = 1.0,
                     participation_fraction: float | None = None,
-                    local_epochs: int = 5, global_epochs: int = 5) -> SimulationSpec:
+                    global_epochs: int = 5) -> SimulationSpec:
     """Build a spec from the standard topology table, optionally scaled.
 
     `scale` multiplies both the per-client size range and the client
@@ -100,7 +99,6 @@ def simulation_spec(sim_id: str, scale: float = 1.0,
         id=sim_id,
         size_range=(scaled_count(lo, scale), scaled_count(hi, scale)),
         n_clients=scaled_count(n_clients, scale),
-        local_epochs=local_epochs,
         global_epochs=global_epochs,
         participation_fraction=participation_fraction,
     )
@@ -166,15 +164,11 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
         if n < 1:
             raise ValueError("update weights must be positive integers")
     total = sum(n for _, n in updates)
-    base = updates[0][0].layers
-    deltas = [(np.zeros_like(w), np.zeros_like(b)) for w, b in base]
+    base = updates[0][0].flat
+    delta = np.zeros_like(base)
     for params, n in updates[1:]:
-        weight = n / total
-        deltas = [(dw + weight * (w - bw), db + weight * (b - bb))
-                  for (dw, db), (w, b), (bw, bb)
-                  in zip(deltas, params.layers, base)]
-    return MlpParameters(layers=tuple(
-        (bw + dw, bb + db) for (bw, bb), (dw, db) in zip(base, deltas)))
+        delta += (n / total) * (params.flat - base)
+    return MlpParameters(base + delta)
 
 
 def run_round(model: GlobalModel, population: list[ClientSlot], spec: SimulationSpec,

@@ -1,15 +1,17 @@
 """Binary MLP classifier (50, 32, 16, 8, 1) built on plain numpy.
 
 Three ReLU hidden layers feed one sigmoid output neuron. Training is
-binary cross-entropy under Adam. All parameter containers are immutable
-snapshots; every optimizer step produces fresh arrays, so concurrent
-training of disjoint clients needs no locking.
+binary cross-entropy under Adam. All 2,305 parameters live in one flat
+float64 vector; each layer's weights and biases are views into it. A
+parameter set is validated once, when it is built, and is read-only
+from then on. train_local updates working buffers that belong to that
+one call and returns a fresh read-only snapshot, so concurrent training
+of disjoint clients needs no locking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .embeddings import PhraseVector
 from .sampling import ClientDataset
 
 LAYER_SIZES = (50, 32, 16, 8, 1)
+N_PARAMS = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]))
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -29,51 +32,54 @@ LOSS_CLAMP = 1e-7
 OUTPUT_CLIP = 1e-12
 
 
-def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != shape:
-        raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what}: non-finite entries")
-    arr.flags.writeable = False
-    return arr
+def layer_views(flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(weight, bias) views of each layer; layer by layer, weights row-major then biases."""
+    views = []
+    offset = 0
+    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
+        w = flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        views.append((w, flat[offset:offset + fan_out]))
+        offset += fan_out
+    return tuple(views)
 
 
 @dataclass(frozen=True)
 class MlpParameters:
-    """Weights and biases of the four layers, shape-checked and finite."""
+    """All weights and biases in one read-only, finite vector of N_PARAMS."""
 
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    flat: np.ndarray
 
     def __post_init__(self):
-        if len(self.layers) != len(LAYER_SIZES) - 1:
-            raise ValueError(f"expected {len(LAYER_SIZES) - 1} layers, got {len(self.layers)}")
-        checked = []
-        for i, (w, b) in enumerate(self.layers):
-            fan_in, fan_out = LAYER_SIZES[i], LAYER_SIZES[i + 1]
-            checked.append((
-                _frozen_array(w, (fan_in, fan_out), f"layer {i} weights"),
-                _frozen_array(b, (fan_out,), f"layer {i} biases"),
-            ))
-        object.__setattr__(self, "layers", tuple(checked))
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Adam moments matching MlpParameters' shapes, plus the step count."""
-
-    learning_rate: float
-    first_moment: tuple[tuple[np.ndarray, np.ndarray], ...]
-    second_moment: tuple[tuple[np.ndarray, np.ndarray], ...]
-    step_count: int = 0
+        flat = np.array(self.flat, dtype=np.float64)
+        if flat.shape != (N_PARAMS,):
+            raise ValueError(f"expected shape ({N_PARAMS},), got {flat.shape}")
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite parameters")
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
 
     @classmethod
-    def fresh(cls, learning_rate: float) -> "AdamState":
-        zeros = tuple(
-            (np.zeros((LAYER_SIZES[i], LAYER_SIZES[i + 1])), np.zeros(LAYER_SIZES[i + 1]))
-        for i in range(len(LAYER_SIZES) - 1))
-        return cls(learning_rate=learning_rate, first_moment=zeros,
-                   second_moment=zeros, step_count=0)
+    def from_layers(cls, layers) -> "MlpParameters":
+        """Pack (weight, bias) pairs, checking each array's shape."""
+        if len(layers) != len(LAYER_SIZES) - 1:
+            raise ValueError(f"expected {len(LAYER_SIZES) - 1} layers, got {len(layers)}")
+        parts = []
+        for i, (w, b) in enumerate(layers):
+            fan_in, fan_out = LAYER_SIZES[i], LAYER_SIZES[i + 1]
+            for arr, shape, what in ((w, (fan_in, fan_out), "weights"),
+                                     (b, (fan_out,), "biases")):
+                arr = np.asarray(arr, dtype=np.float64)
+                if arr.shape != shape:
+                    raise ValueError(f"layer {i} {what}: expected shape {shape}, "
+                                     f"got {arr.shape}")
+                parts.append(arr.ravel())
+        return cls(np.concatenate(parts))
+
+    @property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only (weight, bias) views of each layer."""
+        return layer_views(self.flat)
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ def init_params(rng: np.random.Generator) -> MlpParameters:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         layers.append((w, np.zeros(fan_out)))
-    return MlpParameters(layers=tuple(layers))
+    return MlpParameters.from_layers(layers)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -135,18 +141,22 @@ def forward(params: MlpParameters, x) -> float:
     return float(forward_batch(params, x[None, :])[0])
 
 
-def _loss_and_grad_arrays(params: MlpParameters, x: np.ndarray,
-                          y: np.ndarray) -> tuple[float, tuple]:
+def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> float:
+    """Mean binary cross-entropy of a batch; its gradient goes into `grads`.
+
+    `layers` and `grads` are (weight, bias) views shaped like
+    MlpParameters.layers; the gradient is written in place.
+    """
     n = x.shape[0]
     pre: list[np.ndarray] = []
     acts: list[np.ndarray] = [x]
     h = x
-    for w, b in params.layers[:-1]:
+    for w, b in layers[:-1]:
         z = h @ w + b
         pre.append(z)
         h = np.maximum(z, 0.0)
         acts.append(h)
-    w_out, b_out = params.layers[-1]
+    w_out, b_out = layers[-1]
     z_out = h @ w_out + b_out
     p = np.clip(_sigmoid(z_out)[:, 0], OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
 
@@ -156,71 +166,51 @@ def _loss_and_grad_arrays(params: MlpParameters, x: np.ndarray,
     # d(loss)/d(z_out); zero where the clamp flattened the loss
     active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
     dz = (np.where(active, p - y, 0.0) / n)[:, None]
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    grads.append((acts[-1].T @ dz, dz.sum(axis=0)))
-    upstream = dz @ w_out.T
-    for i in range(len(params.layers) - 2, -1, -1):
-        dzi = upstream * (pre[i] > 0.0)
-        grads.append((acts[i].T @ dzi, dzi.sum(axis=0)))
-        if i > 0:
-            upstream = dzi @ params.layers[i][0].T
-    grads.reverse()
-    return loss, tuple(grads)
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            dz = (dz @ layers[i + 1][0].T) * (pre[i] > 0.0)
+        gw, gb = grads[i]
+        gw[...] = acts[i].T @ dz
+        gb[...] = dz.sum(axis=0)
+    return loss
 
 
-def loss_and_gradient(params: MlpParameters,
-                      batch: Sequence[tuple]) -> tuple[float, tuple]:
-    """Mean binary cross-entropy and its exact gradient over a batch.
+def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy over an (n, 50) batch and its exact gradient.
 
-    Batch elements are (feature, label) pairs; features may be
-    PhraseVectors or length-50 arrays. The gradient mirrors
-    MlpParameters' layer structure as (weight_grad, bias_grad) pairs.
+    `y` holds the 0/1 labels. The gradient is a flat vector laid out
+    like MlpParameters.flat.
     """
-    if not batch:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    feats = [f.values if isinstance(f, PhraseVector) else np.asarray(f, dtype=np.float64)
-             for f, _ in batch]
-    x = np.stack(feats)
-    y = np.array([label for _, label in batch], dtype=np.float64)
-    return _loss_and_grad_arrays(params, x, y)
+    grad = np.empty(N_PARAMS)
+    loss = _backprop(params.layers, x, y, layer_views(grad))
+    return loss, grad
 
 
 def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                step: int, learning_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam update on a single array.
+                step: int, learning_rate: float) -> None:
+    """One bias-corrected Adam update of theta, m and v, in place.
 
-    `step` is the 1-based count including this update. Returns the new
-    (theta, m, v) without touching the inputs.
+    `step` is the 1-based count including this update.
     """
-    m_new = BETA1 * m + (1.0 - BETA1) * grad
-    v_new = BETA2 * v + (1.0 - BETA2) * grad * grad
-    m_hat = m_new / (1.0 - BETA1 ** step)
-    v_hat = v_new / (1.0 - BETA2 ** step)
-    theta_new = theta - learning_rate * m_hat / (np.sqrt(v_hat) + EPS_HAT)
-    return theta_new, m_new, v_new
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** step)
+    v_hat = v / (1.0 - BETA2 ** step)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS_HAT)
 
 
-def adam_step(params: MlpParameters, grad: tuple,
-              state: AdamState) -> tuple[MlpParameters, AdamState]:
-    """Apply one Adam step across every layer; returns fresh snapshots."""
-    for gw, gb in grad:
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise ValueError("non-finite gradient")
-    step = state.step_count + 1
-    new_layers, new_m, new_v = [], [], []
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(
-            params.layers, grad, state.first_moment, state.second_moment):
-        w2, mw2, vw2 = adam_update(w, gw, mw, vw, step, state.learning_rate)
-        b2, mb2, vb2 = adam_update(b, gb, mb, vb, step, state.learning_rate)
-        new_layers.append((w2, b2))
-        new_m.append((mw2, mb2))
-        new_v.append((vw2, vb2))
-    return (
-        MlpParameters(layers=tuple(new_layers)),
-        AdamState(learning_rate=state.learning_rate, first_moment=tuple(new_m),
-                  second_moment=tuple(new_v), step_count=step),
-    )
+def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              step: int, learning_rate: float) -> None:
+    """Apply one Adam step to the flat parameter vector, refusing a non-finite gradient."""
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient")
+    adam_update(theta, grad, m, v, step, learning_rate)
 
 
 def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConfig,
@@ -228,29 +218,34 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
     """Run local_epochs of minibatch Adam over the client's examples.
 
     Each epoch reshuffles with the caller's stream; the last short batch
-    is trained on. A fresh optimizer state is used per call.
+    is trained on. The call trains a private copy of params.flat with a
+    fresh optimizer state.
     """
     if len(dataset) == 0:
         raise ValueError("empty client")
     x = dataset.feature_matrix()
     y = dataset.label_vector()
     n = x.shape[0]
-    state = AdamState.fresh(config.learning_rate)
+    theta = params.flat.copy()
+    grad, m, v = np.empty(N_PARAMS), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+    layers, grads = layer_views(theta), layer_views(grad)
+    step = 0
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grad = _loss_and_grad_arrays(params, x[idx], y[idx])
-            params, state = adam_step(params, grad, state)
-    return params
+            _backprop(layers, x[idx], y[idx], grads)
+            step += 1
+            adam_step(theta, grad, m, v, step, config.learning_rate)
+    return MlpParameters(theta)
 
 
 def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
     """Mean binary cross-entropy of the current params on a dataset."""
     if len(dataset) == 0:
         raise ValueError("empty client")
-    loss, _ = _loss_and_grad_arrays(params, dataset.feature_matrix(),
-                                    dataset.label_vector())
+    loss, _ = loss_and_gradient(params, dataset.feature_matrix(),
+                                dataset.label_vector())
     return loss
 
 
@@ -270,4 +265,4 @@ def load_checkpoint(path: str) -> MlpParameters:
             raise ValueError(f"checkpoint layer sizes {sizes} do not match {LAYER_SIZES}")
         layers = tuple((data[f"w{i}"], data[f"b{i}"])
                        for i in range(len(LAYER_SIZES) - 1))
-    return MlpParameters(layers=layers)
+    return MlpParameters.from_layers(layers)

@@ -35,6 +35,7 @@ from fedsymptoms.mlp import (
     MlpParameters,
     TrainConfig,
     init_params,
+    layer_views,
     loss_and_gradient,
     train_local,
 )
@@ -69,7 +70,7 @@ def random_params(rng, scale=0.3):
     for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
         layers.append((rng.normal(0.0, scale, size=(fan_in, fan_out)),
                        rng.normal(0.0, scale, size=fan_out)))
-    return MlpParameters(layers=tuple(layers))
+    return MlpParameters.from_layers(layers)
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +180,8 @@ def test_06_analytic_gradients_match_finite_differences(capsys):
     ok = True
     rel_worst = abs_worst = 0.0
 
-    def batch_loss(params, batch):
-        loss, _ = loss_and_gradient(params, batch)
+    def batch_loss(params, x, y):
+        loss, _ = loss_and_gradient(params, x, y)
         return loss
 
     def perturbed(params, layer, which, idx, delta):
@@ -193,21 +194,24 @@ def test_06_analytic_gradients_match_finite_differences(capsys):
                 else:
                     b[idx] += delta
             layers.append((w, b))
-        return MlpParameters(layers=tuple(layers))
+        return MlpParameters.from_layers(layers)
 
     for _ in range(20):
         params = random_params(rng)
         batch = [(rng.normal(0.0, 1.0, LAYER_SIZES[0]), int(rng.integers(0, 2)))
                  for _ in range(3)]
-        _, grad = loss_and_gradient(params, batch)
+        x = np.stack([feature for feature, _ in batch])
+        y = np.array([label for _, label in batch], dtype=np.float64)
+        _, grad = loss_and_gradient(params, x, y)
+        grad = layer_views(grad)
         for layer, (w, b) in enumerate(params.layers):
             coords = [("w", (int(rng.integers(w.shape[0])), int(rng.integers(w.shape[1]))))
                       for _ in range(3)]
             coords.append(("b", int(rng.integers(b.shape[0]))))
             for which, idx in coords:
                 analytic = grad[layer][0][idx] if which == "w" else grad[layer][1][idx]
-                up = batch_loss(perturbed(params, layer, which, idx, +h), batch)
-                down = batch_loss(perturbed(params, layer, which, idx, -h), batch)
+                up = batch_loss(perturbed(params, layer, which, idx, +h), x, y)
+                down = batch_loss(perturbed(params, layer, which, idx, -h), x, y)
                 fd = (up - down) / (2.0 * h)
                 denom = max(abs(analytic), abs(fd))
                 if denom >= 1e-3:

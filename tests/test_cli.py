@@ -100,6 +100,16 @@ def test_sweep_epsilon_axis_defaults_to_half_level(tmp_path):
     assert all(r.epsilon == 100.0 for r in rows)
 
 
+def test_sweep_rejects_repeated_values_and_seeds(tmp_path, capsys):
+    base = ["sweep", "--axis", "noise", "--scale", "0.01",
+            "--mechanism", "uniform_threshold", "--output-dir", str(tmp_path / "out")]
+    assert main(base + ["--values", "0,0.5,0.50", "--seeds", "1"]) == 1
+    assert "--values repeats 0.5" in capsys.readouterr().err
+    assert main(base + ["--values", "0", "--seeds", "3,1,3"]) == 1
+    assert "--seeds repeats 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_prints_seed_means(tmp_path, capsys):
     def row(seed, epoch, acc):
         return AccuracyRow(simulation="I", mechanism=UNIFORM_THRESHOLD,

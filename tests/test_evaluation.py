@@ -37,7 +37,7 @@ def zero_params():
     layers = tuple(
         (np.zeros((LAYER_SIZES[i], LAYER_SIZES[i + 1])), np.zeros(LAYER_SIZES[i + 1]))
         for i in range(len(LAYER_SIZES) - 1))
-    return MlpParameters(layers=layers)
+    return MlpParameters.from_layers(layers)
 
 
 def test_evalset_covers_all_sixteen_symptoms(evalset):

@@ -42,7 +42,7 @@ def test_topology_table_full_scale():
         assert spec.size_range == size_range
         assert spec.n_clients == n_clients
         assert spec.participation_fraction == participation
-        assert spec.local_epochs == 5 and spec.global_epochs == 5
+        assert spec.global_epochs == 5
 
 
 def test_topology_desk_scale():
@@ -165,7 +165,7 @@ def params_with_value(value):
         (np.full((LAYER_SIZES[i], LAYER_SIZES[i + 1]), value),
          np.full(LAYER_SIZES[i + 1], value))
         for i in range(len(LAYER_SIZES) - 1))
-    return MlpParameters(layers=layers)
+    return MlpParameters.from_layers(layers)
 
 
 @given(weighted_scalars())

@@ -14,9 +14,9 @@ from fedsymptoms.mlp import (
     BETA2,
     EPS_HAT,
     LAYER_SIZES,
-    AdamState,
     LOSS_CLAMP,
     MlpParameters,
+    N_PARAMS,
     OUTPUT_CLIP,
     TrainConfig,
     adam_step,
@@ -24,6 +24,7 @@ from fedsymptoms.mlp import (
     forward,
     forward_batch,
     init_params,
+    layer_views,
     load_checkpoint,
     loss_and_gradient,
     mean_loss,
@@ -59,6 +60,31 @@ def test_params_arrays_are_frozen():
     params = init_params(np.random.default_rng(0))
     with pytest.raises(ValueError):
         params.layers[0][0][0, 0] = 1.0
+    trained = train_local(params, separable_dataset(0), TrainConfig(local_epochs=1),
+                          np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        trained.flat[0] = 1.0
+    with pytest.raises(ValueError):
+        trained.layers[-1][1][0] = 1.0
+
+
+def test_params_rejects_wrong_length_and_nonfinite():
+    with pytest.raises(ValueError):
+        MlpParameters(np.zeros(N_PARAMS - 1))
+    for bad in (np.nan, np.inf):
+        flat = np.zeros(N_PARAMS)
+        flat[7] = bad
+        with pytest.raises(ValueError):
+            MlpParameters(flat)
+
+
+def test_from_layers_rejects_bad_layout():
+    layers = list(init_params(np.random.default_rng(0)).layers)
+    transposed = [(layers[0][0].T, layers[0][1])] + layers[1:]
+    with pytest.raises(ValueError):
+        MlpParameters.from_layers(transposed)
+    with pytest.raises(ValueError):
+        MlpParameters.from_layers(layers[:3])
 
 
 def test_forward_matches_manual_chain():
@@ -114,11 +140,11 @@ def perturbed(params, layer, which, index, delta):
             else:
                 b[index] += delta
         layers.append((w, b))
-    return MlpParameters(layers=tuple(layers))
+    return MlpParameters.from_layers(layers)
 
 
-def batch_loss(params, batch):
-    loss, _ = loss_and_gradient(params, batch)
+def batch_loss(params, x, y):
+    loss, _ = loss_and_gradient(params, x, y)
     return loss
 
 
@@ -129,16 +155,16 @@ def test_gradient_matches_finite_differences():
         params = init_params(rng)
         x = rng.standard_normal((6, LAYER_SIZES[0]))
         y = rng.integers(0, 2, size=6)
-        batch = list(zip(x, y))
-        _, grad = loss_and_gradient(params, batch)
+        _, grad = loss_and_gradient(params, x, y)
+        grad = layer_views(grad)
         for layer in range(len(params.layers)):
             gw, gb = grad[layer]
             w, b = params.layers[layer]
             w_checks = [tuple(int(v) for v in idx)
                         for idx in rng.integers(0, w.shape, size=(4, 2))]
             for idx in w_checks:
-                up = batch_loss(perturbed(params, layer, "w", idx, h), batch)
-                down = batch_loss(perturbed(params, layer, "w", idx, -h), batch)
+                up = batch_loss(perturbed(params, layer, "w", idx, h), x, y)
+                down = batch_loss(perturbed(params, layer, "w", idx, -h), x, y)
                 numeric = (up - down) / (2 * h)
                 analytic = gw[idx]
                 scale = max(abs(numeric), abs(analytic))
@@ -147,8 +173,8 @@ def test_gradient_matches_finite_differences():
                 else:
                     assert abs(numeric - analytic) / scale < 1e-5
             bidx = int(rng.integers(0, b.shape[0]))
-            up = batch_loss(perturbed(params, layer, "b", bidx, h), batch)
-            down = batch_loss(perturbed(params, layer, "b", bidx, -h), batch)
+            up = batch_loss(perturbed(params, layer, "b", bidx, h), x, y)
+            down = batch_loss(perturbed(params, layer, "b", bidx, -h), x, y)
             numeric = (up - down) / (2 * h)
             analytic = gb[bidx]
             scale = max(abs(numeric), abs(analytic))
@@ -163,7 +189,7 @@ def test_loss_matches_clamped_cross_entropy():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((10, LAYER_SIZES[0]))
     y = rng.integers(0, 2, size=10).astype(np.float64)
-    loss, _ = loss_and_gradient(params, list(zip(x, y)))
+    loss, _ = loss_and_gradient(params, x, y)
     p = np.clip(forward_batch(params, x), LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     expected = float(np.mean(-(y * np.log(p) + (1 - y) * np.log1p(-p))))
     assert abs(loss - expected) < 1e-12
@@ -172,7 +198,7 @@ def test_loss_matches_clamped_cross_entropy():
 def test_loss_rejects_empty_batch():
     params = init_params(np.random.default_rng(10))
     with pytest.raises(ValueError):
-        loss_and_gradient(params, [])
+        loss_and_gradient(params, np.empty((0, LAYER_SIZES[0])), np.empty(0))
 
 
 def test_adam_update_matches_scalar_recursion():
@@ -184,7 +210,7 @@ def test_adam_update_matches_scalar_recursion():
     lr = 0.001
     for step in range(1, 101):
         g = float(rng.standard_normal())
-        theta, m, v = adam_update(theta, np.array([g]), m, v, step, lr)
+        adam_update(theta, np.array([g]), m, v, step, lr)
         ref_m = BETA1 * ref_m + (1 - BETA1) * g
         ref_v = BETA2 * ref_v + (1 - BETA2) * g * g
         m_hat = ref_m / (1 - BETA1 ** step)
@@ -194,16 +220,21 @@ def test_adam_update_matches_scalar_recursion():
 
 
 def test_adam_step_advances_counter_and_rejects_nonfinite():
-    params = init_params(np.random.default_rng(12))
-    state = AdamState.fresh(0.001)
-    grad = tuple((np.ones_like(w), np.ones_like(b)) for w, b in params.layers)
-    new_params, new_state = adam_step(params, grad, state)
-    assert new_state.step_count == 1
-    assert not np.array_equal(new_params.layers[0][0], params.layers[0][0])
-    bad = tuple((np.full_like(w, np.nan), np.zeros_like(b))
-                for w, b in params.layers)
+    start = init_params(np.random.default_rng(12)).flat
+    theta, m, v = start.copy(), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+    adam_step(theta, np.ones(N_PARAMS), m, v, 1, 0.001)
+    assert not np.array_equal(theta, start)
+    # the bias correction depends on the step count the caller advances
+    at_one, at_two = theta.copy(), theta.copy()
+    adam_step(at_one, np.ones(N_PARAMS), m.copy(), v.copy(), 1, 0.001)
+    adam_step(at_two, np.ones(N_PARAMS), m.copy(), v.copy(), 2, 0.001)
+    assert not np.array_equal(at_one, at_two)
+    bad = np.zeros(N_PARAMS)
+    bad[0] = np.nan
+    before = theta.copy()
     with pytest.raises(ValueError):
-        adam_step(params, bad, state)
+        adam_step(theta, bad, m, v, 2, 0.001)
+    assert np.array_equal(theta, before)
 
 
 def test_train_local_solves_separable_data():
@@ -246,6 +277,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     loaded = load_checkpoint(path)
     for (wa, ba), (wb, bb) in zip(params.layers, loaded.layers):
         assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+
+
+def test_checkpoint_rejects_nonfinite_weights(tmp_path):
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(init_params(np.random.default_rng(19)), path)
+    with np.load(path) as data:
+        payload = dict(data)
+    payload["w1"][0, 0] = np.nan
+    np.savez(path, **payload)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_missing_file():

@@ -8,7 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+
+import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config_file, resolve_config
@@ -62,11 +65,26 @@ def _build_spec(config: RunConfig):
     )
 
 
-def _write_manifest(path: str, command: str, config: RunConfig, spec,
-                    extra: dict | None = None) -> None:
+def _sha256_of(path: str) -> str:
+    import hashlib  # here, not at the top: loading it adds ~5 ms to every start-up
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _write_results(command: str, config: RunConfig, spec, result,
+                   extra: dict | None = None) -> None:
+    """Write both CSVs and manifest.json into the output directory."""
+    os.makedirs(config.output_dir, exist_ok=True)
+    write_predictions_csv(result.predictions,
+                          os.path.join(config.output_dir, "predictions.csv"))
+    write_accuracy_csv(result.accuracies, os.path.join(config.output_dir, "accuracy.csv"))
     manifest = {
         "command": command,
         "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "input_sha256": {key: _sha256_of(getattr(config, key))
+                         for key in ("embeddings_path", "surveys_path", "corpus_path")},
         "config": config.manifest_dict(),
         "resolved_topology": {
             "n_clients": spec.n_clients,
@@ -77,15 +95,13 @@ def _write_manifest(path: str, command: str, config: RunConfig, spec,
     }
     if extra:
         manifest.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(config.output_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def cmd_validate(config: RunConfig) -> int:
-    table = load_embeddings(config.embeddings_path, EMBEDDING_DIMENSION)
-    surveys = load_surveys(config.surveys_path)
-    corpus = load_corpus(config.corpus_path, embeddings=table)
+    table, surveys, corpus = _load_inputs(config)
 
     bad: list[str] = []
     for survey in surveys:
@@ -120,16 +136,8 @@ def cmd_run(config: RunConfig) -> int:
                         config.master_seed)
     result.sort(evalset.symptoms)
 
-    os.makedirs(config.output_dir, exist_ok=True)
-    predictions_path = os.path.join(config.output_dir, "predictions.csv")
-    accuracy_path = os.path.join(config.output_dir, "accuracy.csv")
-    rounds_path = os.path.join(config.output_dir, "rounds.jsonl")
-    checkpoint_path = os.path.join(config.output_dir, "model_final.npz")
-    manifest_path = os.path.join(config.output_dir, "manifest.json")
-
-    write_predictions_csv(result.predictions, predictions_path)
-    write_accuracy_csv(result.accuracies, accuracy_path)
-    with open(rounds_path, "w", encoding="utf-8") as fh:
+    _write_results("run", config, spec, result)
+    with open(os.path.join(config.output_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
         for r in reports:
             fh.write(json.dumps({
                 "round": r.round_index,
@@ -138,8 +146,7 @@ def cmd_run(config: RunConfig) -> int:
                 "mean_local_loss": r.mean_local_loss,
                 "wall_time": r.wall_time,
             }, sort_keys=True) + "\n")
-    save_checkpoint(snapshots[-1].params, checkpoint_path)
-    _write_manifest(manifest_path, "run", config, spec)
+    save_checkpoint(snapshots[-1].params, os.path.join(config.output_dir, "model_final.npz"))
 
     if result.accuracies:
         target_epoch = config.epoch if config.epoch is not None else spec.global_epochs
@@ -179,14 +186,8 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                                base, noise_level=config.noise_level,
                                evalset=evalset)
 
-    os.makedirs(config.output_dir, exist_ok=True)
-    predictions_path = os.path.join(config.output_dir, "predictions.csv")
-    accuracy_path = os.path.join(config.output_dir, "accuracy.csv")
-    manifest_path = os.path.join(config.output_dir, "manifest.json")
-    write_predictions_csv(result.predictions, predictions_path)
-    write_accuracy_csv(result.accuracies, accuracy_path)
-    _write_manifest(manifest_path, "sweep", config, spec,
-                    extra={"axis": axis, "values": values, "seeds": seeds})
+    _write_results("sweep", config, spec, result,
+                   extra={"axis": axis, "values": values, "seeds": seeds})
 
     print(f"swept {axis} over {len(values)} values x {len(seeds)} seeds "
           f"({len(values) * len(seeds)} runs)")

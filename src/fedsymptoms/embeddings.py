@@ -40,15 +40,6 @@ class EmbeddingTable:
         return self.entries.get(token)
 
 
-@dataclass(frozen=True)
-class PhraseVector:
-    """Mean-pooled embedding of a phrase."""
-
-    values: np.ndarray
-    source_phrase: str
-    oov_tokens: int
-
-
 def load_embeddings(path: str, dimension: int) -> EmbeddingTable:
     """Parse a text embedding file into an EmbeddingTable.
 
@@ -96,19 +87,18 @@ def tokenize(phrase: str) -> list[str]:
     return phrase.lower().replace("/", " ").split()
 
 
-def encode_phrase(table: EmbeddingTable, phrase: str) -> PhraseVector:
-    """Encode a phrase as the mean of its in-vocabulary token vectors.
+def encode_phrase(table: EmbeddingTable, phrase: str) -> np.ndarray:
+    """Encode a phrase as the read-only mean of its in-vocabulary token vectors.
 
-    Raises UnembeddablePhraseError when every token is out of vocabulary,
-    so callers can never train on an accidental zero vector.
+    Out-of-vocabulary tokens are skipped. Raises UnembeddablePhraseError
+    when every token is out of vocabulary, so callers can never train on
+    an accidental zero vector.
     """
     if not phrase.strip():
         raise ValueError("empty phrase")
-    tokens = tokenize(phrase)
-    hits = [table.entries[t] for t in tokens if t in table.entries]
-    oov = len(tokens) - len(hits)
+    hits = [table.entries[t] for t in tokenize(phrase) if t in table.entries]
     if not hits:
         raise UnembeddablePhraseError(phrase)
     values = np.mean(hits, axis=0)
     values.flags.writeable = False
-    return PhraseVector(values=values, source_phrase=phrase, oov_tokens=oov)
+    return values

@@ -52,6 +52,11 @@ class EvalSet:
     def group_of(self, symptom: str) -> str:
         return GROUP_HIGH if symptom in self.group_high else GROUP_LOW
 
+    def accuracy(self, predictions: list[float]) -> float:
+        """Fraction of the symptoms' predictions at or above the threshold."""
+        hits = sum(1 for p in predictions if p >= self.decision_threshold)
+        return hits / len(self.symptoms)
+
 
 def build_evalset(surveys: list[CountrySurvey],
                   decision_threshold: float = 0.5) -> EvalSet:
@@ -78,22 +83,6 @@ def build_evalset(surveys: list[CountrySurvey],
         group_low=frozenset(s for s in symptoms if s not in high),
         decision_threshold=decision_threshold,
     )
-
-
-def predict_symptom(model: GlobalModel, embeddings: EmbeddingTable,
-                    symptom: str) -> float:
-    """The global model's probability for one embedded symptom phrase."""
-    return forward(model.params, encode_phrase(embeddings, symptom))
-
-
-def accuracy(model: GlobalModel, evalset: EvalSet,
-             embeddings: EmbeddingTable) -> float:
-    """Fraction of table symptoms predicted at or above the threshold."""
-    hits = sum(
-        1 for s in evalset.symptoms
-        if predict_symptom(model, embeddings, s) >= evalset.decision_threshold
-    )
-    return hits / len(evalset.symptoms)
 
 
 @dataclass(frozen=True)
@@ -133,18 +122,14 @@ class SweepResult:
         """Canonical row order so merged sweeps are byte-stable."""
         index = {name: i for i, name in enumerate(symptom_order)}
 
-        def pkey(row: PredictionRow):
-            return (row.simulation, row.mechanism, row.noise_level,
-                    row.epsilon if row.epsilon is not None else -1.0,
-                    row.seed, row.global_epoch, index.get(row.symptom, len(index)))
-
-        def akey(row: AccuracyRow):
+        def run_key(row: PredictionRow | AccuracyRow):
             return (row.simulation, row.mechanism, row.noise_level,
                     row.epsilon if row.epsilon is not None else -1.0,
                     row.seed, row.global_epoch)
 
-        self.predictions.sort(key=pkey)
-        self.accuracies.sort(key=akey)
+        self.predictions.sort(key=lambda row: (*run_key(row),
+                                               index.get(row.symptom, len(index))))
+        self.accuracies.sort(key=run_key)
 
 
 def record_run(spec: SimulationSpec, snapshots: list[GlobalModel],
@@ -152,32 +137,23 @@ def record_run(spec: SimulationSpec, snapshots: list[GlobalModel],
                mechanism: NoiseMechanism, seed: int) -> SweepResult:
     """Turn one run's post-round snapshots into sweep rows.
 
-    Epoch numbering starts at 1 for the first aggregated model; the
-    pre-training snapshot is not recorded.
+    Each symptom is encoded once and scored once per snapshot; the
+    accuracy row is derived from those same predictions. Epoch numbering
+    starts at 1 for the first aggregated model; the pre-training
+    snapshot is not recorded.
     """
+    vectors = [encode_phrase(embeddings, s) for s in evalset.symptoms]
+    run = dict(simulation=spec.id, mechanism=mechanism.kind,
+               noise_level=mechanism.noise_level, epsilon=mechanism.epsilon, seed=seed)
     result = SweepResult()
     for epoch, model in enumerate(snapshots[1:], start=1):
-        for symptom in evalset.symptoms:
-            result.predictions.append(PredictionRow(
-                simulation=spec.id,
-                mechanism=mechanism.kind,
-                noise_level=mechanism.noise_level,
-                epsilon=mechanism.epsilon,
-                seed=seed,
-                global_epoch=epoch,
-                symptom=symptom,
-                group=evalset.group_of(symptom),
-                prediction=predict_symptom(model, embeddings, symptom),
-            ))
-        result.accuracies.append(AccuracyRow(
-            simulation=spec.id,
-            mechanism=mechanism.kind,
-            noise_level=mechanism.noise_level,
-            epsilon=mechanism.epsilon,
-            seed=seed,
-            global_epoch=epoch,
-            accuracy=accuracy(model, evalset, embeddings),
-        ))
+        predictions = [forward(model.params, v) for v in vectors]
+        result.predictions.extend(
+            PredictionRow(**run, global_epoch=epoch, symptom=symptom,
+                          group=evalset.group_of(symptom), prediction=p)
+            for symptom, p in zip(evalset.symptoms, predictions))
+        result.accuracies.append(AccuracyRow(**run, global_epoch=epoch,
+                                             accuracy=evalset.accuracy(predictions)))
     return result
 
 

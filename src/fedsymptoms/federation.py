@@ -24,7 +24,7 @@ from .mlp import (
     mean_loss,
     train_local,
 )
-from .sampling import NoiseMechanism, synthesize_client
+from .sampling import NoiseMechanism, PhraseTable, build_phrase_table, synthesize_client
 from .surveys import CountrySurvey, assign_countries, build_distribution
 
 SIMULATION_IDS = ("I", "II", "III", "IV")
@@ -122,7 +122,7 @@ class RoundReport:
     round_index: int
     participating_clients: int
     skipped_empty_clients: int
-    mean_local_loss: float
+    mean_local_loss: float | None  # None when no client trained
     wall_time: float
 
 
@@ -172,9 +172,13 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
 
 
 def run_round(model: GlobalModel, population: list[ClientSlot], spec: SimulationSpec,
-              distributions: list, corpus, embeddings: EmbeddingTable,
+              distributions: list, corpus, phrases: PhraseTable,
               config: FederationConfig, master_seed: int) -> tuple[GlobalModel, RoundReport]:
-    """Execute one broadcast / local-train / aggregate cycle."""
+    """Execute one broadcast / local-train / aggregate cycle.
+
+    A round in which every selected client comes up empty carries the
+    global parameters forward unchanged.
+    """
     started = time.perf_counter()
     round_index = model.round_index
 
@@ -191,7 +195,7 @@ def run_round(model: GlobalModel, population: list[ClientSlot], spec: Simulation
         data_rng = streams.client_data_stream(master_seed, slot.client_id, data_round)
         dataset = synthesize_client(
             slot.client_id, slot.n_persons, distributions[slot.country_index],
-            corpus, config.noise, embeddings, data_rng)
+            corpus, config.noise, phrases, data_rng)
         if len(dataset) == 0:
             skipped += 1
             continue
@@ -201,12 +205,12 @@ def run_round(model: GlobalModel, population: list[ClientSlot], spec: Simulation
         weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
         updates.append((local, weight))
 
-    new_params = fedavg_aggregate(updates)
+    new_params = fedavg_aggregate(updates) if updates else model.params
     report = RoundReport(
         round_index=round_index + 1,
         participating_clients=len(updates),
         skipped_empty_clients=skipped,
-        mean_local_loss=float(np.mean(losses)),
+        mean_local_loss=float(np.mean(losses)) if losses else None,
         wall_time=time.perf_counter() - started,
     )
     return GlobalModel(params=new_params, round_index=round_index + 1), report
@@ -219,17 +223,19 @@ def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
 
     The population stream never sees the noise settings, so sweeps at a
     fixed seed share client sizes and countries across noise levels.
+    Every phrase a client can emit is encoded once, up front.
     """
     params = init_params(streams.init_stream(master_seed))
     population = build_population(spec, surveys, streams.population_stream(master_seed))
     distributions = [build_distribution(s) for s in surveys]
+    phrases = build_phrase_table(embeddings, corpus, distributions)
 
     model = GlobalModel(params=params, round_index=0)
     snapshots = [model]
     reports: list[RoundReport] = []
     for _ in range(spec.global_epochs):
         model, report = run_round(model, population, spec, distributions,
-                                  corpus, embeddings, config, master_seed)
+                                  corpus, phrases, config, master_seed)
         snapshots.append(model)
         reports.append(report)
     return snapshots, reports

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import PhraseVector
 from .sampling import ClientDataset
 
 LAYER_SIZES = (50, 32, 16, 8, 1)
@@ -132,9 +131,7 @@ def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
 
 
 def forward(params: MlpParameters, x) -> float:
-    """Probability for a single phrase vector or length-50 array."""
-    if isinstance(x, PhraseVector):
-        x = x.values
+    """Probability for a single length-50 phrase vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (LAYER_SIZES[0],):
         raise ValueError(f"expected shape ({LAYER_SIZES[0]},), got {x.shape}")
@@ -223,7 +220,7 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
     """
     if len(dataset) == 0:
         raise ValueError("empty client")
-    x = dataset.feature_matrix()
+    x = dataset.features
     y = dataset.label_vector()
     n = x.shape[0]
     theta = params.flat.copy()
@@ -244,8 +241,7 @@ def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
     """Mean binary cross-entropy of the current params on a dataset."""
     if len(dataset) == 0:
         raise ValueError("empty client")
-    loss, _ = loss_and_gradient(params, dataset.feature_matrix(),
-                                dataset.label_vector())
+    loss, _ = loss_and_gradient(params, dataset.features, dataset.label_vector())
     return loss
 
 

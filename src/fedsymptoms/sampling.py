@@ -11,10 +11,11 @@ prominent-symptom set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, PhraseVector, encode_phrase
+from .embeddings import EmbeddingTable, encode_phrase
 from .surveys import MedicalCorpus, SymptomDistribution
 
 UNIFORM_THRESHOLD = "uniform_threshold"
@@ -60,19 +61,53 @@ NO_NOISE = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=0.0)
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    feature: PhraseVector
+class PhraseTable:
+    """Every phrase a run can emit, each encoded once.
+
+    Row ``rows[phrase]`` of the read-only ``matrix`` is that phrase's
+    embedding.
+    """
+
+    matrix: np.ndarray
+    rows: dict[str, int]
+
+
+def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
+                       distributions: list[SymptomDistribution]) -> PhraseTable:
+    """Encode every corpus term and every positive-count symptom once.
+
+    An unembeddable phrase raises UnembeddablePhraseError, naming it,
+    before any client is synthesized.
+    """
+    phrases = dict.fromkeys([*corpus.terms, *(name for d in distributions for name in d.names)])
+    matrix = np.stack([encode_phrase(embeddings, phrase) for phrase in phrases])
+    matrix.flags.writeable = False
+    return PhraseTable(matrix=matrix, rows={phrase: i for i, phrase in enumerate(phrases)})
+
+
+class LabeledExample(NamedTuple):
+    """Provenance of one feature row: its label and the phrase it encodes."""
+
     label: int
     source_symptom: str
 
 
 @dataclass(frozen=True)
 class ClientDataset:
-    """One simulated client's labeled training examples."""
+    """One simulated client's labeled training examples.
+
+    Row i of the read-only ``features`` matrix encodes ``examples[i]``.
+    """
 
     client_id: int
     examples: tuple[LabeledExample, ...]
     n_persons: int
+    features: np.ndarray
+
+    def __post_init__(self):
+        if self.features.shape[0] != len(self.examples):
+            raise ValueError(f"{self.features.shape[0]} feature rows "
+                             f"for {len(self.examples)} examples")
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -84,10 +119,6 @@ class ClientDataset:
     @property
     def n_negative(self) -> int:
         return sum(1 for ex in self.examples if ex.label == 0)
-
-    def feature_matrix(self) -> np.ndarray:
-        """Stack features into an (n_examples, dimension) float64 array."""
-        return np.stack([ex.feature.values for ex in self.examples])
 
     def label_vector(self) -> np.ndarray:
         return np.array([ex.label for ex in self.examples], dtype=np.float64)
@@ -112,13 +143,14 @@ def simulate_person(dist: SymptomDistribution, corpus: MedicalCorpus,
 
 def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
                       corpus: MedicalCorpus, noise: NoiseMechanism,
-                      embeddings: EmbeddingTable,
+                      phrases: PhraseTable,
                       rng: np.random.Generator) -> ClientDataset:
     """Simulate n_persons respondents and build the balanced dataset.
 
     Draw order is fixed: all persons, then the negative corpus picks as
     one batch, then one shuffle. Changing it would change every dataset
-    produced from a given stream.
+    produced from a given stream. `phrases` must hold every corpus term
+    and every symptom of `dist`.
     """
     if n_persons < 1:
         raise ValueError("n_persons must be at least 1")
@@ -128,25 +160,20 @@ def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
         emitted.extend(simulate_person(dist, corpus, noise, rng))
 
     if not emitted:
-        return ClientDataset(client_id=client_id, examples=(), n_persons=n_persons)
+        return ClientDataset(client_id=client_id, examples=(), n_persons=n_persons,
+                             features=phrases.matrix[:0])
 
     negative_pool = [t for t in corpus.terms if t.lower() not in dist.prominent_lower]
     if not negative_pool:
         raise ValueError("corpus has no terms outside the prominent-symptom set")
 
-    cache: dict[str, PhraseVector] = {}
-
-    def encoded(phrase: str) -> PhraseVector:
-        if phrase not in cache:
-            cache[phrase] = encode_phrase(embeddings, phrase)
-        return cache[phrase]
-
-    examples = [LabeledExample(encoded(s), 1, s) for s in emitted]
+    examples = [LabeledExample(1, s) for s in emitted]
     picks = rng.integers(len(negative_pool), size=len(emitted))
-    examples.extend(LabeledExample(encoded(negative_pool[i]), 0, negative_pool[i])
-                    for i in picks)
+    examples.extend(LabeledExample(0, negative_pool[i]) for i in picks)
 
     order = rng.permutation(len(examples))
-    return ClientDataset(client_id=client_id,
-                         examples=tuple(examples[i] for i in order),
-                         n_persons=n_persons)
+    shuffled = tuple(examples[i] for i in order)
+    features = phrases.matrix[[phrases.rows[ex.source_symptom] for ex in shuffled]]
+    features.flags.writeable = False
+    return ClientDataset(client_id=client_id, examples=shuffled,
+                         n_persons=n_persons, features=features)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsymptoms import assets
-from fedsymptoms.embeddings import EmbeddingTable, PhraseVector, load_embeddings
+from fedsymptoms.embeddings import EmbeddingTable, load_embeddings
 from fedsymptoms.evaluation import build_evalset
 from fedsymptoms.mlp import LAYER_SIZES, forward_batch
 from fedsymptoms.sampling import ClientDataset, LabeledExample
@@ -73,18 +73,15 @@ def separable_dataset(seed, n=200):
     The seed only shuffles the interleaving; the points themselves are fixed.
     """
     rng = np.random.default_rng(seed)
-    examples = []
-    for label, sign in ((1, 1.0), (0, -1.0)):
-        vec = np.zeros(LAYER_SIZES[0])
-        vec[0] = sign
-        pv = PhraseVector(values=vec, source_phrase="pt", oov_tokens=0)
-        examples.extend(LabeledExample(feature=pv, label=label, source_symptom="pt")
-                        for _ in range(n // 2))
-    order = rng.permutation(len(examples))
-    return ClientDataset(client_id=0, examples=tuple(examples[i] for i in order),
-                         n_persons=n)
+    labels = np.repeat([1, 0], n // 2)
+    features = np.zeros((len(labels), LAYER_SIZES[0]))
+    features[:, 0] = np.where(labels == 1, 1.0, -1.0)
+    order = rng.permutation(len(labels))
+    return ClientDataset(client_id=0,
+                         examples=tuple(LabeledExample(int(labels[i]), "pt") for i in order),
+                         n_persons=n, features=features[order])
 
 
 def training_accuracy(params, dataset):
-    p = forward_batch(params, dataset.feature_matrix())
+    p = forward_batch(params, dataset.features)
     return float(np.mean((p >= 0.5) == (dataset.label_vector() == 1.0)))

@@ -19,10 +19,9 @@ import pytest
 from fedsymptoms.evaluation import (
     GROUP_HIGH,
     GROUP_LOW,
-    accuracy,
     epsilon_sweep,
     noise_sweep,
-    predict_symptom,
+    record_run,
 )
 from fedsymptoms.federation import (
     FederationConfig,
@@ -341,11 +340,12 @@ def test_11_many_tiny_clients_reported_only(surveys, corpus, table, evalset,
         for seed in (1, 2):
             snapshots, _ = run_simulation(spec, surveys, corpus, table,
                                           FederationConfig(noise=mech), seed)
-            final = snapshots[-1]
-            preds = [predict_symptom(final, table, s) for s in evalset.symptoms]
+            rows = record_run(spec, snapshots, evalset, table, mech, seed)
+            preds = [r.prediction for r in rows.predictions
+                     if r.global_epoch == spec.global_epochs]
             all_preds.extend(preds)
             mean_preds.append(sum(preds) / len(preds))
-            accs.append(accuracy(final, evalset, table))
+            accs.append(rows.accuracies[-1].accuracy)
         lines.append(f"noise {level:g}: mean prediction "
                      f"{sum(mean_preds) / len(mean_preds):.3f}, "
                      f"mean accuracy {sum(accs) / len(accs):.3f}")

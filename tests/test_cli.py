@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: artifacts, exit codes, messages."""
 
+import hashlib
 import json
+import platform
 import subprocess
 import sys
+
+import numpy as np
 
 from fedsymptoms import assets
 from fedsymptoms.cli import main
@@ -108,6 +112,44 @@ def test_sweep_rejects_repeated_values_and_seeds(tmp_path, capsys):
     assert main(base + ["--values", "0", "--seeds", "3,1,3"]) == 1
     assert "--seeds repeats 3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_input_digests_and_versions(tmp_path):
+    sweep = ["sweep", "--axis", "noise", "--values", "0", "--seeds", "1",
+             "--scale", "0.01", "--output-dir", str(tmp_path / "sweep")]
+    assert main(small_run(tmp_path / "run")) == 0
+    assert main(sweep) == 0
+    inputs = {"embeddings_path": assets.default_embeddings_path(),
+              "surveys_path": assets.default_surveys_path(),
+              "corpus_path": assets.default_corpus_path()}
+    for command in ("run", "sweep"):
+        manifest_path = tmp_path / command / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert set(manifest["input_sha256"]) == set(inputs)
+        for key, path in inputs.items():
+            with open(path, "rb") as fh:
+                assert manifest["input_sha256"][key] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_round_with_only_empty_clients_carries_the_model_forward(tmp_path, capsys):
+    # one respondent in 10**9 shows the symptom, so no-noise clients emit nothing
+    quiet = tmp_path / "surveys.txt"
+    quiet.write_text("country: Quiet\ntotal: 1000000000\nFever: 1\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(small_run(out_dir, "--surveys", str(quiet))) == 0
+    lines = (out_dir / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        record = json.loads(line)
+        assert record["participating_clients"] == 0
+        assert record["skipped_empty_clients"] == 1
+        assert record["mean_local_loss"] is None
+    # the untrained model is scored every epoch: one prediction throughout
+    predictions = (out_dir / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(predictions) == 5
+    assert len({row.split(",")[-1] for row in predictions}) == 1
 
 
 def test_report_prints_seed_means(tmp_path, capsys):

@@ -13,11 +13,9 @@ from fedsymptoms.evaluation import (
     EvalSet,
     PredictionRow,
     SweepResult,
-    accuracy,
     build_evalset,
     epsilon_sweep,
     noise_sweep,
-    predict_symptom,
     read_accuracy_csv,
     record_run,
     write_accuracy_csv,
@@ -71,17 +69,22 @@ def test_evalset_validation():
 def test_accuracy_counts_threshold_ties_as_positive(evalset, table):
     # zero weights push every sigmoid output to exactly 0.5
     model = GlobalModel(params=zero_params(), round_index=0)
-    for symptom in evalset.symptoms:
-        assert predict_symptom(model, table, symptom) == 0.5
-    assert accuracy(model, evalset, table) == 1.0
+    spec = simulation_spec("I", scale=0.01)
+    result = record_run(spec, [model, model], evalset, table, NO_NOISE, seed=1)
+    assert [r.prediction for r in result.predictions] == [0.5] * len(evalset.symptoms)
+    assert [r.accuracy for r in result.accuracies] == [1.0]
 
 
 def test_accuracy_is_a_sixteenth_multiple(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
     snapshots, _ = run_simulation(spec, surveys, corpus, table,
                                   FederationConfig(noise=NO_NOISE), 1)
-    value = accuracy(snapshots[-1], evalset, table)
-    assert abs(value * 16 - round(value * 16)) < 1e-12
+    result = record_run(spec, snapshots, evalset, table, NO_NOISE, seed=1)
+    for row in result.accuracies:
+        assert abs(row.accuracy * 16 - round(row.accuracy * 16)) < 1e-12
+        predictions = [r.prediction for r in result.predictions
+                       if r.global_epoch == row.global_epoch]
+        assert row.accuracy == sum(p >= 0.5 for p in predictions) / 16
 
 
 def test_record_run_row_counts_and_epoch_numbering(surveys, corpus, table, evalset):

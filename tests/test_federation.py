@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsymptoms.embeddings import UnembeddablePhraseError
 from fedsymptoms.federation import (
     FederationConfig,
     SimulationSpec,
@@ -20,6 +21,7 @@ from fedsymptoms.federation import (
 from fedsymptoms.mlp import LAYER_SIZES, MlpParameters, init_params
 from fedsymptoms.rng import population_stream
 from fedsymptoms.sampling import NO_NOISE, NoiseMechanism, UNIFORM_THRESHOLD
+from fedsymptoms.surveys import CountrySurvey
 
 
 def test_scaled_count_rounds_before_ceiling():
@@ -238,3 +240,13 @@ def test_uniform_weighting_single_client_matches(surveys, corpus, table):
     wa, _ = by_examples[-1].params.layers[0]
     wb, _ = uniform[-1].params.layers[0]
     assert np.array_equal(wa, wb)
+
+
+def test_unembeddable_surveyed_symptom_fails_at_run_start(corpus, table):
+    survey = CountrySurvey(country="Odd", total=1000,
+                           symptom_counts={"Fever": 500, "Zzxq blorp": 1})
+    # no round runs, so the phrase is refused before any client is synthesized
+    spec = simulation_spec("I", scale=0.01, global_epochs=0)
+    with pytest.raises(UnembeddablePhraseError, match="Zzxq blorp") as err:
+        run_simulation(spec, [survey], corpus, table, FederationConfig(noise=NO_NOISE), 1)
+    assert err.value.phrase == "Zzxq blorp"

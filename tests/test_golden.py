@@ -3,19 +3,25 @@
 The simulator promises byte-identical CSVs for a given seed and config.
 These digests pin that output across commits, so a refactor or a faster
 path cannot shift the numbers, even in the last bits, without failing
-here. They were recorded under the numpy ``major.minor`` in
-``RECORDED_NUMPY``; another numpy may round differently, so the test
-skips there and says why.
+here. Each run is checked twice against the same table: in process,
+and as a ``python -m fedsymptoms.cli`` subprocess with 4 BLAS threads.
+The digests were recorded under the numpy ``major.minor`` in
+``RECORDED_NUMPY``; another numpy may round differently, so the tests
+skip there and say why.
 
 To re-record after a change that is meant to alter the numbers, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste its output.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedsymptoms
 from fedsymptoms.cli import main
 
 RECORDED_NUMPY = "2.4"
@@ -51,22 +57,51 @@ GOLDEN = {
 }
 
 
-def run_digests(name: str, out_dir) -> dict[str, str]:
-    argv = ["run", "--seed", "1", "--scale", "0.01", *CONFIGS[name],
+def run_argv(name: str, out_dir) -> list[str]:
+    return ["run", "--seed", "1", "--scale", "0.01", *CONFIGS[name],
             "--output-dir", str(out_dir)]
-    if main(argv) != 0:
-        raise RuntimeError(f"run {name} failed")
+
+
+def csv_digests(out_dir) -> dict[str, str]:
     return {csv: hashlib.sha256((out_dir / csv).read_bytes()).hexdigest()
             for csv in CSV_NAMES}
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_csv_digests_match_golden(name, tmp_path):
+def run_digests(name: str, out_dir) -> dict[str, str]:
+    if main(run_argv(name, out_dir)) != 0:
+        raise RuntimeError(f"run {name} failed")
+    return csv_digests(out_dir)
+
+
+def subprocess_digests(name: str, out_dir) -> dict[str, str]:
+    """The same run as run_digests, in a fresh interpreter with 4 BLAS threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedsymptoms.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4", MKL_NUM_THREADS="4",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "fedsymptoms.cli", *run_argv(name, out_dir)],
+                          capture_output=True, text=True, env=env)
+    if done.returncode != 0:
+        raise RuntimeError(f"run {name} failed: {done.stderr}")
+    return csv_digests(out_dir)
+
+
+def skip_under_other_numpy():
     here = ".".join(np.__version__.split(".")[:2])
     if here != RECORDED_NUMPY:
         pytest.skip(f"digests recorded under numpy {RECORDED_NUMPY}, "
                     f"this is numpy {np.__version__}")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_csv_digests_match_golden(name, tmp_path):
+    skip_under_other_numpy()
     assert run_digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_csv_digests_match_golden_at_4_blas_threads(name, tmp_path):
+    skip_under_other_numpy()
+    assert subprocess_digests(name, tmp_path) == GOLDEN[name]
 
 
 if __name__ == "__main__":

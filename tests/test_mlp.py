@@ -31,8 +31,7 @@ from fedsymptoms.mlp import (
     save_checkpoint,
     train_local,
 )
-from fedsymptoms.sampling import ClientDataset, LabeledExample
-from fedsymptoms.embeddings import PhraseVector
+from fedsymptoms.sampling import ClientDataset
 
 from conftest import separable_dataset, training_accuracy
 
@@ -101,13 +100,7 @@ def test_forward_matches_manual_chain():
 
     got = forward_batch(params, x)
     assert np.max(np.abs(got - expected)) <= 1e-12
-
-
-def test_forward_single_accepts_phrase_vector():
-    params = init_params(np.random.default_rng(3))
-    vec = np.random.default_rng(4).standard_normal(LAYER_SIZES[0])
-    pv = PhraseVector(values=vec, source_phrase="x", oov_tokens=0)
-    assert forward(params, pv) == forward(params, vec)
+    assert forward(params, x[0]) == got[0]
 
 
 def test_forward_output_strictly_inside_unit_interval():
@@ -257,7 +250,8 @@ def test_train_local_deterministic():
 
 def test_train_local_rejects_empty_dataset():
     params = init_params(np.random.default_rng(16))
-    empty = ClientDataset(client_id=0, examples=(), n_persons=3)
+    empty = ClientDataset(client_id=0, examples=(), n_persons=3,
+                          features=np.zeros((0, LAYER_SIZES[0])))
     with pytest.raises(ValueError):
         train_local(params, empty, TrainConfig(), np.random.default_rng(16))
 

@@ -9,12 +9,15 @@ import math
 import numpy as np
 import pytest
 
+from fedsymptoms import sampling
 from fedsymptoms.sampling import (
     LAPLACE_DP,
     NO_NOISE,
     NORMAL_THRESHOLD,
     UNIFORM_THRESHOLD,
+    ClientDataset,
     NoiseMechanism,
+    build_phrase_table,
     simulate_person,
     synthesize_client,
 )
@@ -86,7 +89,7 @@ def make_fixture():
     dist = build_distribution(survey)
     corpus = MedicalCorpus(terms=("alpha", "beta", "gamma", "delta", "epsilon"))
     table = tiny_table(["alpha", "beta", "gamma", "delta", "epsilon"])
-    return dist, corpus, table
+    return dist, corpus, build_phrase_table(table, corpus, [dist])
 
 
 def test_simulate_person_no_noise_emits_prominent_only():
@@ -174,7 +177,7 @@ def test_synthesize_client_bit_identical_for_same_stream():
     for ex_a, ex_b in zip(a.examples, b.examples):
         assert ex_a.label == ex_b.label
         assert ex_a.source_symptom == ex_b.source_symptom
-        assert np.array_equal(ex_a.feature.values, ex_b.feature.values)
+    assert np.array_equal(a.features, b.features)
 
 
 def test_synthesize_client_empty_when_nothing_emitted():
@@ -182,18 +185,19 @@ def test_synthesize_client_empty_when_nothing_emitted():
                            symptom_counts={"alpha": 1})
     dist = build_distribution(survey)
     corpus = MedicalCorpus(terms=("alpha", "beta"))
-    table = tiny_table(["alpha", "beta"])
+    table = build_phrase_table(tiny_table(["alpha", "beta"]), corpus, [dist])
     ds = synthesize_client(0, 5, dist, corpus, NO_NOISE, table,
                            np.random.default_rng(13))
     assert len(ds) == 0
     assert ds.n_persons == 5
+    assert ds.features.shape == (0, 4)
 
 
 def test_synthesize_client_requires_negative_pool():
     survey = CountrySurvey(country="X", total=10, symptom_counts={"alpha": 9})
     dist = build_distribution(survey)
     corpus = MedicalCorpus(terms=("alpha",))
-    table = tiny_table(["alpha"])
+    table = build_phrase_table(tiny_table(["alpha"]), corpus, [dist])
     with pytest.raises(ValueError):
         synthesize_client(0, 50, dist, corpus, NO_NOISE, table,
                           np.random.default_rng(14))
@@ -210,8 +214,35 @@ def test_feature_matrix_shapes():
     dist, corpus, table = make_fixture()
     ds = synthesize_client(0, 50, dist, corpus, NO_NOISE, table,
                            np.random.default_rng(16))
-    x = ds.feature_matrix()
+    x = ds.features
     y = ds.label_vector()
-    assert x.shape == (len(ds), table.dimension)
+    assert x.shape == (len(ds), table.matrix.shape[1])
     assert y.shape == (len(ds),)
     assert set(np.unique(y)) <= {0.0, 1.0}
+    assert not x.flags.writeable
+    # row i encodes example i, whatever the shuffle
+    for row, ex in zip(x, ds.examples):
+        assert np.array_equal(row, table.matrix[table.rows[ex.source_symptom]])
+
+
+def test_phrase_table_encodes_each_phrase_once(monkeypatch):
+    dist, corpus, _ = make_fixture()
+    raw = tiny_table(["alpha", "beta", "gamma", "delta", "epsilon"])
+    encoded = []
+    real_encode = sampling.encode_phrase
+    monkeypatch.setattr(sampling, "encode_phrase",
+                        lambda t, phrase: encoded.append(phrase) or real_encode(t, phrase))
+    table = build_phrase_table(raw, corpus, [dist, dist])
+    # alpha and beta are both surveyed and corpus terms; gamma has a zero
+    # count, so only the corpus puts it in the table
+    assert encoded == list(corpus.terms)
+    assert list(table.rows) == list(corpus.terms)
+    assert table.matrix.shape == (len(corpus.terms), 4)
+    assert not table.matrix.flags.writeable
+    for phrase, row in table.rows.items():
+        assert np.array_equal(table.matrix[row], raw.lookup(phrase))
+
+
+def test_client_dataset_rejects_misaligned_features():
+    with pytest.raises(ValueError):
+        ClientDataset(client_id=0, examples=(), n_persons=1, features=np.zeros((2, 4)))

@@ -6,7 +6,8 @@ float64 vector; each layer's weights and biases are views into it. A
 parameter set is validated once, when it is built, and is read-only
 from then on. train_local updates working buffers that belong to that
 one call and returns a fresh read-only snapshot, so concurrent training
-of disjoint clients needs no locking.
+of disjoint clients needs no locking. A training step computes the
+gradient only; the loss lives in mean_loss (forward only) and loss_and_gradient.
 """
 
 from __future__ import annotations
@@ -107,12 +108,26 @@ def init_params(rng: np.random.Generator) -> MlpParameters:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each branch is the textbook form for its side of 0
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def _forward(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's input activations and the unclipped output probabilities."""
+    # np.dot runs the same BLAS kernels as @, with less dispatch overhead
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(np.dot(acts[-1], w) + b, 0.0))
+    w, b = layers[-1]
+    return acts, _sigmoid((np.dot(acts[-1], w) + b).ravel())
+
+
+def _bce(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy, with p clamped into the LOSS_CLAMP band."""
+    p = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
 def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
@@ -122,12 +137,7 @@ def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected shape (n, {LAYER_SIZES[0]}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input components")
-    h = x
-    for w, b in params.layers[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
-    w, b = params.layers[-1]
-    p = _sigmoid(h @ w + b)[:, 0]
-    return np.clip(p, OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
+    return np.clip(_forward(params.layers, x)[1], OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
 
 
 def forward(params: MlpParameters, x) -> float:
@@ -138,38 +148,25 @@ def forward(params: MlpParameters, x) -> float:
     return float(forward_batch(params, x[None, :])[0])
 
 
-def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> float:
-    """Mean binary cross-entropy of a batch; its gradient goes into `grads`.
+def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
+    """Write a batch's mean binary cross-entropy gradient into `grads`; no loss.
 
     `layers` and `grads` are (weight, bias) views shaped like
-    MlpParameters.layers; the gradient is written in place.
+    MlpParameters.layers. Returns the outputs unclipped: OUTPUT_CLIP only moves
+    outputs outside the LOSS_CLAMP band, whose rows get zero gradient anyway.
     """
-    n = x.shape[0]
-    pre: list[np.ndarray] = []
-    acts: list[np.ndarray] = [x]
-    h = x
-    for w, b in layers[:-1]:
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    w_out, b_out = layers[-1]
-    z_out = h @ w_out + b_out
-    p = np.clip(_sigmoid(z_out)[:, 0], OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
-
-    pc = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
-    loss = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
-
+    acts, p = _forward(layers, x)
     # d(loss)/d(z_out); zero where the clamp flattened the loss
     active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
-    dz = (np.where(active, p - y, 0.0) / n)[:, None]
+    dz = (np.where(active, p - y, 0.0) / x.shape[0])[:, None]
     for i in range(len(layers) - 1, -1, -1):
-        if i < len(layers) - 1:
-            dz = (dz @ layers[i + 1][0].T) * (pre[i] > 0.0)
         gw, gb = grads[i]
-        gw[...] = acts[i].T @ dz
-        gb[...] = dz.sum(axis=0)
-    return loss
+        np.dot(acts[i].T, dz, out=gw)
+        np.add.reduce(dz, axis=0, out=gb)
+        if i:
+            # acts[i] > 0 exactly where the pre-activation is > 0
+            dz = np.dot(dz, layers[i][0].T) * (acts[i] > 0.0)
+    return p
 
 
 def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
@@ -183,23 +180,31 @@ def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     grad = np.empty(N_PARAMS)
-    loss = _backprop(params.layers, x, y, layer_views(grad))
-    return loss, grad
+    p = _backprop(params.layers, x, y, layer_views(grad))
+    return _bce(p, y), grad
 
 
 def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                 step: int, learning_rate: float) -> None:
     """One bias-corrected Adam update of theta, m and v, in place.
 
-    `step` is the 1-based count including this update.
+    `step` is the 1-based count including this update. Two scratch vectors
+    hold the temporaries, each computed in the textbook evaluation order.
     """
     m *= BETA1
-    m += (1.0 - BETA1) * grad
+    scratch = (1.0 - BETA1) * grad
+    m += scratch
     v *= BETA2
-    v += (1.0 - BETA2) * grad * grad
-    m_hat = m / (1.0 - BETA1 ** step)
-    v_hat = v / (1.0 - BETA2 ** step)
-    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS_HAT)
+    np.multiply(1.0 - BETA2, grad, out=scratch)
+    scratch *= grad
+    v += scratch
+    # theta -= (learning_rate * m_hat) / (sqrt(v_hat) + EPS_HAT)
+    np.divide(m, 1.0 - BETA1 ** step, out=scratch)
+    scratch *= learning_rate
+    denom = v / (1.0 - BETA2 ** step)
+    np.sqrt(denom, out=denom)
+    denom += EPS_HAT
+    theta -= np.divide(scratch, denom, out=scratch)
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -229,9 +234,10 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
     step = 0
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
+        xs, ys = x[order], y[order]
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            _backprop(layers, x[idx], y[idx], grads)
+            stop = start + config.batch_size
+            _backprop(layers, xs[start:stop], ys[start:stop], grads)
             step += 1
             adam_step(theta, grad, m, v, step, config.learning_rate)
     return MlpParameters(theta)
@@ -241,8 +247,7 @@ def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
     """Mean binary cross-entropy of the current params on a dataset."""
     if len(dataset) == 0:
         raise ValueError("empty client")
-    loss, _ = loss_and_gradient(params, dataset.features, dataset.label_vector())
-    return loss
+    return _bce(_forward(params.layers, dataset.features)[1], dataset.label_vector())
 
 
 def save_checkpoint(params: MlpParameters, path: str) -> None:

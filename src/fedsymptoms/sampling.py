@@ -10,7 +10,7 @@ prominent-symptom set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -64,12 +64,14 @@ NO_NOISE = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=0.0)
 class PhraseTable:
     """Every phrase a run can emit, each encoded once.
 
-    Row ``rows[phrase]`` of the read-only ``matrix`` is that phrase's
-    embedding.
+    Row ``rows[phrase]`` of the read-only ``matrix`` is that phrase's embedding;
+    ``negatives[dist.prominent_lower]`` holds the corpus terms outside dist's
+    prominent-symptom set, in corpus order (possibly none).
     """
 
     matrix: np.ndarray
     rows: dict[str, int]
+    negatives: dict[frozenset[str], tuple[str, ...]]
 
 
 def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
@@ -82,7 +84,10 @@ def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
     phrases = dict.fromkeys([*corpus.terms, *(name for d in distributions for name in d.names)])
     matrix = np.stack([encode_phrase(embeddings, phrase) for phrase in phrases])
     matrix.flags.writeable = False
-    return PhraseTable(matrix=matrix, rows={phrase: i for i, phrase in enumerate(phrases)})
+    negatives = {d.prominent_lower: tuple(t for t in corpus.terms
+                                          if t.lower() not in d.prominent_lower)
+                 for d in distributions}
+    return PhraseTable(matrix, {phrase: i for i, phrase in enumerate(phrases)}, negatives)
 
 
 class LabeledExample(NamedTuple):
@@ -96,32 +101,36 @@ class LabeledExample(NamedTuple):
 class ClientDataset:
     """One simulated client's labeled training examples.
 
-    Row i of the read-only ``features`` matrix encodes ``examples[i]``.
+    Row i of the read-only ``features`` matrix encodes ``examples[i]``,
+    and entry i of the read-only float64 ``labels`` is its label.
     """
 
     client_id: int
     examples: tuple[LabeledExample, ...]
     n_persons: int
     features: np.ndarray
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.features.shape[0] != len(self.examples):
             raise ValueError(f"{self.features.shape[0]} feature rows "
                              f"for {len(self.examples)} examples")
+        object.__setattr__(self, "labels", np.array([ex.label for ex in self.examples], float))
+        self.labels.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.examples)
 
     @property
     def n_positive(self) -> int:
-        return sum(1 for ex in self.examples if ex.label == 1)
+        return int(self.labels.sum())
 
     @property
     def n_negative(self) -> int:
-        return sum(1 for ex in self.examples if ex.label == 0)
+        return len(self) - self.n_positive
 
     def label_vector(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.float64)
+        return self.labels
 
 
 def simulate_person(dist: SymptomDistribution, corpus: MedicalCorpus,
@@ -149,8 +158,8 @@ def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
 
     Draw order is fixed: all persons, then the negative corpus picks as
     one batch, then one shuffle. Changing it would change every dataset
-    produced from a given stream. `phrases` must hold every corpus term
-    and every symptom of `dist`.
+    produced from a given stream. `phrases` must be built from `corpus`
+    and from a list of distributions that includes `dist`.
     """
     if n_persons < 1:
         raise ValueError("n_persons must be at least 1")
@@ -163,7 +172,7 @@ def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
         return ClientDataset(client_id=client_id, examples=(), n_persons=n_persons,
                              features=phrases.matrix[:0])
 
-    negative_pool = [t for t in corpus.terms if t.lower() not in dist.prominent_lower]
+    negative_pool = phrases.negatives[dist.prominent_lower]
     if not negative_pool:
         raise ValueError("corpus has no terms outside the prominent-symptom set")
 

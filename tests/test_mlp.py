@@ -2,6 +2,9 @@
 
 The gradient check uses central finite differences as an independent
 oracle; the Adam check replays the moment recursion in pure Python.
+The ``ref_*`` functions are a frozen copy of an earlier, plainer
+training step (masked sigmoid, loss computed on every step, Adam with
+fresh temporaries); the leaner step must match them bit for bit.
 """
 
 import math
@@ -19,6 +22,7 @@ from fedsymptoms.mlp import (
     N_PARAMS,
     OUTPUT_CLIP,
     TrainConfig,
+    _sigmoid,
     adam_step,
     adam_update,
     forward,
@@ -31,7 +35,7 @@ from fedsymptoms.mlp import (
     save_checkpoint,
     train_local,
 )
-from fedsymptoms.sampling import ClientDataset
+from fedsymptoms.sampling import ClientDataset, LabeledExample
 
 from conftest import separable_dataset, training_accuracy
 
@@ -296,3 +300,126 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(local_epochs=0)
+
+
+def ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_forward_batch(layers, x):
+    h = x
+    for w, b in layers[:-1]:
+        h = np.maximum(h @ w + b, 0.0)
+    w, b = layers[-1]
+    return np.clip(ref_sigmoid(h @ w + b)[:, 0], OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
+
+
+def ref_backprop(layers, x, y, grads):
+    n = x.shape[0]
+    pre, acts = [], [x]
+    h = x
+    for w, b in layers[:-1]:
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0)
+        acts.append(h)
+    w_out, b_out = layers[-1]
+    p = np.clip(ref_sigmoid(h @ w_out + b_out)[:, 0], OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
+    pc = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    loss = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+    active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
+    dz = (np.where(active, p - y, 0.0) / n)[:, None]
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            dz = (dz @ layers[i + 1][0].T) * (pre[i] > 0.0)
+        gw, gb = grads[i]
+        gw[...] = acts[i].T @ dz
+        gb[...] = dz.sum(axis=0)
+    return loss
+
+
+def ref_adam_update(theta, grad, m, v, step, learning_rate):
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** step)
+    v_hat = v / (1.0 - BETA2 ** step)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS_HAT)
+
+
+def ref_train_local(flat, x, y, config, rng):
+    theta = flat.copy()
+    grad, m, v = np.empty(N_PARAMS), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+    layers, grads = layer_views(theta), layer_views(grad)
+    step = 0
+    for _ in range(config.local_epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            ref_backprop(layers, x[idx], y[idx], grads)
+            step += 1
+            ref_adam_update(theta, grad, m, v, step, config.learning_rate)
+    return theta
+
+
+def ref_mean_loss(flat, x, y):
+    return ref_backprop(layer_views(flat), x, y, layer_views(np.empty(N_PARAMS)))
+
+
+def test_training_step_matches_frozen_reference_bit_for_bit():
+    rng = np.random.default_rng(20)
+    n = 83  # two full batches of 32 and a short one of 19
+    x = rng.standard_normal((n, LAYER_SIZES[0]))
+    x[::7] = 0.0  # rows whose logit is the output bias, exactly 0 at init
+    labels = rng.integers(0, 2, size=n)
+    dataset = ClientDataset(client_id=0, n_persons=n, features=x,
+                            examples=tuple(LabeledExample(int(v), "pt") for v in labels))
+    params = MlpParameters(3.0 * init_params(np.random.default_rng(21)).flat)
+
+    # the scaled start covers every branch of the sigmoid and the clamp
+    h = x
+    for w, b in params.layers[:-1]:
+        h = np.maximum(h @ w + b, 0.0)
+    logits = (h @ params.layers[-1][0] + params.layers[-1][1])[:, 0]
+    p = ref_sigmoid(logits)
+    assert (logits < 0).any() and (logits > 0).any() and (logits == 0).any()
+    outside = (p <= LOSS_CLAMP) | (p >= 1.0 - LOSS_CLAMP)
+    assert outside.any() and not outside.all()
+
+    y = labels.astype(np.float64)
+    config = TrainConfig(local_epochs=3)
+    trained = train_local(params, dataset, config, np.random.default_rng(22))
+    expected = ref_train_local(params.flat, x, y, config, np.random.default_rng(22))
+    assert np.array_equal(trained.flat, expected)
+    for start in (params, trained):
+        assert np.array_equal(mean_loss(start, dataset), ref_mean_loss(start.flat, x, y))
+
+
+def test_forward_and_sigmoid_match_frozen_reference_on_extreme_logits():
+    z = np.array([800.0, -800.0, 40.0, -40.0, 3.3, -3.3, 0.0, -0.0])
+    assert np.array_equal(_sigmoid(z), ref_sigmoid(z))
+    assert _sigmoid(z)[-1] == 0.5
+
+    # units 0 and 1 pass straight through to the output, which reads
+    # logit = x[0] - x[1]; the BLAS products never give -0.0, so that
+    # case is pinned on the sigmoid alone, and the +-3.3 rows are the
+    # ones OUTPUT_CLIP leaves alone
+    layers = []
+    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
+        w = np.zeros((fan_in, fan_out))
+        if fan_out > 1:
+            w[0, 0] = w[1, 1] = 1.0
+        else:
+            w[0, 0], w[1, 0] = 1.0, -1.0
+        layers.append((w, np.zeros(fan_out)))
+    params = MlpParameters.from_layers(layers)
+    x = np.zeros((7, LAYER_SIZES[0]))
+    x[:, :2] = [[800.0, 0.0], [0.0, 800.0], [40.0, 0.0], [0.0, 40.0],
+                [3.3, 0.0], [0.0, 3.3], [0.0, 0.0]]
+    assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x))

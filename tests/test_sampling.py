@@ -203,6 +203,42 @@ def test_synthesize_client_requires_negative_pool():
                           np.random.default_rng(14))
 
 
+class CountingTerms(tuple):
+    """Corpus terms that count how often they are walked in full."""
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_negative_pool_is_built_once_per_table():
+    dist, _, _ = make_fixture()
+    terms = CountingTerms(("alpha", "beta", "gamma", "delta", "epsilon"))
+    terms.walks = 0
+    corpus = MedicalCorpus(terms=terms)
+    table = build_phrase_table(tiny_table(list(terms)), corpus, [dist])
+    assert table.negatives[dist.prominent_lower] == ("gamma", "delta", "epsilon")
+    walks = terms.walks
+    for seed in range(3):
+        ds = synthesize_client(0, 40, dist, corpus, NO_NOISE, table,
+                               np.random.default_rng(seed))
+        assert ds.n_negative > 0
+    assert terms.walks == walks
+
+
+def test_missing_negative_pool_fails_only_for_a_client_that_emits():
+    corpus = MedicalCorpus(terms=("alpha",))
+    quiet = build_distribution(CountrySurvey(country="Quiet", total=10**9,
+                                             symptom_counts={"alpha": 1}))
+    loud = build_distribution(CountrySurvey(country="X", total=10,
+                                            symptom_counts={"alpha": 9}))
+    table = build_phrase_table(tiny_table(["alpha"]), corpus, [quiet, loud])
+    ds = synthesize_client(0, 5, quiet, corpus, NO_NOISE, table, np.random.default_rng(17))
+    assert len(ds) == 0
+    with pytest.raises(ValueError, match="corpus has no terms outside the prominent-symptom set"):
+        synthesize_client(0, 50, loud, corpus, NO_NOISE, table, np.random.default_rng(17))
+
+
 def test_synthesize_client_rejects_zero_persons():
     dist, corpus, table = make_fixture()
     with pytest.raises(ValueError):
@@ -220,6 +256,10 @@ def test_feature_matrix_shapes():
     assert y.shape == (len(ds),)
     assert set(np.unique(y)) <= {0.0, 1.0}
     assert not x.flags.writeable
+    # the labels are built once, with the dataset, and are read-only
+    assert ds.label_vector() is y
+    assert not y.flags.writeable
+    assert ds.n_positive == sum(ex.label for ex in ds.examples) == int(y.sum())
     # row i encodes example i, whatever the shuffle
     for row, ex in zip(x, ds.examples):
         assert np.array_equal(row, table.matrix[table.rows[ex.source_symptom]])

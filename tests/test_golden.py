@@ -1,4 +1,4 @@
-"""Golden sha256 digests of the CSVs of four small runs.
+"""Golden sha256 digests of the CSVs of four small runs, and their losses.
 
 The simulator promises byte-identical CSVs for a given seed and config.
 These digests pin that output across commits, so a refactor or a faster
@@ -7,13 +7,15 @@ here. Each run is checked twice against the same table: in process,
 and as a ``python -m fedsymptoms.cli`` subprocess with 4 BLAS threads.
 The digests were recorded under the numpy ``major.minor`` in
 ``RECORDED_NUMPY``; another numpy may round differently, so the tests
-skip there and say why.
+skip there and say why. ``MEAN_LOCAL_LOSS`` pins the ``repr`` of each
+round's ``mean_local_loss`` in ``rounds.jsonl``, which no CSV carries.
 
 To re-record after a change that is meant to alter the numbers, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste its output.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +59,37 @@ GOLDEN = {
 }
 
 
+MEAN_LOCAL_LOSS = {
+    "III_normal": (
+        "0.6490059861195671",
+        "0.6220378281067348",
+        "0.5959509632686885",
+        "0.5703881875627954",
+        "0.5337539164047667",
+    ),
+    "IV_laplace_eps2": (
+        "0.6646005189291262",
+        "0.6589425921304675",
+        "0.657413785050589",
+        "0.6455488248163739",
+        "0.6481134861118092",
+    ),
+    "I_fixed_client_data": (
+        "0.5829096488536077",
+        "0.5794362099314355",
+        "0.5801610131474314",
+        "0.5737203978882125",
+        "0.5695487724274486",
+    ),
+    "I_uniform_0.5": (
+        "0.5829096488536077",
+        "0.5851649405323809",
+        "0.586542562677464",
+        "0.583996251165356",
+        "0.5779398386296234",
+    ),
+}
+
 def run_argv(name: str, out_dir) -> list[str]:
     return ["run", "--seed", "1", "--scale", "0.01", *CONFIGS[name],
             "--output-dir", str(out_dir)]
@@ -65,6 +98,12 @@ def run_argv(name: str, out_dir) -> list[str]:
 def csv_digests(out_dir) -> dict[str, str]:
     return {csv: hashlib.sha256((out_dir / csv).read_bytes()).hexdigest()
             for csv in CSV_NAMES}
+
+
+def round_losses(out_dir) -> tuple[str, ...]:
+    """The repr of each round's mean_local_loss, in round order."""
+    lines = (out_dir / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
+    return tuple(repr(json.loads(line)["mean_local_loss"]) for line in lines)
 
 
 def run_digests(name: str, out_dir) -> dict[str, str]:
@@ -99,6 +138,13 @@ def test_csv_digests_match_golden(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_mean_local_loss_matches_golden(name, tmp_path):
+    skip_under_other_numpy()
+    run_digests(name, tmp_path)
+    assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests_match_golden_at_4_blas_threads(name, tmp_path):
     skip_under_other_numpy()
     assert subprocess_digests(name, tmp_path) == GOLDEN[name]
@@ -110,11 +156,24 @@ if __name__ == "__main__":
     import pathlib
     import tempfile
 
+    losses = {}
     with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
         for name in sorted(CONFIGS):
+            out_dir = pathlib.Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
-                digests = run_digests(name, pathlib.Path(tmp) / name)
+                digests = run_digests(name, out_dir)
+            losses[name] = round_losses(out_dir)
             print(f'    "{name}": {{')
             for csv in CSV_NAMES:
                 print(f'        "{csv}": "{digests[csv]}",')
             print("    },")
+        print("}")
+    print()
+    print("MEAN_LOCAL_LOSS = {")
+    for name, values in losses.items():
+        print(f'    "{name}": (')
+        for value in values:
+            print(f'        "{value}",')
+        print("    ),")
+    print("}")

@@ -27,8 +27,7 @@ from .evaluation import (
 )
 from .federation import (
     SIMULATION_IDS,
-    WEIGHT_BY_EXAMPLES,
-    WEIGHT_UNIFORM,
+    WEIGHTINGS,
     FederationConfig,
     run_simulation,
     simulation_spec,
@@ -256,7 +255,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         type=float, help="fraction of clients trained per round")
     parser.add_argument("--local-epochs", dest="local_epochs", type=int)
     parser.add_argument("--global-epochs", dest="global_epochs", type=int)
-    parser.add_argument("--weighting", choices=(WEIGHT_BY_EXAMPLES, WEIGHT_UNIFORM),
+    parser.add_argument("--weighting", choices=WEIGHTINGS,
                         help="aggregation weighting")
     parser.add_argument("--fixed-client-data", dest="fixed_client_data",
                         action="store_true", default=None,

@@ -10,7 +10,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from . import assets
-from .federation import SIMULATION_IDS, WEIGHT_BY_EXAMPLES, WEIGHT_UNIFORM
+from .federation import SIMULATION_IDS, WEIGHT_BY_EXAMPLES, WEIGHTINGS
 from .sampling import LAPLACE_DP, MECHANISM_KINDS, NoiseMechanism
 
 MAX_SEED = 2 ** 64 - 1
@@ -56,8 +56,8 @@ class RunConfig:
             raise ValueError("local_epochs must be at least 1")
         if self.global_epochs < 0:
             raise ValueError("global_epochs must be non-negative")
-        if self.weighting not in (WEIGHT_BY_EXAMPLES, WEIGHT_UNIFORM):
-            raise ValueError(f"weighting must be {WEIGHT_BY_EXAMPLES!r} or {WEIGHT_UNIFORM!r}")
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
         if self.epoch is not None and self.epoch < 1:
             raise ValueError("epoch must be at least 1")
         if not self.output_dir:

@@ -42,6 +42,7 @@ _DEFAULT_PARTICIPATION = {"I": 1.0, "II": 1.0, "III": 1.0, "IV": 0.05}
 
 WEIGHT_BY_EXAMPLES = "by_examples"
 WEIGHT_UNIFORM = "uniform"
+WEIGHTINGS = (WEIGHT_BY_EXAMPLES, WEIGHT_UNIFORM)
 
 
 def scaled_count(value: int, scale: float) -> int:
@@ -136,8 +137,8 @@ class FederationConfig:
     fixed_client_data: bool = False
 
     def __post_init__(self):
-        if self.weighting not in (WEIGHT_BY_EXAMPLES, WEIGHT_UNIFORM):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 
 
 def build_population(spec: SimulationSpec, surveys: list[CountrySurvey],

@@ -2,17 +2,22 @@
 
 Three ReLU hidden layers feed one sigmoid output neuron. Training is
 binary cross-entropy under Adam. All 2,305 parameters live in one flat
-float64 vector; each layer's weights and biases are views into it. A
-parameter set is validated once, when it is built, and is read-only
-from then on. train_local updates working buffers that belong to that
-one call and returns a fresh read-only snapshot, so concurrent training
-of disjoint clients needs no locking. A training step computes the
-gradient only; the loss lives in mean_loss (forward only) and loss_and_gradient.
+float64 vector; each layer's weights and biases are views into it, built
+once per parameter set. A parameter set is validated once, when it is
+built, and is read-only from then on. train_local updates working
+buffers that belong to that one call and returns a fresh read-only
+snapshot, so concurrent training of disjoint clients needs no locking.
+A client's examples are row indices into the run's shared phrase table:
+each epoch gathers its shuffled (n, 50) matrix from that table, and
+mean_loss gathers once, so no feature copy outlives the call. A training
+step computes the gradient only; the loss lives in mean_loss (forward
+only) and loss_and_gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +81,9 @@ class MlpParameters:
                 parts.append(arr.ravel())
         return cls(np.concatenate(parts))
 
-    @property
+    @cached_property
     def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only (weight, bias) views of each layer."""
+        """Read-only (weight, bias) views of each layer, built once per parameter set."""
         return layer_views(self.flat)
 
 
@@ -114,14 +119,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _forward(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input activations and the unclipped output probabilities."""
+def _forward(layers, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The unclipped output probabilities; each layer's input is appended to `acts` if given.
+
+    Without `acts` only the current layer's input and output are alive, so a
+    large batch never holds all its activations at once.
+    """
     # np.dot runs the same BLAS kernels as @, with less dispatch overhead
-    acts = [x]
     for w, b in layers[:-1]:
-        acts.append(np.maximum(np.dot(acts[-1], w) + b, 0.0))
+        if acts is not None:
+            acts.append(x)
+        # in place: the same bits as maximum(dot + b, 0) with one array per layer
+        h = np.dot(x, w)
+        h += b
+        x = np.maximum(h, 0.0, out=h)
+    if acts is not None:
+        acts.append(x)
     w, b = layers[-1]
-    return acts, _sigmoid((np.dot(acts[-1], w) + b).ravel())
+    z = np.dot(x, w)
+    z += b
+    return _sigmoid(z.ravel())
 
 
 def _bce(p: np.ndarray, y: np.ndarray) -> float:
@@ -137,7 +154,7 @@ def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected shape (n, {LAYER_SIZES[0]}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input components")
-    return np.clip(_forward(params.layers, x)[1], OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
+    return np.clip(_forward(params.layers, x), OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
 
 
 def forward(params: MlpParameters, x) -> float:
@@ -155,7 +172,8 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     MlpParameters.layers. Returns the outputs unclipped: OUTPUT_CLIP only moves
     outputs outside the LOSS_CLAMP band, whose rows get zero gradient anyway.
     """
-    acts, p = _forward(layers, x)
+    acts: list[np.ndarray] = []
+    p = _forward(layers, x, acts)
     # d(loss)/d(z_out); zero where the clamp flattened the loss
     active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
     dz = (np.where(active, p - y, 0.0) / x.shape[0])[:, None]
@@ -219,35 +237,38 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
                 rng: np.random.Generator) -> MlpParameters:
     """Run local_epochs of minibatch Adam over the client's examples.
 
-    Each epoch reshuffles with the caller's stream; the last short batch
-    is trained on. The call trains a private copy of params.flat with a
-    fresh optimizer state.
+    Each epoch reshuffles with the caller's stream and gathers its
+    shuffled feature rows straight from the shared phrase table; the last
+    short batch is trained on. The call trains a private copy of
+    params.flat with a fresh optimizer state.
     """
     if len(dataset) == 0:
         raise ValueError("empty client")
-    x = dataset.features
-    y = dataset.label_vector()
-    n = x.shape[0]
+    table, rows, y = dataset.phrases.matrix, dataset.rows, dataset.labels
+    n = len(rows)
     theta = params.flat.copy()
     grad, m, v = np.empty(N_PARAMS), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
     layers, grads = layer_views(theta), layer_views(grad)
     step = 0
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
-        xs, ys = x[order], y[order]
+        xs, ys = table[rows[order]], y[order]
         for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
             _backprop(layers, xs[start:stop], ys[start:stop], grads)
             step += 1
             adam_step(theta, grad, m, v, step, config.learning_rate)
+        del xs, ys  # free this epoch's gather before the next one is made
     return MlpParameters(theta)
 
 
 def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
-    """Mean binary cross-entropy of the current params on a dataset."""
+    """Mean binary cross-entropy of the current params on a dataset, from one gather of its rows."""
     if len(dataset) == 0:
         raise ValueError("empty client")
-    return _bce(_forward(params.layers, dataset.features)[1], dataset.label_vector())
+    # fresh views, not the cached params.layers: each local update is scored
+    # once, and a cache would hold its views until FedAvg merges the round
+    return _bce(_forward(layer_views(params.flat), dataset.features), dataset.labels)
 
 
 def save_checkpoint(params: MlpParameters, path: str) -> None:

@@ -5,7 +5,10 @@ in order. Each symptom is displayed with its survey probability; when it
 is not displayed, a noise statistic decides whether a random corpus term
 is reported instead. Displayed symptoms become positive training
 examples, balanced 1:1 by corpus terms drawn from outside the
-prominent-symptom set.
+prominent-symptom set. Every phrase is encoded once per run into a
+read-only PhraseTable; a client dataset is only an array of row indices
+into that table and an array of 0/1 labels, so the walk appends row ids
+and no per-example object or feature copy is kept.
 """
 
 from __future__ import annotations
@@ -62,16 +65,27 @@ NO_NOISE = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=0.0)
 
 @dataclass(frozen=True)
 class PhraseTable:
-    """Every phrase a run can emit, each encoded once.
+    """Every phrase a run can emit, each encoded once, and the walks over it.
 
-    Row ``rows[phrase]`` of the read-only ``matrix`` is that phrase's embedding;
-    ``negatives[dist.prominent_lower]`` holds the corpus terms outside dist's
-    prominent-symptom set, in corpus order (possibly none).
+    Row ``rows[phrase]`` of the read-only ``matrix`` is that phrase's
+    embedding, and ``names[row]`` is the phrase. ``walks[dist]`` is dist's
+    prominent-symptom list as (row, display probability) pairs, in order;
+    ``term_rows[i]`` is the row of corpus term i. ``negatives[dist.prominent_lower]``
+    holds the rows of the corpus terms outside dist's prominent-symptom set,
+    in corpus order (possibly none), as a read-only intp array.
     """
 
     matrix: np.ndarray
     rows: dict[str, int]
-    negatives: dict[frozenset[str], tuple[str, ...]]
+    names: tuple[str, ...]
+    walks: dict[SymptomDistribution, tuple[tuple[int, float], ...]]
+    term_rows: tuple[int, ...]
+    negatives: dict[frozenset[str], np.ndarray]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
@@ -81,13 +95,15 @@ def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
     An unembeddable phrase raises UnembeddablePhraseError, naming it,
     before any client is synthesized.
     """
-    phrases = dict.fromkeys([*corpus.terms, *(name for d in distributions for name in d.names)])
-    matrix = np.stack([encode_phrase(embeddings, phrase) for phrase in phrases])
-    matrix.flags.writeable = False
-    negatives = {d.prominent_lower: tuple(t for t in corpus.terms
-                                          if t.lower() not in d.prominent_lower)
-                 for d in distributions}
-    return PhraseTable(matrix, {phrase: i for i, phrase in enumerate(phrases)}, negatives)
+    names = tuple(dict.fromkeys([*corpus.terms, *(name for d in distributions for name in d.names)]))
+    rows = {phrase: i for i, phrase in enumerate(names)}
+    matrix = _read_only(np.stack([encode_phrase(embeddings, phrase) for phrase in names]))
+    walks = {d: tuple((rows[name], p) for name, p in d.entries) for d in distributions}
+    negatives = {d.prominent_lower: _read_only(np.array(
+        [rows[t] for t in corpus.terms if t.lower() not in d.prominent_lower], dtype=np.intp))
+        for d in distributions}
+    return PhraseTable(matrix, rows, names, walks,
+                       tuple(rows[t] for t in corpus.terms), negatives)
 
 
 class LabeledExample(NamedTuple):
@@ -99,27 +115,48 @@ class LabeledExample(NamedTuple):
 
 @dataclass(frozen=True)
 class ClientDataset:
-    """One simulated client's labeled training examples.
+    """One simulated client's labeled training examples, as rows of a phrase table.
 
-    Row i of the read-only ``features`` matrix encodes ``examples[i]``,
-    and entry i of the read-only float64 ``labels`` is its label.
+    Example i is row ``rows[i]`` of ``phrases.matrix``, labeled ``labels[i]``
+    (read-only float64, each 0.0 or 1.0). ``features`` and ``examples`` are
+    derived from these on each access and never stored.
     """
 
     client_id: int
-    examples: tuple[LabeledExample, ...]
     n_persons: int
-    features: np.ndarray
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    phrases: PhraseTable = field(repr=False)
+    rows: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if self.features.shape[0] != len(self.examples):
-            raise ValueError(f"{self.features.shape[0]} feature rows "
-                             f"for {len(self.examples)} examples")
-        object.__setattr__(self, "labels", np.array([ex.label for ex in self.examples], float))
-        self.labels.flags.writeable = False
+        rows = np.asarray(self.rows)
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"rows must be integers, got {rows.dtype}")
+        rows = _read_only(rows.astype(np.intp))
+        labels = _read_only(np.array(self.labels, dtype=np.float64))
+        if rows.ndim != 1 or labels.shape != rows.shape:
+            raise ValueError(f"labels of shape {labels.shape} for rows of shape {rows.shape}")
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(self.phrases.names):
+            raise ValueError(f"rows outside the phrase table's {len(self.phrases.names)} rows")
+        if not ((labels == 0.0) | (labels == 1.0)).all():
+            raise ValueError("labels must be 0 or 1")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.rows)
+
+    @property
+    def features(self) -> np.ndarray:
+        """A fresh read-only (n, dimension) gather of the examples' rows."""
+        return _read_only(self.phrases.matrix[self.rows])
+
+    @property
+    def examples(self) -> tuple[LabeledExample, ...]:
+        """(label, source phrase) of each example, aligned with ``features``."""
+        names = self.phrases.names
+        return tuple(LabeledExample(label, names[row])
+                     for row, label in zip(self.rows.tolist(), self.labels.astype(int).tolist()))
 
     @property
     def n_positive(self) -> int:
@@ -133,20 +170,26 @@ class ClientDataset:
         return self.labels
 
 
+def _walk(entries, terms, noise: NoiseMechanism, rng: np.random.Generator,
+          displayed: list) -> None:
+    """Append one person's displayed items: `entries` are (item, p), `terms` the noise pool.
+
+    For each entry, one uniform draw against its probability; only
+    when that misses, one noise draw; only when that fires, one more
+    draw to pick the random term.
+    """
+    for item, p in entries:
+        if rng.random() < p:
+            displayed.append(item)
+        elif noise.fires(rng):
+            displayed.append(terms[rng.integers(len(terms))])
+
+
 def simulate_person(dist: SymptomDistribution, corpus: MedicalCorpus,
                     noise: NoiseMechanism, rng: np.random.Generator) -> list[str]:
-    """Walk the prominent-symptom list once and return displayed phrases.
-
-    For each symptom, one uniform draw against its probability; only
-    when that misses, one noise draw; only when that fires, one more
-    draw to pick the random corpus term. The list may be empty.
-    """
+    """Walk the prominent-symptom list once and return displayed phrases (maybe none)."""
     displayed: list[str] = []
-    for symptom, p in dist.entries:
-        if rng.random() < p:
-            displayed.append(symptom)
-        elif noise.fires(rng):
-            displayed.append(corpus.terms[rng.integers(len(corpus.terms))])
+    _walk(dist.entries, corpus.terms, noise, rng, displayed)
     return displayed
 
 
@@ -159,30 +202,30 @@ def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
     Draw order is fixed: all persons, then the negative corpus picks as
     one batch, then one shuffle. Changing it would change every dataset
     produced from a given stream. `phrases` must be built from `corpus`
-    and from a list of distributions that includes `dist`.
+    and from a list of distributions that includes `dist`; the persons
+    walk its rows (``walks[dist]``, ``term_rows``), so no phrase is looked
+    up, and no example object or feature row is made, per example.
     """
     if n_persons < 1:
         raise ValueError("n_persons must be at least 1")
 
-    emitted: list[str] = []
+    walk, terms = phrases.walks[dist], phrases.term_rows
+    emitted: list[int] = []
     for _ in range(n_persons):
-        emitted.extend(simulate_person(dist, corpus, noise, rng))
+        _walk(walk, terms, noise, rng, emitted)
 
-    if not emitted:
-        return ClientDataset(client_id=client_id, examples=(), n_persons=n_persons,
-                             features=phrases.matrix[:0])
+    n_pos = len(emitted)
+    if not n_pos:
+        return ClientDataset(client_id=client_id, n_persons=n_persons, phrases=phrases,
+                             rows=np.empty(0, np.intp), labels=np.empty(0))
 
     negative_pool = phrases.negatives[dist.prominent_lower]
-    if not negative_pool:
+    if not negative_pool.size:
         raise ValueError("corpus has no terms outside the prominent-symptom set")
 
-    examples = [LabeledExample(1, s) for s in emitted]
-    picks = rng.integers(len(negative_pool), size=len(emitted))
-    examples.extend(LabeledExample(0, negative_pool[i]) for i in picks)
-
-    order = rng.permutation(len(examples))
-    shuffled = tuple(examples[i] for i in order)
-    features = phrases.matrix[[phrases.rows[ex.source_symptom] for ex in shuffled]]
-    features.flags.writeable = False
-    return ClientDataset(client_id=client_id, examples=shuffled,
-                         n_persons=n_persons, features=features)
+    picks = rng.integers(len(negative_pool), size=n_pos)
+    order = rng.permutation(2 * n_pos)
+    rows = np.concatenate([np.array(emitted, dtype=np.intp), negative_pool[picks]])
+    # positives come first before the shuffle, so a row is positive iff it came from [0, n_pos)
+    return ClientDataset(client_id=client_id, n_persons=n_persons, phrases=phrases,
+                         rows=rows[order], labels=order < n_pos)

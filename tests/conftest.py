@@ -7,7 +7,7 @@ from fedsymptoms import assets
 from fedsymptoms.embeddings import EmbeddingTable, load_embeddings
 from fedsymptoms.evaluation import build_evalset
 from fedsymptoms.mlp import LAYER_SIZES, forward_batch
-from fedsymptoms.sampling import ClientDataset, LabeledExample
+from fedsymptoms.sampling import ClientDataset, PhraseTable
 from fedsymptoms.surveys import (
     CountrySurvey,
     MedicalCorpus,
@@ -67,6 +67,19 @@ def tiny_corpus():
     return MedicalCorpus(terms=("alpha", "beta", "gamma", "delta", "epsilon"))
 
 
+def matrix_phrase_table(matrix):
+    """A PhraseTable over the rows of `matrix`, named "row0", "row1", ...
+
+    It has no walks, corpus rows or negative pools, so it serves datasets
+    built by hand, not synthesize_client.
+    """
+    matrix = np.array(matrix, dtype=np.float64)
+    matrix.flags.writeable = False
+    names = tuple(f"row{i}" for i in range(len(matrix)))
+    return PhraseTable(matrix=matrix, rows={name: i for i, name in enumerate(names)},
+                       names=names, walks={}, term_rows=(), negatives={})
+
+
 def separable_dataset(seed, n=200):
     """Balanced fixture on the first axis: positives at +e1, negatives at -e1.
 
@@ -74,12 +87,11 @@ def separable_dataset(seed, n=200):
     """
     rng = np.random.default_rng(seed)
     labels = np.repeat([1, 0], n // 2)
-    features = np.zeros((len(labels), LAYER_SIZES[0]))
-    features[:, 0] = np.where(labels == 1, 1.0, -1.0)
+    points = np.zeros((2, LAYER_SIZES[0]))
+    points[:, 0] = [1.0, -1.0]  # row 0 positive, row 1 negative
     order = rng.permutation(len(labels))
-    return ClientDataset(client_id=0,
-                         examples=tuple(LabeledExample(int(labels[i]), "pt") for i in order),
-                         n_persons=n, features=features[order])
+    return ClientDataset(client_id=0, n_persons=n, phrases=matrix_phrase_table(points),
+                         rows=np.where(labels[order] == 1, 0, 1), labels=labels[order])
 
 
 def training_accuracy(params, dataset):

@@ -11,6 +11,7 @@ import numpy as np
 from fedsymptoms import assets
 from fedsymptoms.cli import main
 from fedsymptoms.evaluation import AccuracyRow, read_accuracy_csv, write_accuracy_csv
+from fedsymptoms.federation import WEIGHTINGS
 from fedsymptoms.sampling import UNIFORM_THRESHOLD
 from fedsymptoms.surveys import load_corpus
 
@@ -186,6 +187,17 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg.write_text('{"master_seed": 1, "bogus": 2}', encoding="utf-8")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_unknown_weighting_in_config_file_names_the_accepted_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"master_seed": 1, "weighting": "by_persons"}', encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "weighting must be one of" in err
+    for accepted in WEIGHTINGS:
+        assert repr(accepted) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_json_config_is_rejected(tmp_path, capsys):

@@ -35,9 +35,9 @@ from fedsymptoms.mlp import (
     save_checkpoint,
     train_local,
 )
-from fedsymptoms.sampling import ClientDataset, LabeledExample
+from fedsymptoms.sampling import ClientDataset
 
-from conftest import separable_dataset, training_accuracy
+from conftest import matrix_phrase_table, separable_dataset, training_accuracy
 
 
 def test_init_shapes_and_glorot_bounds():
@@ -69,6 +69,24 @@ def test_params_arrays_are_frozen():
         trained.flat[0] = 1.0
     with pytest.raises(ValueError):
         trained.layers[-1][1][0] = 1.0
+
+
+def test_layer_views_are_built_once_per_parameter_set():
+    params = init_params(np.random.default_rng(0))
+    layers = params.layers
+    assert params.layers is layers
+    offset = 0
+    for w, b in layers:
+        for view in (w, b):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, params.flat)
+            assert np.array_equal(view.ravel(), params.flat[offset:offset + view.size])
+            offset += view.size
+    assert offset == N_PARAMS
+    # a new parameter set gets its own views
+    other = MlpParameters(params.flat)
+    assert other.layers is not layers
+    assert np.shares_memory(other.layers[0][0], other.flat)
 
 
 def test_params_rejects_wrong_length_and_nonfinite():
@@ -254,8 +272,9 @@ def test_train_local_deterministic():
 
 def test_train_local_rejects_empty_dataset():
     params = init_params(np.random.default_rng(16))
-    empty = ClientDataset(client_id=0, examples=(), n_persons=3,
-                          features=np.zeros((0, LAYER_SIZES[0])))
+    empty = ClientDataset(client_id=0, n_persons=3,
+                          phrases=matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))),
+                          rows=np.empty(0, np.intp), labels=np.empty(0))
     with pytest.raises(ValueError):
         train_local(params, empty, TrainConfig(), np.random.default_rng(16))
 
@@ -378,8 +397,8 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
     x = rng.standard_normal((n, LAYER_SIZES[0]))
     x[::7] = 0.0  # rows whose logit is the output bias, exactly 0 at init
     labels = rng.integers(0, 2, size=n)
-    dataset = ClientDataset(client_id=0, n_persons=n, features=x,
-                            examples=tuple(LabeledExample(int(v), "pt") for v in labels))
+    dataset = ClientDataset(client_id=0, n_persons=n, phrases=matrix_phrase_table(x),
+                            rows=np.arange(n), labels=labels)
     params = MlpParameters(3.0 * init_params(np.random.default_rng(21)).flat)
 
     # the scaled start covers every branch of the sigmoid and the clamp

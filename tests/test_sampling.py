@@ -5,11 +5,13 @@ probabilities using a 99.9% binomial interval (z = 3.2905).
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fedsymptoms import sampling
+from fedsymptoms.mlp import TrainConfig, init_params, mean_loss, train_local
 from fedsymptoms.sampling import (
     LAPLACE_DP,
     NO_NOISE,
@@ -23,7 +25,7 @@ from fedsymptoms.sampling import (
 )
 from fedsymptoms.surveys import CountrySurvey, MedicalCorpus, build_distribution
 
-from conftest import tiny_table
+from conftest import matrix_phrase_table, tiny_table
 
 Z999 = 3.2905
 
@@ -180,6 +182,49 @@ def test_synthesize_client_bit_identical_for_same_stream():
     assert np.array_equal(a.features, b.features)
 
 
+def ref_synthesize_examples(n_persons, dist, corpus, noise, rng):
+    """Frozen copy of the earlier object-based synthesis: (label, phrase) pairs."""
+    emitted = []
+    for _ in range(n_persons):
+        for symptom, p in dist.entries:
+            if rng.random() < p:
+                emitted.append(symptom)
+            elif noise.fires(rng):
+                emitted.append(corpus.terms[rng.integers(len(corpus.terms))])
+    if not emitted:
+        return []
+    pool = tuple(t for t in corpus.terms if t.lower() not in dist.prominent_lower)
+    examples = [(1, s) for s in emitted]
+    picks = rng.integers(len(pool), size=len(emitted))
+    examples.extend((0, pool[i]) for i in picks)
+    order = rng.permutation(len(examples))
+    return [examples[i] for i in order]
+
+
+@pytest.mark.parametrize("noise", [NO_NOISE, NoiseMechanism(UNIFORM_THRESHOLD, 0.5),
+                                   NoiseMechanism(NORMAL_THRESHOLD, 0.0),
+                                   NoiseMechanism(LAPLACE_DP, 0.5, 2.0)])
+def test_synthesize_client_matches_frozen_object_reference(noise):
+    survey = CountrySurvey(country="Testland", total=1000,
+                           symptom_counts={"beta": 300, "alpha": 600, "gamma": 0})
+    dist = build_distribution(survey)
+    # repeated and reordered terms, so a term's corpus index is not its table row
+    corpus = MedicalCorpus(terms=("delta", "alpha", "delta", "epsilon", "beta", "gamma", "delta"))
+    table = build_phrase_table(tiny_table(["alpha", "beta", "gamma", "delta", "epsilon"]),
+                               corpus, [dist])
+    assert table.term_rows != tuple(range(len(corpus.terms)))
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ds = synthesize_client(0, 30, dist, corpus, noise, table, rng)
+        expected = ref_synthesize_examples(30, dist, corpus, noise, ref_rng)
+        assert [tuple(ex) for ex in ds.examples] == expected
+        assert ds.labels.tolist() == [float(label) for label, _ in expected]
+        assert np.array_equal(ds.features,
+                              table.matrix[[table.rows[phrase] for _, phrase in expected]])
+        # both consumed the same draws
+        assert rng.random() == ref_rng.random()
+
+
 def test_synthesize_client_empty_when_nothing_emitted():
     survey = CountrySurvey(country="Quiet", total=10**9,
                            symptom_counts={"alpha": 1})
@@ -217,7 +262,9 @@ def test_negative_pool_is_built_once_per_table():
     terms.walks = 0
     corpus = MedicalCorpus(terms=terms)
     table = build_phrase_table(tiny_table(list(terms)), corpus, [dist])
-    assert table.negatives[dist.prominent_lower] == ("gamma", "delta", "epsilon")
+    pool = table.negatives[dist.prominent_lower]
+    assert [table.names[row] for row in pool] == ["gamma", "delta", "epsilon"]
+    assert pool.dtype == np.intp and not pool.flags.writeable
     walks = terms.walks
     for seed in range(3):
         ds = synthesize_client(0, 40, dist, corpus, NO_NOISE, table,
@@ -284,5 +331,82 @@ def test_phrase_table_encodes_each_phrase_once(monkeypatch):
 
 
 def test_client_dataset_rejects_misaligned_features():
-    with pytest.raises(ValueError):
-        ClientDataset(client_id=0, examples=(), n_persons=1, features=np.zeros((2, 4)))
+    # features are derived from rows, so rows and labels are what must align
+    phrases = matrix_phrase_table(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="labels of shape"):
+        ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[0, 1], labels=[1.0])
+    with pytest.raises(ValueError, match="labels of shape"):
+        ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[[0], [1]],
+                      labels=[[1.0], [0.0]])
+
+
+def test_client_dataset_rejects_out_of_range_rows_and_bad_labels():
+    phrases = matrix_phrase_table(np.zeros((3, 4)))
+    for rows in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="outside the phrase table"):
+            ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=rows, labels=[1, 0])
+    with pytest.raises(ValueError, match="rows must be integers"):
+        ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[0.0, 1.5], labels=[1, 0])
+    for labels in ([1, 2], [0.5, 0], [np.nan, 1]):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[0, 1], labels=labels)
+    ok = ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[2, 0], labels=[True, 0])
+    assert ok.rows.dtype == np.intp and ok.labels.dtype == np.float64
+    assert ok.labels.tolist() == [1.0, 0.0]
+
+
+def test_client_dataset_owns_read_only_copies_of_its_arrays():
+    phrases = matrix_phrase_table(np.zeros((3, 4)))
+    rows, labels = np.array([2, 0]), np.array([1.0, 0.0])
+    ds = ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=rows, labels=labels)
+    rows[0], labels[0] = 1, 0.0
+    assert ds.rows.tolist() == [2, 0] and ds.labels.tolist() == [1.0, 0.0]
+    assert not ds.rows.flags.writeable and not ds.labels.flags.writeable
+
+
+def test_features_are_a_read_only_gather_that_is_not_stored():
+    dist, corpus, table = make_fixture()
+    ds = synthesize_client(0, 50, dist, corpus, NO_NOISE, table, np.random.default_rng(18))
+    x = ds.features
+    assert np.array_equal(x, table.matrix[ds.rows])
+    assert not x.flags.writeable
+    assert not np.shares_memory(x, table.matrix)
+    # a fresh gather on each access; the dataset holds only its index arrays
+    assert ds.features is not x
+    assert [f.name for f in fields(ds)] == ["client_id", "n_persons", "phrases", "rows", "labels"]
+    assert set(vars(ds)) == {f.name for f in fields(ds)}
+    assert ds.phrases is table
+
+
+def test_examples_align_with_features_and_labels():
+    dist, corpus, table = make_fixture()
+    mech = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
+    ds = synthesize_client(0, 80, dist, corpus, mech, table, np.random.default_rng(19))
+    examples, x, y = ds.examples, ds.features, ds.labels
+    assert len(examples) == len(x) == len(y) == len(ds)
+    for i, ex in enumerate(examples):
+        assert type(ex.label) is int and ex.label == y[i]
+        assert np.array_equal(x[i], table.matrix[table.rows[ex.source_symptom]])
+        assert ex.source_symptom == table.names[ds.rows[i]]
+    # at level 0.5 some noise terms are labeled positive
+    assert any(ex.label == 1 and ex.source_symptom.lower() not in dist.prominent_lower
+               for ex in examples)
+
+
+def test_synthesis_and_training_build_no_labeled_example(monkeypatch, table, corpus,
+                                                         distributions):
+    phrases = build_phrase_table(table, corpus, distributions)
+    built = []
+    real = sampling.LabeledExample
+    monkeypatch.setattr(sampling, "LabeledExample",
+                        lambda *args: built.append(args) or real(*args))
+    noise = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
+    ds = synthesize_client(0, 60, distributions[0], corpus, noise, phrases,
+                           np.random.default_rng(20))
+    trained = train_local(init_params(np.random.default_rng(21)), ds,
+                          TrainConfig(local_epochs=2), np.random.default_rng(22))
+    mean_loss(trained, ds)
+    assert len(ds) > 0
+    assert built == []
+    # the derived view is the one place that builds them
+    assert len(ds.examples) == len(built) == len(ds)

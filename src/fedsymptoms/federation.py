@@ -173,7 +173,7 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
 
 
 def run_round(model: GlobalModel, population: list[ClientSlot], spec: SimulationSpec,
-              distributions: list, corpus, phrases: PhraseTable,
+              distributions: list, phrases: PhraseTable,
               config: FederationConfig, master_seed: int) -> tuple[GlobalModel, RoundReport]:
     """Execute one broadcast / local-train / aggregate cycle.
 
@@ -196,7 +196,7 @@ def run_round(model: GlobalModel, population: list[ClientSlot], spec: Simulation
         data_rng = streams.client_data_stream(master_seed, slot.client_id, data_round)
         dataset = synthesize_client(
             slot.client_id, slot.n_persons, distributions[slot.country_index],
-            corpus, config.noise, phrases, data_rng)
+            config.noise, phrases, data_rng)
         if len(dataset) == 0:
             skipped += 1
             continue
@@ -236,7 +236,7 @@ def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
     reports: list[RoundReport] = []
     for _ in range(spec.global_epochs):
         model, report = run_round(model, population, spec, distributions,
-                                  corpus, phrases, config, master_seed)
+                                  phrases, config, master_seed)
         snapshots.append(model)
         reports.append(report)
     return snapshots, reports

@@ -8,10 +8,18 @@ built, and is read-only from then on. train_local updates working
 buffers that belong to that one call and returns a fresh read-only
 snapshot, so concurrent training of disjoint clients needs no locking.
 A client's examples are row indices into the run's shared phrase table:
-each epoch gathers its shuffled (n, 50) matrix from that table, and
-mean_loss gathers once, so no feature copy outlives the call. A training
-step computes the gradient only; the loss lives in mean_loss (forward
-only) and loss_and_gradient.
+each training step gathers its own minibatch from that table, and
+scoring (mean_loss, forward_batch) runs in blocks of SCORE_ROWS rows, so
+the memory a call holds is bounded by the batch and block size, not by
+the client size. A training step computes the gradient only; the loss
+lives in mean_loss (forward only) and loss_and_gradient.
+
+Every scored row comes from one fixed partition into blocks of SCORE_ROWS
+to 2 * SCORE_ROWS - 1 rows, the short tail merged into the block before
+it. On OpenBLAS such blocks give each row the same bits as a one-thread
+whole-matrix forward, at 1, 2 and 4 threads alike. A tail block of a few
+rows does not, because BLAS takes other kernels for it, and neither does
+a threaded whole-matrix forward, which splits the rows between threads.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ EPS_HAT = 1e-8
 LOSS_CLAMP = 1e-7
 # forward output is kept strictly inside (0,1) even when sigmoid underflows
 OUTPUT_CLIP = 1e-12
+
+# rows per scoring block; a client under 2 * SCORE_ROWS rows is one block
+SCORE_ROWS = 1024
 
 
 def layer_views(flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -141,10 +152,22 @@ def _forward(layers, x: np.ndarray, acts: list | None = None) -> np.ndarray:
     return _sigmoid(z.ravel())
 
 
-def _bce(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy, with p clamped into the LOSS_CLAMP band."""
+def _row_bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Binary cross-entropy of each row, with p clamped into the LOSS_CLAMP band."""
     p = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+
+
+def _blocked_forward(layers, x: np.ndarray, rows: np.ndarray | None = None):
+    """Yield (slice, unclipped probabilities) for each scoring block of x, or of x[rows], in order.
+
+    Only one block's gather and activations are alive at a time.
+    """
+    n = len(x) if rows is None else len(rows)
+    count = max(1, n // SCORE_ROWS)
+    for i in range(count):
+        block = slice(i * SCORE_ROWS, n if i == count - 1 else (i + 1) * SCORE_ROWS)
+        yield block, _forward(layers, x[block] if rows is None else x[rows[block]])
 
 
 def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
@@ -154,7 +177,10 @@ def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected shape (n, {LAYER_SIZES[0]}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input components")
-    return np.clip(_forward(params.layers, x), OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
+    p = np.empty(len(x))
+    for block, q in _blocked_forward(params.layers, x):
+        p[block] = q
+    return np.clip(p, OUTPUT_CLIP, 1.0 - OUTPUT_CLIP, out=p)
 
 
 def forward(params: MlpParameters, x) -> float:
@@ -199,7 +225,7 @@ def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
         raise ValueError("batch must be non-empty")
     grad = np.empty(N_PARAMS)
     p = _backprop(params.layers, x, y, layer_views(grad))
-    return _bce(p, y), grad
+    return float(np.mean(_row_bce(p, y))), grad
 
 
 def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -237,10 +263,10 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
                 rng: np.random.Generator) -> MlpParameters:
     """Run local_epochs of minibatch Adam over the client's examples.
 
-    Each epoch reshuffles with the caller's stream and gathers its
-    shuffled feature rows straight from the shared phrase table; the last
-    short batch is trained on. The call trains a private copy of
-    params.flat with a fresh optimizer state.
+    Each epoch reshuffles the client's row indices and labels with the
+    caller's stream, and each step gathers its minibatch straight from
+    the shared phrase table; the last short batch is trained on. The call
+    trains a private copy of params.flat with a fresh optimizer state.
     """
     if len(dataset) == 0:
         raise ValueError("empty client")
@@ -252,23 +278,32 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
     step = 0
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
-        xs, ys = table[rows[order]], y[order]
+        rs, ys = rows[order], y[order]
         for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
-            _backprop(layers, xs[start:stop], ys[start:stop], grads)
+            # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
+            _backprop(layers, table.take(rs[start:stop], axis=0), ys[start:stop], grads)
             step += 1
             adam_step(theta, grad, m, v, step, config.learning_rate)
-        del xs, ys  # free this epoch's gather before the next one is made
     return MlpParameters(theta)
 
 
 def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
-    """Mean binary cross-entropy of the current params on a dataset, from one gather of its rows."""
+    """Mean binary cross-entropy of the current params on a dataset, scored block by block.
+
+    Each block's per-row losses go into one array, so the mean sums them
+    in the same order as a whole-client forward would.
+    """
     if len(dataset) == 0:
         raise ValueError("empty client")
+    y = dataset.labels
+    loss = np.empty(len(y))
     # fresh views, not the cached params.layers: each local update is scored
     # once, and a cache would hold its views until FedAvg merges the round
-    return _bce(_forward(layer_views(params.flat), dataset.features), dataset.labels)
+    for block, p in _blocked_forward(layer_views(params.flat), dataset.phrases.matrix,
+                                     dataset.rows):
+        loss[block] = _row_bce(p, y[block])
+    return float(np.mean(loss))
 
 
 def save_checkpoint(params: MlpParameters, path: str) -> None:

@@ -166,9 +166,6 @@ class ClientDataset:
     def n_negative(self) -> int:
         return len(self) - self.n_positive
 
-    def label_vector(self) -> np.ndarray:
-        return self.labels
-
 
 def _walk(entries, terms, noise: NoiseMechanism, rng: np.random.Generator,
           displayed: list) -> None:
@@ -194,16 +191,14 @@ def simulate_person(dist: SymptomDistribution, corpus: MedicalCorpus,
 
 
 def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
-                      corpus: MedicalCorpus, noise: NoiseMechanism,
-                      phrases: PhraseTable,
+                      noise: NoiseMechanism, phrases: PhraseTable,
                       rng: np.random.Generator) -> ClientDataset:
     """Simulate n_persons respondents and build the balanced dataset.
 
     Draw order is fixed: all persons, then the negative corpus picks as
     one batch, then one shuffle. Changing it would change every dataset
-    produced from a given stream. `phrases` must be built from `corpus`
-    and from a list of distributions that includes `dist`; the persons
-    walk its rows (``walks[dist]``, ``term_rows``), so no phrase is looked
+    produced from a given stream. `phrases` must be built from a list of
+    distributions that includes `dist`; the persons walk its rows (``walks[dist]``, ``term_rows``), so no phrase is looked
     up, and no example object or feature row is made, per example.
     """
     if n_persons < 1:

@@ -96,4 +96,4 @@ def separable_dataset(seed, n=200):
 
 def training_accuracy(params, dataset):
     p = forward_batch(params, dataset.features)
-    return float(np.mean((p >= 0.5) == (dataset.label_vector() == 1.0)))
+    return float(np.mean((p >= 0.5) == (dataset.labels == 1.0)))

@@ -8,7 +8,8 @@ and as a ``python -m fedsymptoms.cli`` subprocess with 4 BLAS threads.
 The digests were recorded under the numpy ``major.minor`` in
 ``RECORDED_NUMPY``; another numpy may round differently, so the tests
 skip there and say why. ``MEAN_LOCAL_LOSS`` pins the ``repr`` of each
-round's ``mean_local_loss`` in ``rounds.jsonl``, which no CSV carries.
+round's ``mean_local_loss`` in ``rounds.jsonl``, which no CSV carries,
+and is checked the same two ways.
 
 To re-record after a change that is meant to alter the numbers, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste its output.
@@ -148,6 +149,13 @@ def test_mean_local_loss_matches_golden(name, tmp_path):
 def test_csv_digests_match_golden_at_4_blas_threads(name, tmp_path):
     skip_under_other_numpy()
     assert subprocess_digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_mean_local_loss_matches_golden_at_4_blas_threads(name, tmp_path):
+    skip_under_other_numpy()
+    subprocess_digests(name, tmp_path)
+    assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name]
 
 
 if __name__ == "__main__":

@@ -4,14 +4,22 @@ The gradient check uses central finite differences as an independent
 oracle; the Adam check replays the moment recursion in pure Python.
 The ``ref_*`` functions are a frozen copy of an earlier, plainer
 training step (masked sigmoid, loss computed on every step, Adam with
-fresh temporaries); the leaner step must match them bit for bit.
+fresh temporaries) and whole-matrix forward; the leaner step and the
+blocked scorer must match them bit for bit. Checks that depend on the
+BLAS thread count run in a fresh interpreter with that many threads.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fedsymptoms
 from fedsymptoms.mlp import (
     BETA1,
     BETA2,
@@ -21,6 +29,7 @@ from fedsymptoms.mlp import (
     MlpParameters,
     N_PARAMS,
     OUTPUT_CLIP,
+    SCORE_ROWS,
     TrainConfig,
     _sigmoid,
     adam_step,
@@ -442,3 +451,83 @@ def test_forward_and_sigmoid_match_frozen_reference_on_extreme_logits():
     x[:, :2] = [[800.0, 0.0], [0.0, 800.0], [40.0, 0.0], [0.0, 40.0],
                 [3.3, 0.0], [0.0, 3.3], [0.0, 0.0]]
     assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x))
+
+
+def at_blas_threads(threads: int, code: str) -> str:
+    """Run `code` in a fresh interpreter with `threads` BLAS threads; return its stdout.
+
+    This test directory is on the child's path, so `code` can import this module.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedsymptoms.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, (src, here, os.environ.get("PYTHONPATH"))))
+    count = str(threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count,
+               MKL_NUM_THREADS=count, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def random_client(n, rng, table_rows=300):
+    """A client of n rows drawn with repeats from a random table, like a synthesized one."""
+    table = matrix_phrase_table(rng.standard_normal((table_rows, LAYER_SIZES[0])))
+    return ClientDataset(client_id=0, n_persons=n, phrases=table,
+                         rows=rng.integers(table_rows, size=n), labels=rng.integers(0, 2, size=n))
+
+
+# around each block boundary, and every 1-11-row tail that joins the block before it
+REFERENCE_SIZES = sorted({1, 7, 1023, 1024, 1025, 2047, 2048, 2049, 3071, 3072, 13231, 59429,
+                          *(SCORE_ROWS * k + r for k in range(1, 13) for r in range(1, 12))})
+
+
+def check_blocked_scoring_matches_whole_matrix_reference():
+    """forward_batch and mean_loss against one whole-matrix forward of every size."""
+    rng = np.random.default_rng(23)
+    start = init_params(np.random.default_rng(24))
+    for params in (start, MlpParameters(3.0 * start.flat)):
+        for n in REFERENCE_SIZES:
+            dataset = random_client(n, rng)
+            x = dataset.features
+            assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x)), n
+            assert mean_loss(params, dataset) == ref_mean_loss(params.flat, x, dataset.labels), n
+
+
+def test_blocked_scoring_matches_whole_matrix_reference_at_1_blas_thread():
+    # the reference is a whole-matrix forward, whose bits are pinned at one thread only
+    at_blas_threads(1, "import test_mlp; "
+                       "test_mlp.check_blocked_scoring_matches_whole_matrix_reference()")
+
+
+def forward_digests() -> list[str]:
+    """sha256 of forward_batch on 59,429 rows, for inputs whose whole-matrix
+    forward changes a row at 4 OpenBLAS threads on a Haswell kernel."""
+    digests = []
+    for seed in (31, 33, 36):
+        params = init_params(np.random.default_rng(seed))
+        x = np.random.default_rng(seed + 1000).standard_normal((59429, LAYER_SIZES[0]))
+        digests.append(hashlib.sha256(forward_batch(params, x).tobytes()).hexdigest())
+    return digests
+
+
+def test_forward_batch_bits_do_not_depend_on_blas_threads():
+    code = "import test_mlp; print(test_mlp.forward_digests())"
+    assert at_blas_threads(4, code) == at_blas_threads(1, code)
+
+
+def test_training_and_scoring_memory_is_bounded_by_batch_and_block():
+    dataset = random_client(100_000, np.random.default_rng(25))
+    params = init_params(np.random.default_rng(26))
+    tracemalloc.start()
+    try:
+        trained = train_local(params, dataset, TrainConfig(local_epochs=1),
+                              np.random.default_rng(27))
+        _, train_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        mean_loss(trained, dataset)
+        _, score_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole-client gather alone is 100k x 50 x 8 B = 38 MiB
+    assert train_peak < 4 * 2**20
+    assert score_peak < 8 * 2**20

@@ -138,8 +138,8 @@ def test_simulate_person_noise_draws_corpus_terms():
 
 
 def test_synthesize_client_balances_labels():
-    dist, corpus, table = make_fixture()
-    ds = synthesize_client(3, 200, dist, corpus, NO_NOISE, table,
+    dist, _, table = make_fixture()
+    ds = synthesize_client(3, 200, dist, NO_NOISE, table,
                            np.random.default_rng(9))
     assert ds.client_id == 3
     assert ds.n_persons == 200
@@ -149,9 +149,9 @@ def test_synthesize_client_balances_labels():
 
 def test_synthesize_client_positive_count_oracle():
     # positives per client ~ sum of Bernoulli draws with mean n * sum(p)
-    dist, corpus, table = make_fixture()
+    dist, _, table = make_fixture()
     n = 2000
-    ds = synthesize_client(0, n, dist, corpus, NO_NOISE, table,
+    ds = synthesize_client(0, n, dist, NO_NOISE, table,
                            np.random.default_rng(10))
     expected = n * sum(dist.probabilities)
     variance = n * sum(p * (1 - p) for p in dist.probabilities)
@@ -159,8 +159,8 @@ def test_synthesize_client_positive_count_oracle():
 
 
 def test_synthesize_client_negatives_come_from_outside_prominent():
-    dist, corpus, table = make_fixture()
-    ds = synthesize_client(0, 300, dist, corpus, NO_NOISE, table,
+    dist, _, table = make_fixture()
+    ds = synthesize_client(0, 300, dist, NO_NOISE, table,
                            np.random.default_rng(11))
     for ex in ds.examples:
         if ex.label == 0:
@@ -170,10 +170,10 @@ def test_synthesize_client_negatives_come_from_outside_prominent():
 
 
 def test_synthesize_client_bit_identical_for_same_stream():
-    dist, corpus, table = make_fixture()
-    a = synthesize_client(0, 100, dist, corpus, NO_NOISE, table,
+    dist, _, table = make_fixture()
+    a = synthesize_client(0, 100, dist, NO_NOISE, table,
                           np.random.default_rng(12))
-    b = synthesize_client(0, 100, dist, corpus, NO_NOISE, table,
+    b = synthesize_client(0, 100, dist, NO_NOISE, table,
                           np.random.default_rng(12))
     assert len(a) == len(b)
     for ex_a, ex_b in zip(a.examples, b.examples):
@@ -215,7 +215,7 @@ def test_synthesize_client_matches_frozen_object_reference(noise):
     assert table.term_rows != tuple(range(len(corpus.terms)))
     for seed in range(5):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ds = synthesize_client(0, 30, dist, corpus, noise, table, rng)
+        ds = synthesize_client(0, 30, dist, noise, table, rng)
         expected = ref_synthesize_examples(30, dist, corpus, noise, ref_rng)
         assert [tuple(ex) for ex in ds.examples] == expected
         assert ds.labels.tolist() == [float(label) for label, _ in expected]
@@ -231,7 +231,7 @@ def test_synthesize_client_empty_when_nothing_emitted():
     dist = build_distribution(survey)
     corpus = MedicalCorpus(terms=("alpha", "beta"))
     table = build_phrase_table(tiny_table(["alpha", "beta"]), corpus, [dist])
-    ds = synthesize_client(0, 5, dist, corpus, NO_NOISE, table,
+    ds = synthesize_client(0, 5, dist, NO_NOISE, table,
                            np.random.default_rng(13))
     assert len(ds) == 0
     assert ds.n_persons == 5
@@ -244,7 +244,7 @@ def test_synthesize_client_requires_negative_pool():
     corpus = MedicalCorpus(terms=("alpha",))
     table = build_phrase_table(tiny_table(["alpha"]), corpus, [dist])
     with pytest.raises(ValueError):
-        synthesize_client(0, 50, dist, corpus, NO_NOISE, table,
+        synthesize_client(0, 50, dist, NO_NOISE, table,
                           np.random.default_rng(14))
 
 
@@ -267,7 +267,7 @@ def test_negative_pool_is_built_once_per_table():
     assert pool.dtype == np.intp and not pool.flags.writeable
     walks = terms.walks
     for seed in range(3):
-        ds = synthesize_client(0, 40, dist, corpus, NO_NOISE, table,
+        ds = synthesize_client(0, 40, dist, NO_NOISE, table,
                                np.random.default_rng(seed))
         assert ds.n_negative > 0
     assert terms.walks == walks
@@ -280,31 +280,31 @@ def test_missing_negative_pool_fails_only_for_a_client_that_emits():
     loud = build_distribution(CountrySurvey(country="X", total=10,
                                             symptom_counts={"alpha": 9}))
     table = build_phrase_table(tiny_table(["alpha"]), corpus, [quiet, loud])
-    ds = synthesize_client(0, 5, quiet, corpus, NO_NOISE, table, np.random.default_rng(17))
+    ds = synthesize_client(0, 5, quiet, NO_NOISE, table, np.random.default_rng(17))
     assert len(ds) == 0
     with pytest.raises(ValueError, match="corpus has no terms outside the prominent-symptom set"):
-        synthesize_client(0, 50, loud, corpus, NO_NOISE, table, np.random.default_rng(17))
+        synthesize_client(0, 50, loud, NO_NOISE, table, np.random.default_rng(17))
 
 
 def test_synthesize_client_rejects_zero_persons():
-    dist, corpus, table = make_fixture()
+    dist, _, table = make_fixture()
     with pytest.raises(ValueError):
-        synthesize_client(0, 0, dist, corpus, NO_NOISE, table,
+        synthesize_client(0, 0, dist, NO_NOISE, table,
                           np.random.default_rng(15))
 
 
 def test_feature_matrix_shapes():
-    dist, corpus, table = make_fixture()
-    ds = synthesize_client(0, 50, dist, corpus, NO_NOISE, table,
+    dist, _, table = make_fixture()
+    ds = synthesize_client(0, 50, dist, NO_NOISE, table,
                            np.random.default_rng(16))
     x = ds.features
-    y = ds.label_vector()
+    y = ds.labels
     assert x.shape == (len(ds), table.matrix.shape[1])
     assert y.shape == (len(ds),)
     assert set(np.unique(y)) <= {0.0, 1.0}
     assert not x.flags.writeable
     # the labels are built once, with the dataset, and are read-only
-    assert ds.label_vector() is y
+    assert ds.labels is y
     assert not y.flags.writeable
     assert ds.n_positive == sum(ex.label for ex in ds.examples) == int(y.sum())
     # row i encodes example i, whatever the shuffle
@@ -365,8 +365,8 @@ def test_client_dataset_owns_read_only_copies_of_its_arrays():
 
 
 def test_features_are_a_read_only_gather_that_is_not_stored():
-    dist, corpus, table = make_fixture()
-    ds = synthesize_client(0, 50, dist, corpus, NO_NOISE, table, np.random.default_rng(18))
+    dist, _, table = make_fixture()
+    ds = synthesize_client(0, 50, dist, NO_NOISE, table, np.random.default_rng(18))
     x = ds.features
     assert np.array_equal(x, table.matrix[ds.rows])
     assert not x.flags.writeable
@@ -379,9 +379,9 @@ def test_features_are_a_read_only_gather_that_is_not_stored():
 
 
 def test_examples_align_with_features_and_labels():
-    dist, corpus, table = make_fixture()
+    dist, _, table = make_fixture()
     mech = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
-    ds = synthesize_client(0, 80, dist, corpus, mech, table, np.random.default_rng(19))
+    ds = synthesize_client(0, 80, dist, mech, table, np.random.default_rng(19))
     examples, x, y = ds.examples, ds.features, ds.labels
     assert len(examples) == len(x) == len(y) == len(ds)
     for i, ex in enumerate(examples):
@@ -401,7 +401,7 @@ def test_synthesis_and_training_build_no_labeled_example(monkeypatch, table, cor
     monkeypatch.setattr(sampling, "LabeledExample",
                         lambda *args: built.append(args) or real(*args))
     noise = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
-    ds = synthesize_client(0, 60, distributions[0], corpus, noise, phrases,
+    ds = synthesize_client(0, 60, distributions[0], noise, phrases,
                            np.random.default_rng(20))
     trained = train_local(init_params(np.random.default_rng(21)), ds,
                           TrainConfig(local_epochs=2), np.random.default_rng(22))

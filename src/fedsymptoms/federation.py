@@ -106,10 +106,21 @@ def simulation_spec(sim_id: str, scale: float = 1.0,
 
 
 @dataclass(frozen=True)
-class ClientSlot:
-    client_id: int
-    n_persons: int
-    country_index: int
+class Population:
+    """Each client's survey size and country index; client i is row i.
+
+    Both arrays are read-only integers fixed for the whole run.
+    """
+
+    sizes: np.ndarray
+    countries: np.ndarray
+
+    def __post_init__(self):
+        self.sizes.flags.writeable = False
+        self.countries.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -142,13 +153,11 @@ class FederationConfig:
 
 
 def build_population(spec: SimulationSpec, surveys: list[CountrySurvey],
-                     rng: np.random.Generator) -> list[ClientSlot]:
+                     rng: np.random.Generator) -> Population:
     """Fix each client's size and country for the whole run."""
     lo, hi = spec.size_range
     sizes = rng.integers(lo, hi + 1, size=spec.n_clients)
-    countries = assign_countries(spec.n_clients, surveys, rng)
-    return [ClientSlot(client_id=i, n_persons=int(sizes[i]), country_index=countries[i])
-            for i in range(spec.n_clients)]
+    return Population(sizes, assign_countries(spec.n_clients, surveys, rng))
 
 
 def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
@@ -172,7 +181,7 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
     return MlpParameters(base + delta)
 
 
-def run_round(model: GlobalModel, population: list[ClientSlot], spec: SimulationSpec,
+def run_round(model: GlobalModel, population: Population, spec: SimulationSpec,
               distributions: list, phrases: PhraseTable,
               config: FederationConfig, master_seed: int) -> tuple[GlobalModel, RoundReport]:
     """Execute one broadcast / local-train / aggregate cycle.
@@ -185,22 +194,23 @@ def run_round(model: GlobalModel, population: list[ClientSlot], spec: Simulation
 
     n_selected = math.ceil(spec.participation_fraction * len(population))
     selection = streams.selection_stream(master_seed, round_index)
-    chosen = sorted(selection.choice(len(population), size=n_selected, replace=False))
+    # sorted() over Python ints: np.sort would map ~0.3 MB more numpy code into RSS
+    chosen = sorted(selection.choice(len(population), size=n_selected, replace=False).tolist())
 
     updates: list[tuple[MlpParameters, int]] = []
     losses: list[float] = []
     skipped = 0
-    for idx in chosen:
-        slot = population[idx]
+    for client_id in chosen:
+        n_persons = int(population.sizes[client_id])
+        country = int(population.countries[client_id])
         data_round = 0 if config.fixed_client_data else round_index
-        data_rng = streams.client_data_stream(master_seed, slot.client_id, data_round)
+        data_rng = streams.client_data_stream(master_seed, client_id, data_round)
         dataset = synthesize_client(
-            slot.client_id, slot.n_persons, distributions[slot.country_index],
-            config.noise, phrases, data_rng)
+            client_id, n_persons, distributions[country], config.noise, phrases, data_rng)
         if len(dataset) == 0:
             skipped += 1
             continue
-        train_rng = streams.client_train_stream(master_seed, slot.client_id, round_index)
+        train_rng = streams.client_train_stream(master_seed, client_id, round_index)
         local = train_local(model.params, dataset, config.train, train_rng)
         losses.append(mean_loss(local, dataset))
         weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1

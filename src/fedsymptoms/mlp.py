@@ -45,7 +45,7 @@ LOSS_CLAMP = 1e-7
 OUTPUT_CLIP = 1e-12
 
 # rows per scoring block; a client under 2 * SCORE_ROWS rows is one block
-SCORE_ROWS = 1024
+SCORE_ROWS = 256
 
 
 def layer_views(flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -162,8 +162,10 @@ def build_distribution(survey: CountrySurvey) -> SymptomDistribution:
 
 
 def assign_countries(n_clients: int, surveys: list[CountrySurvey],
-                     rng: np.random.Generator) -> list[int]:
+                     rng: np.random.Generator) -> np.ndarray:
     """Assign each client a country index, weighted by surveyed totals.
+
+    Returns the drawn (n_clients,) integer array; entry i is client i's.
 
     Weights are exact integer ratios total_c / sum(totals), so scaling
     every total by a common factor leaves the draw stream unchanged.
@@ -174,4 +176,4 @@ def assign_countries(n_clients: int, surveys: list[CountrySurvey],
         raise ValueError("surveys must be non-empty")
     grand = sum(s.total for s in surveys)
     weights = np.array([s.total / grand for s in surveys], dtype=np.float64)
-    return [int(i) for i in rng.choice(len(surveys), size=n_clients, p=weights)]
+    return rng.choice(len(surveys), size=n_clients, p=weights)

@@ -1,6 +1,7 @@
 """Topology scaling, population assignment, FedAvg algebra, round loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,18 +74,60 @@ def test_build_population_sizes_and_indices(surveys):
     pop = build_population(spec, surveys, population_stream(3))
     assert len(pop) == spec.n_clients
     lo, hi = spec.size_range
-    for slot in pop:
-        assert lo <= slot.n_persons <= hi
-        assert 0 <= slot.country_index < len(surveys)
-    assert [s.client_id for s in pop] == list(range(spec.n_clients))
+    assert len(pop.sizes) == len(pop.countries) == spec.n_clients
+    assert np.all((lo <= pop.sizes) & (pop.sizes <= hi))
+    assert np.all((0 <= pop.countries) & (pop.countries < len(surveys)))
 
 
 def test_build_population_deterministic(surveys):
     spec = simulation_spec("III", scale=0.1)
     a = build_population(spec, surveys, population_stream(9))
     b = build_population(spec, surveys, population_stream(9))
-    assert [(s.n_persons, s.country_index) for s in a] == \
-           [(s.n_persons, s.country_index) for s in b]
+    assert np.array_equal(a.sizes, b.sizes)
+    assert np.array_equal(a.countries, b.countries)
+
+
+def reference_population(spec, surveys, rng):
+    """The earlier one-object-per-client construction, frozen as the reference:
+    (client_id, n_persons, country_index) per client, in client order."""
+    lo, hi = spec.size_range
+    sizes = rng.integers(lo, hi + 1, size=spec.n_clients)
+    grand = sum(s.total for s in surveys)
+    weights = np.array([s.total / grand for s in surveys], dtype=np.float64)
+    countries = [int(i) for i in rng.choice(len(surveys), size=spec.n_clients, p=weights)]
+    return [(i, int(sizes[i]), countries[i]) for i in range(spec.n_clients)]
+
+
+@pytest.mark.parametrize("sim_id", ["I", "III", "IV"])
+@pytest.mark.parametrize("seed", [1, 12, 2021])
+def test_build_population_matches_per_client_reference(surveys, sim_id, seed):
+    spec = simulation_spec(sim_id)
+    pop = build_population(spec, surveys, population_stream(seed))
+    reference = reference_population(spec, surveys, population_stream(seed))
+    assert list(zip(range(len(pop)), pop.sizes.tolist(), pop.countries.tolist())) == reference
+
+
+def test_population_arrays_are_read_only_integers(surveys):
+    pop = build_population(simulation_spec("III", scale=0.1), surveys, population_stream(5))
+    for column in (pop.sizes, pop.countries):
+        assert column.ndim == 1 and np.issubdtype(column.dtype, np.integer)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
+def test_full_scale_population_memory_is_two_arrays(surveys):
+    spec = simulation_spec("IV")
+    rng = population_stream(6)
+    tracemalloc.start()
+    try:
+        pop = build_population(spec, surveys, rng)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pop) == 100_000
+    # two int64 columns are 1.53 MiB; one object per client was 12.96 MiB
+    assert held < 2 * 2**20
 
 
 def random_params(seed):
@@ -210,8 +253,8 @@ def test_population_independent_of_noise(surveys, corpus, table):
     spec = simulation_spec("I", scale=0.01)
     pop = build_population(spec, surveys, population_stream(4))
     again = build_population(spec, surveys, population_stream(4))
-    assert [(s.n_persons, s.country_index) for s in pop] == \
-           [(s.n_persons, s.country_index) for s in again]
+    assert np.array_equal(pop.sizes, again.sizes)
+    assert np.array_equal(pop.countries, again.countries)
 
 
 def test_fixed_client_data_changes_dynamics(surveys, corpus, table):

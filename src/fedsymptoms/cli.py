@@ -14,26 +14,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config_file, resolve_config
+from .config import FIELD_NAMES, RunConfig, resolve_config
 from .embeddings import load_embeddings, encode_phrase
 from .evaluation import (
     build_evalset,
-    epsilon_sweep,
-    noise_sweep,
     read_accuracy_csv,
     record_run,
+    sweep,
     write_accuracy_csv,
     write_predictions_csv,
 )
-from .federation import (
-    SIMULATION_IDS,
-    WEIGHTINGS,
-    FederationConfig,
-    run_simulation,
-    simulation_spec,
-)
-from .mlp import LAYER_SIZES, TrainConfig, save_checkpoint
-from .sampling import MECHANISM_KINDS, NO_NOISE
+from .federation import SIMULATION_IDS, WEIGHTINGS, run_simulation
+from .mlp import LAYER_SIZES, save_checkpoint
+from .sampling import LAPLACE_DP, MECHANISM_KINDS, NO_NOISE, NoiseMechanism
 from .surveys import load_corpus, load_surveys
 
 EMBEDDING_DIMENSION = LAYER_SIZES[0]
@@ -44,24 +37,6 @@ def _load_inputs(config: RunConfig):
     surveys = load_surveys(config.surveys_path)
     corpus = load_corpus(config.corpus_path, embeddings=table)
     return table, surveys, corpus
-
-
-def _federation_config(config: RunConfig, noise) -> FederationConfig:
-    return FederationConfig(
-        noise=noise,
-        train=TrainConfig(local_epochs=config.local_epochs),
-        weighting=config.weighting,
-        fixed_client_data=config.fixed_client_data,
-    )
-
-
-def _build_spec(config: RunConfig):
-    return simulation_spec(
-        config.simulation,
-        scale=config.scale,
-        participation_fraction=config.participation_fraction,
-        global_epochs=config.global_epochs,
-    )
 
 
 def _sha256_of(path: str) -> str:
@@ -123,10 +98,14 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
-    table, surveys, corpus = _load_inputs(config)
-    spec = _build_spec(config)
+    spec = config.spec()
+    target_epoch = config.epoch if config.epoch is not None else spec.global_epochs
+    # a run of no rounds reports no epoch, so any --epoch passes there
+    if spec.global_epochs and target_epoch > spec.global_epochs:
+        raise ValueError(f"epoch {target_epoch} not in run (1..{spec.global_epochs})")
     mechanism = config.noise_mechanism()
-    fed = _federation_config(config, mechanism)
+    fed = config.federation(mechanism)
+    table, surveys, corpus = _load_inputs(config)
 
     snapshots, reports = run_simulation(spec, surveys, corpus, table, fed,
                                         config.master_seed)
@@ -145,17 +124,14 @@ def cmd_run(config: RunConfig) -> int:
                 "mean_local_loss": r.mean_local_loss,
                 "wall_time": r.wall_time,
             }, sort_keys=True) + "\n")
-    save_checkpoint(snapshots[-1].params, os.path.join(config.output_dir, "model_final.npz"))
+    save_checkpoint(snapshots[-1], os.path.join(config.output_dir, "model_final.npz"))
 
     if result.accuracies:
-        target_epoch = config.epoch if config.epoch is not None else spec.global_epochs
-        picked = [r for r in result.accuracies if r.global_epoch == target_epoch]
-        if not picked:
-            raise ValueError(f"epoch {target_epoch} not in run (1..{spec.global_epochs})")
+        accuracy = next(r.accuracy for r in result.accuracies if r.global_epoch == target_epoch)
         print(f"simulation {spec.id}: {spec.n_clients} clients, "
               f"sizes {spec.size_range[0]}..{spec.size_range[1]}, "
               f"{spec.global_epochs} global epochs")
-        print(f"accuracy at epoch {target_epoch}: {picked[0].accuracy}")
+        print(f"accuracy at epoch {target_epoch}: {accuracy}")
     else:
         print("no training rounds requested; wrote initial checkpoint only")
     print(f"artifacts in {config.output_dir}: predictions.csv, accuracy.csv, "
@@ -172,18 +148,20 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
         repeated = sorted({x for x in items if items.count(x) > 1})
         if repeated:
             raise ValueError(f"{flag} repeats {', '.join(f'{x:g}' for x in repeated)}")
-    table, surveys, corpus = _load_inputs(config)
-    spec = _build_spec(config)
-    base = _federation_config(config, NO_NOISE)
-    evalset = build_evalset(surveys)
-
     if axis == "noise":
-        result = noise_sweep(spec, config.mechanism, values, seeds, surveys,
-                             corpus, table, base, evalset=evalset)
+        if config.mechanism == LAPLACE_DP:
+            raise ValueError("the noise axis varies the noise level; "
+                             "sweep laplace_dp with --axis epsilon")
+        mechanisms = [NoiseMechanism(kind=config.mechanism, noise_level=level)
+                      for level in values]
     else:
-        result = epsilon_sweep(spec, values, seeds, surveys, corpus, table,
-                               base, noise_level=config.noise_level,
-                               evalset=evalset)
+        mechanisms = [NoiseMechanism(kind=LAPLACE_DP, noise_level=config.noise_level,
+                                     epsilon=eps) for eps in values]
+    spec = config.spec()
+    table, surveys, corpus = _load_inputs(config)
+    evalset = build_evalset(surveys)
+    result = sweep(spec, mechanisms, seeds, surveys, corpus, table,
+                   config.federation(NO_NOISE), evalset)
 
     _write_results("sweep", config, spec, result,
                    extra={"axis": axis, "values": values, "seeds": seeds})
@@ -266,14 +244,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="directory for run artifacts")
 
 
-_OVERRIDE_KEYS = ("embeddings_path", "surveys_path", "corpus_path", "master_seed",
-                  "simulation", "mechanism", "noise_level", "epsilon", "scale",
-                  "participation_fraction", "local_epochs", "global_epochs",
-                  "weighting", "fixed_client_data", "epoch", "output_dir")
-
-
 def _overrides(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
+    return {key: getattr(args, key, None) for key in FIELD_NAMES}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,10 +2,12 @@
 
 Accuracy is threshold classification over the full symptom table with
 all-positive ground truth: every table row is a genuine disease symptom,
-so the score is the fraction (k/16) predicted at or above the decision
-threshold. Symptoms are split into a high-display group (aggregate
+so the score is the fraction (k/16) predicted at or above
+DECISION_THRESHOLD. Symptoms are split into a high-display group (aggregate
 display fraction above 10% of the surveyed population) and the low
-group, mirroring the two curves of the sweep figures.
+group, mirroring the two curves of the sweep figures. `sweep` runs one
+simulation per (noise mechanism, seed); the caller builds the mechanisms
+for its axis, varying the noise level or epsilon.
 """
 
 from __future__ import annotations
@@ -14,19 +16,15 @@ import csv
 from dataclasses import dataclass, field, replace
 
 from .embeddings import EmbeddingTable, encode_phrase
-from .federation import (
-    FederationConfig,
-    GlobalModel,
-    SimulationSpec,
-    run_simulation,
-)
-from .mlp import forward
-from .sampling import LAPLACE_DP, NoiseMechanism
+from .federation import FederationConfig, SimulationSpec, run_simulation
+from .mlp import MlpParameters, forward
+from .sampling import NoiseMechanism
 from .surveys import CountrySurvey
 
 GROUP_HIGH = "high"
 GROUP_LOW = "low"
 HIGH_FRACTION_CUTOFF = 0.10
+DECISION_THRESHOLD = 0.5
 
 PREDICTION_HEADER = ("simulation", "mechanism", "noise_level", "epsilon",
                      "seed", "global_epoch", "symptom", "group", "prediction")
@@ -41,7 +39,6 @@ class EvalSet:
     symptoms: tuple[str, ...]
     group_high: frozenset[str]
     group_low: frozenset[str]
-    decision_threshold: float = 0.5
 
     def __post_init__(self):
         if self.group_high | self.group_low != set(self.symptoms):
@@ -54,12 +51,11 @@ class EvalSet:
 
     def accuracy(self, predictions: list[float]) -> float:
         """Fraction of the symptoms' predictions at or above the threshold."""
-        hits = sum(1 for p in predictions if p >= self.decision_threshold)
+        hits = sum(1 for p in predictions if p >= DECISION_THRESHOLD)
         return hits / len(self.symptoms)
 
 
-def build_evalset(surveys: list[CountrySurvey],
-                  decision_threshold: float = 0.5) -> EvalSet:
+def build_evalset(surveys: list[CountrySurvey]) -> EvalSet:
     """Collect all surveyed symptoms and split them at 10% aggregate display.
 
     Symptom order follows the survey table rows; the aggregate fraction
@@ -81,7 +77,6 @@ def build_evalset(surveys: list[CountrySurvey],
         symptoms=tuple(symptoms),
         group_high=frozenset(high),
         group_low=frozenset(s for s in symptoms if s not in high),
-        decision_threshold=decision_threshold,
     )
 
 
@@ -132,7 +127,7 @@ class SweepResult:
         self.accuracies.sort(key=run_key)
 
 
-def record_run(spec: SimulationSpec, snapshots: list[GlobalModel],
+def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
                evalset: EvalSet, embeddings: EmbeddingTable,
                mechanism: NoiseMechanism, seed: int) -> SweepResult:
     """Turn one run's post-round snapshots into sweep rows.
@@ -146,8 +141,8 @@ def record_run(spec: SimulationSpec, snapshots: list[GlobalModel],
     run = dict(simulation=spec.id, mechanism=mechanism.kind,
                noise_level=mechanism.noise_level, epsilon=mechanism.epsilon, seed=seed)
     result = SweepResult()
-    for epoch, model in enumerate(snapshots[1:], start=1):
-        predictions = [forward(model.params, v) for v in vectors]
+    for epoch, params in enumerate(snapshots[1:], start=1):
+        predictions = [forward(params, v) for v in vectors]
         result.predictions.extend(
             PredictionRow(**run, global_epoch=epoch, symptom=symptom,
                           group=evalset.group_of(symptom), prediction=p)
@@ -157,11 +152,10 @@ def record_run(spec: SimulationSpec, snapshots: list[GlobalModel],
     return result
 
 
-def _sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[int],
-           surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
-           base_config: FederationConfig, evalset: EvalSet | None) -> SweepResult:
-    if evalset is None:
-        evalset = build_evalset(surveys)
+def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[int],
+          surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
+          base_config: FederationConfig, evalset: EvalSet) -> SweepResult:
+    """One full run per (mechanism, seed) under base_config; rows in canonical order."""
     merged = SweepResult()
     for mechanism in mechanisms:
         config = replace(base_config, noise=mechanism)
@@ -172,29 +166,6 @@ def _sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[i
                                      mechanism, seed))
     merged.sort(evalset.symptoms)
     return merged
-
-
-def noise_sweep(spec: SimulationSpec, kind: str, levels: list[float], seeds: list[int],
-                surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
-                base_config: FederationConfig,
-                evalset: EvalSet | None = None) -> SweepResult:
-    """One full run per (noise level, seed); rows in canonical order."""
-    if kind == LAPLACE_DP:
-        raise ValueError("noise_sweep varies the level; use epsilon_sweep for laplace_dp")
-    mechanisms = [NoiseMechanism(kind=kind, noise_level=level) for level in levels]
-    return _sweep(spec, mechanisms, seeds, surveys, corpus, embeddings,
-                  base_config, evalset)
-
-
-def epsilon_sweep(spec: SimulationSpec, epsilons: list[float], seeds: list[int],
-                  surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
-                  base_config: FederationConfig, noise_level: float = 0.5,
-                  evalset: EvalSet | None = None) -> SweepResult:
-    """Laplace mechanism runs across epsilon values at a fixed level."""
-    mechanisms = [NoiseMechanism(kind=LAPLACE_DP, noise_level=noise_level, epsilon=eps)
-                  for eps in epsilons]
-    return _sweep(spec, mechanisms, seeds, surveys, corpus, embeddings,
-                  base_config, evalset)
 
 
 def _format(value) -> str:

@@ -65,8 +65,6 @@ class SimulationSpec:
     participation_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.id not in SIMULATION_IDS:
-            raise ValueError(f"unknown simulation id {self.id!r}")
         lo, hi = self.size_range
         if not (1 <= lo <= hi):
             raise ValueError(f"bad size_range {self.size_range}")
@@ -124,12 +122,6 @@ class Population:
 
 
 @dataclass(frozen=True)
-class GlobalModel:
-    params: MlpParameters
-    round_index: int = 0
-
-
-@dataclass(frozen=True)
 class RoundReport:
     round_index: int
     participating_clients: int
@@ -181,16 +173,15 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
     return MlpParameters(base + delta)
 
 
-def run_round(model: GlobalModel, population: Population, spec: SimulationSpec,
-              distributions: list, phrases: PhraseTable,
-              config: FederationConfig, master_seed: int) -> tuple[GlobalModel, RoundReport]:
-    """Execute one broadcast / local-train / aggregate cycle.
+def run_round(params: MlpParameters, round_index: int, population: Population,
+              spec: SimulationSpec, distributions: list, phrases: PhraseTable,
+              config: FederationConfig, master_seed: int) -> tuple[MlpParameters, RoundReport]:
+    """Execute one broadcast / local-train / aggregate cycle of 0-based round_index.
 
     A round in which every selected client comes up empty carries the
     global parameters forward unchanged.
     """
     started = time.perf_counter()
-    round_index = model.round_index
 
     n_selected = math.ceil(spec.participation_fraction * len(population))
     selection = streams.selection_stream(master_seed, round_index)
@@ -211,12 +202,12 @@ def run_round(model: GlobalModel, population: Population, spec: SimulationSpec,
             skipped += 1
             continue
         train_rng = streams.client_train_stream(master_seed, client_id, round_index)
-        local = train_local(model.params, dataset, config.train, train_rng)
+        local = train_local(params, dataset, config.train, train_rng)
         losses.append(mean_loss(local, dataset))
         weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
         updates.append((local, weight))
 
-    new_params = fedavg_aggregate(updates) if updates else model.params
+    new_params = fedavg_aggregate(updates) if updates else params
     report = RoundReport(
         round_index=round_index + 1,
         participating_clients=len(updates),
@@ -224,13 +215,13 @@ def run_round(model: GlobalModel, population: Population, spec: SimulationSpec,
         mean_local_loss=float(np.mean(losses)) if losses else None,
         wall_time=time.perf_counter() - started,
     )
-    return GlobalModel(params=new_params, round_index=round_index + 1), report
+    return new_params, report
 
 
 def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
                    embeddings: EmbeddingTable, config: FederationConfig,
-                   master_seed: int) -> tuple[list[GlobalModel], list[RoundReport]]:
-    """Run global_epochs rounds; snapshot after init and every round.
+                   master_seed: int) -> tuple[list[MlpParameters], list[RoundReport]]:
+    """Run global_epochs rounds; snapshot the parameters after init and every round.
 
     The population stream never sees the noise settings, so sweeps at a
     fixed seed share client sizes and countries across noise levels.
@@ -241,12 +232,11 @@ def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
     distributions = [build_distribution(s) for s in surveys]
     phrases = build_phrase_table(embeddings, corpus, distributions)
 
-    model = GlobalModel(params=params, round_index=0)
-    snapshots = [model]
+    snapshots = [params]
     reports: list[RoundReport] = []
-    for _ in range(spec.global_epochs):
-        model, report = run_round(model, population, spec, distributions,
-                                  phrases, config, master_seed)
-        snapshots.append(model)
+    for round_index in range(spec.global_epochs):
+        params, report = run_round(params, round_index, population, spec, distributions,
+                                   phrases, config, master_seed)
+        snapshots.append(params)
         reports.append(report)
     return snapshots, reports

@@ -12,7 +12,9 @@ each training step gathers its own minibatch from that table, and
 scoring (mean_loss, forward_batch) runs in blocks of SCORE_ROWS rows, so
 the memory a call holds is bounded by the batch and block size, not by
 the client size. A training step computes the gradient only; the loss
-lives in mean_loss (forward only) and loss_and_gradient.
+lives in mean_loss (forward only) and loss_and_gradient. Every client
+trains with the same Adam LEARNING_RATE and minibatches of BATCH_SIZE
+rows; only the number of local epochs is set per run (TrainConfig).
 
 Every scored row comes from one fixed partition into blocks of SCORE_ROWS
 to 2 * SCORE_ROWS - 1 rows, the short tail merged into the block before
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from .sampling import ClientDataset
 LAYER_SIZES = (50, 32, 16, 8, 1)
 N_PARAMS = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]))
 
+LEARNING_RATE = 0.001
+BATCH_SIZE = 32
 BETA1 = 0.9
 BETA2 = 0.999
 EPS_HAT = 1e-8
@@ -100,15 +105,11 @@ class MlpParameters:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 32
     local_epochs: int = 5
+    # not settable; perfbench/tracer.py counts steps from config.batch_size
+    batch_size: ClassVar[int] = BATCH_SIZE
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be at least 1")
 
@@ -279,12 +280,12 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
         rs, ys = rows[order], y[order]
-        for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
+        for start in range(0, n, BATCH_SIZE):
+            stop = start + BATCH_SIZE
             # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
             _backprop(layers, table.take(rs[start:stop], axis=0), ys[start:stop], grads)
             step += 1
-            adam_step(theta, grad, m, v, step, config.learning_rate)
+            adam_step(theta, grad, m, v, step, LEARNING_RATE)
     return MlpParameters(theta)
 
 

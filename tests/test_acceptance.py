@@ -19,9 +19,8 @@ import pytest
 from fedsymptoms.evaluation import (
     GROUP_HIGH,
     GROUP_LOW,
-    epsilon_sweep,
-    noise_sweep,
     record_run,
+    sweep,
 )
 from fedsymptoms.federation import (
     FederationConfig,
@@ -79,16 +78,16 @@ def desk_spec():
 
 @pytest.fixture(scope="module")
 def uniform_sweep(desk_spec, surveys, corpus, table, evalset):
-    return noise_sweep(desk_spec, UNIFORM_THRESHOLD, list(NOISE_LEVELS),
-                       list(SEEDS), surveys, corpus, table,
-                       FederationConfig(noise=NO_NOISE), evalset=evalset)
+    mechanisms = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in NOISE_LEVELS]
+    return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table,
+                 FederationConfig(noise=NO_NOISE), evalset)
 
 
 @pytest.fixture(scope="module")
 def laplace_sweep(desk_spec, surveys, corpus, table, evalset):
-    return epsilon_sweep(desk_spec, list(EPSILONS), list(SEEDS), surveys,
-                         corpus, table, FederationConfig(noise=NO_NOISE),
-                         evalset=evalset)
+    mechanisms = [NoiseMechanism(LAPLACE_DP, 0.5, epsilon=eps) for eps in EPSILONS]
+    return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table,
+                 FederationConfig(noise=NO_NOISE), evalset)
 
 
 def final_accuracies(result, **match):

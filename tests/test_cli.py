@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from fedsymptoms import assets
 from fedsymptoms.cli import main
@@ -75,7 +76,11 @@ def test_run_reports_requested_epoch(tmp_path, capsys):
 
 def test_run_rejects_epoch_beyond_schedule(tmp_path, capsys):
     assert main(small_run(tmp_path / "out", "--epoch", "9")) == 1
-    assert "epoch 9" in capsys.readouterr().err
+    assert "epoch 9 not in run (1..5)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a run of no rounds reports no epoch
+    assert main(small_run(tmp_path / "none", "--global-epochs", "0", "--epoch", "9")) == 0
+    assert "no training rounds requested" in capsys.readouterr().out
 
 
 def test_sweep_noise_axis_writes_rows(tmp_path):
@@ -103,6 +108,16 @@ def test_sweep_epsilon_axis_defaults_to_half_level(tmp_path):
     assert all(r.mechanism == "laplace_dp" for r in rows)
     assert all(r.noise_level == 0.5 for r in rows)
     assert all(r.epsilon == 100.0 for r in rows)
+
+
+def test_sweep_noise_axis_rejects_laplace(tmp_path, capsys):
+    # an absent embeddings file shows the check comes before any input loads
+    assert main(["sweep", "--axis", "noise", "--values", "0.5", "--seeds", "1",
+                 "--mechanism", "laplace_dp", "--epsilon", "2",
+                 "--embeddings", str(tmp_path / "absent.txt"),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert "--axis epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_repeated_values_and_seeds(tmp_path, capsys):
@@ -198,6 +213,45 @@ def test_unknown_weighting_in_config_file_names_the_accepted_values(tmp_path, ca
     for accepted in WEIGHTINGS:
         assert repr(accepted) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("simulation", "V"),
+    ("scale", 0),
+    ("participation_fraction", 0.5),  # of the one client at scale 0.01
+    ("global_epochs", -1),
+    ("local_epochs", 0),
+    ("weighting", "by_persons"),
+    # values of the wrong type
+    ("noise_level", True),
+    ("local_epochs", 2.5),
+    ("global_epochs", 1.5),
+    ("fixed_client_data", "no"),
+    ("epsilon", "2"),
+    ("surveys_path", 3),
+])
+def test_bad_config_value_fails_before_inputs_load(tmp_path, capsys, key, value):
+    # the embeddings file is absent: reading it would exit 2, not 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"master_seed": 1, "scale": 0.01,
+                               "embeddings_path": str(tmp_path / "absent.txt"),
+                               "output_dir": str(tmp_path / "out"), key: value}),
+                   encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_noise_level_in_config_file_is_a_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"master_seed": 1, "scale": 0.01,
+                               "mechanism": "uniform_threshold", "noise_level": 0,
+                               "output_dir": str(tmp_path / "file")}),
+                   encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(small_run(tmp_path / "flag")) == 0
+    for name in ("predictions.csv", "accuracy.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
 
 def test_malformed_json_config_is_rejected(tmp_path, capsys):

@@ -14,21 +14,21 @@ from fedsymptoms.evaluation import (
     PredictionRow,
     SweepResult,
     build_evalset,
-    epsilon_sweep,
-    noise_sweep,
     read_accuracy_csv,
     record_run,
+    sweep,
     write_accuracy_csv,
     write_predictions_csv,
 )
-from fedsymptoms.federation import (
-    FederationConfig,
-    GlobalModel,
-    run_simulation,
-    simulation_spec,
-)
+from fedsymptoms.federation import FederationConfig, run_simulation, simulation_spec
 from fedsymptoms.mlp import LAYER_SIZES, MlpParameters
-from fedsymptoms.sampling import NO_NOISE, NORMAL_THRESHOLD, LAPLACE_DP, UNIFORM_THRESHOLD
+from fedsymptoms.sampling import (
+    LAPLACE_DP,
+    NO_NOISE,
+    NORMAL_THRESHOLD,
+    UNIFORM_THRESHOLD,
+    NoiseMechanism,
+)
 
 
 def zero_params():
@@ -68,9 +68,9 @@ def test_evalset_validation():
 
 def test_accuracy_counts_threshold_ties_as_positive(evalset, table):
     # zero weights push every sigmoid output to exactly 0.5
-    model = GlobalModel(params=zero_params(), round_index=0)
+    params = zero_params()
     spec = simulation_spec("I", scale=0.01)
-    result = record_run(spec, [model, model], evalset, table, NO_NOISE, seed=1)
+    result = record_run(spec, [params, params], evalset, table, NO_NOISE, seed=1)
     assert [r.prediction for r in result.predictions] == [0.5] * len(evalset.symptoms)
     assert [r.accuracy for r in result.accuracies] == [1.0]
 
@@ -126,27 +126,22 @@ def test_sweep_result_sorts_canonically(evalset):
     ]
 
 
-def test_noise_sweep_rejects_laplace(surveys, corpus, table):
+def test_noise_sweep_row_counts(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
-    with pytest.raises(ValueError):
-        noise_sweep(spec, LAPLACE_DP, [0.0], [1], surveys, corpus, table,
-                    FederationConfig(noise=NO_NOISE))
-
-
-def test_noise_sweep_row_counts(surveys, corpus, table):
-    spec = simulation_spec("I", scale=0.01)
-    result = noise_sweep(spec, NORMAL_THRESHOLD, [0.0, 0.5], [1, 2],
-                         surveys, corpus, table, FederationConfig(noise=NO_NOISE))
+    mechanisms = [NoiseMechanism(NORMAL_THRESHOLD, level) for level in (0.0, 0.5)]
+    result = sweep(spec, mechanisms, [1, 2], surveys, corpus, table,
+                   FederationConfig(noise=NO_NOISE), evalset)
     assert len(result.accuracies) == 2 * 2 * spec.global_epochs
     assert len(result.predictions) == 2 * 2 * spec.global_epochs * 16
     assert all(r.mechanism == NORMAL_THRESHOLD for r in result.accuracies)
     assert all(r.epsilon is None for r in result.accuracies)
 
 
-def test_epsilon_sweep_rows_record_epsilon(surveys, corpus, table):
+def test_epsilon_sweep_rows_record_epsilon(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
-    result = epsilon_sweep(spec, [2.0, 10.0], [1], surveys, corpus, table,
-                           FederationConfig(noise=NO_NOISE))
+    mechanisms = [NoiseMechanism(LAPLACE_DP, 0.5, epsilon=eps) for eps in (2.0, 10.0)]
+    result = sweep(spec, mechanisms, [1], surveys, corpus, table,
+                   FederationConfig(noise=NO_NOISE), evalset)
     assert len(result.accuracies) == 2 * spec.global_epochs
     assert {r.epsilon for r in result.accuracies} == {2.0, 10.0}
     assert all(r.mechanism == LAPLACE_DP for r in result.accuracies)
@@ -200,10 +195,10 @@ def test_read_accuracy_csv_rejects_missing_columns(tmp_path):
         read_accuracy_csv(str(path))
 
 
-def test_csv_writes_are_byte_stable(tmp_path, surveys, corpus, table):
+def test_csv_writes_are_byte_stable(tmp_path, surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
-    result = noise_sweep(spec, UNIFORM_THRESHOLD, [0.0], [1], surveys, corpus,
-                         table, FederationConfig(noise=NO_NOISE))
+    result = sweep(spec, [NoiseMechanism(UNIFORM_THRESHOLD, 0.0)], [1], surveys, corpus,
+                   table, FederationConfig(noise=NO_NOISE), evalset)
     p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
     write_predictions_csv(result.predictions, str(p1))
     write_predictions_csv(result.predictions, str(p2))

@@ -230,7 +230,6 @@ def test_run_simulation_snapshots_and_reports(surveys, corpus, table):
     config = FederationConfig(noise=NO_NOISE)
     snapshots, reports = run_simulation(spec, surveys, corpus, table, config, 1)
     assert len(snapshots) == spec.global_epochs + 1
-    assert [m.round_index for m in snapshots] == list(range(spec.global_epochs + 1))
     assert len(reports) == spec.global_epochs
     for report in reports:
         assert report.participating_clients + report.skipped_empty_clients == 1
@@ -244,7 +243,7 @@ def test_run_simulation_deterministic(surveys, corpus, table):
     a, _ = run_simulation(spec, surveys, corpus, table, config, 2)
     b, _ = run_simulation(spec, surveys, corpus, table, config, 2)
     for ma, mb in zip(a, b):
-        for (wa, ba), (wb, bb) in zip(ma.params.layers, mb.params.layers):
+        for (wa, ba), (wb, bb) in zip(ma.layers, mb.layers):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
 
@@ -264,12 +263,12 @@ def test_fixed_client_data_changes_dynamics(surveys, corpus, table):
     a, _ = run_simulation(spec, surveys, corpus, table, fresh, 5)
     b, _ = run_simulation(spec, surveys, corpus, table, fixed, 5)
     # first round uses round-0 data either way
-    wa0, _ = a[1].params.layers[0]
-    wb0, _ = b[1].params.layers[0]
+    wa0, _ = a[1].layers[0]
+    wb0, _ = b[1].layers[0]
     assert np.array_equal(wa0, wb0)
     # later rounds diverge once fresh data kicks in
-    wa, _ = a[-1].params.layers[0]
-    wb, _ = b[-1].params.layers[0]
+    wa, _ = a[-1].layers[0]
+    wb, _ = b[-1].layers[0]
     assert not np.array_equal(wa, wb)
 
 
@@ -280,8 +279,8 @@ def test_uniform_weighting_single_client_matches(surveys, corpus, table):
     uniform, _ = run_simulation(
         spec, surveys, corpus, table,
         FederationConfig(noise=NO_NOISE, weighting=WEIGHT_UNIFORM), 6)
-    wa, _ = by_examples[-1].params.layers[0]
-    wb, _ = uniform[-1].params.layers[0]
+    wa, _ = by_examples[-1].layers[0]
+    wb, _ = uniform[-1].layers[0]
     assert np.array_equal(wa, wb)
 
 

@@ -21,10 +21,12 @@ import pytest
 
 import fedsymptoms
 from fedsymptoms.mlp import (
+    BATCH_SIZE,
     BETA1,
     BETA2,
     EPS_HAT,
     LAYER_SIZES,
+    LEARNING_RATE,
     LOSS_CLAMP,
     MlpParameters,
     N_PARAMS,
@@ -323,10 +325,6 @@ def test_checkpoint_missing_file():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
         TrainConfig(local_epochs=0)
 
 
@@ -388,11 +386,11 @@ def ref_train_local(flat, x, y, config, rng):
     step = 0
     for _ in range(config.local_epochs):
         order = rng.permutation(len(y))
-        for start in range(0, len(y), config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, len(y), BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             ref_backprop(layers, x[idx], y[idx], grads)
             step += 1
-            ref_adam_update(theta, grad, m, v, step, config.learning_rate)
+            ref_adam_update(theta, grad, m, v, step, LEARNING_RATE)
     return theta
 
 

@@ -219,10 +219,10 @@ def _add_path_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--simulation", choices=SIMULATION_IDS,
-                        help="client topology (default I)")
-    parser.add_argument("--mechanism", choices=MECHANISM_KINDS,
-                        help="noise mechanism kind")
+    parser.add_argument("--simulation",
+                        help=f"client topology: {', '.join(SIMULATION_IDS)} (default I)")
+    parser.add_argument("--mechanism",
+                        help=f"noise mechanism kind: {', '.join(MECHANISM_KINDS)}")
     parser.add_argument("--noise-level", dest="noise_level", type=float,
                         help="noise level in [0, 1]")
     parser.add_argument("--epsilon", type=float,
@@ -233,8 +233,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         type=float, help="fraction of clients trained per round")
     parser.add_argument("--local-epochs", dest="local_epochs", type=int)
     parser.add_argument("--global-epochs", dest="global_epochs", type=int)
-    parser.add_argument("--weighting", choices=WEIGHTINGS,
-                        help="aggregation weighting")
+    parser.add_argument("--weighting",
+                        help=f"aggregation weighting: {', '.join(WEIGHTINGS)}")
     parser.add_argument("--fixed-client-data", dest="fixed_client_data",
                         action="store_true", default=None,
                         help="reuse each client's round-0 data every round")

@@ -88,7 +88,7 @@ def simulation_spec(sim_id: str, scale: float = 1.0,
     of the full topology.
     """
     if sim_id not in _TOPOLOGY:
-        raise ValueError(f"unknown simulation id {sim_id!r}")
+        raise ValueError(f"unknown simulation id {sim_id!r}; expected one of {SIMULATION_IDS}")
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
     (lo, hi), n_clients = _TOPOLOGY[sim_id]

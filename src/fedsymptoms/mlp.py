@@ -229,12 +229,15 @@ def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
     return float(np.mean(_row_bce(p, y))), grad
 
 
-def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                step: int, learning_rate: float) -> None:
+def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              step: int, learning_rate: float) -> None:
     """One bias-corrected Adam update of theta, m and v, in place.
 
     `step` is the 1-based count including this update. Two scratch vectors
     hold the temporaries, each computed in the textbook evaluation order.
+    The gradient is not checked here: a non-finite element leaves a NaN in
+    theta that no later step clears, and the MlpParameters that train_local
+    returns refuses it.
     """
     m *= BETA1
     scratch = (1.0 - BETA1) * grad
@@ -250,14 +253,6 @@ def adam_update(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
     np.sqrt(denom, out=denom)
     denom += EPS_HAT
     theta -= np.divide(scratch, denom, out=scratch)
-
-
-def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              step: int, learning_rate: float) -> None:
-    """Apply one Adam step to the flat parameter vector, refusing a non-finite gradient."""
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
-    adam_update(theta, grad, m, v, step, learning_rate)
 
 
 def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConfig,

@@ -272,6 +272,24 @@ def test_run_requires_seed(capsys):
     assert "master_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("simulation", "V"),
+    ("mechanism", "bogus"),
+    ("weighting", "by_persons"),
+])
+def test_bad_name_flag_fails_like_the_config_file(tmp_path, capsys, key, value):
+    base = ["run", "--seed", "1", "--embeddings", str(tmp_path / "absent.txt"),
+            "--output-dir", str(tmp_path / "out")]
+    assert main(base + [f"--{key}", value]) == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == from_flag
+    assert key in from_flag
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_names_unembeddable_corpus_term(tmp_path, capsys):
     terms = load_corpus(assets.default_corpus_path()).terms[:49]
     bad = tmp_path / "corpus.txt"

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import FIELD_NAMES, RunConfig, resolve_config
+from .config import FIELD_NAMES, RunConfig, given_settings
 from .embeddings import load_embeddings, encode_phrase
 from .evaluation import (
     build_evalset,
@@ -98,6 +98,8 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
+    if config.master_seed is None:
+        raise ValueError("master_seed is required (pass --seed or set it in the config file)")
     spec = config.spec()
     target_epoch = config.epoch if config.epoch is not None else spec.global_epochs
     # a run of no rounds reports no epoch, so any --epoch passes there
@@ -139,8 +141,9 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig, axis: str, values: list[float],
+def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float],
               seeds: list[int]) -> int:
+    """One run per value and seed; `given` names the settings a flag or the file set."""
     if not seeds:
         raise ValueError("at least one seed is required")
     # a repeated value would write duplicate rows and count its runs twice in report
@@ -148,10 +151,15 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
         repeated = sorted({x for x in items if items.count(x) > 1})
         if repeated:
             raise ValueError(f"{flag} repeats {', '.join(f'{x:g}' for x in repeated)}")
+    if (config.mechanism == LAPLACE_DP) != (axis == "epsilon"):
+        raise ValueError(f"mechanism {config.mechanism!r} is not swept on --axis {axis}: "
+                         "laplace_dp takes --axis epsilon, the other kinds --axis noise")
+    # a setting no run reads would be recorded in the manifest as if it had been used
+    for key in ("epoch", "epsilon", "noise_level") if axis == "noise" else ("epoch", "epsilon"):
+        if key in given:
+            raise ValueError(f"sweep --axis {axis} does not use {key} "
+                             f"(--{key.replace('_', '-')})")
     if axis == "noise":
-        if config.mechanism == LAPLACE_DP:
-            raise ValueError("the noise axis varies the noise level; "
-                             "sweep laplace_dp with --axis epsilon")
         mechanisms = [NoiseMechanism(kind=config.mechanism, noise_level=level)
                       for level in values]
     else:
@@ -244,10 +252,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="directory for run artifacts")
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key, None) for key in FIELD_NAMES}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsymptoms",
@@ -286,22 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "validate":
-        config = resolve_config(args.config, _overrides(args),
-                                defaults={"master_seed": 0})
-        return cmd_validate(config)
-    if args.command == "run":
-        config = resolve_config(args.config, _overrides(args))
-        return cmd_run(config)
-    if args.command == "sweep":
-        defaults = {"master_seed": 0}
-        if args.axis == "epsilon":
-            # standard level for the privacy sweep unless set explicitly
-            defaults["noise_level"] = 0.5
-        config = resolve_config(args.config, _overrides(args), defaults=defaults)
-        return cmd_sweep(config, args.axis, args.values, args.seeds)
     if args.command == "report":
         return cmd_report(args.input, args.epoch)
+    given = given_settings(args.config, {key: getattr(args, key, None) for key in FIELD_NAMES})
+    if args.command == "validate":
+        return cmd_validate(RunConfig(**given))
+    if args.command == "run":
+        return cmd_run(RunConfig(**given))
+    if args.command == "sweep":
+        # the privacy sweep runs laplace_dp at the standard level unless set explicitly
+        defaults = {"mechanism": LAPLACE_DP, "noise_level": 0.5} if args.axis == "epsilon" else {}
+        return cmd_sweep(RunConfig(**{**defaults, **given}), set(given), args.axis,
+                         args.values, args.seeds)
     raise ValueError(f"unknown command {args.command!r}")
 
 

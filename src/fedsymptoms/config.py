@@ -1,9 +1,10 @@
 """Run configuration: a JSON file merged with command-line overrides.
 
-The seed is mandatory and never defaulted from the clock; a run is
-meant to be reproducible from its manifest alone. A RunConfig checks
-each value's type and builds the run's SimulationSpec and
-FederationConfig once, so a bad setting fails before any input loads.
+A run's seed is mandatory and never defaulted from the clock; a run is
+meant to be reproducible from its manifest alone. A sweep takes its
+seeds from --seeds, so its master_seed is whatever was given, or None.
+A RunConfig checks each value's type and builds the run's SimulationSpec
+and FederationConfig once, so a bad setting fails before any input loads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 @dataclass(frozen=True)
 class RunConfig:
-    master_seed: int
+    master_seed: int | None = None
     simulation: str = "I"
     mechanism: str = "uniform_threshold"
     noise_level: float = 0.0
@@ -52,7 +53,7 @@ class RunConfig:
                 object.__setattr__(self, f.name, value)
             if type(value) is not _TYPES[kind]:
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
-        if not 0 <= self.master_seed <= MAX_SEED:
+        if self.master_seed is not None and not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
         if self.mechanism not in MECHANISM_KINDS:
             raise ValueError(f"mechanism must be one of {MECHANISM_KINDS}")
@@ -105,17 +106,11 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-def resolve_config(config_path: str | None, overrides: dict,
-                   defaults: dict | None = None) -> RunConfig:
-    """Merge file values with overrides; overrides win; seed required.
+def given_settings(config_path: str | None, overrides: dict) -> dict:
+    """The settings a config file and the flags give; a flag wins over the file.
 
-    `defaults` fill in only where neither the file nor an override
-    provides the key.
+    An override of None is a flag that was not given.
     """
-    data: dict = dict(defaults) if defaults else {}
-    if config_path is not None:
-        data.update(load_config_file(config_path))
+    data = load_config_file(config_path) if config_path is not None else {}
     data.update((key, value) for key, value in overrides.items() if value is not None)
-    if "master_seed" not in data:
-        raise ValueError("master_seed is required (pass --seed or set it in the config file)")
-    return RunConfig(**data)
+    return data

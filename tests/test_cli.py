@@ -120,6 +120,43 @@ def test_sweep_noise_axis_rejects_laplace(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("axis, source, key, value", [
+    ("noise", "flag", "epoch", 3),
+    ("noise", "flag", "epsilon", 3),
+    ("noise", "flag", "noise_level", 0.9),
+    ("noise", "file", "noise_level", 0),  # given, though equal to the default
+    ("epsilon", "flag", "epoch", 3),
+    ("epsilon", "file", "epsilon", 3),
+    ("epsilon", "flag", "mechanism", "normal_threshold"),
+    ("epsilon", "file", "mechanism", "uniform_threshold"),
+])
+def test_sweep_refuses_settings_its_runs_never_use(tmp_path, capsys, axis, source, key, value):
+    # an absent embeddings file shows the check comes before any input loads
+    args = ["sweep", "--axis", axis, "--values", "0.2", "--seeds", "1",
+            "--embeddings", str(tmp_path / "absent.txt"),
+            "--output-dir", str(tmp_path / "out")]
+    if source == "flag":
+        args += [f"--{key.replace('_', '-')}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_manifest_records_the_master_seed_given(tmp_path):
+    base = ["sweep", "--axis", "noise", "--values", "0", "--seeds", "1", "--scale", "0.01"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"master_seed": 7}', encoding="utf-8")
+    for out_dir, extra, recorded in (("none", [], None),
+                                     ("seven", ["--config", str(cfg)], 7)):
+        assert main(base + extra + ["--output-dir", str(tmp_path / out_dir)]) == 0
+        manifest = json.loads((tmp_path / out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["master_seed"] == recorded
+
+
 def test_sweep_rejects_repeated_values_and_seeds(tmp_path, capsys):
     base = ["sweep", "--axis", "noise", "--scale", "0.01",
             "--mechanism", "uniform_threshold", "--output-dir", str(tmp_path / "out")]
@@ -267,9 +304,12 @@ def test_laplace_requires_epsilon(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
-def test_run_requires_seed(capsys):
-    assert main(["run", "--scale", "0.01"]) == 1
-    assert "master_seed" in capsys.readouterr().err
+def test_run_requires_seed(tmp_path, capsys):
+    # an absent embeddings file shows the check comes before any input loads
+    assert main(["run", "--scale", "0.01", "--embeddings", str(tmp_path / "absent.txt"),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert "master_seed is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -288,6 +328,12 @@ def test_bad_name_flag_fails_like_the_config_file(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == from_flag
     assert key in from_flag
     assert not (tmp_path / "out").exists()
+
+
+def test_non_number_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--seed", "1", "--scale", "x"])
+    assert exc.value.code == 2
 
 
 def test_validate_names_unembeddable_corpus_term(tmp_path, capsys):

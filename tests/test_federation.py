@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsymptoms.embeddings import UnembeddablePhraseError
@@ -214,6 +214,9 @@ def params_with_value(value):
 
 
 @given(weighted_scalars())
+# large updates that cancel: "first update plus weighted deltas" alone misses by ~1e-12
+@example(([15625.0, 0.0], [1, 16915]))
+@example(([26594.0, 0.0, 0.0, 1.0, 0.0], [1, 1, 1, 1, 8108]))
 @settings(max_examples=50, deadline=None)
 def test_fedavg_scalar_property(case):
     values, weights = case

@@ -10,6 +10,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def _write_results(command: str, config: RunConfig, spec, result,
         "numpy_version": np.__version__,
         "input_sha256": {key: _sha256_of(getattr(config, key))
                          for key in ("embeddings_path", "surveys_path", "corpus_path")},
-        "config": config.manifest_dict(),
+        "config": asdict(config),
         "resolved_topology": {
             "n_clients": spec.n_clients,
             "size_range": list(spec.size_range),
@@ -114,18 +115,10 @@ def cmd_run(config: RunConfig) -> int:
     evalset = build_evalset(surveys)
     result = record_run(spec, snapshots, evalset, table, mechanism,
                         config.master_seed)
-    result.sort(evalset.symptoms)
 
     _write_results("run", config, spec, result)
     with open(os.path.join(config.output_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(json.dumps({
-                "round": r.round_index,
-                "participating_clients": r.participating_clients,
-                "skipped_empty_clients": r.skipped_empty_clients,
-                "mean_local_loss": r.mean_local_loss,
-                "wall_time": r.wall_time,
-            }, sort_keys=True) + "\n")
+        fh.writelines(json.dumps(asdict(r), sort_keys=True) + "\n" for r in reports)
     save_checkpoint(snapshots[-1], os.path.join(config.output_dir, "model_final.npz"))
 
     if result.accuracies:
@@ -144,10 +137,10 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float],
               seeds: list[int]) -> int:
     """One run per value and seed; `given` names the settings a flag or the file set."""
-    if not seeds:
-        raise ValueError("at least one seed is required")
     # a repeated value would write duplicate rows and count its runs twice in report
     for flag, items in (("--values", values), ("--seeds", seeds)):
+        if not items:
+            raise ValueError(f"{flag} needs at least one entry")
         repeated = sorted({x for x in items if items.count(x) > 1})
         if repeated:
             raise ValueError(f"{flag} repeats {', '.join(f'{x:g}' for x in repeated)}")

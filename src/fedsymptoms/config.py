@@ -5,17 +5,19 @@ meant to be reproducible from its manifest alone. A sweep takes its
 seeds from --seeds, so its master_seed is whatever was given, or None.
 A RunConfig checks each value's type and builds the run's SimulationSpec
 and FederationConfig once, so a bad setting fails before any input loads.
+The noise settings are checked by the NoiseMechanism that run and sweep
+build, also before any input loads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from . import assets
 from .federation import WEIGHT_BY_EXAMPLES, FederationConfig, SimulationSpec, simulation_spec
 from .mlp import TrainConfig
-from .sampling import LAPLACE_DP, MECHANISM_KINDS, NO_NOISE, NoiseMechanism
+from .sampling import NO_NOISE, NoiseMechanism
 
 MAX_SEED = 2 ** 64 - 1
 
@@ -55,12 +57,6 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.master_seed is not None and not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
-        if self.mechanism not in MECHANISM_KINDS:
-            raise ValueError(f"mechanism must be one of {MECHANISM_KINDS}")
-        if not 0.0 <= self.noise_level <= 1.0:
-            raise ValueError(f"noise_level {self.noise_level} outside [0, 1]")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.epoch is not None and self.epoch < 1:
             raise ValueError("epoch must be at least 1")
         if not self.output_dir:
@@ -82,10 +78,7 @@ class RunConfig:
 
     def noise_mechanism(self) -> NoiseMechanism:
         return NoiseMechanism(kind=self.mechanism, noise_level=self.noise_level,
-                              epsilon=self.epsilon if self.mechanism == LAPLACE_DP else None)
-
-    def manifest_dict(self) -> dict:
-        return asdict(self)
+                              epsilon=self.epsilon)
 
 
 FIELD_NAMES = tuple(f.name for f in fields(RunConfig))

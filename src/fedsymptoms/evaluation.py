@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .embeddings import EmbeddingTable, encode_phrase
 from .federation import FederationConfig, SimulationSpec, run_simulation
@@ -25,11 +26,6 @@ GROUP_HIGH = "high"
 GROUP_LOW = "low"
 HIGH_FRACTION_CUTOFF = 0.10
 DECISION_THRESHOLD = 0.5
-
-PREDICTION_HEADER = ("simulation", "mechanism", "noise_level", "epsilon",
-                     "seed", "global_epoch", "symptom", "group", "prediction")
-ACCURACY_HEADER = ("simulation", "mechanism", "noise_level", "epsilon",
-                   "seed", "global_epoch", "accuracy")
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,9 @@ def build_evalset(surveys: list[CountrySurvey]) -> EvalSet:
     )
 
 
-@dataclass(frozen=True)
-class PredictionRow:
+class PredictionRow(NamedTuple):
+    """One line of predictions.csv; the fields are its columns, in order."""
+
     simulation: str
     mechanism: str
     noise_level: float
@@ -93,8 +90,9 @@ class PredictionRow:
     prediction: float
 
 
-@dataclass(frozen=True)
-class AccuracyRow:
+class AccuracyRow(NamedTuple):
+    """One line of accuracy.csv; the fields are its columns, in order."""
+
     simulation: str
     mechanism: str
     noise_level: float
@@ -102,6 +100,10 @@ class AccuracyRow:
     seed: int
     global_epoch: int
     accuracy: float
+
+
+PREDICTION_HEADER = PredictionRow._fields
+ACCURACY_HEADER = AccuracyRow._fields
 
 
 @dataclass
@@ -112,19 +114,6 @@ class SweepResult:
     def extend(self, other: "SweepResult") -> None:
         self.predictions.extend(other.predictions)
         self.accuracies.extend(other.accuracies)
-
-    def sort(self, symptom_order: tuple[str, ...]) -> None:
-        """Canonical row order so merged sweeps are byte-stable."""
-        index = {name: i for i, name in enumerate(symptom_order)}
-
-        def run_key(row: PredictionRow | AccuracyRow):
-            return (row.simulation, row.mechanism, row.noise_level,
-                    row.epsilon if row.epsilon is not None else -1.0,
-                    row.seed, row.global_epoch)
-
-        self.predictions.sort(key=lambda row: (*run_key(row),
-                                               index.get(row.symptom, len(index))))
-        self.accuracies.sort(key=run_key)
 
 
 def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
@@ -155,45 +144,37 @@ def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
 def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[int],
           surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
           base_config: FederationConfig, evalset: EvalSet) -> SweepResult:
-    """One full run per (mechanism, seed) under base_config; rows in canonical order."""
+    """One full run per (mechanism, seed) under base_config.
+
+    Runs go in canonical order, mechanisms by (kind, noise level, epsilon)
+    and then seeds ascending, and each run's rows come by epoch and then
+    symptom, so the rows do not depend on the order the caller lists them.
+    """
     merged = SweepResult()
-    for mechanism in mechanisms:
+    # epsilon is None or positive, so 0.0 puts None before any epsilon
+    for mechanism in sorted(mechanisms, key=lambda m: (m.kind, m.noise_level, m.epsilon or 0.0)):
         config = replace(base_config, noise=mechanism)
-        for seed in seeds:
+        for seed in sorted(seeds):
             snapshots, _ = run_simulation(spec, surveys, corpus, embeddings,
                                           config, seed)
             merged.extend(record_run(spec, snapshots, evalset, embeddings,
                                      mechanism, seed))
-    merged.sort(evalset.symptoms)
     return merged
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_predictions_csv(rows: list[PredictionRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PREDICTION_HEADER)
-        for r in rows:
-            writer.writerow([r.simulation, r.mechanism, _format(r.noise_level),
-                             _format(r.epsilon), r.seed, r.global_epoch,
-                             r.symptom, r.group, _format(r.prediction)])
+    _write_csv(path, PREDICTION_HEADER, rows)
 
 
 def write_accuracy_csv(rows: list[AccuracyRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ACCURACY_HEADER)
-        for r in rows:
-            writer.writerow([r.simulation, r.mechanism, _format(r.noise_level),
-                             _format(r.epsilon), r.seed, r.global_epoch,
-                             _format(r.accuracy)])
+    _write_csv(path, ACCURACY_HEADER, rows)
 
 
 def read_accuracy_csv(path: str) -> list[AccuracyRow]:

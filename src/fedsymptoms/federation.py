@@ -124,7 +124,7 @@ class Population:
 
 @dataclass(frozen=True)
 class RoundReport:
-    round_index: int
+    round: int  # 1-based, like the epochs of the CSVs
     participating_clients: int
     skipped_empty_clients: int
     mean_local_loss: float | None  # None when no client trained
@@ -237,7 +237,7 @@ def run_round(params: MlpParameters, round_index: int, population: Population,
 
     new_params = fedavg_aggregate(updates) if updates else params
     report = RoundReport(
-        round_index=round_index + 1,
+        round=round_index + 1,
         participating_clients=len(updates),
         skipped_empty_clients=skipped,
         mean_local_loss=float(np.mean(losses)) if losses else None,

@@ -44,12 +44,15 @@ class NoiseMechanism:
 
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
-            raise ValueError(f"unknown noise mechanism kind {self.kind!r}")
+            raise ValueError(f"mechanism must be one of {MECHANISM_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level {self.noise_level} outside [0, 1]")
         if self.kind == LAPLACE_DP:
-            if self.epsilon is None or self.epsilon <= 0:
+            # "not > 0" also refuses NaN, which would never fire
+            if self.epsilon is None or not self.epsilon > 0:
                 raise ValueError("laplace_dp requires epsilon > 0")
+        elif self.epsilon is not None:
+            raise ValueError(f"epsilon applies only to laplace_dp, not {self.kind}")
 
     def fires(self, rng: np.random.Generator) -> bool:
         """Draw the noise statistic and report whether it fires."""

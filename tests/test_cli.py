@@ -167,6 +167,37 @@ def test_sweep_rejects_repeated_values_and_seeds(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("axis, shuffled, ordered", [
+    ("epsilon", ("100,0.5,10,2", "3,1,2"), ("0.5,2,10,100", "1,2,3")),
+    ("noise", ("0.5,0", "2,1"), ("0,0.5", "1,2")),
+], ids=["epsilon", "noise"])
+def test_sweep_rows_do_not_depend_on_flag_order(tmp_path, axis, shuffled, ordered):
+    for name, (values, seeds) in (("shuffled", shuffled), ("ordered", ordered)):
+        assert main(["sweep", "--axis", axis, "--values", values, "--seeds", seeds,
+                     "--scale", "0.01", "--global-epochs", "1",
+                     "--output-dir", str(tmp_path / name)]) == 0
+    for csv_name in ("predictions.csv", "accuracy.csv"):
+        assert ((tmp_path / "shuffled" / csv_name).read_bytes()
+                == (tmp_path / "ordered" / csv_name).read_bytes())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--seed", "1", "--mechanism", "laplace_dp", "--epsilon", "nan"], "epsilon > 0"),
+    (["sweep", "--axis", "epsilon", "--values", "nan,2", "--seeds", "1"], "epsilon > 0"),
+    (["run", "--seed", "1", "--mechanism", "uniform_threshold", "--epsilon", "3"],
+     "epsilon applies only to laplace_dp"),
+    (["sweep", "--axis", "noise", "--values", ",", "--seeds", "1"], "--values"),
+], ids=["run-epsilon-nan", "sweep-epsilon-nan", "run-epsilon-without-laplace",
+        "sweep-no-values"])
+def test_noise_setting_no_run_can_use_fails_before_inputs_load(tmp_path, capsys, args,
+                                                               message):
+    # an absent embeddings file shows the check comes before any input loads
+    assert main(args + ["--embeddings", str(tmp_path / "absent.txt"),
+                        "--output-dir", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_records_input_digests_and_versions(tmp_path):
     sweep = ["sweep", "--axis", "noise", "--values", "0", "--seeds", "1",
              "--scale", "0.01", "--output-dir", str(tmp_path / "sweep")]

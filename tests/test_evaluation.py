@@ -12,7 +12,6 @@ from fedsymptoms.evaluation import (
     AccuracyRow,
     EvalSet,
     PredictionRow,
-    SweepResult,
     build_evalset,
     read_accuracy_csv,
     record_run,
@@ -98,32 +97,6 @@ def test_record_run_row_counts_and_epoch_numbering(surveys, corpus, table, evals
     assert {r.group for r in result.predictions} == {GROUP_HIGH, GROUP_LOW}
     for row in result.predictions:
         assert 0.0 < row.prediction < 1.0
-
-
-def test_sweep_result_sorts_canonically(evalset):
-    def arow(mech, level, eps, seed, epoch):
-        return AccuracyRow(simulation="I", mechanism=mech, noise_level=level,
-                           epsilon=eps, seed=seed, global_epoch=epoch,
-                           accuracy=0.5)
-
-    rows = [
-        arow(UNIFORM_THRESHOLD, 0.5, None, 2, 1),
-        arow(LAPLACE_DP, 0.5, 2.0, 1, 1),
-        arow(UNIFORM_THRESHOLD, 0.0, None, 1, 2),
-        arow(LAPLACE_DP, 0.5, 0.5, 1, 1),
-        arow(UNIFORM_THRESHOLD, 0.0, None, 1, 1),
-    ]
-    result = SweepResult(accuracies=list(rows))
-    result.sort(evalset.symptoms)
-    ordered = [(r.mechanism, r.noise_level, r.epsilon, r.seed, r.global_epoch)
-               for r in result.accuracies]
-    assert ordered == [
-        (LAPLACE_DP, 0.5, 0.5, 1, 1),
-        (LAPLACE_DP, 0.5, 2.0, 1, 1),
-        (UNIFORM_THRESHOLD, 0.0, None, 1, 1),
-        (UNIFORM_THRESHOLD, 0.0, None, 1, 2),
-        (UNIFORM_THRESHOLD, 0.5, None, 2, 1),
-    ]
 
 
 def test_noise_sweep_row_counts(surveys, corpus, table, evalset):

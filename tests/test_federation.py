@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,7 +224,8 @@ def test_fedavg_scalar_property(case):
     updates = [(params_with_value(v), n) for v, n in zip(values, weights)]
     merged = fedavg_aggregate(updates)
     got = merged.layers[0][0][0, 0]
-    oracle = math.fsum(v * n for v, n in zip(values, weights)) / sum(weights)
+    # the exact weighted mean, rounded once
+    oracle = float(sum(Fraction(v) * n for v, n in zip(values, weights)) / sum(weights))
     assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
     assert min(values) - 1e-9 <= got <= max(values) + 1e-9
 

@@ -50,6 +50,10 @@ def test_mechanism_validation():
         NoiseMechanism(kind=LAPLACE_DP, noise_level=0.5)
     with pytest.raises(ValueError):
         NoiseMechanism(kind=LAPLACE_DP, noise_level=0.5, epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        NoiseMechanism(kind=LAPLACE_DP, noise_level=0.5, epsilon=math.nan)
+    with pytest.raises(ValueError, match="epsilon"):
+        NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=0.5, epsilon=3.0)
 
 
 def test_uniform_threshold_fire_rate_equals_level():

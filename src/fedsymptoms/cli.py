@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .config import FIELD_NAMES, RunConfig, given_settings
+from .config import FIELD_NAMES, RunConfig, check_seed, given_settings
 from .embeddings import load_embeddings, encode_phrase
 from .evaluation import (
     build_evalset,
@@ -144,14 +144,18 @@ def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float]
         repeated = sorted({x for x in items if items.count(x) > 1})
         if repeated:
             raise ValueError(f"{flag} repeats {', '.join(f'{x:g}' for x in repeated)}")
+    for seed in seeds:
+        check_seed(seed, "--seeds")
     if (config.mechanism == LAPLACE_DP) != (axis == "epsilon"):
         raise ValueError(f"mechanism {config.mechanism!r} is not swept on --axis {axis}: "
                          "laplace_dp takes --axis epsilon, the other kinds --axis noise")
     # a setting no run reads would be recorded in the manifest as if it had been used
-    for key in ("epoch", "epsilon", "noise_level") if axis == "noise" else ("epoch", "epsilon"):
+    unused = ("master_seed", "epoch", "epsilon") + (("noise_level",) if axis == "noise" else ())
+    for key in unused:
         if key in given:
-            raise ValueError(f"sweep --axis {axis} does not use {key} "
-                             f"(--{key.replace('_', '-')})")
+            source = ("each run's seed comes from --seeds" if key == "master_seed"
+                      else f"--{key.replace('_', '-')}")
+            raise ValueError(f"sweep --axis {axis} does not use {key} ({source})")
     if axis == "noise":
         mechanisms = [NoiseMechanism(kind=config.mechanism, noise_level=level)
                       for level in values]

@@ -2,7 +2,8 @@
 
 A run's seed is mandatory and never defaulted from the clock; a run is
 meant to be reproducible from its manifest alone. A sweep takes its
-seeds from --seeds, so its master_seed is whatever was given, or None.
+seeds from --seeds, each checked like a master_seed, and refuses a
+master_seed, so its manifest records None.
 A RunConfig checks each value's type and builds the run's SimulationSpec
 and FederationConfig once, so a bad setting fails before any input loads.
 The noise settings are checked by the NoiseMechanism that run and sweep
@@ -20,6 +21,13 @@ from .mlp import TrainConfig
 from .sampling import NO_NOISE, NoiseMechanism
 
 MAX_SEED = 2 ** 64 - 1
+
+
+def check_seed(seed: int, name: str) -> None:
+    """Refuse a seed that does not fit in 64 bits, naming where it came from."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"{name} must fit in 64 bits, got {seed}")
+
 
 # field annotation (without "| None") -> the accepted type; bool is not an int here
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
@@ -55,8 +63,8 @@ class RunConfig:
                 object.__setattr__(self, f.name, value)
             if type(value) is not _TYPES[kind]:
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
-        if self.master_seed is not None and not 0 <= self.master_seed <= MAX_SEED:
-            raise ValueError("master_seed must fit in 64 bits")
+        if self.master_seed is not None:
+            check_seed(self.master_seed, "master_seed")
         if self.epoch is not None and self.epoch < 1:
             raise ValueError("epoch must be at least 1")
         if not self.output_dir:

@@ -36,9 +36,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def lookup(self, token: str) -> np.ndarray | None:
-        return self.entries.get(token)
-
 
 def load_embeddings(path: str, dimension: int) -> EmbeddingTable:
     """Parse a text embedding file into an EmbeddingTable.

@@ -111,10 +111,6 @@ class SweepResult:
     predictions: list[PredictionRow] = field(default_factory=list)
     accuracies: list[AccuracyRow] = field(default_factory=list)
 
-    def extend(self, other: "SweepResult") -> None:
-        self.predictions.extend(other.predictions)
-        self.accuracies.extend(other.accuracies)
-
 
 def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
                evalset: EvalSet, embeddings: EmbeddingTable,
@@ -157,8 +153,9 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
         for seed in sorted(seeds):
             snapshots, _ = run_simulation(spec, surveys, corpus, embeddings,
                                           config, seed)
-            merged.extend(record_run(spec, snapshots, evalset, embeddings,
-                                     mechanism, seed))
+            run = record_run(spec, snapshots, evalset, embeddings, mechanism, seed)
+            merged.predictions.extend(run.predictions)
+            merged.accuracies.extend(run.accuracies)
     return merged
 
 

@@ -224,8 +224,8 @@ def run_round(params: MlpParameters, round_index: int, population: Population,
         country = int(population.countries[client_id])
         data_round = 0 if config.fixed_client_data else round_index
         data_rng = streams.client_data_stream(master_seed, client_id, data_round)
-        dataset = synthesize_client(
-            client_id, n_persons, distributions[country], config.noise, phrases, data_rng)
+        dataset = synthesize_client(n_persons, distributions[country], config.noise, phrases,
+                                    data_rng)
         if len(dataset) == 0:
             skipped += 1
             continue

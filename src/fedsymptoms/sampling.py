@@ -13,6 +13,7 @@ and no per-example object or feature copy is kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,12 +46,14 @@ class NoiseMechanism:
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
             raise ValueError(f"mechanism must be one of {MECHANISM_KINDS}, got {self.kind!r}")
+        # + 0.0 turns -0.0 into 0.0, so one level has one CSV spelling
+        object.__setattr__(self, "noise_level", self.noise_level + 0.0)
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level {self.noise_level} outside [0, 1]")
         if self.kind == LAPLACE_DP:
-            # "not > 0" also refuses NaN, which would never fire
-            if self.epsilon is None or not self.epsilon > 0:
-                raise ValueError("laplace_dp requires epsilon > 0")
+            # a NaN or infinite epsilon never fires, at any level
+            if self.epsilon is None or not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+                raise ValueError("laplace_dp requires a finite epsilon > 0")
         elif self.epsilon is not None:
             raise ValueError(f"epsilon applies only to laplace_dp, not {self.kind}")
 
@@ -70,16 +73,15 @@ NO_NOISE = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=0.0)
 class PhraseTable:
     """Every phrase a run can emit, each encoded once, and the walks over it.
 
-    Row ``rows[phrase]`` of the read-only ``matrix`` is that phrase's
-    embedding, and ``names[row]`` is the phrase. ``walks[dist]`` is dist's
-    prominent-symptom list as (row, display probability) pairs, in order;
+    Row i of the read-only ``matrix`` is the embedding of phrase
+    ``names[i]``. ``walks[dist]`` is dist's prominent-symptom list as
+    (row, display probability) pairs, in order;
     ``term_rows[i]`` is the row of corpus term i. ``negatives[dist.prominent_lower]``
     holds the rows of the corpus terms outside dist's prominent-symptom set,
     in corpus order (possibly none), as a read-only intp array.
     """
 
     matrix: np.ndarray
-    rows: dict[str, int]
     names: tuple[str, ...]
     walks: dict[SymptomDistribution, tuple[tuple[int, float], ...]]
     term_rows: tuple[int, ...]
@@ -98,14 +100,15 @@ def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
     An unembeddable phrase raises UnembeddablePhraseError, naming it,
     before any client is synthesized.
     """
-    names = tuple(dict.fromkeys([*corpus.terms, *(name for d in distributions for name in d.names)]))
+    names = tuple(dict.fromkeys([*corpus.terms,
+                                 *(name for d in distributions for name, _ in d.entries)]))
     rows = {phrase: i for i, phrase in enumerate(names)}
     matrix = _read_only(np.stack([encode_phrase(embeddings, phrase) for phrase in names]))
     walks = {d: tuple((rows[name], p) for name, p in d.entries) for d in distributions}
     negatives = {d.prominent_lower: _read_only(np.array(
         [rows[t] for t in corpus.terms if t.lower() not in d.prominent_lower], dtype=np.intp))
         for d in distributions}
-    return PhraseTable(matrix, rows, names, walks,
+    return PhraseTable(matrix, names, walks,
                        tuple(rows[t] for t in corpus.terms), negatives)
 
 
@@ -121,12 +124,10 @@ class ClientDataset:
     """One simulated client's labeled training examples, as rows of a phrase table.
 
     Example i is row ``rows[i]`` of ``phrases.matrix``, labeled ``labels[i]``
-    (read-only float64, each 0.0 or 1.0). ``features`` and ``examples`` are
-    derived from these on each access and never stored.
+    (read-only float64, each 0.0 or 1.0). ``examples`` is derived from
+    these on each access and never stored.
     """
 
-    client_id: int
-    n_persons: int
     phrases: PhraseTable = field(repr=False)
     rows: np.ndarray
     labels: np.ndarray
@@ -150,24 +151,11 @@ class ClientDataset:
         return len(self.rows)
 
     @property
-    def features(self) -> np.ndarray:
-        """A fresh read-only (n, dimension) gather of the examples' rows."""
-        return _read_only(self.phrases.matrix[self.rows])
-
-    @property
     def examples(self) -> tuple[LabeledExample, ...]:
-        """(label, source phrase) of each example, aligned with ``features``."""
+        """(label, source phrase) of each example, aligned with ``rows``."""
         names = self.phrases.names
         return tuple(LabeledExample(label, names[row])
                      for row, label in zip(self.rows.tolist(), self.labels.astype(int).tolist()))
-
-    @property
-    def n_positive(self) -> int:
-        return int(self.labels.sum())
-
-    @property
-    def n_negative(self) -> int:
-        return len(self) - self.n_positive
 
 
 def _walk(entries, terms, noise: NoiseMechanism, rng: np.random.Generator,
@@ -193,9 +181,8 @@ def simulate_person(dist: SymptomDistribution, corpus: MedicalCorpus,
     return displayed
 
 
-def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
-                      noise: NoiseMechanism, phrases: PhraseTable,
-                      rng: np.random.Generator) -> ClientDataset:
+def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMechanism,
+                      phrases: PhraseTable, rng: np.random.Generator) -> ClientDataset:
     """Simulate n_persons respondents and build the balanced dataset.
 
     Draw order is fixed: all persons, then the negative corpus picks as
@@ -214,8 +201,7 @@ def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
 
     n_pos = len(emitted)
     if not n_pos:
-        return ClientDataset(client_id=client_id, n_persons=n_persons, phrases=phrases,
-                             rows=np.empty(0, np.intp), labels=np.empty(0))
+        return ClientDataset(phrases=phrases, rows=np.empty(0, np.intp), labels=np.empty(0))
 
     negative_pool = phrases.negatives[dist.prominent_lower]
     if not negative_pool.size:
@@ -225,5 +211,4 @@ def synthesize_client(client_id: int, n_persons: int, dist: SymptomDistribution,
     order = rng.permutation(2 * n_pos)
     rows = np.concatenate([np.array(emitted, dtype=np.intp), negative_pool[picks]])
     # positives come first before the shuffle, so a row is positive iff it came from [0, n_pos)
-    return ClientDataset(client_id=client_id, n_persons=n_persons, phrases=phrases,
-                         rows=rows[order], labels=order < n_pos)
+    return ClientDataset(phrases=phrases, rows=rows[order], labels=order < n_pos)

@@ -46,14 +46,6 @@ class SymptomDistribution:
             self, "prominent_lower", frozenset(name.lower() for name, _ in self.entries)
         )
 
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _ in self.entries]
-
-    @property
-    def probabilities(self) -> list[float]:
-        return [p for _, p in self.entries]
-
 
 @dataclass(frozen=True)
 class MedicalCorpus:

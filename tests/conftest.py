@@ -76,8 +76,7 @@ def matrix_phrase_table(matrix):
     matrix = np.array(matrix, dtype=np.float64)
     matrix.flags.writeable = False
     names = tuple(f"row{i}" for i in range(len(matrix)))
-    return PhraseTable(matrix=matrix, rows={name: i for i, name in enumerate(names)},
-                       names=names, walks={}, term_rows=(), negatives={})
+    return PhraseTable(matrix=matrix, names=names, walks={}, term_rows=(), negatives={})
 
 
 def separable_dataset(seed, n=200):
@@ -90,10 +89,10 @@ def separable_dataset(seed, n=200):
     points = np.zeros((2, LAYER_SIZES[0]))
     points[:, 0] = [1.0, -1.0]  # row 0 positive, row 1 negative
     order = rng.permutation(len(labels))
-    return ClientDataset(client_id=0, n_persons=n, phrases=matrix_phrase_table(points),
+    return ClientDataset(phrases=matrix_phrase_table(points),
                          rows=np.where(labels[order] == 1, 0, 1), labels=labels[order])
 
 
 def training_accuracy(params, dataset):
-    p = forward_batch(params, dataset.features)
+    p = forward_batch(params, dataset.phrases.matrix[dataset.rows])
     return float(np.mean((p >= 0.5) == (dataset.labels == 1.0)))

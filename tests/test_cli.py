@@ -146,15 +146,19 @@ def test_sweep_refuses_settings_its_runs_never_use(tmp_path, capsys, axis, sourc
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_manifest_records_the_master_seed_given(tmp_path):
+def test_sweep_refuses_a_master_seed(tmp_path, capsys):
+    # each run takes its seed from --seeds, so the manifest records no master_seed
     base = ["sweep", "--axis", "noise", "--values", "0", "--seeds", "1", "--scale", "0.01"]
+    assert main(base + ["--output-dir", str(tmp_path / "none")]) == 0
+    manifest = json.loads((tmp_path / "none" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["master_seed"] is None
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"master_seed": 7}', encoding="utf-8")
-    for out_dir, extra, recorded in (("none", [], None),
-                                     ("seven", ["--config", str(cfg)], 7)):
-        assert main(base + extra + ["--output-dir", str(tmp_path / out_dir)]) == 0
-        manifest = json.loads((tmp_path / out_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["config"]["master_seed"] == recorded
+    # an absent embeddings file shows the check comes before any input loads
+    assert main(base + ["--config", str(cfg), "--embeddings", str(tmp_path / "absent.txt"),
+                        "--output-dir", str(tmp_path / "seven")]) == 1
+    assert "does not use master_seed" in capsys.readouterr().err
+    assert not (tmp_path / "seven").exists()
 
 
 def test_sweep_rejects_repeated_values_and_seeds(tmp_path, capsys):
@@ -183,12 +187,17 @@ def test_sweep_rows_do_not_depend_on_flag_order(tmp_path, axis, shuffled, ordere
 
 @pytest.mark.parametrize("args, message", [
     (["run", "--seed", "1", "--mechanism", "laplace_dp", "--epsilon", "nan"], "epsilon > 0"),
+    (["run", "--seed", "1", "--mechanism", "laplace_dp", "--epsilon", "inf"], "finite epsilon"),
     (["sweep", "--axis", "epsilon", "--values", "nan,2", "--seeds", "1"], "epsilon > 0"),
     (["run", "--seed", "1", "--mechanism", "uniform_threshold", "--epsilon", "3"],
      "epsilon applies only to laplace_dp"),
     (["sweep", "--axis", "noise", "--values", ",", "--seeds", "1"], "--values"),
-], ids=["run-epsilon-nan", "sweep-epsilon-nan", "run-epsilon-without-laplace",
-        "sweep-no-values"])
+    (["sweep", "--axis", "noise", "--values", "0", "--seeds=18446744073709551616"],
+     "--seeds must fit in 64 bits"),
+    (["sweep", "--axis", "noise", "--values", "0", "--seeds=-1"], "--seeds must fit in 64 bits"),
+], ids=["run-epsilon-nan", "run-epsilon-inf", "sweep-epsilon-nan",
+        "run-epsilon-without-laplace", "sweep-no-values", "sweep-seed-above-64-bits",
+        "sweep-negative-seed"])
 def test_noise_setting_no_run_can_use_fails_before_inputs_load(tmp_path, capsys, args,
                                                                message):
     # an absent embeddings file shows the check comes before any input loads
@@ -196,6 +205,15 @@ def test_noise_setting_no_run_can_use_fails_before_inputs_load(tmp_path, capsys,
                         "--output-dir", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_zero_noise_level_writes_the_csvs_of_zero(tmp_path):
+    for name, level in (("negative", "-0"), ("positive", "0")):
+        assert main(["run", "--seed", "1", "--scale", "0.01", "--global-epochs", "1",
+                     "--noise-level", level, "--output-dir", str(tmp_path / name)]) == 0
+    for csv_name in ("predictions.csv", "accuracy.csv"):
+        assert ((tmp_path / "negative" / csv_name).read_bytes()
+                == (tmp_path / "positive" / csv_name).read_bytes())
 
 
 def test_manifest_records_input_digests_and_versions(tmp_path):

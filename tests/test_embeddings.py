@@ -22,7 +22,7 @@ def test_load_parses_tokens_and_vectors(tmp_path):
     write_lines(p, ["fever 1.0 2.0 3.0", "cough -1.0 0.5 0.25"])
     table = load_embeddings(str(p), 3)
     assert len(table) == 2
-    assert np.allclose(table.lookup("fever"), [1.0, 2.0, 3.0])
+    assert np.allclose(table.entries["fever"], [1.0, 2.0, 3.0])
     assert "cough" in table and "sneeze" not in table
 
 
@@ -50,7 +50,7 @@ def test_load_keeps_first_duplicate(tmp_path):
     p = tmp_path / "emb.txt"
     write_lines(p, ["tok 1.0 1.0", "tok 9.0 9.0"])
     table = load_embeddings(str(p), 2)
-    assert np.allclose(table.lookup("tok"), [1.0, 1.0])
+    assert np.allclose(table.entries["tok"], [1.0, 1.0])
 
 
 def test_load_missing_file_raises():
@@ -77,7 +77,7 @@ def test_vectors_are_read_only(tmp_path):
     write_lines(p, ["tok 1.0 2.0"])
     table = load_embeddings(str(p), 2)
     with pytest.raises(ValueError):
-        table.lookup("tok")[0] = 5.0
+        table.entries["tok"][0] = 5.0
 
 
 def test_tokenize_lowercases_and_splits_slash():
@@ -88,7 +88,7 @@ def test_tokenize_lowercases_and_splits_slash():
 def test_encode_phrase_is_token_mean():
     table = tiny_table(["runny", "nose"])
     vec = encode_phrase(table, "Runny nose")
-    expected = (table.lookup("runny") + table.lookup("nose")) / 2
+    expected = (table.entries["runny"] + table.entries["nose"]) / 2
     assert np.allclose(vec, expected)
     assert vec.shape == (table.dimension,)
     assert not vec.flags.writeable
@@ -97,7 +97,7 @@ def test_encode_phrase_is_token_mean():
 def test_encode_phrase_skips_oov_tokens():
     table = tiny_table(["sore"])
     vec = encode_phrase(table, "sore throat")
-    assert np.allclose(vec, table.lookup("sore"))
+    assert np.allclose(vec, table.entries["sore"])
     assert "throat" not in table
 
 

@@ -276,8 +276,7 @@ def test_train_local_deterministic():
 
 def test_train_local_rejects_empty_dataset():
     params = init_params(np.random.default_rng(16))
-    empty = ClientDataset(client_id=0, n_persons=3,
-                          phrases=matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))),
+    empty = ClientDataset(phrases=matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))),
                           rows=np.empty(0, np.intp), labels=np.empty(0))
     with pytest.raises(ValueError):
         train_local(params, empty, TrainConfig(), np.random.default_rng(16))
@@ -287,7 +286,7 @@ def test_train_local_refuses_a_non_finite_update():
     # a NaN table row gives a NaN gradient; the returned parameters refuse it
     x = np.ones((4, LAYER_SIZES[0]))
     x[2, 7] = np.nan
-    dataset = ClientDataset(client_id=0, n_persons=4, phrases=matrix_phrase_table(x),
+    dataset = ClientDataset(phrases=matrix_phrase_table(x),
                             rows=np.arange(4), labels=np.array([1, 0, 1, 0]))
     params = init_params(np.random.default_rng(16))
     with pytest.raises(ValueError, match="non-finite"):
@@ -408,7 +407,7 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
     x = rng.standard_normal((n, LAYER_SIZES[0]))
     x[::7] = 0.0  # rows whose logit is the output bias, exactly 0 at init
     labels = rng.integers(0, 2, size=n)
-    dataset = ClientDataset(client_id=0, n_persons=n, phrases=matrix_phrase_table(x),
+    dataset = ClientDataset(phrases=matrix_phrase_table(x),
                             rows=np.arange(n), labels=labels)
     params = MlpParameters(3.0 * init_params(np.random.default_rng(21)).flat)
 
@@ -474,7 +473,7 @@ def at_blas_threads(threads: int, code: str) -> str:
 def random_client(n, rng, table_rows=300):
     """A client of n rows drawn with repeats from a random table, like a synthesized one."""
     table = matrix_phrase_table(rng.standard_normal((table_rows, LAYER_SIZES[0])))
-    return ClientDataset(client_id=0, n_persons=n, phrases=table,
+    return ClientDataset(phrases=table,
                          rows=rng.integers(table_rows, size=n), labels=rng.integers(0, 2, size=n))
 
 
@@ -490,7 +489,7 @@ def check_blocked_scoring_matches_whole_matrix_reference():
     for params in (start, MlpParameters(3.0 * start.flat)):
         for n in REFERENCE_SIZES:
             dataset = random_client(n, rng)
-            x = dataset.features
+            x = dataset.phrases.matrix[dataset.rows]
             assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x)), n
             assert mean_loss(params, dataset) == ref_mean_loss(params.flat, x, dataset.labels), n
 

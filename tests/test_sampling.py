@@ -115,7 +115,7 @@ def test_simulate_person_display_frequency_oracle():
     for _ in range(n):
         for phrase in simulate_person(dist, corpus, NO_NOISE, rng):
             counts[phrase] += 1
-    for name, p in zip(dist.names, dist.probabilities):
+    for name, p in dist.entries:
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(counts[name] / n - p) < Z999 * sigma
 
@@ -143,28 +143,26 @@ def test_simulate_person_noise_draws_corpus_terms():
 
 def test_synthesize_client_balances_labels():
     dist, _, table = make_fixture()
-    ds = synthesize_client(3, 200, dist, NO_NOISE, table,
+    ds = synthesize_client(200, dist, NO_NOISE, table,
                            np.random.default_rng(9))
-    assert ds.client_id == 3
-    assert ds.n_persons == 200
-    assert abs(ds.n_positive - ds.n_negative) <= 1
-    assert len(ds) == ds.n_positive + ds.n_negative
+    n_positive = int(ds.labels.sum())
+    assert abs(n_positive - (len(ds) - n_positive)) <= 1
 
 
 def test_synthesize_client_positive_count_oracle():
     # positives per client ~ sum of Bernoulli draws with mean n * sum(p)
     dist, _, table = make_fixture()
     n = 2000
-    ds = synthesize_client(0, n, dist, NO_NOISE, table,
+    ds = synthesize_client(n, dist, NO_NOISE, table,
                            np.random.default_rng(10))
-    expected = n * sum(dist.probabilities)
-    variance = n * sum(p * (1 - p) for p in dist.probabilities)
-    assert abs(ds.n_positive - expected) < Z999 * math.sqrt(variance)
+    expected = n * sum(p for _, p in dist.entries)
+    variance = n * sum(p * (1 - p) for _, p in dist.entries)
+    assert abs(ds.labels.sum() - expected) < Z999 * math.sqrt(variance)
 
 
 def test_synthesize_client_negatives_come_from_outside_prominent():
     dist, _, table = make_fixture()
-    ds = synthesize_client(0, 300, dist, NO_NOISE, table,
+    ds = synthesize_client(300, dist, NO_NOISE, table,
                            np.random.default_rng(11))
     for ex in ds.examples:
         if ex.label == 0:
@@ -175,15 +173,15 @@ def test_synthesize_client_negatives_come_from_outside_prominent():
 
 def test_synthesize_client_bit_identical_for_same_stream():
     dist, _, table = make_fixture()
-    a = synthesize_client(0, 100, dist, NO_NOISE, table,
+    a = synthesize_client(100, dist, NO_NOISE, table,
                           np.random.default_rng(12))
-    b = synthesize_client(0, 100, dist, NO_NOISE, table,
+    b = synthesize_client(100, dist, NO_NOISE, table,
                           np.random.default_rng(12))
     assert len(a) == len(b)
     for ex_a, ex_b in zip(a.examples, b.examples):
         assert ex_a.label == ex_b.label
         assert ex_a.source_symptom == ex_b.source_symptom
-    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.rows, b.rows)
 
 
 def ref_synthesize_examples(n_persons, dist, corpus, noise, rng):
@@ -219,12 +217,11 @@ def test_synthesize_client_matches_frozen_object_reference(noise):
     assert table.term_rows != tuple(range(len(corpus.terms)))
     for seed in range(5):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ds = synthesize_client(0, 30, dist, noise, table, rng)
+        ds = synthesize_client(30, dist, noise, table, rng)
         expected = ref_synthesize_examples(30, dist, corpus, noise, ref_rng)
         assert [tuple(ex) for ex in ds.examples] == expected
         assert ds.labels.tolist() == [float(label) for label, _ in expected]
-        assert np.array_equal(ds.features,
-                              table.matrix[[table.rows[phrase] for _, phrase in expected]])
+        assert ds.rows.tolist() == [table.names.index(phrase) for _, phrase in expected]
         # both consumed the same draws
         assert rng.random() == ref_rng.random()
 
@@ -235,11 +232,10 @@ def test_synthesize_client_empty_when_nothing_emitted():
     dist = build_distribution(survey)
     corpus = MedicalCorpus(terms=("alpha", "beta"))
     table = build_phrase_table(tiny_table(["alpha", "beta"]), corpus, [dist])
-    ds = synthesize_client(0, 5, dist, NO_NOISE, table,
+    ds = synthesize_client(5, dist, NO_NOISE, table,
                            np.random.default_rng(13))
     assert len(ds) == 0
-    assert ds.n_persons == 5
-    assert ds.features.shape == (0, 4)
+    assert table.matrix[ds.rows].shape == (0, 4)
 
 
 def test_synthesize_client_requires_negative_pool():
@@ -248,7 +244,7 @@ def test_synthesize_client_requires_negative_pool():
     corpus = MedicalCorpus(terms=("alpha",))
     table = build_phrase_table(tiny_table(["alpha"]), corpus, [dist])
     with pytest.raises(ValueError):
-        synthesize_client(0, 50, dist, NO_NOISE, table,
+        synthesize_client(50, dist, NO_NOISE, table,
                           np.random.default_rng(14))
 
 
@@ -271,9 +267,9 @@ def test_negative_pool_is_built_once_per_table():
     assert pool.dtype == np.intp and not pool.flags.writeable
     walks = terms.walks
     for seed in range(3):
-        ds = synthesize_client(0, 40, dist, NO_NOISE, table,
+        ds = synthesize_client(40, dist, NO_NOISE, table,
                                np.random.default_rng(seed))
-        assert ds.n_negative > 0
+        assert (ds.labels == 0.0).any()
     assert terms.walks == walks
 
 
@@ -284,36 +280,36 @@ def test_missing_negative_pool_fails_only_for_a_client_that_emits():
     loud = build_distribution(CountrySurvey(country="X", total=10,
                                             symptom_counts={"alpha": 9}))
     table = build_phrase_table(tiny_table(["alpha"]), corpus, [quiet, loud])
-    ds = synthesize_client(0, 5, quiet, NO_NOISE, table, np.random.default_rng(17))
+    ds = synthesize_client(5, quiet, NO_NOISE, table, np.random.default_rng(17))
     assert len(ds) == 0
     with pytest.raises(ValueError, match="corpus has no terms outside the prominent-symptom set"):
-        synthesize_client(0, 50, loud, NO_NOISE, table, np.random.default_rng(17))
+        synthesize_client(50, loud, NO_NOISE, table, np.random.default_rng(17))
 
 
 def test_synthesize_client_rejects_zero_persons():
     dist, _, table = make_fixture()
     with pytest.raises(ValueError):
-        synthesize_client(0, 0, dist, NO_NOISE, table,
+        synthesize_client(0, dist, NO_NOISE, table,
                           np.random.default_rng(15))
 
 
 def test_feature_matrix_shapes():
     dist, _, table = make_fixture()
-    ds = synthesize_client(0, 50, dist, NO_NOISE, table,
+    ds = synthesize_client(50, dist, NO_NOISE, table,
                            np.random.default_rng(16))
-    x = ds.features
+    x = ds.phrases.matrix[ds.rows]
     y = ds.labels
     assert x.shape == (len(ds), table.matrix.shape[1])
     assert y.shape == (len(ds),)
     assert set(np.unique(y)) <= {0.0, 1.0}
-    assert not x.flags.writeable
+    assert not ds.phrases.matrix.flags.writeable
     # the labels are built once, with the dataset, and are read-only
     assert ds.labels is y
     assert not y.flags.writeable
-    assert ds.n_positive == sum(ex.label for ex in ds.examples) == int(y.sum())
+    assert sum(ex.label for ex in ds.examples) == int(y.sum())
     # row i encodes example i, whatever the shuffle
     for row, ex in zip(x, ds.examples):
-        assert np.array_equal(row, table.matrix[table.rows[ex.source_symptom]])
+        assert np.array_equal(row, table.matrix[table.names.index(ex.source_symptom)])
 
 
 def test_phrase_table_encodes_each_phrase_once(monkeypatch):
@@ -327,20 +323,20 @@ def test_phrase_table_encodes_each_phrase_once(monkeypatch):
     # alpha and beta are both surveyed and corpus terms; gamma has a zero
     # count, so only the corpus puts it in the table
     assert encoded == list(corpus.terms)
-    assert list(table.rows) == list(corpus.terms)
+    assert table.names == corpus.terms
     assert table.matrix.shape == (len(corpus.terms), 4)
     assert not table.matrix.flags.writeable
-    for phrase, row in table.rows.items():
-        assert np.array_equal(table.matrix[row], raw.lookup(phrase))
+    for row, phrase in enumerate(table.names):
+        assert np.array_equal(table.matrix[row], raw.entries[phrase])
 
 
 def test_client_dataset_rejects_misaligned_features():
     # features are derived from rows, so rows and labels are what must align
     phrases = matrix_phrase_table(np.zeros((3, 4)))
     with pytest.raises(ValueError, match="labels of shape"):
-        ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[0, 1], labels=[1.0])
+        ClientDataset(phrases=phrases, rows=[0, 1], labels=[1.0])
     with pytest.raises(ValueError, match="labels of shape"):
-        ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[[0], [1]],
+        ClientDataset(phrases=phrases, rows=[[0], [1]],
                       labels=[[1.0], [0.0]])
 
 
@@ -348,13 +344,13 @@ def test_client_dataset_rejects_out_of_range_rows_and_bad_labels():
     phrases = matrix_phrase_table(np.zeros((3, 4)))
     for rows in ([0, 3], [-1, 0]):
         with pytest.raises(ValueError, match="outside the phrase table"):
-            ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=rows, labels=[1, 0])
+            ClientDataset(phrases=phrases, rows=rows, labels=[1, 0])
     with pytest.raises(ValueError, match="rows must be integers"):
-        ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[0.0, 1.5], labels=[1, 0])
+        ClientDataset(phrases=phrases, rows=[0.0, 1.5], labels=[1, 0])
     for labels in ([1, 2], [0.5, 0], [np.nan, 1]):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
-            ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[0, 1], labels=labels)
-    ok = ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=[2, 0], labels=[True, 0])
+            ClientDataset(phrases=phrases, rows=[0, 1], labels=labels)
+    ok = ClientDataset(phrases=phrases, rows=[2, 0], labels=[True, 0])
     assert ok.rows.dtype == np.intp and ok.labels.dtype == np.float64
     assert ok.labels.tolist() == [1.0, 0.0]
 
@@ -362,22 +358,17 @@ def test_client_dataset_rejects_out_of_range_rows_and_bad_labels():
 def test_client_dataset_owns_read_only_copies_of_its_arrays():
     phrases = matrix_phrase_table(np.zeros((3, 4)))
     rows, labels = np.array([2, 0]), np.array([1.0, 0.0])
-    ds = ClientDataset(client_id=0, n_persons=1, phrases=phrases, rows=rows, labels=labels)
+    ds = ClientDataset(phrases=phrases, rows=rows, labels=labels)
     rows[0], labels[0] = 1, 0.0
     assert ds.rows.tolist() == [2, 0] and ds.labels.tolist() == [1.0, 0.0]
     assert not ds.rows.flags.writeable and not ds.labels.flags.writeable
 
 
-def test_features_are_a_read_only_gather_that_is_not_stored():
+def test_a_dataset_stores_only_its_index_arrays():
+    # training gathers each example's features from the shared table when it needs them
     dist, _, table = make_fixture()
-    ds = synthesize_client(0, 50, dist, NO_NOISE, table, np.random.default_rng(18))
-    x = ds.features
-    assert np.array_equal(x, table.matrix[ds.rows])
-    assert not x.flags.writeable
-    assert not np.shares_memory(x, table.matrix)
-    # a fresh gather on each access; the dataset holds only its index arrays
-    assert ds.features is not x
-    assert [f.name for f in fields(ds)] == ["client_id", "n_persons", "phrases", "rows", "labels"]
+    ds = synthesize_client(50, dist, NO_NOISE, table, np.random.default_rng(18))
+    assert [f.name for f in fields(ds)] == ["phrases", "rows", "labels"]
     assert set(vars(ds)) == {f.name for f in fields(ds)}
     assert ds.phrases is table
 
@@ -385,12 +376,12 @@ def test_features_are_a_read_only_gather_that_is_not_stored():
 def test_examples_align_with_features_and_labels():
     dist, _, table = make_fixture()
     mech = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
-    ds = synthesize_client(0, 80, dist, mech, table, np.random.default_rng(19))
-    examples, x, y = ds.examples, ds.features, ds.labels
+    ds = synthesize_client(80, dist, mech, table, np.random.default_rng(19))
+    examples, x, y = ds.examples, table.matrix[ds.rows], ds.labels
     assert len(examples) == len(x) == len(y) == len(ds)
     for i, ex in enumerate(examples):
         assert type(ex.label) is int and ex.label == y[i]
-        assert np.array_equal(x[i], table.matrix[table.rows[ex.source_symptom]])
+        assert np.array_equal(x[i], table.matrix[table.names.index(ex.source_symptom)])
         assert ex.source_symptom == table.names[ds.rows[i]]
     # at level 0.5 some noise terms are labeled positive
     assert any(ex.label == 1 and ex.source_symptom.lower() not in dist.prominent_lower
@@ -405,7 +396,7 @@ def test_synthesis_and_training_build_no_labeled_example(monkeypatch, table, cor
     monkeypatch.setattr(sampling, "LabeledExample",
                         lambda *args: built.append(args) or real(*args))
     noise = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
-    ds = synthesize_client(0, 60, distributions[0], noise, phrases,
+    ds = synthesize_client(60, distributions[0], noise, phrases,
                            np.random.default_rng(20))
     trained = train_local(init_params(np.random.default_rng(21)), ds,
                           TrainConfig(local_epochs=2), np.random.default_rng(22))

@@ -52,8 +52,7 @@ def test_survey_rejects_all_zero_counts():
 
 def test_build_distribution_drops_zero_counts(tiny_survey):
     dist = build_distribution(tiny_survey)
-    assert dist.names == ["alpha", "beta"]
-    assert dist.probabilities == [0.8, 0.2]
+    assert dist.entries == (("alpha", 0.8), ("beta", 0.2))
     assert dist.prominent_lower == {"alpha", "beta"}
 
 
@@ -62,7 +61,7 @@ def test_build_distribution_preserves_row_order():
         country="X", total=10,
         symptom_counts={"Zeta": 1, "Alpha": 2, "Mid": 3},
     )
-    assert build_distribution(survey).names == ["Zeta", "Alpha", "Mid"]
+    assert [name for name, _ in build_distribution(survey).entries] == ["Zeta", "Alpha", "Mid"]
 
 
 def test_load_corpus_requires_fifty_terms(tmp_path):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import FIELD_NAMES, RunConfig, check_seed, given_settings
-from .embeddings import load_embeddings, encode_phrase
+from .embeddings import load_embeddings
 from .evaluation import (
     build_evalset,
     read_accuracy_csv,
@@ -35,7 +35,7 @@ EMBEDDING_DIMENSION = LAYER_SIZES[0]
 
 def _load_inputs(config: RunConfig):
     table = load_embeddings(config.embeddings_path, EMBEDDING_DIMENSION)
-    surveys = load_surveys(config.surveys_path)
+    surveys = load_surveys(config.surveys_path, embeddings=table)
     corpus = load_corpus(config.corpus_path, embeddings=table)
     return table, surveys, corpus
 
@@ -77,17 +77,6 @@ def _write_results(command: str, config: RunConfig, spec, result,
 
 def cmd_validate(config: RunConfig) -> int:
     table, surveys, corpus = _load_inputs(config)
-
-    bad: list[str] = []
-    for survey in surveys:
-        for name in survey.symptom_counts:
-            try:
-                encode_phrase(table, name)
-            except ValueError:
-                bad.append(f"{survey.country}/{name}")
-    if bad:
-        raise ValueError(f"unembeddable survey symptoms: {', '.join(bad)}")
-
     evalset = build_evalset(surveys)
     print(f"embeddings: {len(table)} tokens, dimension {table.dimension}")
     print(f"surveys: {len(surveys)} countries, {len(evalset.symptoms)} symptoms, "
@@ -143,7 +132,7 @@ def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float]
             raise ValueError(f"{flag} needs at least one entry")
         repeated = sorted({x for x in items if items.count(x) > 1})
         if repeated:
-            raise ValueError(f"{flag} repeats {', '.join(f'{x:g}' for x in repeated)}")
+            raise ValueError(f"{flag} repeats {', '.join(map(repr, repeated))}")
     for seed in seeds:
         check_seed(seed, "--seeds")
     if (config.mechanism == LAPLACE_DP) != (axis == "epsilon"):

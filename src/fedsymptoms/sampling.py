@@ -98,7 +98,9 @@ def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
     """Encode every corpus term and every positive-count symptom once.
 
     An unembeddable phrase raises UnembeddablePhraseError, naming it,
-    before any client is synthesized.
+    before any client is synthesized. The command line never gets here:
+    its loaders refuse such phrases first, so only a library caller that
+    loads without an embedding table reaches this raise.
     """
     names = tuple(dict.fromkeys([*corpus.terms,
                                  *(name for d in distributions for name, _ in d.entries)]))

@@ -57,51 +57,66 @@ class MedicalCorpus:
         return len(self.terms)
 
 
-def load_surveys(path: str) -> list[CountrySurvey]:
-    """Parse the bundled survey file.
+def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[CountrySurvey]:
+    """Parse the survey file.
 
     Format: blocks introduced by ``country: NAME`` followed by
     ``total: N`` and one ``Symptom name: count`` line per symptom.
     Blank lines and ``#`` comments are ignored. Symptom order inside a
-    block is preserved.
+    block is preserved. A format error, a repeated country, total or
+    symptom and a total or count that is not an integer raise ValueError
+    naming the file and line. When an embedding table is supplied, every
+    symptom, zero counts included, is checked to be embeddable;
+    offenders are reported in one error.
     """
-    surveys: list[CountrySurvey] = []
+    starts: dict[str, str] = {}  # country -> "path:line" of its country row
+    totals: dict[str, int] = {}
+    counts: dict[str, dict[str, int]] = {}
     country: str | None = None
-    total: int | None = None
-    counts: dict[str, int] = {}
-
-    def flush():
-        nonlocal country, total, counts
-        if country is None:
-            return
-        if total is None:
-            raise ValueError(f"survey for {country!r} has no total")
-        surveys.append(CountrySurvey(country=country, total=total, symptom_counts=counts))
-        country, total, counts = None, None, {}
-
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             if ":" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key: value'")
+                raise ValueError(f"{where}: expected 'key: value'")
             key, value = (part.strip() for part in line.split(":", 1))
             if key == "country":
-                flush()
-                country = value
+                if value in starts:
+                    raise ValueError(f"{where}: repeated country {value!r}")
+                country, starts[value], counts[value] = value, where, {}
+            elif country is None:
+                raise ValueError(f"{where}: {key!r} line before any country")
             elif key == "total":
-                total = int(value)
+                if country in totals:
+                    raise ValueError(f"{where}: second total for {country!r}")
+                totals[country] = _integer(where, value)
+            elif key in counts[country]:
+                raise ValueError(f"{where}: duplicate symptom {key!r}")
             else:
-                if country is None:
-                    raise ValueError(f"{path}:{lineno}: symptom line before any country")
-                if key in counts:
-                    raise ValueError(f"{path}:{lineno}: duplicate symptom {key!r}")
-                counts[key] = int(value)
-    flush()
-    if not surveys:
+                counts[country][key] = _integer(where, value)
+    if not starts:
         raise ValueError(f"no survey records in {path}")
+    surveys = []
+    for country, where in starts.items():
+        if country not in totals:
+            raise ValueError(f"{where}: survey for {country!r} has no total")
+        try:
+            surveys.append(CountrySurvey(country=country, total=totals[country],
+                                         symptom_counts=counts[country]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    _check_embeddable(path, "survey symptoms", embeddings,
+                      (name for s in surveys for name in s.symptom_counts))
     return surveys
+
+
+def _integer(where: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{where}: {value!r} is not an integer") from None
 
 
 def load_corpus(path: str, embeddings: EmbeddingTable | None = None) -> MedicalCorpus:
@@ -125,19 +140,23 @@ def load_corpus(path: str, embeddings: EmbeddingTable | None = None) -> MedicalC
             terms.append(term)
     if len(terms) < 50:
         raise ValueError(f"{path}: corpus has {len(terms)} terms, need at least 50")
-    if embeddings is not None:
-        bad = [t for t in terms if not _embeddable(embeddings, t)]
-        if bad:
-            raise ValueError(f"{path}: unembeddable corpus terms: {', '.join(bad)}")
+    _check_embeddable(path, "corpus terms", embeddings, terms)
     return MedicalCorpus(terms=tuple(terms))
 
 
-def _embeddable(embeddings: EmbeddingTable, phrase: str) -> bool:
-    try:
-        encode_phrase(embeddings, phrase)
-        return True
-    except ValueError:
-        return False
+def _check_embeddable(path: str, what: str, embeddings: EmbeddingTable | None,
+                      phrases) -> None:
+    """Raise one error naming every distinct phrase with no embedding; no table, no check."""
+    if embeddings is None:
+        return
+    bad = []
+    for phrase in dict.fromkeys(phrases):
+        try:
+            encode_phrase(embeddings, phrase)
+        except ValueError:
+            bad.append(phrase)
+    if bad:
+        raise ValueError(f"{path}: unembeddable {what}: {', '.join(bad)}")
 
 
 def build_distribution(survey: CountrySurvey) -> SymptomDistribution:

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import platform
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsymptoms import assets
+from fedsymptoms import assets, cli, evaluation
 from fedsymptoms.cli import main
 from fedsymptoms.evaluation import AccuracyRow, read_accuracy_csv, write_accuracy_csv
 from fedsymptoms.federation import WEIGHTINGS
@@ -168,6 +170,11 @@ def test_sweep_rejects_repeated_values_and_seeds(tmp_path, capsys):
     assert "--values repeats 0.5" in capsys.readouterr().err
     assert main(base + ["--values", "0", "--seeds", "3,1,3"]) == 1
     assert "--seeds repeats 3" in capsys.readouterr().err
+    # each entry is named in full, not rounded to six significant digits
+    assert main(base + ["--values", "0.123456789,0.123456789", "--seeds", "1"]) == 1
+    assert "--values repeats 0.123456789" in capsys.readouterr().err
+    assert main(base + ["--values", "0", "--seeds", "9007199254740993,9007199254740993"]) == 1
+    assert "--seeds repeats 9007199254740993" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -391,6 +398,41 @@ def test_validate_names_unembeddable_corpus_term(tmp_path, capsys):
     bad.write_text("\n".join(list(terms) + ["zzxq"]) + "\n", encoding="utf-8")
     assert main(["validate", "--corpus", str(bad)]) == 1
     assert "zzxq" in capsys.readouterr().err
+
+
+def surveys_with_unembeddable_zero_count(tmp_path):
+    """The bundled survey table with a zero-count "Zzxq blorp" row in every country."""
+    text = Path(assets.default_surveys_path()).read_text(encoding="utf-8")
+    path = tmp_path / "surveys.txt"
+    path.write_text(re.sub(r"^(total: \d+)$", r"\1\nZzxq blorp: 0", text, flags=re.M),
+                    encoding="utf-8")
+    return path
+
+
+def test_validate_names_unembeddable_survey_symptom_once(tmp_path, capsys):
+    bad = surveys_with_unembeddable_zero_count(tmp_path)
+    assert main(["validate", "--surveys", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: unembeddable survey symptoms: Zzxq blorp\n" in err
+    assert err.count("Zzxq blorp") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--seed", "1"],
+    ["sweep", "--axis", "noise", "--values", "0", "--seeds", "1"],
+], ids=["run", "sweep"])
+def test_unembeddable_zero_count_symptom_fails_before_training(tmp_path, capsys,
+                                                               monkeypatch, args):
+    def never(*args, **kwargs):
+        pytest.fail("training started before the survey symptoms were checked")
+
+    monkeypatch.setattr(cli, "run_simulation", never)
+    monkeypatch.setattr(evaluation, "run_simulation", never)
+    bad = surveys_with_unembeddable_zero_count(tmp_path)
+    assert main(args + ["--scale", "0.01", "--mechanism", "uniform_threshold",
+                        "--surveys", str(bad), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "unembeddable survey symptoms: Zzxq blorp" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_on_missing_directory_is_io_error(tmp_path, capsys):

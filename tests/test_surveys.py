@@ -40,6 +40,37 @@ def test_load_surveys_missing_file():
         load_surveys("/nonexistent/surveys.txt")
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("country: A\ntotal: 100\nFever: 5O\n", 3, "'5O' is not an integer"),
+    ("country: A\ntotal: 1e3\nFever: 5\n", 2, "'1e3' is not an integer"),
+    ("country: A\nFever: 5\n", 1, "survey for 'A' has no total"),
+    ("country: A\ntotal: 10\nFever: 5\n\ncountry: A\ntotal: 10\nFever: 5\n", 5,
+     "repeated country 'A'"),
+    ("country: A\ntotal: 100\nFever: 5\ntotal: 200\n", 4, "second total for 'A'"),
+    ("total: 10\ncountry: A\ntotal: 10\nFever: 5\n", 1, "'total' line before any country"),
+    ("country: A\ntotal: 10\nFever: 11\n", 1, "count for 'Fever' outside [0, total]"),
+], ids=["count-not-integer", "total-not-integer", "no-total", "repeated-country",
+        "second-total", "total-before-country", "count-above-total"])
+def test_load_surveys_errors_name_file_and_line(tmp_path, text, lineno, message):
+    p = tmp_path / "surveys.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_surveys(str(p))
+    assert str(err.value).startswith(f"{p}:{lineno}: ")
+    assert message in str(err.value)
+
+
+def test_load_surveys_embeddability_check_names_each_offender_once(tmp_path):
+    p = tmp_path / "surveys.txt"
+    p.write_text("country: A\ntotal: 10\nalpha: 5\nZzxq blorp: 0\nbeta: 0\n"
+                 "country: B\ntotal: 10\nalpha: 5\nZzxq blorp: 0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_surveys(str(p), embeddings=tiny_table(["alpha"]))
+    assert str(err.value) == f"{p}: unembeddable survey symptoms: Zzxq blorp, beta"
+    assert len(load_surveys(str(p))) == 2
+    assert len(load_surveys(str(p), embeddings=tiny_table(["alpha", "beta", "blorp"]))) == 2
+
+
 def test_survey_rejects_count_above_total():
     with pytest.raises(ValueError):
         CountrySurvey(country="X", total=10, symptom_counts={"Fever": 11})

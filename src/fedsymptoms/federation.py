@@ -46,13 +46,18 @@ WEIGHT_UNIFORM = "uniform"
 WEIGHTINGS = (WEIGHT_BY_EXAMPLES, WEIGHT_UNIFORM)
 
 
-def scaled_count(value: int, scale: float) -> int:
-    """Scale a count down, never below 1.
+def _rounded_product(value: int, scale: float) -> float:
+    """value * scale, rounded to 9 decimals.
 
-    The product is rounded to 9 decimals before ceiling so that float
-    artifacts like 900 * 0.1 = 90.000000000000014 still map to 90.
+    Float artifacts such as 900 * 0.1 = 90.000000000000014 and
+    100 * 0.07 = 7.000000000000001 then read as 90 and 7.
     """
-    return max(1, math.ceil(round(value * scale, 9)))
+    return round(value * scale, 9)
+
+
+def scaled_count(value: int, scale: float) -> int:
+    """Scale a count down, rounding its _rounded_product up, never below 1."""
+    return max(1, math.ceil(_rounded_product(value, scale)))
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,15 @@ class SimulationSpec:
             raise ValueError("n_clients must be positive")
         if not 0.0 < self.participation_fraction <= 1.0:
             raise ValueError("participation_fraction must be in (0, 1]")
-        if self.participation_fraction * self.n_clients < 1.0:
+        if _rounded_product(self.n_clients, self.participation_fraction) < 1.0:
             raise ValueError("participation_fraction selects no clients")
         if self.global_epochs < 0:
             raise ValueError("global_epochs must be non-negative")
+
+    @property
+    def clients_per_round(self) -> int:
+        """participation_fraction of n_clients, rounded up; __post_init__ keeps it at least 1."""
+        return scaled_count(self.n_clients, self.participation_fraction)
 
 
 def simulation_spec(sim_id: str, scale: float = 1.0,
@@ -211,10 +221,10 @@ def run_round(params: MlpParameters, round_index: int, population: Population,
     """
     started = time.perf_counter()
 
-    n_selected = math.ceil(spec.participation_fraction * len(population))
     selection = streams.selection_stream(master_seed, round_index)
     # sorted() over Python ints: np.sort would map ~0.3 MB more numpy code into RSS
-    chosen = sorted(selection.choice(len(population), size=n_selected, replace=False).tolist())
+    chosen = sorted(selection.choice(len(population), size=spec.clients_per_round,
+                                     replace=False).tolist())
 
     updates: list[tuple[MlpParameters, int]] = []
     losses: list[float] = []

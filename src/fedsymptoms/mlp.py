@@ -12,7 +12,11 @@ each training step gathers its own minibatch from that table, and
 scoring (mean_loss, forward_batch) runs in blocks of SCORE_ROWS rows, so
 the memory a call holds is bounded by the batch and block size, not by
 the client size. A training step computes the gradient only; the loss
-lives in mean_loss (forward only) and loss_and_gradient. Every client
+lives in mean_loss (forward only) and loss_and_gradient. Numpy call
+overhead on 32-row batches dominates the step, so _backprop writes the
+four layers out, forward and backward, with labels and outputs kept as
+(n, 1) columns, and adam_step skips its first-moment bias-correction
+divide once that correction is exactly 1.0; both keep every bit. Every client
 trains with the same Adam LEARNING_RATE and minibatches of BATCH_SIZE
 rows; only the number of local epochs is set per run (TrainConfig).
 
@@ -125,28 +129,26 @@ def init_params(rng: np.random.Generator) -> MlpParameters:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; each branch is the textbook form for its side of 0
+    # exp(-|z|) never overflows; each side of 0 gets its textbook numerator,
+    # 1 or e, over 1 + e: the same bits as 1 / d and e / d, with one divide
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    p = np.where(z >= 0, 1.0, e)
+    p /= 1.0 + e
+    return p
 
 
-def _forward(layers, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-    """The unclipped output probabilities; each layer's input is appended to `acts` if given.
+def _forward(layers, x: np.ndarray) -> np.ndarray:
+    """The unclipped output probabilities of a (n, 50) batch, shape (n,).
 
-    Without `acts` only the current layer's input and output are alive, so a
-    large batch never holds all its activations at once.
+    Only the current layer's input and output are alive, so a large batch
+    never holds all its activations at once.
     """
     # np.dot runs the same BLAS kernels as @, with less dispatch overhead
     for w, b in layers[:-1]:
-        if acts is not None:
-            acts.append(x)
         # in place: the same bits as maximum(dot + b, 0) with one array per layer
         h = np.dot(x, w)
         h += b
         x = np.maximum(h, 0.0, out=h)
-    if acts is not None:
-        acts.append(x)
     w, b = layers[-1]
     z = np.dot(x, w)
     z += b
@@ -196,21 +198,42 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     """Write a batch's mean binary cross-entropy gradient into `grads`; no loss.
 
     `layers` and `grads` are (weight, bias) views shaped like
-    MlpParameters.layers. Returns the outputs unclipped: OUTPUT_CLIP only moves
-    outputs outside the LOSS_CLAMP band, whose rows get zero gradient anyway.
+    MlpParameters.layers, and `y` is the (n, 1) column of labels. Returns the
+    (n, 1) outputs unclipped: OUTPUT_CLIP only moves outputs outside the
+    LOSS_CLAMP band, whose rows get zero gradient anyway.
+
+    The four layers of LAYER_SIZES are written out, each with the numpy calls
+    _forward makes, so a 32-row step pays no loop or list overhead.
     """
-    acts: list[np.ndarray] = []
-    p = _forward(layers, x, acts)
+    (w0, b0), (w1, b1), (w2, b2), (w3, b3) = layers
+    (gw0, gb0), (gw1, gb1), (gw2, gb2), (gw3, gb3) = grads
+    h1 = np.dot(x, w0)
+    h1 += b0
+    np.maximum(h1, 0.0, out=h1)
+    h2 = np.dot(h1, w1)
+    h2 += b1
+    np.maximum(h2, 0.0, out=h2)
+    h3 = np.dot(h2, w2)
+    h3 += b2
+    np.maximum(h3, 0.0, out=h3)
+    z = np.dot(h3, w3)
+    z += b3
+    p = _sigmoid(z)
     # d(loss)/d(z_out); zero where the clamp flattened the loss
     active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
-    dz = (np.where(active, p - y, 0.0) / x.shape[0])[:, None]
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[i]
-        np.dot(acts[i].T, dz, out=gw)
-        np.add.reduce(dz, axis=0, out=gb)
-        if i:
-            # acts[i] > 0 exactly where the pre-activation is > 0
-            dz = np.dot(dz, layers[i][0].T) * (acts[i] > 0.0)
+    dz = np.where(active, p - y, 0.0) / x.shape[0]
+    # h > 0 exactly where the pre-activation is > 0
+    np.dot(h3.T, dz, out=gw3)
+    np.add.reduce(dz, axis=0, out=gb3)
+    dz = np.dot(dz, w3.T) * (h3 > 0.0)
+    np.dot(h2.T, dz, out=gw2)
+    np.add.reduce(dz, axis=0, out=gb2)
+    dz = np.dot(dz, w2.T) * (h2 > 0.0)
+    np.dot(h1.T, dz, out=gw1)
+    np.add.reduce(dz, axis=0, out=gb1)
+    dz = np.dot(dz, w1.T) * (h1 > 0.0)
+    np.dot(x.T, dz, out=gw0)
+    np.add.reduce(dz, axis=0, out=gb0)
     return p
 
 
@@ -225,8 +248,8 @@ def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     grad = np.empty(N_PARAMS)
-    p = _backprop(params.layers, x, y, layer_views(grad))
-    return float(np.mean(_row_bce(p, y))), grad
+    p = _backprop(params.layers, x, y[:, None], layer_views(grad))
+    return float(np.mean(_row_bce(p.ravel(), y))), grad
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -235,6 +258,8 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
 
     `step` is the 1-based count including this update. Two scratch vectors
     hold the temporaries, each computed in the textbook evaluation order.
+    From step 356 on, 1 - BETA1 ** step rounds to exactly 1.0, and the
+    first moment is used as it is, with no divide by its bias correction.
     The gradient is not checked here: a non-finite element leaves a NaN in
     theta that no later step clears, and the MlpParameters that train_local
     returns refuses it.
@@ -247,8 +272,13 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     scratch *= grad
     v += scratch
     # theta -= (learning_rate * m_hat) / (sqrt(v_hat) + EPS_HAT)
-    np.divide(m, 1.0 - BETA1 ** step, out=scratch)
-    scratch *= learning_rate
+    correction = 1.0 - BETA1 ** step
+    if correction == 1.0:
+        # m / 1.0 is m itself, so this gives the same bits without the divide
+        np.multiply(m, learning_rate, out=scratch)
+    else:
+        np.divide(m, correction, out=scratch)
+        scratch *= learning_rate
     denom = v / (1.0 - BETA2 ** step)
     np.sqrt(denom, out=denom)
     denom += EPS_HAT
@@ -274,7 +304,9 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
     step = 0
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
-        rs, ys = rows[order], y[order]
+        # the labels as the (n, 1) column _backprop takes; a view of the
+        # 1-D gather, which is cheaper than gathering rows of a column
+        rs, ys = rows[order], y[order][:, None]
         for start in range(0, n, BATCH_SIZE):
             stop = start + BATCH_SIZE
             # take(axis=0) gathers the same rows as table[...] with less dispatch overhead

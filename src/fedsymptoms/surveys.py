@@ -63,9 +63,10 @@ def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[Co
     Format: blocks introduced by ``country: NAME`` followed by
     ``total: N`` and one ``Symptom name: count`` line per symptom.
     Blank lines and ``#`` comments are ignored. Symptom order inside a
-    block is preserved. A format error, a repeated country, total or
-    symptom and a total or count that is not an integer raise ValueError
-    naming the file and line. When an embedding table is supplied, every
+    block is preserved. A format error, a country or symptom with no
+    name, a repeated country, total or symptom and a total or count that
+    is not an optional ``-`` and ASCII digits raise ValueError naming the
+    file and line. When an embedding table is supplied, every
     symptom, zero counts included, is checked to be embeddable;
     offenders are reported in one error.
     """
@@ -83,6 +84,8 @@ def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[Co
                 raise ValueError(f"{where}: expected 'key: value'")
             key, value = (part.strip() for part in line.split(":", 1))
             if key == "country":
+                if not value:
+                    raise ValueError(f"{where}: country line with no name")
                 if value in starts:
                     raise ValueError(f"{where}: repeated country {value!r}")
                 country, starts[value], counts[value] = value, where, {}
@@ -92,6 +95,8 @@ def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[Co
                 if country in totals:
                     raise ValueError(f"{where}: second total for {country!r}")
                 totals[country] = _integer(where, value)
+            elif not key:
+                raise ValueError(f"{where}: symptom line with no name")
             elif key in counts[country]:
                 raise ValueError(f"{where}: duplicate symptom {key!r}")
             else:
@@ -113,10 +118,11 @@ def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[Co
 
 
 def _integer(where: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{where}: {value!r} is not an integer") from None
+    """An optional '-' and ASCII digits; int() alone would also read '1_00', '+5' and '٣'."""
+    digits = value[1:] if value.startswith("-") else value
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{where}: {value!r} is not an integer")
+    return int(value)
 
 
 def load_corpus(path: str, embeddings: EmbeddingTable | None = None) -> MedicalCorpus:

@@ -242,6 +242,15 @@ def test_run_simulation_snapshots_and_reports(surveys, corpus, table):
         assert math.isfinite(report.mean_local_loss)
 
 
+@pytest.mark.parametrize("fraction, per_round", [(0.07, 7), (0.14, 14)])
+def test_round_trains_the_rounded_share_of_clients(surveys, corpus, table, fraction, per_round):
+    # 100 * 0.07 is 7.000000000000001 in float, which must not round up to 8
+    spec = simulation_spec("IV", scale=0.001, participation_fraction=fraction, global_epochs=1)
+    assert spec.n_clients == 100
+    _, reports = run_simulation(spec, surveys, corpus, table, FederationConfig(noise=NO_NOISE), 1)
+    assert reports[0].participating_clients + reports[0].skipped_empty_clients == per_round
+
+
 def test_run_simulation_deterministic(surveys, corpus, table):
     spec = simulation_spec("I", scale=0.01)
     config = FederationConfig(noise=NoiseMechanism(UNIFORM_THRESHOLD, 0.5))

@@ -430,6 +430,27 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
         assert np.array_equal(mean_loss(start, dataset), ref_mean_loss(start.flat, x, y))
 
 
+def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
+    # adam_step drops its first-moment bias-correction divide once the
+    # correction rounds to exactly 1.0
+    corrections = [1.0 - BETA1 ** step for step in range(1, 401)]
+    assert corrections.index(1.0) + 1 == 356
+    assert all(c == 1.0 for c in corrections[355:])
+
+    rng = np.random.default_rng(23)
+    n = 70  # batches of 32, 32 and 6: 3 steps an epoch
+    x = rng.standard_normal((n, LAYER_SIZES[0]))
+    labels = rng.integers(0, 2, size=n)
+    dataset = ClientDataset(phrases=matrix_phrase_table(x),
+                            rows=np.arange(n), labels=labels)
+    params = init_params(np.random.default_rng(24))
+    config = TrainConfig(local_epochs=134)  # 402 steps
+    trained = train_local(params, dataset, config, np.random.default_rng(25))
+    expected = ref_train_local(params.flat, x, labels.astype(np.float64), config,
+                               np.random.default_rng(25))
+    assert np.array_equal(trained.flat, expected)
+
+
 def test_forward_and_sigmoid_match_frozen_reference_on_extreme_logits():
     z = np.array([800.0, -800.0, 40.0, -40.0, 3.3, -3.3, 0.0, -0.0])
     assert np.array_equal(_sigmoid(z), ref_sigmoid(z))

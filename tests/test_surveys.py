@@ -49,8 +49,16 @@ def test_load_surveys_missing_file():
     ("country: A\ntotal: 100\nFever: 5\ntotal: 200\n", 4, "second total for 'A'"),
     ("total: 10\ncountry: A\ntotal: 10\nFever: 5\n", 1, "'total' line before any country"),
     ("country: A\ntotal: 10\nFever: 11\n", 1, "count for 'Fever' outside [0, total]"),
+    ("country: A\ntotal: 10\nFever: -1\n", 1, "count for 'Fever' outside [0, total]"),
+    ("country: A\ntotal: 1_00\nFever: 5\n", 2, "'1_00' is not an integer"),
+    ("country: A\ntotal: 100\nFever: +5\n", 3, "'+5' is not an integer"),
+    ("country: A\ntotal: 100\nFever: \u0663\n", 3, "'\u0663' is not an integer"),
+    ("country: A\ntotal: 100\n: 3\n", 3, "symptom line with no name"),
+    ("country:\ntotal: 100\nFever: 5\n", 1, "country line with no name"),
 ], ids=["count-not-integer", "total-not-integer", "no-total", "repeated-country",
-        "second-total", "total-before-country", "count-above-total"])
+        "second-total", "total-before-country", "count-above-total", "count-negative",
+        "underscore-digits", "plus-sign", "arabic-indic-digit", "nameless-symptom",
+        "nameless-country"])
 def test_load_surveys_errors_name_file_and_line(tmp_path, text, lineno, message):
     p = tmp_path / "surveys.txt"
     p.write_text(text, encoding="utf-8")

@@ -128,8 +128,6 @@ def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float]
     """One run per value and seed; `given` names the settings a flag or the file set."""
     # a repeated value would write duplicate rows and count its runs twice in report
     for flag, items in (("--values", values), ("--seeds", seeds)):
-        if not items:
-            raise ValueError(f"{flag} needs at least one entry")
         repeated = sorted({x for x in items if items.count(x) > 1})
         if repeated:
             raise ValueError(f"{flag} repeats {', '.join(map(repr, repeated))}")
@@ -194,12 +192,17 @@ def cmd_report(input_dir: str, epoch: int | None) -> int:
     return 0
 
 
-def _comma_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _comma_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _comma_list(text: str, flag: str, parse) -> list:
+    """Parse each comma-separated entry of a flag; an empty entry is refused, not dropped."""
+    items = []
+    for part in text.split(","):
+        if not part.strip():
+            raise ValueError(f"{flag} has an empty entry in {text!r}")
+        try:
+            items.append(parse(part))
+        except ValueError:
+            raise ValueError(f"{flag}: cannot read {part!r}") from None
+    return items
 
 
 def _add_path_options(parser: argparse.ArgumentParser) -> None:
@@ -260,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_path_options(p_sweep)
     _add_run_options(p_sweep)
     p_sweep.add_argument("--axis", choices=("noise", "epsilon"), required=True)
-    p_sweep.add_argument("--values", type=_comma_floats, required=True,
+    p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
-    p_sweep.add_argument("--seeds", type=_comma_ints, required=True,
+    p_sweep.add_argument("--seeds", required=True,
                          help="comma-separated master seeds, one run per seed")
 
     p_report = sub.add_parser("report",
@@ -287,7 +290,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         # the privacy sweep runs laplace_dp at the standard level unless set explicitly
         defaults = {"mechanism": LAPLACE_DP, "noise_level": 0.5} if args.axis == "epsilon" else {}
         return cmd_sweep(RunConfig(**{**defaults, **given}), set(given), args.axis,
-                         args.values, args.seeds)
+                         _comma_list(args.values, "--values", float),
+                         _comma_list(args.seeds, "--seeds", int))
     raise ValueError(f"unknown command {args.command!r}")
 
 

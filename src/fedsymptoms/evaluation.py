@@ -174,21 +174,42 @@ def write_accuracy_csv(rows: list[AccuracyRow], path: str) -> None:
     _write_csv(path, ACCURACY_HEADER, rows)
 
 
+_ACCURACY_PARSERS = dict(simulation=str, mechanism=str, noise_level=float,
+                         epsilon=lambda text: float(text) if text else None,
+                         seed=int, global_epoch=int, accuracy=float)
+
+
 def read_accuracy_csv(path: str) -> list[AccuracyRow]:
+    """Read accuracy.csv, refusing any row that would skew a seed mean.
+
+    A row with a missing or unreadable field, an accuracy outside [0, 1]
+    (NaN included), or the same run and epoch as an earlier row raises
+    ValueError naming ``path:line``.
+    """
     rows: list[AccuracyRow] = []
+    first_line: dict[tuple, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(ACCURACY_HEADER) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         for rec in reader:
-            rows.append(AccuracyRow(
-                simulation=rec["simulation"],
-                mechanism=rec["mechanism"],
-                noise_level=float(rec["noise_level"]),
-                epsilon=float(rec["epsilon"]) if rec["epsilon"] else None,
-                seed=int(rec["seed"]),
-                global_epoch=int(rec["global_epoch"]),
-                accuracy=float(rec["accuracy"]),
-            ))
+            where = f"{path}:{reader.line_num}"
+            values = {}
+            for name, parse in _ACCURACY_PARSERS.items():
+                if rec[name] is None:
+                    raise ValueError(f"{where}: no {name} field")
+                try:
+                    values[name] = parse(rec[name])
+                except ValueError:
+                    raise ValueError(f"{where}: cannot read {name} {rec[name]!r}") from None
+            row = AccuracyRow(**values)
+            if not 0.0 <= row.accuracy <= 1.0:
+                raise ValueError(f"{where}: accuracy {row.accuracy} outside [0, 1]")
+            run_and_epoch = row[:-1]
+            if run_and_epoch in first_line:
+                raise ValueError(f"{where}: repeats the run and epoch of line "
+                                 f"{first_line[run_and_epoch]}")
+            first_line[run_and_epoch] = reader.line_num
+            rows.append(row)
     return rows

@@ -214,6 +214,23 @@ def test_noise_setting_no_run_can_use_fails_before_inputs_load(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("values, seeds, message", [
+    ("0,,1", "1", "--values has an empty entry in '0,,1'"),
+    ("0,1,", "1", "--values has an empty entry in '0,1,'"),
+    ("0", "1,,2", "--seeds has an empty entry in '1,,2'"),
+    ("0,abc", "1", "--values: cannot read 'abc'"),
+    ("0", "1.5", "--seeds: cannot read '1.5'"),
+], ids=["values-inner", "values-trailing", "seeds-inner", "values-not-a-number",
+        "seeds-not-an-integer"])
+def test_sweep_refuses_an_empty_or_unreadable_list_entry(tmp_path, capsys, values, seeds,
+                                                         message):
+    # an empty entry was dropped, so a typo silently lost a sweep cell
+    assert main(["sweep", "--axis", "noise", "--values", values, "--seeds", seeds,
+                 "--scale", "0.01", "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_zero_noise_level_writes_the_csvs_of_zero(tmp_path):
     for name, level in (("negative", "-0"), ("positive", "0")):
         assert main(["run", "--seed", "1", "--scale", "0.01", "--global-epochs", "1",
@@ -277,6 +294,27 @@ def test_report_prints_seed_means(tmp_path, capsys):
 
     assert main(["report", "--input", str(tmp_path), "--epoch", "1"]) == 0
     assert "0.2500" in capsys.readouterr().out
+
+
+ACCURACY_HEADER_LINE = "simulation,mechanism,noise_level,epsilon,seed,global_epoch,accuracy\n"
+ACCURACY_LINE = "I,uniform_threshold,0.0,,1,5,0.75\n"
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("I,uniform_threshold,0.0,,2,5\n", "no accuracy field"),
+    ("I,uniform_threshold,0.0,,2,5,abc\n", "cannot read accuracy 'abc'"),
+    ("I,uniform_threshold,0.0,,x,5,0.5\n", "cannot read seed 'x'"),
+    (ACCURACY_LINE, "repeats the run and epoch of line 2"),
+    ("I,uniform_threshold,0.0,,2,5,nan\n", "accuracy nan outside [0, 1]"),
+    ("I,uniform_threshold,0.0,,2,5,1.5\n", "accuracy 1.5 outside [0, 1]"),
+], ids=["missing-field", "non-numeric-accuracy", "non-numeric-seed", "repeated-row",
+        "nan-accuracy", "accuracy-above-one"])
+def test_report_refuses_a_bad_row_naming_its_file_and_line(tmp_path, capsys, bad_line,
+                                                           message):
+    path = tmp_path / "accuracy.csv"
+    path.write_text(ACCURACY_HEADER_LINE + ACCURACY_LINE + bad_line, encoding="utf-8")
+    assert main(["report", "--input", str(tmp_path)]) == 1
+    assert f"error: {path}:3: {message}\n" in capsys.readouterr().err
 
 
 def test_missing_embeddings_file_is_io_error(tmp_path, capsys):

@@ -222,8 +222,126 @@ def test_synthesize_client_matches_frozen_object_reference(noise):
         assert [tuple(ex) for ex in ds.examples] == expected
         assert ds.labels.tolist() == [float(label) for label, _ in expected]
         assert ds.rows.tolist() == [table.names.index(phrase) for _, phrase in expected]
-        # both consumed the same draws
+        # both consumed the same draws, and PCG64 keeps the same unused 32-bit half,
+        # which only a 32-bit draw such as integers(97) reads
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(97) == ref_rng.integers(97)
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("noise", [NoiseMechanism(UNIFORM_THRESHOLD, 0.5),
+                                   NoiseMechanism(LAPLACE_DP, 0.5, 2.0)])
+def test_synthesize_client_on_other_bit_generators_matches_frozen_reference(noise,
+                                                                           bit_generator):
+    # only PCG64 words are replayed; any other generator takes the scalar walk
+    dist, corpus, table = make_fixture()
+    rng, ref_rng = (np.random.Generator(bit_generator(3)) for _ in range(2))
+    ds = synthesize_client(30, dist, noise, table, rng)
+    assert [tuple(ex) for ex in ds.examples] == ref_synthesize_examples(30, dist, corpus,
+                                                                        noise, ref_rng)
+    assert rng.integers(97) == ref_rng.integers(97)
+    assert rng.random() == ref_rng.random()
+
+
+# p = 1.0 always displays and p = 0.0 always reaches the noise draw
+REPLAY_WALK = (("a", 0.6), ("b", 1.0), ("c", 0.05), ("d", 0.0))
+REPLAY_NOISES = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in (0.0, 0.5, 1.0)] + [
+    NoiseMechanism(LAPLACE_DP, level, epsilon)
+    for level in (0.0, 0.5, 1.0) for epsilon in (1e-3, 0.1, 2.0, 100.0)]
+
+
+def scalar_and_replayed_walks(entries, terms, noise, n_persons, rng_of):
+    """(items, final PCG64 state) of `_walk` n_persons times, then of `_replay_walks`."""
+    results = []
+    for replay in (False, True):
+        rng, items = rng_of(), []
+        if replay:
+            sampling._replay_walks(entries, terms, noise, rng, n_persons, items)
+        else:
+            for _ in range(n_persons):
+                sampling._walk(entries, terms, noise, rng, items)
+        results.append((items, rng.bit_generator.state))
+    return results
+
+
+def seeded(seed, kept_half):
+    """A PCG64 generator; with kept_half, one 32-bit draw leaves it holding a word's high half."""
+    def make():
+        rng = np.random.default_rng(seed)
+        if kept_half:
+            rng.integers(97)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+    return make
+
+
+@pytest.mark.parametrize("noise", REPLAY_NOISES,
+                         ids=lambda m: f"{m.kind}-{m.noise_level}-{m.epsilon}")
+@pytest.mark.parametrize("n_terms", [1, 2, 97, 2**31 + 1])
+def test_replayed_walks_match_the_scalar_walk_and_its_final_state(noise, n_terms):
+    # 2**31 + 1 terms reject about half of the 32-bit draws; 300 persons take
+    # several full blocks of words, and the last blocks shrink to one word
+    for seed, kept_half, n_persons in ((0, False, 300), (1, True, 300), (2, True, 1),
+                                       (3, False, 2)):
+        scalar, replayed = scalar_and_replayed_walks(REPLAY_WALK, range(n_terms), noise,
+                                                     n_persons, seeded(seed, kept_half))
+        assert replayed == scalar
+
+
+def pcg64_whose_word(index, word):
+    """A maker of PCG64 generators whose index-th raw word (from 1) is `word`.
+
+    PCG64 steps its 128-bit LCG state, then outputs high ^ low rotated by
+    the state's top 6 bits. A state whose top 6 bits are 0 outputs
+    high ^ low, so the state is set there and stepped back `index` times.
+    """
+    inverse_multiplier = pow((2549297995355413924 << 64) + 4865540595714422341, -1, 2**128)
+    high = 0x0123456789ABCDEF  # top 6 bits 0
+
+    def make():
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        target = high << 64 | (high ^ word)
+        for _ in range(index):
+            target = (target - state["state"]["inc"]) * inverse_multiplier % 2**128
+        state["state"]["state"] = target
+        rng.bit_generator.state = state
+        return rng
+
+    assert make().bit_generator.random_raw(index)[-1] == word
+    return make
+
+
+def test_replayed_laplace_redraws_a_zero_uniform_like_numpy():
+    # p = 0.0 sends word 1 to the display draw and the zero word 2 to the noise draw
+    for level in (0.0, 0.5):
+        noise = NoiseMechanism(LAPLACE_DP, level, 2.0)
+        scalar, replayed = scalar_and_replayed_walks((("a", 0.0),), range(97), noise, 1,
+                                                     pcg64_whose_word(2, 0))
+        assert replayed == scalar
+
+
+def test_replayed_pick_keeps_a_draw_exactly_at_the_rejection_bound():
+    # k = 3 * 2**30 rejects a 32-bit draw r while (r * k) % 2**32 < 2**30; r = 3
+    # lands on 2**30 exactly and is kept, picking term (3 * k) >> 32 = 2
+    always = NoiseMechanism(UNIFORM_THRESHOLD, 1.0)
+    scalar, replayed = scalar_and_replayed_walks((("a", 0.0),), range(3 * 2**30), always, 1,
+                                                 pcg64_whose_word(3, 0xDEADBEEF << 32 | 3))
+    assert scalar[0] == [2]
+    assert replayed == scalar
+
+
+def test_replay_with_no_terms_raises_numpys_error_only_when_a_pick_is_due():
+    never = NoiseMechanism(UNIFORM_THRESHOLD, 0.0)
+    scalar, replayed = scalar_and_replayed_walks(REPLAY_WALK, (), never, 50, seeded(5, True))
+    assert replayed == scalar
+    always = NoiseMechanism(UNIFORM_THRESHOLD, 1.0)
+    with pytest.raises(ValueError) as scalar_error:
+        sampling._walk(REPLAY_WALK, (), always, np.random.default_rng(5), [])
+    with pytest.raises(ValueError) as replay_error:
+        sampling._replay_walks(REPLAY_WALK, (), always, np.random.default_rng(5), 50, [])
+    assert str(replay_error.value) == str(scalar_error.value)
 
 
 def test_synthesize_client_empty_when_nothing_emitted():

@@ -28,7 +28,7 @@ from .evaluation import (
 from .federation import SIMULATION_IDS, WEIGHTINGS, run_simulation
 from .mlp import LAYER_SIZES, save_checkpoint
 from .sampling import LAPLACE_DP, MECHANISM_KINDS, NO_NOISE, NoiseMechanism
-from .surveys import load_corpus, load_surveys
+from .surveys import integer, load_corpus, load_surveys
 
 EMBEDDING_DIMENSION = LAYER_SIZES[0]
 
@@ -192,6 +192,16 @@ def cmd_report(input_dir: str, epoch: int | None) -> int:
     return 0
 
 
+def decimal(text: str) -> float:
+    """float() of ASCII text without '_'; float() alone would also read '1_0' and '٠.5'.
+
+    Named for argparse, which reports "invalid decimal value" for a refused flag.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
+
+
 def _comma_list(text: str, flag: str, parse) -> list:
     """Parse each comma-separated entry of a flag; an empty entry is refused, not dropped."""
     items = []
@@ -199,7 +209,8 @@ def _comma_list(text: str, flag: str, parse) -> list:
         if not part.strip():
             raise ValueError(f"{flag} has an empty entry in {text!r}")
         try:
-            items.append(parse(part))
+            # spaces around a comma are allowed: '1, 2'
+            items.append(parse(part.strip()))
         except ValueError:
             raise ValueError(f"{flag}: cannot read {part!r}") from None
     return items
@@ -220,22 +231,22 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help=f"client topology: {', '.join(SIMULATION_IDS)} (default I)")
     parser.add_argument("--mechanism",
                         help=f"noise mechanism kind: {', '.join(MECHANISM_KINDS)}")
-    parser.add_argument("--noise-level", dest="noise_level", type=float,
+    parser.add_argument("--noise-level", dest="noise_level", type=decimal,
                         help="noise level in [0, 1]")
-    parser.add_argument("--epsilon", type=float,
+    parser.add_argument("--epsilon", type=decimal,
                         help="privacy parameter for laplace_dp")
-    parser.add_argument("--scale", type=float,
+    parser.add_argument("--scale", type=decimal,
                         help="topology scale factor in (0, 1]")
     parser.add_argument("--participation", dest="participation_fraction",
-                        type=float, help="fraction of clients trained per round")
-    parser.add_argument("--local-epochs", dest="local_epochs", type=int)
-    parser.add_argument("--global-epochs", dest="global_epochs", type=int)
+                        type=decimal, help="fraction of clients trained per round")
+    parser.add_argument("--local-epochs", dest="local_epochs", type=integer)
+    parser.add_argument("--global-epochs", dest="global_epochs", type=integer)
     parser.add_argument("--weighting",
                         help=f"aggregation weighting: {', '.join(WEIGHTINGS)}")
     parser.add_argument("--fixed-client-data", dest="fixed_client_data",
                         action="store_true", default=None,
                         help="reuse each client's round-0 data every round")
-    parser.add_argument("--epoch", type=int,
+    parser.add_argument("--epoch", type=integer,
                         help="global epoch to report (default: final)")
     parser.add_argument("--output-dir", dest="output_dir",
                         help="directory for run artifacts")
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one simulation and write artifacts")
     _add_path_options(p_run)
     _add_run_options(p_run)
-    p_run.add_argument("--seed", dest="master_seed", type=int,
+    p_run.add_argument("--seed", dest="master_seed", type=integer,
                        help="master seed (required here or in the config file)")
 
     p_sweep = sub.add_parser("sweep", help="run a noise or epsilon sweep")
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="summarize an accuracy.csv into a mean table")
     p_report.add_argument("--input", required=True,
                           help="directory holding accuracy.csv")
-    p_report.add_argument("--epoch", type=int,
+    p_report.add_argument("--epoch", type=integer,
                           help="global epoch to summarize (default: max present)")
 
     return parser
@@ -290,8 +301,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         # the privacy sweep runs laplace_dp at the standard level unless set explicitly
         defaults = {"mechanism": LAPLACE_DP, "noise_level": 0.5} if args.axis == "epsilon" else {}
         return cmd_sweep(RunConfig(**{**defaults, **given}), set(given), args.axis,
-                         _comma_list(args.values, "--values", float),
-                         _comma_list(args.seeds, "--seeds", int))
+                         _comma_list(args.values, "--values", decimal),
+                         _comma_list(args.seeds, "--seeds", integer))
     raise ValueError(f"unknown command {args.command!r}")
 
 

@@ -203,7 +203,8 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
         weights = [n for _, n in updates]
         columns = np.stack([params.flat[inexact] for params, _ in updates], axis=1)
         merged[inexact] = [_exact_mean(values, weights) for values in columns.tolist()]
-    return MlpParameters(merged)
+    # merged is this call's own array, so it is adopted without a copy
+    return MlpParameters._adopt(merged)
 
 
 def _exact_mean(values: list[float], weights: list[int]) -> float:

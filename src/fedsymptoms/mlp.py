@@ -5,8 +5,12 @@ binary cross-entropy under Adam. All 2,305 parameters live in one flat
 float64 vector; each layer's weights and biases are views into it, built
 once per parameter set. A parameter set is validated once, when it is
 built, and is read-only from then on. train_local updates working
-buffers that belong to that one call and returns a fresh read-only
-snapshot, so concurrent training of disjoint clients needs no locking.
+buffers that belong to that one call and returns its parameter buffer
+as a read-only snapshot, so concurrent training of disjoint clients
+needs no locking. train_local and fedavg_aggregate hand their fresh
+private vector to MlpParameters._adopt, which checks only that it is
+finite and freezes it, with no copy; the public constructor copies and
+checks everything.
 A client's examples are row indices into the run's shared phrase table:
 each training step gathers its own minibatch from that table, and
 scoring (mean_loss, forward_batch) runs in blocks of SCORE_ROWS rows, so
@@ -15,8 +19,10 @@ the client size. A training step computes the gradient only; the loss
 lives in mean_loss (forward only) and loss_and_gradient. Numpy call
 overhead on 32-row batches dominates the step, so _backprop writes the
 four layers out, forward and backward, with labels and outputs kept as
-(n, 1) columns, and adam_step skips its first-moment bias-correction
-divide once that correction is exactly 1.0; both keep every bit. Every client
+(n, 1) columns, masks each ReLU's gradient by multiplying in place with
+np.sign of its output (1.0 or 0.0, with no bool-to-float cast), and
+adam_step skips its first-moment bias-correction divide once that
+correction is exactly 1.0; all of these keep every bit. Every client
 trains with the same Adam LEARNING_RATE and minibatches of BATCH_SIZE
 rows; only the number of local epochs is set per run (TrainConfig).
 
@@ -83,6 +89,21 @@ class MlpParameters:
             raise ValueError("non-finite parameters")
         flat.flags.writeable = False
         object.__setattr__(self, "flat", flat)
+
+    @classmethod
+    def _adopt(cls, flat: np.ndarray) -> "MlpParameters":
+        """Wrap a fresh float64 vector of N_PARAMS that no one else holds, without a copy.
+
+        For train_local's and fedavg_aggregate's own results: the vector
+        is refused if non-finite, as the constructor would, and is made
+        read-only in place.
+        """
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite parameters")
+        flat.flags.writeable = False
+        params = object.__new__(cls)
+        object.__setattr__(params, "flat", flat)
+        return params
 
     @classmethod
     def from_layers(cls, layers) -> "MlpParameters":
@@ -157,7 +178,9 @@ def _forward(layers, x: np.ndarray) -> np.ndarray:
 
 def _row_bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Binary cross-entropy of each row, with p clamped into the LOSS_CLAMP band."""
-    p = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    # np.clip's bits, NaN included, without its Python-level wrapper
+    p = np.maximum(p, LOSS_CLAMP)
+    np.minimum(p, 1.0 - LOSS_CLAMP, out=p)
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
@@ -203,7 +226,11 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     LOSS_CLAMP band, whose rows get zero gradient anyway.
 
     The four layers of LAYER_SIZES are written out, each with the numpy calls
-    _forward makes, so a 32-row step pays no loop or list overhead.
+    _forward makes, so a 32-row step pays no loop or list overhead. Each
+    ReLU's gradient is masked by ``dz *= np.sign(h)`` on its output h:
+    h >= 0, and np.sign gives exactly 1.0 where h > 0 and +0.0 where h is
+    +-0.0, so every finite product has the bits of ``dz * (h > 0.0)``,
+    signed zeros included, without casting a bool mask to float.
     """
     (w0, b0), (w1, b1), (w2, b2), (w3, b3) = layers
     (gw0, gb0), (gw1, gb1), (gw2, gb2), (gw3, gb3) = grads
@@ -222,16 +249,19 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     # d(loss)/d(z_out); zero where the clamp flattened the loss
     active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
     dz = np.where(active, p - y, 0.0) / x.shape[0]
-    # h > 0 exactly where the pre-activation is > 0
+    # h > 0 exactly where the pre-activation is > 0, and there sign(h) is 1.0
     np.dot(h3.T, dz, out=gw3)
     np.add.reduce(dz, axis=0, out=gb3)
-    dz = np.dot(dz, w3.T) * (h3 > 0.0)
+    dz = np.dot(dz, w3.T)
+    dz *= np.sign(h3)
     np.dot(h2.T, dz, out=gw2)
     np.add.reduce(dz, axis=0, out=gb2)
-    dz = np.dot(dz, w2.T) * (h2 > 0.0)
+    dz = np.dot(dz, w2.T)
+    dz *= np.sign(h2)
     np.dot(h1.T, dz, out=gw1)
     np.add.reduce(dz, axis=0, out=gb1)
-    dz = np.dot(dz, w1.T) * (h1 > 0.0)
+    dz = np.dot(dz, w1.T)
+    dz *= np.sign(h1)
     np.dot(x.T, dz, out=gw0)
     np.add.reduce(dz, axis=0, out=gb0)
     return p
@@ -292,7 +322,8 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
     Each epoch reshuffles the client's row indices and labels with the
     caller's stream, and each step gathers its minibatch straight from
     the shared phrase table; the last short batch is trained on. The call
-    trains a private copy of params.flat with a fresh optimizer state.
+    trains a private copy of params.flat with a fresh optimizer state and
+    returns that copy itself, frozen; a non-finite result is refused.
     """
     if len(dataset) == 0:
         raise ValueError("empty client")
@@ -313,14 +344,15 @@ def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConf
             _backprop(layers, table.take(rs[start:stop], axis=0), ys[start:stop], grads)
             step += 1
             adam_step(theta, grad, m, v, step, LEARNING_RATE)
-    return MlpParameters(theta)
+    return MlpParameters._adopt(theta)
 
 
 def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
     """Mean binary cross-entropy of the current params on a dataset, scored block by block.
 
     Each block's per-row losses go into one array, so the mean sums them
-    in the same order as a whole-client forward would.
+    in the same order as a whole-client forward would; np.add.reduce over
+    len is np.mean's own sum and divide, without its Python-level wrapper.
     """
     if len(dataset) == 0:
         raise ValueError("empty client")
@@ -331,7 +363,7 @@ def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
     for block, p in _blocked_forward(layer_views(params.flat), dataset.phrases.matrix,
                                      dataset.rows):
         loss[block] = _row_bce(p, y[block])
-    return float(np.mean(loss))
+    return float(np.add.reduce(loss) / len(loss))
 
 
 def save_checkpoint(params: MlpParameters, path: str) -> None:

@@ -137,6 +137,12 @@ class ClientDataset:
     Example i is row ``rows[i]`` of ``phrases.matrix``, labeled ``labels[i]``
     (read-only float64, each 0.0 or 1.0). ``examples`` is derived from
     these on each access and never stored.
+
+    The public constructor checks what it is given: integer rows, one
+    dimension, as many labels as rows, every row inside the phrase
+    table and every label 0 or 1; it stores read-only intp and float64
+    copies. synthesize_client, which builds arrays of that form itself,
+    takes the private ``_built`` instead, which only freezes them.
     """
 
     phrases: PhraseTable = field(repr=False)
@@ -157,6 +163,15 @@ class ClientDataset:
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _built(cls, phrases: PhraseTable, rows: np.ndarray, labels: np.ndarray) -> "ClientDataset":
+        """Wrap fresh intp rows inside the table and float64 0/1 labels, unchecked and uncopied."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "phrases", phrases)
+        object.__setattr__(dataset, "rows", _read_only(rows))
+        object.__setattr__(dataset, "labels", _read_only(labels))
+        return dataset
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -317,7 +332,7 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
 
     n_pos = len(emitted)
     if not n_pos:
-        return ClientDataset(phrases=phrases, rows=np.empty(0, np.intp), labels=np.empty(0))
+        return ClientDataset._built(phrases, np.empty(0, np.intp), np.empty(0))
 
     negative_pool = phrases.negatives[dist.prominent_lower]
     if not negative_pool.size:
@@ -326,5 +341,6 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     picks = rng.integers(len(negative_pool), size=n_pos)
     order = rng.permutation(2 * n_pos)
     rows = np.concatenate([np.array(emitted, dtype=np.intp), negative_pool[picks]])
-    # positives come first before the shuffle, so a row is positive iff it came from [0, n_pos)
-    return ClientDataset(phrases=phrases, rows=rows[order], labels=order < n_pos)
+    # positives come first before the shuffle, so a row is positive iff it came from [0, n_pos);
+    # every row comes from the table's walks and negatives, so nothing needs re-checking
+    return ClientDataset._built(phrases, rows[order], (order < n_pos).astype(np.float64))

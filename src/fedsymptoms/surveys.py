@@ -117,12 +117,22 @@ def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[Co
     return surveys
 
 
-def _integer(where: str, value: str) -> int:
-    """An optional '-' and ASCII digits; int() alone would also read '1_00', '+5' and '٣'."""
-    digits = value[1:] if value.startswith("-") else value
+def integer(text: str) -> int:
+    """An optional '-' and ASCII digits; int() alone would also read '1_00', '+5' and '٣'.
+
+    The one integer syntax of the survey file and of every integer flag.
+    """
+    digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{where}: {value!r} is not an integer")
-    return int(value)
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _integer(where: str, value: str) -> int:
+    try:
+        return integer(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_corpus(path: str, embeddings: EmbeddingTable | None = None) -> MedicalCorpus:

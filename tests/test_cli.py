@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import platform
 import re
 import subprocess
@@ -16,7 +17,7 @@ from fedsymptoms.cli import main
 from fedsymptoms.evaluation import AccuracyRow, read_accuracy_csv, write_accuracy_csv
 from fedsymptoms.federation import WEIGHTINGS
 from fedsymptoms.sampling import UNIFORM_THRESHOLD
-from fedsymptoms.surveys import load_corpus
+from fedsymptoms.surveys import integer, load_corpus
 
 ARTIFACTS = ("predictions.csv", "accuracy.csv", "rounds.jsonl",
              "model_final.npz", "manifest.json")
@@ -220,8 +221,14 @@ def test_noise_setting_no_run_can_use_fails_before_inputs_load(tmp_path, capsys,
     ("0", "1,,2", "--seeds has an empty entry in '1,,2'"),
     ("0,abc", "1", "--values: cannot read 'abc'"),
     ("0", "1.5", "--seeds: cannot read '1.5'"),
+    ("1_0,\u0663", "1", "--values: cannot read '1_0'"),
+    ("0,\u0663", "1", "--values: cannot read '\u0663'"),
+    ("0", "1_0", "--seeds: cannot read '1_0'"),
+    ("0", "+1", "--seeds: cannot read '+1'"),
+    ("0", "1,\u0663", "--seeds: cannot read '\u0663'"),
 ], ids=["values-inner", "values-trailing", "seeds-inner", "values-not-a-number",
-        "seeds-not-an-integer"])
+        "seeds-not-an-integer", "values-underscore", "values-arabic-digit", "seeds-underscore",
+        "seeds-plus", "seeds-arabic-digit"])
 def test_sweep_refuses_an_empty_or_unreadable_list_entry(tmp_path, capsys, values, seeds,
                                                          message):
     # an empty entry was dropped, so a typo silently lost a sweep cell
@@ -422,6 +429,49 @@ def test_bad_name_flag_fails_like_the_config_file(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == from_flag
     assert key in from_flag
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["run", "--seed", "1_0"], "--seed"),
+    (["run", "--seed", "\u0661"], "--seed"),
+    (["run", "--seed", "1", "--local-epochs", "+3"], "--local-epochs"),
+    (["run", "--seed", "1", "--global-epochs", "2.0"], "--global-epochs"),
+    (["run", "--seed", "1", "--epoch", "1_0"], "--epoch"),
+    (["run", "--seed", "1", "--noise-level", "\u0660.5"], "--noise-level"),
+    (["run", "--seed", "1", "--scale", "0.0_1"], "--scale"),
+    (["run", "--seed", "1", "--participation", "\uff10.5"], "--participation"),
+    (["run", "--seed", "1", "--mechanism", "laplace_dp", "--epsilon", "1_0"], "--epsilon"),
+    (["sweep", "--axis", "noise", "--values", "0", "--seeds", "1", "--local-epochs", "1_0"],
+     "--local-epochs"),
+], ids=["seed-underscore", "seed-arabic-digit", "local-epochs-plus", "global-epochs-float",
+        "epoch-underscore", "noise-level-arabic-digit", "scale-underscore",
+        "participation-fullwidth-digit", "epsilon-underscore", "sweep-local-epochs-underscore"])
+def test_number_flag_refuses_a_spelling_the_survey_parser_refuses(tmp_path, capsys, args,
+                                                                  flag):
+    # int() and float() read '1_0' as 10 and Arabic-Indic digits as ASCII ones;
+    # an absent embeddings file keeps a flag that is wrongly read from running
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--embeddings", str(tmp_path / "absent.txt"),
+                     "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_epoch_refuses_a_spelling_the_survey_parser_refuses(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--input", str(tmp_path), "--epoch", "+1"])
+    assert exc.value.code == 2
+    assert "argument --epoch: invalid integer value: '+1'" in capsys.readouterr().err
+
+
+def test_number_flags_share_the_survey_integer_rule_and_read_plain_decimals():
+    assert cli.integer is integer
+    assert cli._comma_list(" 1, -0 ,18446744073709551615", "--seeds", cli.integer) == \
+        [1, 0, 2**64 - 1]
+    for text, value in (("0.5", 0.5), ("+0.5", 0.5), ("-0", -0.0), ("1e-3", 1e-3),
+                        (".5", 0.5), ("2", 2.0), ("inf", math.inf)):
+        assert cli.decimal(text) == value, text
 
 
 def test_non_number_flag_is_a_usage_error():

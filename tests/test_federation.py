@@ -20,7 +20,7 @@ from fedsymptoms.federation import (
     scaled_count,
     simulation_spec,
 )
-from fedsymptoms.mlp import LAYER_SIZES, MlpParameters, init_params
+from fedsymptoms.mlp import LAYER_SIZES, N_PARAMS, MlpParameters, init_params
 from fedsymptoms.rng import population_stream
 from fedsymptoms.sampling import NO_NOISE, NoiseMechanism, UNIFORM_THRESHOLD
 from fedsymptoms.surveys import CountrySurvey
@@ -186,6 +186,20 @@ def test_fedavg_weight_scaling_invariance():
     a = as_flat(fedavg_aggregate(list(zip(params, [1, 2, 3]))))
     b = as_flat(fedavg_aggregate(list(zip(params, [10, 20, 30]))))
     assert np.array_equal(a, b)
+
+
+def test_fedavg_returns_a_read_only_vector_of_its_own():
+    # the merged vector is adopted without a copy, so no update may hold it;
+    # the last case cancels 1e300 against -1e300 and takes the exact path
+    huge = np.full(N_PARAMS, 1e300)
+    for updates in ([(random_params(40), 3)],
+                    [(random_params(41), 2), (random_params(42), 5)],
+                    [(MlpParameters(huge), 1), (MlpParameters(-huge), 1)]):
+        merged = fedavg_aggregate(updates)
+        assert not merged.flat.flags.writeable
+        for params, _ in updates:
+            assert not np.shares_memory(merged.flat, params.flat)
+    assert not merged.flat.any()
 
 
 def test_fedavg_rejects_empty_and_bad_weights():

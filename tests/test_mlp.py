@@ -293,6 +293,19 @@ def test_train_local_refuses_a_non_finite_update():
         train_local(params, dataset, TrainConfig(local_epochs=1), np.random.default_rng(16))
 
 
+def test_train_local_returns_a_read_only_vector_of_its_own():
+    # the trained vector is adopted without a copy, so nothing else may hold it
+    dataset = separable_dataset(18)
+    params = init_params(np.random.default_rng(18))
+    trained = train_local(params, dataset, TrainConfig(local_epochs=1),
+                          np.random.default_rng(18))
+    assert trained.flat.dtype == np.float64 and trained.flat.shape == (N_PARAMS,)
+    assert not trained.flat.flags.writeable
+    assert all(not w.flags.writeable and not b.flags.writeable for w, b in trained.layers)
+    for held in (params.flat, dataset.rows, dataset.labels, dataset.phrases.matrix):
+        assert not np.shares_memory(trained.flat, held)
+
+
 def test_mean_loss_drops_after_training():
     dataset = separable_dataset(17)
     params = init_params(np.random.default_rng(17))
@@ -372,6 +385,12 @@ def ref_backprop(layers, x, y, grads):
     return loss
 
 
+def same_bytes(a, b) -> bool:
+    """Equal float64 bytes: unlike np.array_equal, -0.0 differs from +0.0."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def ref_adam_update(theta, grad, m, v, step, learning_rate):
     m *= BETA1
     m += (1.0 - BETA1) * grad
@@ -425,9 +444,9 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
     config = TrainConfig(local_epochs=3)
     trained = train_local(params, dataset, config, np.random.default_rng(22))
     expected = ref_train_local(params.flat, x, y, config, np.random.default_rng(22))
-    assert np.array_equal(trained.flat, expected)
+    assert same_bytes(trained.flat, expected)
     for start in (params, trained):
-        assert np.array_equal(mean_loss(start, dataset), ref_mean_loss(start.flat, x, y))
+        assert same_bytes(mean_loss(start, dataset), ref_mean_loss(start.flat, x, y))
 
 
 def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
@@ -448,7 +467,42 @@ def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
     trained = train_local(params, dataset, config, np.random.default_rng(25))
     expected = ref_train_local(params.flat, x, labels.astype(np.float64), config,
                                np.random.default_rng(25))
-    assert np.array_equal(trained.flat, expected)
+    assert same_bytes(trained.flat, expected)
+
+
+def backprop_cases():
+    """(name, params, x, y) batches around BATCH_SIZE, with a dead unit and saturated outputs."""
+    rng = np.random.default_rng(40)
+    params = init_params(np.random.default_rng(41))
+    cases = [(f"{n} rows", params, rng.standard_normal((n, LAYER_SIZES[0])),
+              rng.integers(0, 2, size=n).astype(np.float64)) for n in (1, 2, 31, 32, 33)]
+    # unit 5 of the first hidden layer and unit 3 of the second are 0 on every row
+    layers = [(w.copy(), b.copy()) for w, b in params.layers]
+    layers[0][1][5] = -1e3
+    layers[1][1][3] = -1e3
+    dead = MlpParameters.from_layers(layers)
+    x = rng.standard_normal((32, LAYER_SIZES[0]))
+    cases.append(("dead units", dead, x, rng.integers(0, 2, size=32).astype(np.float64)))
+    # 3x the start puts some outputs outside the LOSS_CLAMP band and leaves others inside
+    cases.append(("saturated", MlpParameters(3.0 * params.flat), 3.0 * x,
+                  rng.integers(0, 2, size=32).astype(np.float64)))
+    return cases
+
+
+def test_backprop_matches_frozen_reference_byte_for_byte():
+    for name, params, x, y in backprop_cases():
+        loss, grad = loss_and_gradient(params, x, y)
+        expected = np.empty(N_PARAMS)
+        ref_loss = ref_backprop(params.layers, x, y, layer_views(expected))
+        assert same_bytes(grad, expected), name
+        assert same_bytes(loss, ref_loss), name
+        if name == "dead units":
+            gw0, gb0 = layer_views(grad)[0]
+            assert not gw0[:, 5].any() and gb0[5] == 0.0
+        if name == "saturated":
+            p = forward_batch(params, x)
+            outside = (p <= LOSS_CLAMP) | (p >= 1.0 - LOSS_CLAMP)
+            assert outside.any() and not outside.all()
 
 
 def test_forward_and_sigmoid_match_frozen_reference_on_extreme_logits():
@@ -512,7 +566,8 @@ def check_blocked_scoring_matches_whole_matrix_reference():
             dataset = random_client(n, rng)
             x = dataset.phrases.matrix[dataset.rows]
             assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x)), n
-            assert mean_loss(params, dataset) == ref_mean_loss(params.flat, x, dataset.labels), n
+            assert same_bytes(mean_loss(params, dataset),
+                              ref_mean_loss(params.flat, x, dataset.labels)), n
 
 
 def test_blocked_scoring_matches_whole_matrix_reference_at_1_blas_thread():

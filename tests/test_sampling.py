@@ -98,6 +98,14 @@ def make_fixture():
     return dist, corpus, build_phrase_table(table, corpus, [dist])
 
 
+def quiet_fixture():
+    """A one-symptom survey shown to 1 in 10**9 persons: a few persons emit nothing."""
+    dist = build_distribution(CountrySurvey(country="Quiet", total=10**9,
+                                            symptom_counts={"alpha": 1}))
+    corpus = MedicalCorpus(terms=("alpha", "beta"))
+    return dist, corpus, build_phrase_table(tiny_table(["alpha", "beta"]), corpus, [dist])
+
+
 def test_simulate_person_no_noise_emits_prominent_only():
     dist, corpus, _ = make_fixture()
     rng = np.random.default_rng(5)
@@ -345,11 +353,7 @@ def test_replay_with_no_terms_raises_numpys_error_only_when_a_pick_is_due():
 
 
 def test_synthesize_client_empty_when_nothing_emitted():
-    survey = CountrySurvey(country="Quiet", total=10**9,
-                           symptom_counts={"alpha": 1})
-    dist = build_distribution(survey)
-    corpus = MedicalCorpus(terms=("alpha", "beta"))
-    table = build_phrase_table(tiny_table(["alpha", "beta"]), corpus, [dist])
+    dist, _, table = quiet_fixture()
     ds = synthesize_client(5, dist, NO_NOISE, table,
                            np.random.default_rng(13))
     assert len(ds) == 0
@@ -428,6 +432,29 @@ def test_feature_matrix_shapes():
     # row i encodes example i, whatever the shuffle
     for row, ex in zip(x, ds.examples):
         assert np.array_equal(row, table.matrix[table.names.index(ex.source_symptom)])
+
+
+@pytest.mark.parametrize("fixture, noise, n_persons", [
+    (make_fixture, NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 50),
+    (make_fixture, NoiseMechanism(NORMAL_THRESHOLD, 0.5), 50),
+    (make_fixture, NoiseMechanism(LAPLACE_DP, 0.5, epsilon=2.0), 50),
+    (quiet_fixture, NO_NOISE, 5),
+], ids=["uniform", "normal", "laplace", "empty-client"])
+def test_synthesized_dataset_holds_read_only_intp_rows_and_float64_labels(fixture, noise,
+                                                                          n_persons):
+    # synthesize_client builds its dataset unchecked, so it must build
+    # what the public ClientDataset constructor would have stored
+    dist, _, table = fixture()
+    ds = synthesize_client(n_persons, dist, noise, table, np.random.default_rng(16))
+    assert (len(ds) == 0) == (fixture is quiet_fixture)
+    assert ds.rows.dtype == np.intp and ds.rows.shape == (len(ds),)
+    assert ds.labels.dtype == np.float64 and ds.labels.shape == (len(ds),)
+    assert not ds.rows.flags.writeable and not ds.labels.flags.writeable
+    assert ((ds.rows >= 0) & (ds.rows < len(table.names))).all()
+    assert ((ds.labels == 0.0) | (ds.labels == 1.0)).all()
+    assert ds.labels.sum() == len(ds) / 2
+    rebuilt = ClientDataset(phrases=table, rows=ds.rows, labels=ds.labels)
+    assert np.array_equal(rebuilt.rows, ds.rows) and np.array_equal(rebuilt.labels, ds.labels)
 
 
 def test_phrase_table_encodes_each_phrase_once(monkeypatch):

@@ -4,7 +4,7 @@ One round = broadcast the global parameters, synthesize fresh survey
 data per selected client, train locally, aggregate the surviving
 updates as a weighted mean. Every random draw comes from a stream keyed
 by (master seed, purpose, client, round), so results are independent of
-scheduling order.
+scheduling order, and of how a round's clients are grouped for training.
 """
 
 from __future__ import annotations
@@ -19,13 +19,20 @@ import numpy as np
 from . import rng as streams
 from .embeddings import EmbeddingTable
 from .mlp import (
+    Cohort,
     MlpParameters,
     TrainConfig,
     init_params,
     mean_loss,
     train_local,
 )
-from .sampling import NoiseMechanism, PhraseTable, build_phrase_table, synthesize_client
+from .sampling import (
+    ClientDataset,
+    NoiseMechanism,
+    PhraseTable,
+    build_phrase_table,
+    synthesize_client,
+)
 from .surveys import CountrySurvey, assign_countries, build_distribution
 
 SIMULATION_IDS = ("I", "II", "III", "IV")
@@ -44,6 +51,10 @@ _DEFAULT_PARTICIPATION = {"I": 1.0, "II": 1.0, "III": 1.0, "IV": 0.05}
 WEIGHT_BY_EXAMPLES = "by_examples"
 WEIGHT_UNIFORM = "uniform"
 WEIGHTINGS = (WEIGHT_BY_EXAMPLES, WEIGHT_UNIFORM)
+
+# a round trains its clients in windows of about this many examples, so the
+# datasets it holds at once stay bounded while its small clients train together
+WINDOW_EXAMPLES = 2 ** 16
 
 
 def _rounded_product(value: int, scale: float) -> float:
@@ -217,8 +228,13 @@ def run_round(params: MlpParameters, round_index: int, population: Population,
               config: FederationConfig, master_seed: int) -> tuple[MlpParameters, RoundReport]:
     """Execute one broadcast / local-train / aggregate cycle of 0-based round_index.
 
-    A round in which every selected client comes up empty carries the
-    global parameters forward unchanged.
+    The selected clients are synthesized in client_id order into windows.
+    A window closes once it holds WINDOW_EXAMPLES examples, or at the last
+    client, and its non-empty datasets train in one train_local call, as
+    one Cohort with a stream per client. Each update is then scored by
+    mean_loss. Updates and losses stay in ascending client_id order.
+    Clients that come up empty are skipped; a round in which every
+    selected client does so carries the global parameters forward unchanged.
     """
     started = time.perf_counter()
 
@@ -230,21 +246,31 @@ def run_round(params: MlpParameters, round_index: int, population: Population,
     updates: list[tuple[MlpParameters, int]] = []
     losses: list[float] = []
     skipped = 0
-    for client_id in chosen:
+    # this window's non-empty datasets, their training streams and their examples
+    window: list[ClientDataset] = []
+    rngs: list[np.random.Generator] = []
+    held = 0
+    data_round = 0 if config.fixed_client_data else round_index
+    for position, client_id in enumerate(chosen, start=1):
         n_persons = int(population.sizes[client_id])
         country = int(population.countries[client_id])
-        data_round = 0 if config.fixed_client_data else round_index
         data_rng = streams.client_data_stream(master_seed, client_id, data_round)
         dataset = synthesize_client(n_persons, distributions[country], config.noise, phrases,
                                     data_rng)
         if len(dataset) == 0:
             skipped += 1
-            continue
-        train_rng = streams.client_train_stream(master_seed, client_id, round_index)
-        local = train_local(params, dataset, config.train, train_rng)
-        losses.append(mean_loss(local, dataset))
-        weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
-        updates.append((local, weight))
+        else:
+            window.append(dataset)
+            rngs.append(streams.client_train_stream(master_seed, client_id, round_index))
+            held += len(dataset)
+        if window and (held >= WINDOW_EXAMPLES or position == len(chosen)):
+            # positional, under this module's name: perfbench wraps it there
+            trained = train_local(params, Cohort(tuple(window)), config.train, rngs)
+            for dataset, local in zip(window, trained):
+                losses.append(mean_loss(local, dataset))
+                weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
+                updates.append((local, weight))
+            window, rngs, held = [], [], 0
 
     new_params = fedavg_aggregate(updates) if updates else params
     report = RoundReport(

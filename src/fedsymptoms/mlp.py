@@ -4,27 +4,48 @@ Three ReLU hidden layers feed one sigmoid output neuron. Training is
 binary cross-entropy under Adam. All 2,305 parameters live in one flat
 float64 vector; each layer's weights and biases are views into it, built
 once per parameter set. A parameter set is validated once, when it is
-built, and is read-only from then on. train_local updates working
-buffers that belong to that one call and returns its parameter buffer
-as a read-only snapshot, so concurrent training of disjoint clients
-needs no locking. train_local and fedavg_aggregate hand their fresh
-private vector to MlpParameters._adopt, which checks only that it is
-finite and freezes it, with no copy; the public constructor copies and
-checks everything.
+built, and is read-only from then on. train_local and fedavg_aggregate
+hand their fresh private vectors to MlpParameters._adopt, which checks
+only that each is finite and freezes it, with no copy; the public
+constructor copies and checks everything.
+
 A client's examples are row indices into the run's shared phrase table:
 each training step gathers its own minibatch from that table, and
 scoring (mean_loss, forward_batch) runs in blocks of SCORE_ROWS rows, so
-the memory a call holds is bounded by the batch and block size, not by
-the client size. A training step computes the gradient only; the loss
-lives in mean_loss (forward only) and loss_and_gradient. Numpy call
-overhead on 32-row batches dominates the step, so _backprop writes the
-four layers out, forward and backward, with labels and outputs kept as
-(n, 1) columns, masks each ReLU's gradient by multiplying in place with
-np.sign of its output (1.0 or 0.0, with no bool-to-float cast), and
-adam_step skips its first-moment bias-correction divide once that
-correction is exactly 1.0; all of these keep every bit. Every client
-trains with the same Adam LEARNING_RATE and minibatches of BATCH_SIZE
-rows; only the number of local epochs is set per run (TrainConfig).
+the memory a call holds is bounded by the batch, block and chunk size,
+not by the client size. A training step computes the gradient only; the
+loss lives in mean_loss (forward only) and loss_and_gradient. Every
+client trains with the same Adam LEARNING_RATE and minibatches of
+BATCH_SIZE rows; only the number of local epochs is set per run
+(TrainConfig).
+
+Lockstep training. train_local trains a Cohort of clients, each from
+the same start and with its own shuffling stream, and returns each
+client's parameters as if it had trained alone. Numpy call overhead on
+small minibatches dominates a step, so the clients step together. The
+cohort is sorted by steps per epoch, then by last-batch size, both
+descending, and cut into chunks of LOCKSTEP_CLIENTS. A chunk keeps its
+clients' parameters, gradients, Adam moments and Adam scratch as rows of
+(k, N_PARAMS) arrays. At step j the clients still training are a prefix
+of the chunk, all on Adam step j + 1, so one adam_step over that prefix
+updates them all. The prefix is split into contiguous runs of clients
+whose minibatches have the same number of rows, and each run takes one
+forward and backward pass over a slice of the chunk's arrays.
+
+One kernel. _backprop is rank-generic: a (n, 50) minibatch with one
+client's (weight, bias) views uses np.dot, and a (k, n, 50) stack with
+the run's (k, fan_in, fan_out) weights and (k, 1, fan_out) biases uses
+np.matmul. np.matmul runs one small BLAS product per client, which gives
+each client the bits np.dot gives it alone; tests compare the bytes of
+ragged cohorts with a per-client reference, and the golden runs at 1 and
+4 BLAS threads. A run of one client steps on its own 1-D parameter row
+through np.dot, which has less dispatch overhead.
+The four layers are written out, forward and backward, with labels and
+outputs kept as (..., n, 1) columns; each ReLU's gradient is masked by
+multiplying in place with np.sign of its output (1.0 or 0.0, with no
+bool-to-float cast), and adam_step skips its first-moment
+bias-correction divide once that correction is exactly 1.0; all of
+these keep every bit.
 
 Every scored row comes from one fixed partition into blocks of SCORE_ROWS
 to 2 * SCORE_ROWS - 1 rows, the short tail merged into the block before
@@ -62,15 +83,23 @@ OUTPUT_CLIP = 1e-12
 # rows per scoring block; a client under 2 * SCORE_ROWS rows is one block
 SCORE_ROWS = 256
 
+# clients per lockstep chunk: each holds six (k, N_PARAMS) arrays, 18.4 KB a client each
+LOCKSTEP_CLIENTS = 8
+
 
 def layer_views(flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(weight, bias) views of each layer; layer by layer, weights row-major then biases."""
+    """(weight, bias) views of each layer; layer by layer, weights row-major then biases.
+
+    For a (k, N_PARAMS) stack of parameter rows the views are stacked
+    too: (k, fan_in, fan_out) weights and (k, fan_out) biases.
+    """
+    lead = flat.shape[:-1]
     views = []
     offset = 0
     for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
-        w = flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = flat[..., offset:offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
-        views.append((w, flat[offset:offset + fan_out]))
+        views.append((w, flat[..., offset:offset + fan_out]))
         offset += fan_out
     return tuple(views)
 
@@ -126,6 +155,23 @@ class MlpParameters:
     def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Read-only (weight, bias) views of each layer, built once per parameter set."""
         return layer_views(self.flat)
+
+
+@dataclass(frozen=True)
+class Cohort:
+    """The clients one train_local call trains, all rows of one phrase table.
+
+    Its len() is its number of examples, as a ClientDataset's is.
+    """
+
+    clients: tuple[ClientDataset, ...]
+
+    def __post_init__(self):
+        if any(client.phrases is not self.clients[0].phrases for client in self.clients):
+            raise ValueError("a cohort's clients must share one phrase table")
+
+    def __len__(self) -> int:
+        return sum(len(client) for client in self.clients)
 
 
 @dataclass(frozen=True)
@@ -220,10 +266,13 @@ def forward(params: MlpParameters, x) -> float:
 def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     """Write a batch's mean binary cross-entropy gradient into `grads`; no loss.
 
-    `layers` and `grads` are (weight, bias) views shaped like
-    MlpParameters.layers, and `y` is the (n, 1) column of labels. Returns the
-    (n, 1) outputs unclipped: OUTPUT_CLIP only moves outputs outside the
-    LOSS_CLAMP band, whose rows get zero gradient anyway.
+    One client's (n, 50) batch takes (weight, bias) views shaped like
+    MlpParameters.layers, and its labels as an (n, 1) column. A stack of
+    k clients' (k, n, 50) batches takes (k, fan_in, fan_out) weights,
+    (k, 1, fan_out) biases, (k, fan_out) gradient biases and (k, n, 1)
+    labels, and gives each client the bits of its own 2-D call. Returns the
+    (..., n, 1) outputs unclipped: OUTPUT_CLIP only moves outputs outside
+    the LOSS_CLAMP band, whose rows get zero gradient anyway.
 
     The four layers of LAYER_SIZES are written out, each with the numpy calls
     _forward makes, so a 32-row step pays no loop or list overhead. Each
@@ -232,38 +281,41 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     +-0.0, so every finite product has the bits of ``dz * (h > 0.0)``,
     signed zeros included, without casting a bool mask to float.
     """
+    # np.dot has less dispatch overhead; np.matmul gives each client np.dot's bits.
+    # .mT transposes the last two axes, as .T does on one client's 2-D arrays.
+    mm = np.dot if x.ndim == 2 else np.matmul
     (w0, b0), (w1, b1), (w2, b2), (w3, b3) = layers
     (gw0, gb0), (gw1, gb1), (gw2, gb2), (gw3, gb3) = grads
-    h1 = np.dot(x, w0)
+    h1 = mm(x, w0)
     h1 += b0
     np.maximum(h1, 0.0, out=h1)
-    h2 = np.dot(h1, w1)
+    h2 = mm(h1, w1)
     h2 += b1
     np.maximum(h2, 0.0, out=h2)
-    h3 = np.dot(h2, w2)
+    h3 = mm(h2, w2)
     h3 += b2
     np.maximum(h3, 0.0, out=h3)
-    z = np.dot(h3, w3)
+    z = mm(h3, w3)
     z += b3
     p = _sigmoid(z)
     # d(loss)/d(z_out); zero where the clamp flattened the loss
     active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
-    dz = np.where(active, p - y, 0.0) / x.shape[0]
+    dz = np.where(active, p - y, 0.0) / x.shape[-2]
     # h > 0 exactly where the pre-activation is > 0, and there sign(h) is 1.0
-    np.dot(h3.T, dz, out=gw3)
-    np.add.reduce(dz, axis=0, out=gb3)
-    dz = np.dot(dz, w3.T)
+    mm(h3.mT, dz, out=gw3)
+    np.add.reduce(dz, axis=-2, out=gb3)
+    dz = mm(dz, w3.mT)
     dz *= np.sign(h3)
-    np.dot(h2.T, dz, out=gw2)
-    np.add.reduce(dz, axis=0, out=gb2)
-    dz = np.dot(dz, w2.T)
+    mm(h2.mT, dz, out=gw2)
+    np.add.reduce(dz, axis=-2, out=gb2)
+    dz = mm(dz, w2.mT)
     dz *= np.sign(h2)
-    np.dot(h1.T, dz, out=gw1)
-    np.add.reduce(dz, axis=0, out=gb1)
-    dz = np.dot(dz, w1.T)
+    mm(h1.mT, dz, out=gw1)
+    np.add.reduce(dz, axis=-2, out=gb1)
+    dz = mm(dz, w1.mT)
     dz *= np.sign(h1)
-    np.dot(x.T, dz, out=gw0)
-    np.add.reduce(dz, axis=0, out=gb0)
+    mm(x.mT, dz, out=gw0)
+    np.add.reduce(dz, axis=-2, out=gb0)
     return p
 
 
@@ -283,19 +335,20 @@ def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              step: int, learning_rate: float) -> None:
+              step: int, learning_rate: float, scratch: np.ndarray, denom: np.ndarray) -> None:
     """One bias-corrected Adam update of theta, m and v, in place.
 
-    `step` is the 1-based count including this update. Two scratch vectors
-    hold the temporaries, each computed in the textbook evaluation order.
-    From step 356 on, 1 - BETA1 ** step rounds to exactly 1.0, and the
-    first moment is used as it is, with no divide by its bias correction.
-    The gradient is not checked here: a non-finite element leaves a NaN in
-    theta that no later step clears, and the MlpParameters that train_local
-    returns refuses it.
+    The arrays are one client's vectors or the rows of several clients on
+    the same step. `step` is the 1-based count including this update.
+    `scratch` and `denom`, shaped like theta, hold the temporaries, each
+    computed in the textbook evaluation order. From step 356 on,
+    1 - BETA1 ** step rounds to exactly 1.0, and the first moment is used
+    as it is, with no divide by its bias correction. The gradient is not
+    checked here: a non-finite element leaves a NaN in theta that no later
+    step clears, and the MlpParameters that train_local returns refuses it.
     """
     m *= BETA1
-    scratch = (1.0 - BETA1) * grad
+    np.multiply(1.0 - BETA1, grad, out=scratch)
     m += scratch
     v *= BETA2
     np.multiply(1.0 - BETA2, grad, out=scratch)
@@ -309,42 +362,120 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     else:
         np.divide(m, correction, out=scratch)
         scratch *= learning_rate
-    denom = v / (1.0 - BETA2 ** step)
+    np.divide(v, 1.0 - BETA2 ** step, out=denom)
     np.sqrt(denom, out=denom)
     denom += EPS_HAT
     theta -= np.divide(scratch, denom, out=scratch)
 
 
-def train_local(params: MlpParameters, dataset: ClientDataset, config: TrainConfig,
-                rng: np.random.Generator) -> MlpParameters:
-    """Run local_epochs of minibatch Adam over the client's examples.
+def _schedule(n: int) -> tuple[int, int]:
+    """(steps per epoch, rows in the epoch's last batch) of a client of n rows."""
+    steps = -(-n // BATCH_SIZE)
+    return steps, n - (steps - 1) * BATCH_SIZE
 
-    Each epoch reshuffles the client's row indices and labels with the
-    caller's stream, and each step gathers its minibatch straight from
-    the shared phrase table; the last short batch is trained on. The call
-    trains a private copy of params.flat with a fresh optimizer state and
-    returns that copy itself, frozen; a non-finite result is refused.
+
+def train_local(params: MlpParameters, dataset: Cohort, config: TrainConfig,
+                rngs: list[np.random.Generator]) -> list[MlpParameters]:
+    """Run local_epochs of minibatch Adam over each client of the cohort, in lockstep.
+
+    Client i starts from params with a fresh optimizer state and shuffles
+    its row indices and labels at the start of each of its epochs with
+    rngs[i]; each step gathers its minibatch straight from the shared
+    phrase table, and the last short batch is trained on. Returns each
+    client's trained vector, frozen, in input order; a non-finite one is
+    refused. The clients train in sorted chunks (see the module
+    docstring), and each result has the bits of a run of its own.
     """
-    if len(dataset) == 0:
+    clients = dataset.clients
+    if len(rngs) != len(clients):
+        raise ValueError(f"{len(rngs)} streams for {len(clients)} clients")
+    if not all(len(client) for client in clients):
         raise ValueError("empty client")
-    table, rows, y = dataset.phrases.matrix, dataset.rows, dataset.labels
-    n = len(rows)
-    theta = params.flat.copy()
-    grad, m, v = np.empty(N_PARAMS), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
-    layers, grads = layer_views(theta), layer_views(grad)
-    step = 0
-    for _ in range(config.local_epochs):
-        order = rng.permutation(n)
-        # the labels as the (n, 1) column _backprop takes; a view of the
-        # 1-D gather, which is cheaper than gathering rows of a column
-        rs, ys = rows[order], y[order][:, None]
-        for start in range(0, n, BATCH_SIZE):
-            stop = start + BATCH_SIZE
-            # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
-            _backprop(layers, table.take(rs[start:stop], axis=0), ys[start:stop], grads)
-            step += 1
-            adam_step(theta, grad, m, v, step, LEARNING_RATE)
-    return MlpParameters._adopt(theta)
+    # steps per epoch, then last-batch size, descending; ties keep input order
+    order = sorted(range(len(clients)), key=lambda i: _schedule(len(clients[i])), reverse=True)
+    trained: list[MlpParameters | None] = [None] * len(clients)
+    for start in range(0, len(order), LOCKSTEP_CLIENTS):
+        chunk = order[start:start + LOCKSTEP_CLIENTS]
+        theta = _train_chunk(params.flat, [clients[i] for i in chunk], [rngs[i] for i in chunk],
+                             config.local_epochs)
+        # each row is a vector no one else holds, adopted without a copy
+        for i, row in zip(chunk, theta):
+            trained[i] = MlpParameters._adopt(row)
+    return trained
+
+
+def _run_views(theta: np.ndarray, grad: np.ndarray, first: int, end: int) -> tuple:
+    """_backprop's (layers, grads) views for the run of chunk rows [first, end).
+
+    A run of one client gets its own 1-D rows' 2-D views; a longer run gets
+    stacked views, its biases as (k, 1, fan_out) to broadcast over its rows.
+    """
+    if end - first == 1:
+        return layer_views(theta[first]), layer_views(grad[first])
+    return (tuple((w, b[:, None]) for w, b in layer_views(theta[first:end])),
+            layer_views(grad[first:end]))
+
+
+def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
+                 rngs: list[np.random.Generator], epochs: int) -> np.ndarray:
+    """Train clients sorted as train_local sorts them; their parameters as (k, N_PARAMS) rows."""
+    k = len(clients)
+    table = clients[0].phrases.matrix
+    theta = np.empty((k, N_PARAMS))
+    theta[...] = flat
+    grad = np.empty((k, N_PARAMS))
+    m, v = np.zeros((k, N_PARAMS)), np.zeros((k, N_PARAMS))
+    scratch, denom = np.empty((k, N_PARAMS)), np.empty((k, N_PARAMS))
+    per_epoch = [_schedule(len(client))[0] for client in clients]
+    last_step = [steps * epochs for steps in per_epoch]
+    # run_views[first][end]: _run_views of the run [first, end), once it has been met
+    run_views = [[None] * (k + 1) for _ in range(k)]
+    shuffled: list = [None] * k  # each client's rows and label column for this epoch
+    leaves = 0  # the next step at which the prefix shrinks; step 0 sets it up
+    for j in range(last_step[0]):
+        if j == leaves:
+            # the clients still training are a prefix of the chunk
+            active = sum(last > j for last in last_step)
+            leaves = last_step[active - 1]
+            training = range(active)
+            # one client alone steps on 1-D rows, which numpy iterates faster
+            prefix = slice(active) if active > 1 else 0
+            theta_p, grad_p, m_p, v_p, scratch_p, denom_p = [
+                array[prefix] for array in (theta, grad, m, v, scratch, denom)]
+        batches = []
+        for i in training:
+            position = j % per_epoch[i]
+            if not position:
+                client = clients[i]
+                permutation = rngs[i].permutation(len(client))
+                # the labels as the (n, 1) column _backprop takes; a view of the
+                # 1-D gather, which is cheaper than gathering rows of a column
+                shuffled[i] = (client.rows[permutation], client.labels[permutation][:, None])
+            rows, labels = shuffled[i]
+            start = position * BATCH_SIZE
+            batches.append((rows[start:start + BATCH_SIZE], labels[start:start + BATCH_SIZE]))
+        first = 0
+        while first < active:
+            rows, labels = batches[first]
+            end = first + 1
+            while end < active and len(batches[end][0]) == len(rows):
+                end += 1
+            if end - first == 1:
+                # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
+                x = table.take(rows, axis=0)
+            else:
+                run = batches[first:end]
+                shape = (end - first, len(rows))
+                x = table.take(np.concatenate([batch for batch, _ in run]), axis=0)
+                x = x.reshape(*shape, LAYER_SIZES[0])
+                labels = np.concatenate([column for _, column in run]).reshape(*shape, 1)
+            views = run_views[first][end]
+            if views is None:
+                views = run_views[first][end] = _run_views(theta, grad, first, end)
+            _backprop(views[0], x, labels, views[1])
+            first = end
+        adam_step(theta_p, grad_p, m_p, v_p, j + 1, LEARNING_RATE, scratch_p, denom_p)
+    return theta
 
 
 def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:

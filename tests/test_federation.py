@@ -1,4 +1,4 @@
-"""Topology scaling, population assignment, FedAvg algebra, round loop."""
+"""Topology scaling, population assignment, FedAvg algebra, round loop and its windows."""
 
 import math
 import tracemalloc
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedsymptoms import federation, mlp
 from fedsymptoms.embeddings import UnembeddablePhraseError
 from fedsymptoms.federation import (
     FederationConfig,
@@ -20,9 +21,16 @@ from fedsymptoms.federation import (
     scaled_count,
     simulation_spec,
 )
-from fedsymptoms.mlp import LAYER_SIZES, N_PARAMS, MlpParameters, init_params
-from fedsymptoms.rng import population_stream
-from fedsymptoms.sampling import NO_NOISE, NoiseMechanism, UNIFORM_THRESHOLD
+from fedsymptoms.mlp import LAYER_SIZES, N_PARAMS, MlpParameters, TrainConfig, init_params
+from fedsymptoms.rng import client_data_stream, population_stream, selection_stream
+from fedsymptoms.sampling import (
+    NO_NOISE,
+    NoiseMechanism,
+    UNIFORM_THRESHOLD,
+    build_phrase_table,
+    synthesize_client,
+)
+from fedsymptoms.surveys import build_distribution
 from fedsymptoms.surveys import CountrySurvey
 
 
@@ -320,3 +328,69 @@ def test_unembeddable_surveyed_symptom_fails_at_run_start(corpus, table):
     with pytest.raises(UnembeddablePhraseError, match="Zzxq blorp") as err:
         run_simulation(spec, [survey], corpus, table, FederationConfig(noise=NO_NOISE), 1)
     assert err.value.phrase == "Zzxq blorp"
+
+
+def test_round_output_does_not_depend_on_chunk_size_or_window(monkeypatch, surveys, corpus,
+                                                               table):
+    # 27 clients of 108-906 rows: several steps an epoch, finishing at different steps
+    spec = simulation_spec("III", scale=0.03, global_epochs=1)
+    config = FederationConfig(noise=NoiseMechanism(UNIFORM_THRESHOLD, 0.5),
+                              train=TrainConfig(local_epochs=2))
+    real = federation.train_local
+    results = {}
+    for chunk in (1, 3, 8, 64):
+        for budget in (1, federation.WINDOW_EXAMPLES):
+            cohorts, updates = [], []
+
+            def recorded(params, dataset, config, rngs):
+                trained = real(params, dataset, config, rngs)
+                cohorts.append(len(dataset.clients))
+                updates.extend(update.flat.tobytes() for update in trained)
+                return trained
+
+            monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", chunk)
+            monkeypatch.setattr(federation, "WINDOW_EXAMPLES", budget)
+            monkeypatch.setattr(federation, "train_local", recorded)
+            snapshots, reports = run_simulation(spec, surveys, corpus, table, config, 3)
+            # a budget of one row gives each client a window, and so a call, of its own
+            assert set(cohorts) == ({1} if budget == 1 else {spec.clients_per_round})
+            results[chunk, budget] = (updates, repr(reports[0].mean_local_loss),
+                                      snapshots[-1].flat.tobytes())
+    first = results[1, 1]
+    assert len(first[0]) == spec.clients_per_round
+    assert all(result == first for result in results.values())
+
+
+def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surveys, corpus,
+                                                               table):
+    # wraps federation.train_local as perfbench's ExampleCounter does, four positional arguments
+    spec = simulation_spec("IV", scale=0.01, participation_fraction=0.05, global_epochs=2)
+    config = FederationConfig(noise=NoiseMechanism(UNIFORM_THRESHOLD, 0.5),
+                              train=TrainConfig(local_epochs=3))
+    seed = 4
+    counted = []
+    real = federation.train_local
+
+    def counter(params, dataset, config, rng):
+        counted.append(len(dataset) * config.local_epochs)
+        return real(params, dataset, config, rng)
+
+    monkeypatch.setattr(federation, "train_local", counter)
+    run_simulation(spec, surveys, corpus, table, config, seed)
+
+    # the same keyed streams, drawn here client by client
+    population = build_population(spec, surveys, population_stream(seed))
+    distributions = [build_distribution(s) for s in surveys]
+    phrases = build_phrase_table(table, corpus, distributions)
+    expected = 0
+    for round_index in range(spec.global_epochs):
+        chosen = selection_stream(seed, round_index).choice(
+            len(population), size=spec.clients_per_round, replace=False)
+        for client_id in chosen.tolist():
+            dataset = synthesize_client(int(population.sizes[client_id]),
+                                        distributions[int(population.countries[client_id])],
+                                        config.noise, phrases,
+                                        client_data_stream(seed, client_id, round_index))
+            expected += len(dataset) * config.train.local_epochs
+    assert len(counted) == spec.global_epochs
+    assert expected > 0 and sum(counted) == expected

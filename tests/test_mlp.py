@@ -4,8 +4,9 @@ The gradient check uses central finite differences as an independent
 oracle; the Adam check replays the moment recursion in pure Python.
 The ``ref_*`` functions are a frozen copy of an earlier, plainer
 training step (masked sigmoid, loss computed on every step, Adam with
-fresh temporaries) and whole-matrix forward; the leaner step and the
-blocked scorer must match them bit for bit. Checks that depend on the
+fresh temporaries), trained one client at a time, and whole-matrix
+forward; the lockstep engine and the blocked scorer must match them bit
+for bit, client by client. Checks that depend on the
 BLAS thread count run in a fresh interpreter with that many threads.
 """
 
@@ -20,10 +21,12 @@ import numpy as np
 import pytest
 
 import fedsymptoms
+from fedsymptoms import mlp
 from fedsymptoms.mlp import (
     BATCH_SIZE,
     BETA1,
     BETA2,
+    Cohort,
     EPS_HAT,
     LAYER_SIZES,
     LEARNING_RATE,
@@ -50,6 +53,12 @@ from fedsymptoms.sampling import ClientDataset
 from conftest import matrix_phrase_table, separable_dataset, training_accuracy
 
 
+def train_one(params, dataset, config, rng):
+    """train_local on a cohort of one client."""
+    [trained] = train_local(params, Cohort((dataset,)), config, [rng])
+    return trained
+
+
 def test_init_shapes_and_glorot_bounds():
     params = init_params(np.random.default_rng(0))
     assert len(params.layers) == len(LAYER_SIZES) - 1
@@ -73,7 +82,7 @@ def test_params_arrays_are_frozen():
     params = init_params(np.random.default_rng(0))
     with pytest.raises(ValueError):
         params.layers[0][0][0, 0] = 1.0
-    trained = train_local(params, separable_dataset(0), TrainConfig(local_epochs=1),
+    trained = train_one(params, separable_dataset(0), TrainConfig(local_epochs=1),
                           np.random.default_rng(0))
     with pytest.raises(ValueError):
         trained.flat[0] = 1.0
@@ -235,7 +244,7 @@ def test_adam_step_matches_scalar_recursion():
     lr = 0.001
     for step in range(1, 101):
         g = float(rng.standard_normal())
-        adam_step(theta, np.array([g]), m, v, step, lr)
+        adam_step(theta, np.array([g]), m, v, step, lr, np.empty(1), np.empty(1))
         ref_m = BETA1 * ref_m + (1 - BETA1) * g
         ref_v = BETA2 * ref_v + (1 - BETA2) * g * g
         m_hat = ref_m / (1 - BETA1 ** step)
@@ -247,12 +256,13 @@ def test_adam_step_matches_scalar_recursion():
 def test_adam_step_advances_with_the_step_count():
     start = init_params(np.random.default_rng(12)).flat
     theta, m, v = start.copy(), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
-    adam_step(theta, np.ones(N_PARAMS), m, v, 1, 0.001)
+    scratch, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)
+    adam_step(theta, np.ones(N_PARAMS), m, v, 1, 0.001, scratch, denom)
     assert not np.array_equal(theta, start)
     # the bias correction depends on the step count the caller advances
     at_one, at_two = theta.copy(), theta.copy()
-    adam_step(at_one, np.ones(N_PARAMS), m.copy(), v.copy(), 1, 0.001)
-    adam_step(at_two, np.ones(N_PARAMS), m.copy(), v.copy(), 2, 0.001)
+    adam_step(at_one, np.ones(N_PARAMS), m.copy(), v.copy(), 1, 0.001, scratch, denom)
+    adam_step(at_two, np.ones(N_PARAMS), m.copy(), v.copy(), 2, 0.001, scratch, denom)
     assert not np.array_equal(at_one, at_two)
 
 
@@ -260,7 +270,7 @@ def test_train_local_solves_separable_data():
     dataset = separable_dataset(13)
     params = init_params(np.random.default_rng(13))
     config = TrainConfig(local_epochs=5)
-    trained = train_local(params, dataset, config, np.random.default_rng(13))
+    trained = train_one(params, dataset, config, np.random.default_rng(13))
     assert training_accuracy(trained, dataset) == 1.0
 
 
@@ -268,8 +278,8 @@ def test_train_local_deterministic():
     dataset = separable_dataset(14)
     params = init_params(np.random.default_rng(14))
     config = TrainConfig(local_epochs=2)
-    a = train_local(params, dataset, config, np.random.default_rng(15))
-    b = train_local(params, dataset, config, np.random.default_rng(15))
+    a = train_one(params, dataset, config, np.random.default_rng(15))
+    b = train_one(params, dataset, config, np.random.default_rng(15))
     for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
@@ -279,7 +289,7 @@ def test_train_local_rejects_empty_dataset():
     empty = ClientDataset(phrases=matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))),
                           rows=np.empty(0, np.intp), labels=np.empty(0))
     with pytest.raises(ValueError):
-        train_local(params, empty, TrainConfig(), np.random.default_rng(16))
+        train_one(params, empty, TrainConfig(), np.random.default_rng(16))
 
 
 def test_train_local_refuses_a_non_finite_update():
@@ -290,14 +300,14 @@ def test_train_local_refuses_a_non_finite_update():
                             rows=np.arange(4), labels=np.array([1, 0, 1, 0]))
     params = init_params(np.random.default_rng(16))
     with pytest.raises(ValueError, match="non-finite"):
-        train_local(params, dataset, TrainConfig(local_epochs=1), np.random.default_rng(16))
+        train_one(params, dataset, TrainConfig(local_epochs=1), np.random.default_rng(16))
 
 
 def test_train_local_returns_a_read_only_vector_of_its_own():
     # the trained vector is adopted without a copy, so nothing else may hold it
     dataset = separable_dataset(18)
     params = init_params(np.random.default_rng(18))
-    trained = train_local(params, dataset, TrainConfig(local_epochs=1),
+    trained = train_one(params, dataset, TrainConfig(local_epochs=1),
                           np.random.default_rng(18))
     assert trained.flat.dtype == np.float64 and trained.flat.shape == (N_PARAMS,)
     assert not trained.flat.flags.writeable
@@ -309,7 +319,7 @@ def test_train_local_returns_a_read_only_vector_of_its_own():
 def test_mean_loss_drops_after_training():
     dataset = separable_dataset(17)
     params = init_params(np.random.default_rng(17))
-    trained = train_local(params, dataset, TrainConfig(local_epochs=3),
+    trained = train_one(params, dataset, TrainConfig(local_epochs=3),
                           np.random.default_rng(17))
     assert mean_loss(trained, dataset) < mean_loss(params, dataset)
 
@@ -442,7 +452,7 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
 
     y = labels.astype(np.float64)
     config = TrainConfig(local_epochs=3)
-    trained = train_local(params, dataset, config, np.random.default_rng(22))
+    trained = train_one(params, dataset, config, np.random.default_rng(22))
     expected = ref_train_local(params.flat, x, y, config, np.random.default_rng(22))
     assert same_bytes(trained.flat, expected)
     for start in (params, trained):
@@ -464,10 +474,95 @@ def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
                             rows=np.arange(n), labels=labels)
     params = init_params(np.random.default_rng(24))
     config = TrainConfig(local_epochs=134)  # 402 steps
-    trained = train_local(params, dataset, config, np.random.default_rng(25))
+    trained = train_one(params, dataset, config, np.random.default_rng(25))
     expected = ref_train_local(params.flat, x, labels.astype(np.float64), config,
                                np.random.default_rng(25))
     assert same_bytes(trained.flat, expected)
+
+
+def ragged_cohort(sizes, seed, table_rows=300):
+    """A cohort of clients of the given sizes, drawn with repeats from one shared random table."""
+    rng = np.random.default_rng(seed)
+    table = matrix_phrase_table(rng.standard_normal((table_rows, LAYER_SIZES[0])))
+    return Cohort(tuple(ClientDataset(phrases=table, rows=rng.integers(table_rows, size=n),
+                                      labels=rng.integers(0, 2, size=n)) for n in sizes))
+
+
+def check_cohort_matches_frozen_reference(params, cohort, config, seed):
+    """Train the cohort in lockstep and each client alone on the frozen reference; compare bytes."""
+    streams = [np.random.default_rng([seed, i]) for i in range(len(cohort.clients))]
+    trained = train_local(params, cohort, config, streams)
+    assert len(trained) == len(cohort.clients)
+    for i, (client, update) in enumerate(zip(cohort.clients, trained)):
+        x = client.phrases.matrix[client.rows]
+        expected = ref_train_local(params.flat, x, client.labels, config,
+                                   np.random.default_rng([seed, i]))
+        assert same_bytes(update.flat, expected), (i, len(client))
+    return trained
+
+
+# around one and two batches, in no order: 12 clients fill one chunk and part of a second
+RAGGED_SIZES = (65, 1, 33, 32, 2, 64, 31, 33, 1, 65, 2, 32)
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_ragged_cohort_matches_frozen_reference_byte_for_byte(epochs):
+    assert len(RAGGED_SIZES) > mlp.LOCKSTEP_CLIENTS
+    cohort = ragged_cohort(RAGGED_SIZES, 50 + epochs)
+    assert len(cohort) == sum(RAGGED_SIZES)
+    start = init_params(np.random.default_rng(51))
+    # 3x the start also puts outputs outside the LOSS_CLAMP band
+    for params in (start, MlpParameters(3.0 * start.flat)):
+        trained = check_cohort_matches_frozen_reference(
+            params, cohort, TrainConfig(local_epochs=epochs), 52)
+    for i, update in enumerate(trained):
+        assert not update.flat.flags.writeable
+        assert not any(np.shares_memory(update.flat, other.flat) for other in trained[i + 1:])
+
+
+def test_clients_leave_the_lockstep_prefix_as_they_finish(monkeypatch):
+    # 3, 2 and 1 steps an epoch: over 2 epochs the clients stop after steps 6, 4 and 2
+    cohort = ragged_cohort((10, 70, 40), 54)
+    steps = []
+    real = mlp.adam_step
+
+    def spy(theta, *args):
+        # a lone client steps on its 1-D row
+        steps.append((len(theta) if theta.ndim == 2 else 1, args[3]))
+        return real(theta, *args)
+
+    monkeypatch.setattr(mlp, "adam_step", spy)
+    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(55)), cohort,
+                                          TrainConfig(local_epochs=2), 56)
+    assert steps == [(3, 1), (3, 2), (2, 3), (2, 4), (1, 5), (1, 6)]
+
+
+def test_a_run_of_one_client_between_runs_of_several(monkeypatch):
+    # one step an epoch each; sorted by batch size: 20, 20 | 15 | 10, 10
+    cohort = ragged_cohort((10, 20, 15, 20, 10), 57)
+    shapes = []
+    real = mlp._backprop
+
+    def spy(layers, x, y, grads):
+        shapes.append(x.shape)
+        return real(layers, x, y, grads)
+
+    monkeypatch.setattr(mlp, "_backprop", spy)
+    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(58)), cohort,
+                                          TrainConfig(local_epochs=2), 59)
+    step = [(2, 20, LAYER_SIZES[0]), (15, LAYER_SIZES[0]), (2, 10, LAYER_SIZES[0])]
+    assert shapes == step * 2
+
+
+def test_cohort_checks_its_clients_and_streams():
+    cohort = ragged_cohort((3, 4), 60)
+    params = init_params(np.random.default_rng(60))
+    with pytest.raises(ValueError, match="2 streams"):
+        train_local(params, Cohort(cohort.clients + cohort.clients[:1]), TrainConfig(),
+                    [np.random.default_rng(0)] * 2)
+    with pytest.raises(ValueError, match="share one phrase table"):
+        Cohort(cohort.clients + (separable_dataset(60),))
+    assert train_local(params, Cohort(()), TrainConfig(), []) == []
 
 
 def backprop_cases():
@@ -597,7 +692,7 @@ def test_training_and_scoring_memory_is_bounded_by_batch_and_block():
     params = init_params(np.random.default_rng(26))
     tracemalloc.start()
     try:
-        trained = train_local(params, dataset, TrainConfig(local_epochs=1),
+        trained = train_one(params, dataset, TrainConfig(local_epochs=1),
                               np.random.default_rng(27))
         _, train_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()

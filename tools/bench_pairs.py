@@ -1,19 +1,22 @@
-"""Compare two git revisions on one perfbench workload in alternating pairs.
+"""Compare two git revisions on perfbench workloads in alternating pairs.
 
-Each revision is checked out into its own temporary `git worktree`. Pair
-i runs `perfbench/run.py --trace 0` once on each side, the base side
-first in even pairs and the change side first in odd ones, so a drift in
-the host's speed or load falls on both sides alike. Every pair uses the
-same seed. For each end-to-end metric the summary prints both sides'
-medians and quartiles and how many pairs the change won (ties count for
-neither side). A gain is shown only when the change wins at least nine
-tenths of at least ten pairs and its median differs from the base's by
-more than the base's interquartile range. The worktrees are removed at
-the end.
+Each revision's files are extracted with `git archive` into a temporary
+directory. Pair i runs `perfbench/run.py --trace 0` once on each side
+for every listed workload, the base side first in even pairs and the
+change side first in odd ones, so a drift in the host's speed or load
+falls on both sides alike. Every pair uses the same seed. For each
+workload and end-to-end metric the summary prints both sides' medians
+and quartiles and how many pairs the change won (ties count for neither
+side). A gain is shown only when the change wins at least nine tenths of
+at least ten pairs and its median differs from the base's by more than
+the base's interquartile range. The extracted trees are removed at the
+end.
 
-Run from anywhere inside the repository:
+Run from anywhere inside the repository; `--workload` takes one name, a
+comma list, or `all` for every workload in the change's BENCHMARK.json:
 
     python3 tools/bench_pairs.py HEAD~1 HEAD --workload run_IV_wide --pairs 10 --seconds 30
+    python3 tools/bench_pairs.py HEAD~1 HEAD --workload all --pairs 10 --seconds 30
 
 The temporary directory follows `TMPDIR`. The last line of standard
 output is one JSON object with every run's metrics.
@@ -94,7 +97,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision of the base side, e.g. HEAD~1")
     parser.add_argument("change", help="git revision of the change side, e.g. HEAD")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload name, a comma list of them, or all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
@@ -106,34 +110,41 @@ def main(argv: list[str] | None = None) -> int:
                for side, rev in (("base", args.base), ("change", args.change))}
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
     trees = {side: os.path.join(tmp, side) for side in commits}
-    added = []
     try:
         for side, commit in commits.items():
-            git("worktree", "add", "--detach", trees[side], commit)
-            added.append(trees[side])
+            os.makedirs(trees[side])
+            archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                                     capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", trees[side]], input=archive, check=True)
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+            spec = json.load(fh)
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        known = [w["name"] for w in spec["workloads"]]
+        workloads = known if args.workload == "all" else args.workload.split(",")
+        unknown = [name for name in workloads if name not in known]
+        if unknown:
+            parser.error(f"unknown workload(s) {unknown}; expected some of {known} or all")
 
-        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        runs = {name: {"base": [], "change": []} for name in workloads}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                runs[side].append(run_side(trees[side], args.workload, args.seed,
-                                           args.seconds))
-            shown = "  ".join(f"{name} {runs['base'][-1][name]:.6g}/{runs['change'][-1][name]:.6g}"
-                              for name in better)
-            print(f"pair {i + 1} ({order[0]} first), base/change: {shown}", flush=True)
+            for name in workloads:
+                for side in order:
+                    runs[name][side].append(run_side(trees[side], name, args.seed,
+                                                     args.seconds))
+                last = runs[name]
+                shown = "  ".join(f"{metric} {last['base'][-1][metric]:.6g}/"
+                                  f"{last['change'][-1][metric]:.6g}" for metric in better)
+                print(f"pair {i + 1} {name} ({order[0]} first), base/change: {shown}",
+                      flush=True)
 
-        print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s, "
-              f"base {commits['base'][:12]} change {commits['change'][:12]}:")
-        print("\n".join(summarize(runs, better)))
-        print(json.dumps({"workload": args.workload, "seed": args.seed,
+        for name in workloads:
+            print(f"{name}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s, "
+                  f"base {commits['base'][:12]} change {commits['change'][:12]}:")
+            print("\n".join(summarize(runs[name], better)))
+        print(json.dumps({"workloads": workloads, "seed": args.seed,
                           "seconds": args.seconds, "commits": commits, "runs": runs}))
     finally:
-        for tree in added:
-            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
-                           capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 

@@ -231,8 +231,9 @@ def run_round(params: MlpParameters, round_index: int, population: Population,
     The selected clients are synthesized in client_id order into windows.
     A window closes once it holds WINDOW_EXAMPLES examples, or at the last
     client, and its non-empty datasets train in one train_local call, as
-    one Cohort with a stream per client. Each update is then scored by
-    mean_loss. Updates and losses stay in ascending client_id order.
+    one Cohort with a stream per client. One mean_loss call then scores
+    each update on its own client's data. Updates and losses stay in
+    ascending client_id order.
     Clients that come up empty are skipped; a round in which every
     selected client does so carries the global parameters forward unchanged.
     """
@@ -264,10 +265,11 @@ def run_round(params: MlpParameters, round_index: int, population: Population,
             rngs.append(streams.client_train_stream(master_seed, client_id, round_index))
             held += len(dataset)
         if window and (held >= WINDOW_EXAMPLES or position == len(chosen)):
-            # positional, under this module's name: perfbench wraps it there
-            trained = train_local(params, Cohort(tuple(window)), config.train, rngs)
+            cohort = Cohort(tuple(window))
+            # positional, under this module's names: perfbench wraps them there
+            trained = train_local(params, cohort, config.train, rngs)
+            losses += mean_loss(trained, cohort)
             for dataset, local in zip(window, trained):
-                losses.append(mean_loss(local, dataset))
                 weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
                 updates.append((local, weight))
             window, rngs, held = [], [], 0

@@ -32,20 +32,37 @@ updates them all. The prefix is split into contiguous runs of clients
 whose minibatches have the same number of rows, and each run takes one
 forward and backward pass over a slice of the chunk's arrays.
 
-One kernel. _backprop is rank-generic: a (n, 50) minibatch with one
-client's (weight, bias) views uses np.dot, and a (k, n, 50) stack with
-the run's (k, fan_in, fan_out) weights and (k, 1, fan_out) biases uses
-np.matmul. np.matmul runs one small BLAS product per client, which gives
-each client the bits np.dot gives it alone; tests compare the bytes of
-ragged cohorts with a per-client reference, and the golden runs at 1 and
-4 BLAS threads. A run of one client steps on its own 1-D parameter row
-through np.dot, which has less dispatch overhead.
+One kernel. _backprop and _forward are rank-generic: a (n, 50) batch
+with one client's (weight, bias) views uses np.dot, and a (k, n, 50)
+stack with the stack's (k, fan_in, fan_out) weights and (k, 1, fan_out)
+biases uses np.matmul. np.matmul runs one small BLAS product per client,
+which gives each client the bits np.dot gives it alone; tests compare the
+bytes of ragged cohorts with a per-client reference, and the golden runs
+at 1 and 4 BLAS threads. A run of one client steps on its own 1-D
+parameter row through np.dot, which has less dispatch overhead.
 The four layers are written out, forward and backward, with labels and
 outputs kept as (..., n, 1) columns; each ReLU's gradient is masked by
 multiplying in place with np.sign of its output (1.0 or 0.0, with no
 bool-to-float cast), and adam_step skips its first-moment
 bias-correction divide once that correction is exactly 1.0; all of
 these keep every bit.
+
+Scoring. mean_loss scores a whole cohort, each client with its own
+trained parameters, in one call. A client under 2 * SCORE_ROWS rows is
+one scoring block, so clients of equal size are stacked, up to
+LOCKSTEP_CLIENTS at a time to bound the memory, and each stack takes one
+rank-generic _forward pass, as a lockstep run takes one _backprop; a
+client alone in its stack, and any larger client, is scored block by
+block on its own. Either way each loss has the bits of the client scored
+alone.
+
+Shuffles. A client of n rows draws its epochs' shuffles min(epochs left,
+max(1, SCORE_ROWS // n)) epochs at a time, so a draw holds at most
+max(n, SCORE_ROWS) rows: one rng.permuted call over one row of arange(n)
+per epoch, and one gather of rows and labels for them all. Those rows are
+the orders that one rng.permutation(n) call per epoch gives, and the
+stream is left in the same state, so a small client pays one draw, not
+one per epoch, for the same bits.
 
 Every scored row comes from one fixed partition into blocks of SCORE_ROWS
 to 2 * SCORE_ROWS - 1 rows, the short tail merged into the block before
@@ -205,21 +222,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(layers, x: np.ndarray) -> np.ndarray:
-    """The unclipped output probabilities of a (n, 50) batch, shape (n,).
+    """The unclipped output probabilities of a batch: (n,) for one client's (n, 50) rows.
 
-    Only the current layer's input and output are alive, so a large batch
-    never holds all its activations at once.
+    A stack of k clients' (k, n, 50) batches takes (k, fan_in, fan_out)
+    weights and (k, 1, fan_out) biases, as _backprop does, and gives (k, n),
+    each client with the bits of its own 2-D call. Only the current layer's
+    input and output are alive, so a large batch never holds all its
+    activations at once.
     """
     # np.dot runs the same BLAS kernels as @, with less dispatch overhead
+    mm = np.dot if x.ndim == 2 else np.matmul
     for w, b in layers[:-1]:
         # in place: the same bits as maximum(dot + b, 0) with one array per layer
-        h = np.dot(x, w)
+        h = mm(x, w)
         h += b
         x = np.maximum(h, 0.0, out=h)
     w, b = layers[-1]
-    z = np.dot(x, w)
+    z = mm(x, w)
     z += b
-    return _sigmoid(z.ravel())
+    return _sigmoid(z[..., 0])
 
 
 def _row_bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -379,12 +400,13 @@ def train_local(params: MlpParameters, dataset: Cohort, config: TrainConfig,
     """Run local_epochs of minibatch Adam over each client of the cohort, in lockstep.
 
     Client i starts from params with a fresh optimizer state and shuffles
-    its row indices and labels at the start of each of its epochs with
-    rngs[i]; each step gathers its minibatch straight from the shared
-    phrase table, and the last short batch is trained on. Returns each
-    client's trained vector, frozen, in input order; a non-finite one is
-    refused. The clients train in sorted chunks (see the module
-    docstring), and each result has the bits of a run of its own.
+    its row indices and labels for each of its epochs with rngs[i], a
+    small client several epochs in one draw; each step gathers its
+    minibatch straight from the shared phrase table, and the last short
+    batch is trained on. Returns each client's trained vector, frozen, in
+    input order; a non-finite one is refused. The clients train in sorted
+    chunks (see the module docstring), and each result has the bits of a
+    run of its own.
     """
     clients = dataset.clients
     if len(rngs) != len(clients):
@@ -404,16 +426,38 @@ def train_local(params: MlpParameters, dataset: Cohort, config: TrainConfig,
     return trained
 
 
+def _stacked_layers(theta: np.ndarray) -> tuple:
+    """(weight, bias) views of (k, N_PARAMS) rows for a stacked pass: biases as (k, 1, fan_out)."""
+    return tuple((w, b[:, None]) for w, b in layer_views(theta))
+
+
 def _run_views(theta: np.ndarray, grad: np.ndarray, first: int, end: int) -> tuple:
     """_backprop's (layers, grads) views for the run of chunk rows [first, end).
 
     A run of one client gets its own 1-D rows' 2-D views; a longer run gets
-    stacked views, its biases as (k, 1, fan_out) to broadcast over its rows.
+    stacked views, its biases broadcasting over its rows.
     """
     if end - first == 1:
         return layer_views(theta[first]), layer_views(grad[first])
-    return (tuple((w, b[:, None]) for w, b in layer_views(theta[first:end])),
-            layer_views(grad[first:end]))
+    return _stacked_layers(theta[first:end]), layer_views(grad[first:end])
+
+
+def _draw_epochs(client: ClientDataset, rng: np.random.Generator, epochs_left: int) -> list:
+    """The client's shuffled (rows, label column) of its next epochs, the next epoch last.
+
+    Draws min(epochs_left, max(1, SCORE_ROWS // n)) epochs of a client of n
+    rows in one call, so a draw holds at most max(n, SCORE_ROWS) rows.
+    rng.permuted over one row of arange(n) per epoch gives the orders of,
+    and leaves the stream as, one rng.permutation(n) call per epoch.
+    """
+    n = len(client)
+    order = np.arange(n)[None].repeat(min(epochs_left, max(1, SCORE_ROWS // n)), axis=0)
+    rng.permuted(order, axis=1, out=order)
+    rows = client.rows[order]
+    # the labels as the (n, 1) columns _backprop takes; a view of the
+    # gather, which is cheaper than gathering rows of a column
+    labels = client.labels[order][..., None]
+    return list(zip(rows[::-1], labels[::-1]))
 
 
 def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
@@ -431,6 +475,7 @@ def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
     # run_views[first][end]: _run_views of the run [first, end), once it has been met
     run_views = [[None] * (k + 1) for _ in range(k)]
     shuffled: list = [None] * k  # each client's rows and label column for this epoch
+    drawn: list[list] = [[] for _ in range(k)]  # each client's later epochs, already shuffled
     leaves = 0  # the next step at which the prefix shrinks; step 0 sets it up
     for j in range(last_step[0]):
         if j == leaves:
@@ -446,11 +491,9 @@ def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
         for i in training:
             position = j % per_epoch[i]
             if not position:
-                client = clients[i]
-                permutation = rngs[i].permutation(len(client))
-                # the labels as the (n, 1) column _backprop takes; a view of the
-                # 1-D gather, which is cheaper than gathering rows of a column
-                shuffled[i] = (client.rows[permutation], client.labels[permutation][:, None])
+                if not drawn[i]:
+                    drawn[i] = _draw_epochs(clients[i], rngs[i], epochs - j // per_epoch[i])
+                shuffled[i] = drawn[i].pop()
             rows, labels = shuffled[i]
             start = position * BATCH_SIZE
             batches.append((rows[start:start + BATCH_SIZE], labels[start:start + BATCH_SIZE]))
@@ -478,21 +521,59 @@ def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
     return theta
 
 
-def mean_loss(params: MlpParameters, dataset: ClientDataset) -> float:
-    """Mean binary cross-entropy of the current params on a dataset, scored block by block.
+def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:
+    """Mean binary cross-entropy of trained[i] on the cohort's client i, for each i, in order.
+
+    A client under 2 * SCORE_ROWS rows is one scoring block. Clients of such
+    a size are scored in stacks of up to LOCKSTEP_CLIENTS clients of equal
+    size, one stacked forward pass a stack; a client alone in its stack, or
+    a larger one, is scored block by block on its own. Each loss has the
+    bits the client gets scored alone.
+    """
+    clients = dataset.clients
+    if len(trained) != len(clients):
+        raise ValueError(f"{len(trained)} parameter sets for {len(clients)} clients")
+    if not all(len(client) for client in clients):
+        raise ValueError("empty client")
+    losses = [0.0] * len(clients)
+    # the clients of one scoring block, by size
+    by_size: dict[int, list[int]] = {}
+    for i, client in enumerate(clients):
+        if len(client) < 2 * SCORE_ROWS:
+            by_size.setdefault(len(client), []).append(i)
+        else:
+            losses[i] = _client_loss(trained[i], client)
+    for n, group in by_size.items():
+        for start in range(0, len(group), LOCKSTEP_CLIENTS):
+            stack = group[start:start + LOCKSTEP_CLIENTS]
+            k = len(stack)
+            if k == 1:
+                losses[stack[0]] = _client_loss(trained[stack[0]], clients[stack[0]])
+                continue
+            theta = np.stack([trained[i].flat for i in stack])
+            rows = np.concatenate([clients[i].rows for i in stack])
+            x = clients[0].phrases.matrix.take(rows, axis=0).reshape(k, n, LAYER_SIZES[0])
+            y = np.concatenate([clients[i].labels for i in stack]).reshape(k, n)
+            loss = _row_bce(_forward(_stacked_layers(theta), x), y)
+            # each client's row sum in the order of its own 1-D np.add.reduce
+            for i, value in zip(stack, (np.add.reduce(loss, axis=-1) / n).tolist()):
+                losses[i] = value
+    return losses
+
+
+def _client_loss(params: MlpParameters, client: ClientDataset) -> float:
+    """One client's mean binary cross-entropy, scored block by block.
 
     Each block's per-row losses go into one array, so the mean sums them
     in the same order as a whole-client forward would; np.add.reduce over
     len is np.mean's own sum and divide, without its Python-level wrapper.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty client")
-    y = dataset.labels
+    y = client.labels
     loss = np.empty(len(y))
     # fresh views, not the cached params.layers: each local update is scored
     # once, and a cache would hold its views until FedAvg merges the round
-    for block, p in _blocked_forward(layer_views(params.flat), dataset.phrases.matrix,
-                                     dataset.rows):
+    for block, p in _blocked_forward(layer_views(params.flat), client.phrases.matrix,
+                                     client.rows):
         loss[block] = _row_bce(p, y[block])
     return float(np.add.reduce(loss) / len(loss))
 

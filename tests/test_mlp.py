@@ -5,8 +5,8 @@ oracle; the Adam check replays the moment recursion in pure Python.
 The ``ref_*`` functions are a frozen copy of an earlier, plainer
 training step (masked sigmoid, loss computed on every step, Adam with
 fresh temporaries), trained one client at a time, and whole-matrix
-forward; the lockstep engine and the blocked scorer must match them bit
-for bit, client by client. Checks that depend on the
+forward; the lockstep engine and the window scorer, stacked or blocked,
+must match them bit for bit, client by client. Checks that depend on the
 BLAS thread count run in a fresh interpreter with that many threads.
 """
 
@@ -57,6 +57,12 @@ def train_one(params, dataset, config, rng):
     """train_local on a cohort of one client."""
     [trained] = train_local(params, Cohort((dataset,)), config, [rng])
     return trained
+
+
+def score_one(params, dataset):
+    """mean_loss on a cohort of one client."""
+    [loss] = mean_loss([params], Cohort((dataset,)))
+    return loss
 
 
 def test_init_shapes_and_glorot_bounds():
@@ -321,7 +327,7 @@ def test_mean_loss_drops_after_training():
     params = init_params(np.random.default_rng(17))
     trained = train_one(params, dataset, TrainConfig(local_epochs=3),
                           np.random.default_rng(17))
-    assert mean_loss(trained, dataset) < mean_loss(params, dataset)
+    assert score_one(trained, dataset) < score_one(params, dataset)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -456,7 +462,7 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
     expected = ref_train_local(params.flat, x, y, config, np.random.default_rng(22))
     assert same_bytes(trained.flat, expected)
     for start in (params, trained):
-        assert same_bytes(mean_loss(start, dataset), ref_mean_loss(start.flat, x, y))
+        assert same_bytes(score_one(start, dataset), ref_mean_loss(start.flat, x, y))
 
 
 def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
@@ -501,11 +507,13 @@ def check_cohort_matches_frozen_reference(params, cohort, config, seed):
     return trained
 
 
-# around one and two batches, in no order: 12 clients fill one chunk and part of a second
-RAGGED_SIZES = (65, 1, 33, 32, 2, 64, 31, 33, 1, 65, 2, 32)
+# around one and two batches, and one of ten, in no order: 13 clients fill one chunk and
+# part of a second; over 5 epochs a 65-row client draws its shuffles as 3 + 2 epochs, and
+# the 300-row client one epoch at a time
+RAGGED_SIZES = (65, 1, 33, 32, 2, 64, 31, 300, 33, 1, 65, 2, 32)
 
 
-@pytest.mark.parametrize("epochs", [1, 2, 3])
+@pytest.mark.parametrize("epochs", [1, 2, 3, 5])
 def test_ragged_cohort_matches_frozen_reference_byte_for_byte(epochs):
     assert len(RAGGED_SIZES) > mlp.LOCKSTEP_CLIENTS
     cohort = ragged_cohort(RAGGED_SIZES, 50 + epochs)
@@ -518,6 +526,44 @@ def test_ragged_cohort_matches_frozen_reference_byte_for_byte(epochs):
     for i, update in enumerate(trained):
         assert not update.flat.flags.writeable
         assert not any(np.shares_memory(update.flat, other.flat) for other in trained[i + 1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 255, 256, 257, 1000])
+def test_permuted_rows_are_successive_permutations(n):
+    # train_local draws b epochs' shuffles of a small client in one permuted call
+    for b in range(1, 6):
+        one, many = np.random.default_rng([n, b]), np.random.default_rng([n, b])
+        orders = np.arange(n)[None].repeat(b, axis=0)
+        many.permuted(orders, axis=1, out=orders)
+        for order in orders:
+            assert np.array_equal(order, one.permutation(n))
+        assert many.bit_generator.state == one.bit_generator.state
+
+
+class DrawRecorder:
+    """A client's stream that records how many epochs each shuffle draw covers."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def permuted(self, x, axis, out):
+        self.draws.append(len(x))
+        return self.rng.permuted(x, axis=axis, out=out)
+
+
+def test_small_clients_draw_several_epochs_shuffles_at_once():
+    # SCORE_ROWS // n epochs a draw, at least one and at most the epochs left
+    sizes = (65, SCORE_ROWS + 44, 1, SCORE_ROWS)
+    cohort = ragged_cohort(sizes, 62)
+    params = init_params(np.random.default_rng(63))
+    config = TrainConfig(local_epochs=5)
+    streams = [DrawRecorder(np.random.default_rng([64, i])) for i in range(len(sizes))]
+    trained = train_local(params, cohort, config, streams)
+    assert [stream.draws for stream in streams] == [[3, 2], [1] * 5, [5], [1] * 5]
+    for i, (client, update) in enumerate(zip(cohort.clients, trained)):
+        expected = ref_train_local(params.flat, client.phrases.matrix[client.rows],
+                                   client.labels, config, np.random.default_rng([64, i]))
+        assert same_bytes(update.flat, expected), len(client)
 
 
 def test_clients_leave_the_lockstep_prefix_as_they_finish(monkeypatch):
@@ -661,7 +707,7 @@ def check_blocked_scoring_matches_whole_matrix_reference():
             dataset = random_client(n, rng)
             x = dataset.phrases.matrix[dataset.rows]
             assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x)), n
-            assert same_bytes(mean_loss(params, dataset),
+            assert same_bytes(score_one(params, dataset),
                               ref_mean_loss(params.flat, x, dataset.labels)), n
 
 
@@ -682,6 +728,65 @@ def forward_digests() -> list[str]:
     return digests
 
 
+# one client of each size around the batch and block edges, and more than LOCKSTEP_CLIENTS
+# clients of 31 rows: clients under 2 * SCORE_ROWS rows are scored in stacks of equal size
+WINDOW_SIZES = (1, 2, 31, 32, 33, 255, 511, 512, 513, 769, 2) + (31,) * 16
+
+
+def window_scoring_case():
+    """A ragged cohort, one parameter set per client from 1x to 3x one start, and its losses."""
+    cohort = ragged_cohort(WINDOW_SIZES, 65)
+    start = init_params(np.random.default_rng(66))
+    # 3x the start also puts outputs outside the LOSS_CLAMP band
+    trained = [MlpParameters((1.0 + 2.0 * i / (len(WINDOW_SIZES) - 1)) * start.flat)
+               for i in range(len(WINDOW_SIZES))]
+    return cohort, trained, mean_loss(trained, cohort)
+
+
+def check_window_scoring_matches_whole_matrix_reference():
+    cohort, trained, losses = window_scoring_case()
+    assert len(losses) == len(cohort.clients)
+    for client, params, loss in zip(cohort.clients, trained, losses):
+        expected = ref_mean_loss(params.flat, client.phrases.matrix[client.rows], client.labels)
+        assert same_bytes(loss, expected), len(client)
+
+
+def test_window_scoring_matches_whole_matrix_reference_at_1_blas_thread():
+    at_blas_threads(1, "import test_mlp; "
+                       "test_mlp.check_window_scoring_matches_whole_matrix_reference()")
+
+
+def test_window_scoring_stacks_equal_sizes_and_matches_clients_scored_alone(monkeypatch):
+    shapes = []
+    real = mlp._forward
+
+    def spy(layers, x):
+        shapes.append(x.shape)
+        return real(layers, x)
+
+    monkeypatch.setattr(mlp, "_forward", spy)
+    cohort, trained, losses = window_scoring_case()
+    stacked = sorted(shape[:2] for shape in shapes if len(shape) == 3)
+    # 16 + 1 clients of 31 rows: stacks of 8 and 8, then one alone; 2 clients of 2 rows
+    assert stacked == [(2, 2), (8, 31), (8, 31)]
+    # blocks of 256 rows, the last up to 511: 512 and 513 rows take two, 769 three
+    assert sum(len(shape) == 2 for shape in shapes) == 6 + 2 + 2 + 3
+    for client, params, loss in zip(cohort.clients, trained, losses):
+        assert same_bytes(loss, score_one(params, client)), len(client)
+
+
+def test_mean_loss_checks_its_clients():
+    cohort = ragged_cohort((3, 4), 67)
+    params = init_params(np.random.default_rng(67))
+    with pytest.raises(ValueError, match="1 parameter sets for 2 clients"):
+        mean_loss([params], cohort)
+    empty = ClientDataset(phrases=cohort.clients[0].phrases, rows=np.arange(0),
+                          labels=np.arange(0))
+    with pytest.raises(ValueError, match="empty client"):
+        mean_loss([params], Cohort((empty,)))
+    assert mean_loss([], Cohort(())) == []
+
+
 def test_forward_batch_bits_do_not_depend_on_blas_threads():
     code = "import test_mlp; print(test_mlp.forward_digests())"
     assert at_blas_threads(4, code) == at_blas_threads(1, code)
@@ -696,7 +801,7 @@ def test_training_and_scoring_memory_is_bounded_by_batch_and_block():
                               np.random.default_rng(27))
         _, train_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        mean_loss(trained, dataset)
+        score_one(trained, dataset)
         _, score_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -545,7 +545,7 @@ def test_synthesis_and_training_build_no_labeled_example(monkeypatch, table, cor
                            np.random.default_rng(20))
     [trained] = train_local(init_params(np.random.default_rng(21)), Cohort((ds,)),
                             TrainConfig(local_epochs=2), [np.random.default_rng(22)])
-    mean_loss(trained, ds)
+    mean_loss([trained], Cohort((ds,)))
     assert len(ds) > 0
     assert built == []
     # the derived view is the one place that builds them

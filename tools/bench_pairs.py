@@ -44,6 +44,19 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def extract(revisions: dict[str, str], tmp: str) -> tuple[dict[str, str], dict[str, str]]:
+    """Each side's commit id, and the directory under tmp holding its `git archive`."""
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
+               for side, rev in revisions.items()}
+    trees = {side: os.path.join(tmp, side) for side in commits}
+    for side, commit in commits.items():
+        os.makedirs(trees[side])
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", trees[side]], input=archive, check=True)
+    return commits, trees
+
+
 def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` call; its JSON result line."""
     done = subprocess.run(
@@ -106,16 +119,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be positive")
 
-    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
-               for side, rev in (("base", args.base), ("change", args.change))}
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
-    trees = {side: os.path.join(tmp, side) for side in commits}
     try:
-        for side, commit in commits.items():
-            os.makedirs(trees[side])
-            archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
-                                     capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", trees[side]], input=archive, check=True)
+        commits, trees = extract({"base": args.base, "change": args.change}, tmp)
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             spec = json.load(fh)
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}

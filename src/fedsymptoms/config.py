@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, fields, replace
 
 from . import assets
-from .federation import WEIGHT_BY_EXAMPLES, FederationConfig, SimulationSpec, simulation_spec
+from .federation import FederationConfig, SimulationSpec, simulation_spec
 from .mlp import TrainConfig
 from .sampling import NO_NOISE, NoiseMechanism
 
@@ -37,15 +37,15 @@ _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 class RunConfig:
     master_seed: int | None = None
     simulation: str = "I"
-    mechanism: str = "uniform_threshold"
-    noise_level: float = 0.0
+    mechanism: str = NO_NOISE.kind
+    noise_level: float = NO_NOISE.noise_level
     epsilon: float | None = None
     scale: float = 1.0
     participation_fraction: float | None = None
-    local_epochs: int = 5
-    global_epochs: int = 5
-    weighting: str = WEIGHT_BY_EXAMPLES
-    fixed_client_data: bool = False
+    local_epochs: int = TrainConfig.local_epochs
+    global_epochs: int = SimulationSpec.global_epochs
+    weighting: str = FederationConfig.weighting
+    fixed_client_data: bool = FederationConfig.fixed_client_data
     epoch: int | None = None
     output_dir: str = "out"
     embeddings_path: str = assets.default_embeddings_path()

@@ -102,7 +102,7 @@ class SimulationSpec:
 
 def simulation_spec(sim_id: str, scale: float = 1.0,
                     participation_fraction: float | None = None,
-                    global_epochs: int = 5) -> SimulationSpec:
+                    global_epochs: int = SimulationSpec.global_epochs) -> SimulationSpec:
     """Build a spec from the standard topology table, optionally scaled.
 
     `scale` multiplies both the per-client size range and the client

@@ -4,10 +4,10 @@ Three ReLU hidden layers feed one sigmoid output neuron. Training is
 binary cross-entropy under Adam. All 2,305 parameters live in one flat
 float64 vector; each layer's weights and biases are views into it, built
 once per parameter set. A parameter set is validated once, when it is
-built, and is read-only from then on. train_local and fedavg_aggregate
-hand their fresh private vectors to MlpParameters._adopt, which checks
-only that each is finite and freezes it, with no copy; the public
-constructor copies and checks everything.
+built, and is read-only from then on. init_params, train_local and
+fedavg_aggregate hand their fresh private vectors to
+MlpParameters._adopt, which checks only that each is finite and freezes
+it, with no copy; the public constructor copies and checks everything.
 
 A client's examples are row indices into the run's shared phrase table:
 each training step gathers its own minibatch from that table, and
@@ -23,38 +23,35 @@ Lockstep training. train_local trains a Cohort of clients, each from
 the same start and with its own shuffling stream, and returns each
 client's parameters as if it had trained alone. Numpy call overhead on
 small minibatches dominates a step, so the clients step together. The
-cohort is sorted by steps per epoch, then by last-batch size, both
-descending, and cut into chunks of LOCKSTEP_CLIENTS. A chunk keeps its
-clients' parameters, gradients, Adam moments and Adam scratch as rows of
-(k, N_PARAMS) arrays. At step j the clients still training are a prefix
+cohort is sorted by size, largest first, and cut into chunks of
+LOCKSTEP_CLIENTS. A chunk keeps its clients' parameters, gradients, Adam
+moments and Adam scratch as rows of (k, N_PARAMS) arrays. At step j the clients still training are a prefix
 of the chunk, all on Adam step j + 1, so one adam_step over that prefix
 updates them all. The prefix is split into contiguous runs of clients
 whose minibatches have the same number of rows, and each run takes one
 forward and backward pass over a slice of the chunk's arrays.
 
-One kernel. _backprop and _forward are rank-generic: a (n, 50) batch
-with one client's (weight, bias) views uses np.dot, and a (k, n, 50)
-stack with the stack's (k, fan_in, fan_out) weights and (k, 1, fan_out)
-biases uses np.matmul. np.matmul runs one small BLAS product per client,
-which gives each client the bits np.dot gives it alone; tests compare the
-bytes of ragged cohorts with a per-client reference, and the golden runs
-at 1 and 4 BLAS threads. A run of one client steps on its own 1-D
-parameter row through np.dot, which has less dispatch overhead.
-The four layers are written out, forward and backward, with labels and
-outputs kept as (..., n, 1) columns; each ReLU's gradient is masked by
-multiplying in place with np.sign of its output (1.0 or 0.0, with no
-bool-to-float cast), and adam_step skips its first-moment
-bias-correction divide once that correction is exactly 1.0; all of
-these keep every bit.
+One forward pass. _activations writes the four layers out once, for
+scoring (_forward) and training (_backprop) alike; _backprop adds only
+the backward pass. It is rank-generic: one client's (n, 50) batch goes
+through np.dot, and a (k, n, 50) stack of k clients through np.matmul,
+which runs one small BLAS product per client and so gives each client
+the bits np.dot gives it alone; tests compare the bytes of ragged
+cohorts with a per-client reference, and the golden runs at 1 and 4 BLAS
+threads. A run of one client steps on its own 1-D parameter row through
+np.dot, which has less dispatch overhead. Each ReLU's gradient is masked
+by multiplying in place with np.sign of its output, and adam_step skips
+its first-moment bias-correction divide once that correction is exactly
+1.0; both keep every bit.
 
 Scoring. mean_loss scores a whole cohort, each client with its own
 trained parameters, in one call. A client under 2 * SCORE_ROWS rows is
 one scoring block, so clients of equal size are stacked, up to
-LOCKSTEP_CLIENTS at a time to bound the memory, and each stack takes one
-rank-generic _forward pass, as a lockstep run takes one _backprop; a
-client alone in its stack, and any larger client, is scored block by
-block on its own. Either way each loss has the bits of the client scored
-alone.
+LOCKSTEP_CLIENTS at a time to bound the memory, and each stack is
+gathered as a lockstep run is (_gather_stack) and takes one rank-generic
+_forward pass; a client alone in its stack, and any larger client, is
+scored block by block on its own. Either way each loss has the bits of
+the client scored alone.
 
 Shuffles. A client of n rows draws its epochs' shuffles min(epochs left,
 max(1, SCORE_ROWS // n)) epochs at a time, so a draw holds at most
@@ -140,9 +137,9 @@ class MlpParameters:
     def _adopt(cls, flat: np.ndarray) -> "MlpParameters":
         """Wrap a fresh float64 vector of N_PARAMS that no one else holds, without a copy.
 
-        For train_local's and fedavg_aggregate's own results: the vector
-        is refused if non-finite, as the constructor would, and is made
-        read-only in place.
+        For init_params', train_local's and fedavg_aggregate's own results:
+        the vector is refused if non-finite, as the constructor would, and
+        is made read-only in place.
         """
         if not np.isfinite(flat).all():
             raise ValueError("non-finite parameters")
@@ -176,14 +173,17 @@ class MlpParameters:
 
 @dataclass(frozen=True)
 class Cohort:
-    """The clients one train_local call trains, all rows of one phrase table.
+    """The clients one train_local call trains, none empty, all rows of one phrase table.
 
-    Its len() is its number of examples, as a ClientDataset's is.
+    Its len() is its number of examples, as a ClientDataset's is. This is
+    the one check of the clients; train_local and mean_loss rely on it.
     """
 
     clients: tuple[ClientDataset, ...]
 
     def __post_init__(self):
+        if not all(len(client) for client in self.clients):
+            raise ValueError("empty client")
         if any(client.phrases is not self.clients[0].phrases for client in self.clients):
             raise ValueError("a cohort's clients must share one phrase table")
 
@@ -204,12 +204,12 @@ class TrainConfig:
 
 def init_params(rng: np.random.Generator) -> MlpParameters:
     """Glorot-uniform weights, zero biases."""
-    layers = []
-    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
+    flat = np.zeros(N_PARAMS)
+    for w, _ in layer_views(flat):
+        fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        layers.append((w, np.zeros(fan_out)))
-    return MlpParameters.from_layers(layers)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return MlpParameters._adopt(flat)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -221,26 +221,34 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return p
 
 
-def _forward(layers, x: np.ndarray) -> np.ndarray:
-    """The unclipped output probabilities of a batch: (n,) for one client's (n, 50) rows.
+def _activations(layers, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ReLU outputs h1, h2, h3 and the (..., n, 1) output logits z of a batch.
 
-    A stack of k clients' (k, n, 50) batches takes (k, fan_in, fan_out)
-    weights and (k, 1, fan_out) biases, as _backprop does, and gives (k, n),
-    each client with the bits of its own 2-D call. Only the current layer's
-    input and output are alive, so a large batch never holds all its
-    activations at once.
+    One client's (n, 50) rows take (weight, bias) views shaped like
+    MlpParameters.layers; a stack of k clients' (k, n, 50) batches takes
+    (k, fan_in, fan_out) weights and (k, 1, fan_out) biases.
     """
     # np.dot runs the same BLAS kernels as @, with less dispatch overhead
     mm = np.dot if x.ndim == 2 else np.matmul
-    for w, b in layers[:-1]:
-        # in place: the same bits as maximum(dot + b, 0) with one array per layer
-        h = mm(x, w)
-        h += b
-        x = np.maximum(h, 0.0, out=h)
-    w, b = layers[-1]
-    z = mm(x, w)
-    z += b
-    return _sigmoid(z[..., 0])
+    (w0, b0), (w1, b1), (w2, b2), (w3, b3) = layers
+    # in place: the same bits as maximum(dot + b, 0) with one array per layer
+    h1 = mm(x, w0)
+    h1 += b0
+    np.maximum(h1, 0.0, out=h1)
+    h2 = mm(h1, w1)
+    h2 += b1
+    np.maximum(h2, 0.0, out=h2)
+    h3 = mm(h2, w2)
+    h3 += b2
+    np.maximum(h3, 0.0, out=h3)
+    z = mm(h3, w3)
+    z += b3
+    return h1, h2, h3, z
+
+
+def _forward(layers, x: np.ndarray) -> np.ndarray:
+    """The unclipped output probabilities of a batch, (n,) or (k, n); see _activations."""
+    return _sigmoid(_activations(layers, x)[3][..., 0])
 
 
 def _row_bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -287,37 +295,25 @@ def forward(params: MlpParameters, x) -> float:
 def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     """Write a batch's mean binary cross-entropy gradient into `grads`; no loss.
 
-    One client's (n, 50) batch takes (weight, bias) views shaped like
-    MlpParameters.layers, and its labels as an (n, 1) column. A stack of
-    k clients' (k, n, 50) batches takes (k, fan_in, fan_out) weights,
-    (k, 1, fan_out) biases, (k, fan_out) gradient biases and (k, n, 1)
-    labels, and gives each client the bits of its own 2-D call. Returns the
-    (..., n, 1) outputs unclipped: OUTPUT_CLIP only moves outputs outside
-    the LOSS_CLAMP band, whose rows get zero gradient anyway.
+    The forward pass is _activations, as for scoring, on the same layer
+    views; one client's labels come as an (n, 1) column, and a stack's as
+    (k, n, 1) with (k, fan_out) gradient biases. Each client gets the bits
+    of its own 2-D call. Returns the (..., n, 1) outputs unclipped:
+    OUTPUT_CLIP only moves outputs outside the LOSS_CLAMP band, whose rows
+    get zero gradient anyway.
 
-    The four layers of LAYER_SIZES are written out, each with the numpy calls
-    _forward makes, so a 32-row step pays no loop or list overhead. Each
-    ReLU's gradient is masked by ``dz *= np.sign(h)`` on its output h:
-    h >= 0, and np.sign gives exactly 1.0 where h > 0 and +0.0 where h is
-    +-0.0, so every finite product has the bits of ``dz * (h > 0.0)``,
-    signed zeros included, without casting a bool mask to float.
+    The backward pass is written out layer by layer, so a 32-row step pays
+    no loop or list overhead. Each ReLU's gradient is masked by
+    ``dz *= np.sign(h)`` on its output h: h >= 0, and np.sign gives
+    exactly 1.0 where h > 0 and +0.0 where h is +-0.0, so every finite
+    product has the bits of ``dz * (h > 0.0)``, signed zeros included,
+    without casting a bool mask to float.
     """
-    # np.dot has less dispatch overhead; np.matmul gives each client np.dot's bits.
-    # .mT transposes the last two axes, as .T does on one client's 2-D arrays.
+    h1, h2, h3, z = _activations(layers, x)
+    # .mT transposes the last two axes, as .T does on one client's 2-D arrays
     mm = np.dot if x.ndim == 2 else np.matmul
-    (w0, b0), (w1, b1), (w2, b2), (w3, b3) = layers
+    _, (w1, _), (w2, _), (w3, _) = layers
     (gw0, gb0), (gw1, gb1), (gw2, gb2), (gw3, gb3) = grads
-    h1 = mm(x, w0)
-    h1 += b0
-    np.maximum(h1, 0.0, out=h1)
-    h2 = mm(h1, w1)
-    h2 += b1
-    np.maximum(h2, 0.0, out=h2)
-    h3 = mm(h2, w2)
-    h3 += b2
-    np.maximum(h3, 0.0, out=h3)
-    z = mm(h3, w3)
-    z += b3
     p = _sigmoid(z)
     # d(loss)/d(z_out); zero where the clamp flattened the loss
     active = (p > LOSS_CLAMP) & (p < 1.0 - LOSS_CLAMP)
@@ -356,8 +352,8 @@ def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              step: int, learning_rate: float, scratch: np.ndarray, denom: np.ndarray) -> None:
-    """One bias-corrected Adam update of theta, m and v, in place.
+              step: int, scratch: np.ndarray, denom: np.ndarray) -> None:
+    """One bias-corrected Adam update of theta, m and v at LEARNING_RATE, in place.
 
     The arrays are one client's vectors or the rows of several clients on
     the same step. `step` is the 1-based count including this update.
@@ -375,24 +371,18 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     np.multiply(1.0 - BETA2, grad, out=scratch)
     scratch *= grad
     v += scratch
-    # theta -= (learning_rate * m_hat) / (sqrt(v_hat) + EPS_HAT)
+    # theta -= (LEARNING_RATE * m_hat) / (sqrt(v_hat) + EPS_HAT)
     correction = 1.0 - BETA1 ** step
     if correction == 1.0:
         # m / 1.0 is m itself, so this gives the same bits without the divide
-        np.multiply(m, learning_rate, out=scratch)
+        np.multiply(m, LEARNING_RATE, out=scratch)
     else:
         np.divide(m, correction, out=scratch)
-        scratch *= learning_rate
+        scratch *= LEARNING_RATE
     np.divide(v, 1.0 - BETA2 ** step, out=denom)
     np.sqrt(denom, out=denom)
     denom += EPS_HAT
     theta -= np.divide(scratch, denom, out=scratch)
-
-
-def _schedule(n: int) -> tuple[int, int]:
-    """(steps per epoch, rows in the epoch's last batch) of a client of n rows."""
-    steps = -(-n // BATCH_SIZE)
-    return steps, n - (steps - 1) * BATCH_SIZE
 
 
 def train_local(params: MlpParameters, dataset: Cohort, config: TrainConfig,
@@ -411,10 +401,8 @@ def train_local(params: MlpParameters, dataset: Cohort, config: TrainConfig,
     clients = dataset.clients
     if len(rngs) != len(clients):
         raise ValueError(f"{len(rngs)} streams for {len(clients)} clients")
-    if not all(len(client) for client in clients):
-        raise ValueError("empty client")
-    # steps per epoch, then last-batch size, descending; ties keep input order
-    order = sorted(range(len(clients)), key=lambda i: _schedule(len(clients[i])), reverse=True)
+    # largest first, ties in input order: then no client has more steps than one before it
+    order = sorted(range(len(clients)), key=lambda i: len(clients[i]), reverse=True)
     trained: list[MlpParameters | None] = [None] * len(clients)
     for start in range(0, len(order), LOCKSTEP_CLIENTS):
         chunk = order[start:start + LOCKSTEP_CLIENTS]
@@ -440,6 +428,18 @@ def _run_views(theta: np.ndarray, grad: np.ndarray, first: int, end: int) -> tup
     if end - first == 1:
         return layer_views(theta[first]), layer_views(grad[first])
     return _stacked_layers(theta[first:end]), layer_views(grad[first:end])
+
+
+def _gather_stack(table: np.ndarray, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """k clients' (rows, labels) of n rows each, as a (k, n, 50) stack of table rows and their labels.
+
+    The labels keep each client's shape behind the new leading axis: (n,)
+    labels give (k, n), and (n, 1) columns give (k, n, 1).
+    """
+    k, n = len(pairs), len(pairs[0][0])
+    x = table.take(np.concatenate([rows for rows, _ in pairs]), axis=0)
+    labels = np.concatenate([labels for _, labels in pairs])
+    return x.reshape(k, n, LAYER_SIZES[0]), labels.reshape(k, *pairs[0][1].shape)
 
 
 def _draw_epochs(client: ClientDataset, rng: np.random.Generator, epochs_left: int) -> list:
@@ -470,7 +470,7 @@ def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
     grad = np.empty((k, N_PARAMS))
     m, v = np.zeros((k, N_PARAMS)), np.zeros((k, N_PARAMS))
     scratch, denom = np.empty((k, N_PARAMS)), np.empty((k, N_PARAMS))
-    per_epoch = [_schedule(len(client))[0] for client in clients]
+    per_epoch = [-(-len(client) // BATCH_SIZE) for client in clients]
     last_step = [steps * epochs for steps in per_epoch]
     # run_views[first][end]: _run_views of the run [first, end), once it has been met
     run_views = [[None] * (k + 1) for _ in range(k)]
@@ -507,17 +507,13 @@ def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
                 # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
                 x = table.take(rows, axis=0)
             else:
-                run = batches[first:end]
-                shape = (end - first, len(rows))
-                x = table.take(np.concatenate([batch for batch, _ in run]), axis=0)
-                x = x.reshape(*shape, LAYER_SIZES[0])
-                labels = np.concatenate([column for _, column in run]).reshape(*shape, 1)
+                x, labels = _gather_stack(table, batches[first:end])
             views = run_views[first][end]
             if views is None:
                 views = run_views[first][end] = _run_views(theta, grad, first, end)
             _backprop(views[0], x, labels, views[1])
             first = end
-        adam_step(theta_p, grad_p, m_p, v_p, j + 1, LEARNING_RATE, scratch_p, denom_p)
+        adam_step(theta_p, grad_p, m_p, v_p, j + 1, scratch_p, denom_p)
     return theta
 
 
@@ -533,8 +529,6 @@ def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:
     clients = dataset.clients
     if len(trained) != len(clients):
         raise ValueError(f"{len(trained)} parameter sets for {len(clients)} clients")
-    if not all(len(client) for client in clients):
-        raise ValueError("empty client")
     losses = [0.0] * len(clients)
     # the clients of one scoring block, by size
     by_size: dict[int, list[int]] = {}
@@ -546,14 +540,12 @@ def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:
     for n, group in by_size.items():
         for start in range(0, len(group), LOCKSTEP_CLIENTS):
             stack = group[start:start + LOCKSTEP_CLIENTS]
-            k = len(stack)
-            if k == 1:
+            if len(stack) == 1:
                 losses[stack[0]] = _client_loss(trained[stack[0]], clients[stack[0]])
                 continue
             theta = np.stack([trained[i].flat for i in stack])
-            rows = np.concatenate([clients[i].rows for i in stack])
-            x = clients[0].phrases.matrix.take(rows, axis=0).reshape(k, n, LAYER_SIZES[0])
-            y = np.concatenate([clients[i].labels for i in stack]).reshape(k, n)
+            x, y = _gather_stack(clients[0].phrases.matrix,
+                                 [(clients[i].rows, clients[i].labels) for i in stack])
             loss = _row_bce(_forward(_stacked_layers(theta), x), y)
             # each client's row sum in the order of its own 1-D np.add.reduce
             for i, value in zip(stack, (np.add.reduce(loss, axis=-1) / n).tolist()):

@@ -6,7 +6,13 @@ import pytest
 from fedsymptoms import assets
 from fedsymptoms.embeddings import EmbeddingTable, load_embeddings
 from fedsymptoms.evaluation import build_evalset
-from fedsymptoms.mlp import LAYER_SIZES, forward_batch
+from fedsymptoms.mlp import (
+    LAYER_SIZES,
+    MlpParameters,
+    forward_batch,
+    layer_views,
+    loss_and_gradient,
+)
 from fedsymptoms.sampling import ClientDataset, PhraseTable
 from fedsymptoms.surveys import (
     CountrySurvey,
@@ -96,3 +102,17 @@ def separable_dataset(seed, n=200):
 def training_accuracy(params, dataset):
     p = forward_batch(params, dataset.phrases.matrix[dataset.rows])
     return float(np.mean((p >= 0.5) == (dataset.labels == 1.0)))
+
+
+def perturbed(params, layer, which, index, delta):
+    """params with one weight (which "w") or bias (which "b") of `layer` moved by delta."""
+    flat = params.flat.copy()
+    w, b = layer_views(flat)[layer]
+    (w if which == "w" else b)[index] += delta
+    return MlpParameters(flat)
+
+
+def batch_loss(params, x, y):
+    """The mean loss of loss_and_gradient, for finite differences."""
+    loss, _ = loss_and_gradient(params, x, y)
+    return loss

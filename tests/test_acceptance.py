@@ -48,7 +48,7 @@ from fedsymptoms.sampling import (
 )
 from fedsymptoms.surveys import build_distribution
 
-from conftest import separable_dataset, training_accuracy
+from conftest import batch_loss, perturbed, separable_dataset, training_accuracy
 
 SEEDS = (1, 2, 3, 4, 5)
 NOISE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -178,22 +178,6 @@ def test_06_analytic_gradients_match_finite_differences(capsys):
     h = 1e-4
     ok = True
     rel_worst = abs_worst = 0.0
-
-    def batch_loss(params, x, y):
-        loss, _ = loss_and_gradient(params, x, y)
-        return loss
-
-    def perturbed(params, layer, which, idx, delta):
-        layers = []
-        for i, (w, b) in enumerate(params.layers):
-            w, b = w.copy(), b.copy()
-            if i == layer:
-                if which == "w":
-                    w[idx] += delta
-                else:
-                    b[idx] += delta
-            layers.append((w, b))
-        return MlpParameters.from_layers(layers)
 
     for _ in range(20):
         params = random_params(rng)

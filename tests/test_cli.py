@@ -14,9 +14,10 @@ import pytest
 
 from fedsymptoms import assets, cli, evaluation
 from fedsymptoms.cli import main
+from fedsymptoms.config import RunConfig
 from fedsymptoms.evaluation import AccuracyRow, read_accuracy_csv, write_accuracy_csv
-from fedsymptoms.federation import WEIGHTINGS
-from fedsymptoms.sampling import UNIFORM_THRESHOLD
+from fedsymptoms.federation import WEIGHTINGS, FederationConfig, simulation_spec
+from fedsymptoms.sampling import NO_NOISE, UNIFORM_THRESHOLD
 from fedsymptoms.surveys import integer, load_corpus
 
 ARTIFACTS = ("predictions.csv", "accuracy.csv", "rounds.jsonl",
@@ -539,6 +540,13 @@ def test_flag_overrides_config_file_value(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["noise_level"] == 0.0
     assert manifest["config"]["master_seed"] == 1
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    config = RunConfig(master_seed=1)
+    assert config.spec() == simulation_spec("I")
+    assert config.federation(NO_NOISE) == FederationConfig(noise=NO_NOISE)
+    assert config.noise_mechanism() == NO_NOISE
 
 
 def test_module_entry_point_reports_version():

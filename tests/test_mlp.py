@@ -50,7 +50,13 @@ from fedsymptoms.mlp import (
 )
 from fedsymptoms.sampling import ClientDataset
 
-from conftest import matrix_phrase_table, separable_dataset, training_accuracy
+from conftest import (
+    batch_loss,
+    matrix_phrase_table,
+    perturbed,
+    separable_dataset,
+    training_accuracy,
+)
 
 
 def train_one(params, dataset, config, rng):
@@ -169,25 +175,6 @@ def test_forward_rejects_bad_shapes_and_nonfinite():
         forward_batch(params, bad)
 
 
-def perturbed(params, layer, which, index, delta):
-    layers = []
-    for i, (w, b) in enumerate(params.layers):
-        w = w.copy()
-        b = b.copy()
-        if i == layer:
-            if which == "w":
-                w[index] += delta
-            else:
-                b[index] += delta
-        layers.append((w, b))
-    return MlpParameters.from_layers(layers)
-
-
-def batch_loss(params, x, y):
-    loss, _ = loss_and_gradient(params, x, y)
-    return loss
-
-
 def test_gradient_matches_finite_differences():
     h = 1e-4
     rng = np.random.default_rng(7)
@@ -248,9 +235,10 @@ def test_adam_step_matches_scalar_recursion():
     v = np.zeros(1)
     ref_theta, ref_m, ref_v = 0.5, 0.0, 0.0
     lr = 0.001
+    assert LEARNING_RATE == lr
     for step in range(1, 101):
         g = float(rng.standard_normal())
-        adam_step(theta, np.array([g]), m, v, step, lr, np.empty(1), np.empty(1))
+        adam_step(theta, np.array([g]), m, v, step, np.empty(1), np.empty(1))
         ref_m = BETA1 * ref_m + (1 - BETA1) * g
         ref_v = BETA2 * ref_v + (1 - BETA2) * g * g
         m_hat = ref_m / (1 - BETA1 ** step)
@@ -263,12 +251,12 @@ def test_adam_step_advances_with_the_step_count():
     start = init_params(np.random.default_rng(12)).flat
     theta, m, v = start.copy(), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
     scratch, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)
-    adam_step(theta, np.ones(N_PARAMS), m, v, 1, 0.001, scratch, denom)
+    adam_step(theta, np.ones(N_PARAMS), m, v, 1, scratch, denom)
     assert not np.array_equal(theta, start)
     # the bias correction depends on the step count the caller advances
     at_one, at_two = theta.copy(), theta.copy()
-    adam_step(at_one, np.ones(N_PARAMS), m.copy(), v.copy(), 1, 0.001, scratch, denom)
-    adam_step(at_two, np.ones(N_PARAMS), m.copy(), v.copy(), 2, 0.001, scratch, denom)
+    adam_step(at_one, np.ones(N_PARAMS), m.copy(), v.copy(), 1, scratch, denom)
+    adam_step(at_two, np.ones(N_PARAMS), m.copy(), v.copy(), 2, scratch, denom)
     assert not np.array_equal(at_one, at_two)
 
 
@@ -291,11 +279,11 @@ def test_train_local_deterministic():
 
 
 def test_train_local_rejects_empty_dataset():
-    params = init_params(np.random.default_rng(16))
+    # the cohort refuses an empty client before train_local sees it
     empty = ClientDataset(phrases=matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))),
                           rows=np.empty(0, np.intp), labels=np.empty(0))
-    with pytest.raises(ValueError):
-        train_one(params, empty, TrainConfig(), np.random.default_rng(16))
+    with pytest.raises(ValueError, match="empty client"):
+        Cohort((empty,))
 
 
 def test_train_local_refuses_a_non_finite_update():
@@ -600,6 +588,29 @@ def test_a_run_of_one_client_between_runs_of_several(monkeypatch):
     assert shapes == step * 2
 
 
+def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
+    # _train_chunk needs the clients still training to be a prefix of its chunk; sizes
+    # around one and two batches, with ties split across chunks of 3
+    sizes = (33, 64, 32, 65, 33, 64, 32, 65, 31, 33)
+    cohort = ragged_cohort(sizes, 68)
+    position = {id(client): i for i, client in enumerate(cohort.clients)}
+    chunks = []
+    real = mlp._train_chunk
+
+    def spy(flat, clients, rngs, epochs):
+        chunks.append([position[id(client)] for client in clients])
+        return real(flat, clients, rngs, epochs)
+
+    monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
+    monkeypatch.setattr(mlp, "_train_chunk", spy)
+    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(69)), cohort,
+                                          TrainConfig(local_epochs=2), 70)
+    assert chunks == [[3, 7, 1], [5, 0, 4], [9, 2, 6], [8]]
+    order = [i for chunk in chunks for i in chunk]
+    assert all(sizes[a] > sizes[b] or (sizes[a] == sizes[b] and a < b)
+               for a, b in zip(order, order[1:]))
+
+
 def test_cohort_checks_its_clients_and_streams():
     cohort = ragged_cohort((3, 4), 60)
     params = init_params(np.random.default_rng(60))
@@ -783,7 +794,7 @@ def test_mean_loss_checks_its_clients():
     empty = ClientDataset(phrases=cohort.clients[0].phrases, rows=np.arange(0),
                           labels=np.arange(0))
     with pytest.raises(ValueError, match="empty client"):
-        mean_loss([params], Cohort((empty,)))
+        Cohort(cohort.clients + (empty,))
     assert mean_loss([], Cohort(())) == []
 
 

@@ -9,8 +9,13 @@ workload and end-to-end metric the summary prints both sides' medians
 and quartiles and how many pairs the change won (ties count for neither
 side). A gain is shown only when the change wins at least nine tenths of
 at least ten pairs and its median differs from the base's by more than
-the base's interquartile range. The extracted trees are removed at the
-end.
+the base's interquartile range. Each end-to-end metric also gets a
+no-regression verdict against its `bound` in the change's BENCHMARK.json,
+a share of the base median: "worse than bound" when the change's median
+is worse than the base's by more than the bound; otherwise "unresolved"
+when the base's interquartile range is wider than the bound, unless
+every change run beats every base run; otherwise "held". The extracted
+trees are removed at the end.
 
 Run from anywhere inside the repository; `--workload` takes one name, a
 comma list, or `all` for every workload in the change's BENCHMARK.json:
@@ -80,8 +85,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
-    """One line per metric: medians, quartiles, change win count and verdict."""
+def regression_verdict(base: list[float], change: list[float], sign: float,
+                       bound: float) -> str:
+    """One metric's no-regression verdict, as the module docstring defines it.
+
+    `sign` is 1.0 where higher is better and -1.0 where lower is, and
+    `bound` a share of the base median.
+    """
+    b1, b2, b3 = quartiles(base)
+    if sign * (b2 - statistics.median(change)) > bound * abs(b2):
+        return "worse than bound"
+    if b3 - b1 > bound * abs(b2) and not all(sign * (c - b) > 0 for c in change for b in base):
+        return "unresolved"
+    return "held"
+
+
+def summarize(runs: dict[str, list[dict]], better: dict[str, str],
+              bounds: dict[str, float]) -> list[str]:
+    """One line per metric: medians, quartiles, change win count, gain and no-regression verdicts."""
     n = len(runs["base"])
     lines = []
     for name in sorted(runs["base"][0]):
@@ -100,6 +121,8 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
             verdict = "gain"
         else:
             verdict = "no claim"
+        if name in bounds:
+            verdict += ", " + regression_verdict(base, change, sign, bounds[name])
         lines.append(f"  {name:<22} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
                      f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  {rel:+.2f}%  "
                      f"change won {wins}/{n}  {verdict}".rstrip())
@@ -125,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             spec = json.load(fh)
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         known = [w["name"] for w in spec["workloads"]]
         workloads = known if args.workload == "all" else args.workload.split(",")
         unknown = [name for name in workloads if name not in known]
@@ -147,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in workloads:
             print(f"{name}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s, "
                   f"base {commits['base'][:12]} change {commits['change'][:12]}:")
-            print("\n".join(summarize(runs[name], better)))
+            print("\n".join(summarize(runs[name], better, bounds)))
         print(json.dumps({"workloads": workloads, "seed": args.seed,
                           "seconds": args.seconds, "commits": commits, "runs": runs}))
     finally:

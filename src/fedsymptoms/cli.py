@@ -99,8 +99,8 @@ def cmd_run(config: RunConfig) -> int:
     fed = config.federation(mechanism)
     table, surveys, corpus = _load_inputs(config)
 
-    snapshots, reports = run_simulation(spec, surveys, corpus, table, fed,
-                                        config.master_seed)
+    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table,
+                                            [(fed, config.master_seed)])
     evalset = build_evalset(surveys)
     result = record_run(spec, snapshots, evalset, table, mechanism,
                         config.master_seed)

@@ -29,6 +29,9 @@ def check_seed(seed: int, name: str) -> None:
         raise ValueError(f"{name} must fit in 64 bits, got {seed}")
 
 
+# simulation_spec's keyword defaults, so each topology default has one home
+_SPEC_DEFAULTS = simulation_spec.__kwdefaults__
+
 # field annotation (without "| None") -> the accepted type; bool is not an int here
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
@@ -40,10 +43,10 @@ class RunConfig:
     mechanism: str = NO_NOISE.kind
     noise_level: float = NO_NOISE.noise_level
     epsilon: float | None = None
-    scale: float = 1.0
-    participation_fraction: float | None = None
+    scale: float = _SPEC_DEFAULTS["scale"]
+    participation_fraction: float | None = _SPEC_DEFAULTS["participation_fraction"]
     local_epochs: int = TrainConfig.local_epochs
-    global_epochs: int = SimulationSpec.global_epochs
+    global_epochs: int = _SPEC_DEFAULTS["global_epochs"]
     weighting: str = FederationConfig.weighting
     fixed_client_data: bool = FederationConfig.fixed_client_data
     epoch: int | None = None

@@ -6,8 +6,8 @@ so the score is the fraction (k/16) predicted at or above
 DECISION_THRESHOLD. Symptoms are split into a high-display group (aggregate
 display fraction above 10% of the surveyed population) and the low
 group, mirroring the two curves of the sweep figures. `sweep` runs one
-simulation per (noise mechanism, seed); the caller builds the mechanisms
-for its axis, varying the noise level or epsilon.
+simulation per (noise mechanism, seed), several side by side; the caller
+builds the mechanisms for its axis, varying the noise level or epsilon.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ GROUP_HIGH = "high"
 GROUP_LOW = "low"
 HIGH_FRACTION_CUTOFF = 0.10
 DECISION_THRESHOLD = 0.5
+
+# parameter vectors of 18.4 KB (~1.8 MB) that the runs of one sweep group
+# hold at once; a run that needs more runs alone
+GROUP_VECTORS = 96
 
 
 @dataclass(frozen=True)
@@ -145,14 +149,31 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     Runs go in canonical order, mechanisms by (kind, noise level, epsilon)
     and then seeds ascending, and each run's rows come by epoch and then
     symptom, so the rows do not depend on the order the caller lists them.
+    A repeated mechanism or seed would repeat a run's rows, so either is
+    refused. The canonical list is cut into consecutive groups of runs
+    that hold at most GROUP_VECTORS parameter vectors between them; each
+    group runs in one run_simulation call, and each of its runs is
+    recorded as the group ends. A run's rows do not depend on its group.
     """
-    merged = SweepResult()
+    for name, items in (("mechanisms", mechanisms), ("seeds", seeds)):
+        repeated = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeated:
+            raise ValueError(f"sweep {name} repeat {', '.join(map(repr, dict.fromkeys(repeated)))}")
     # epsilon is None or positive, so 0.0 puts None before any epsilon
-    for mechanism in sorted(mechanisms, key=lambda m: (m.kind, m.noise_level, m.epsilon or 0.0)):
-        config = replace(base_config, noise=mechanism)
-        for seed in sorted(seeds):
-            snapshots, _ = run_simulation(spec, surveys, corpus, embeddings,
-                                          config, seed)
+    runs = [(mechanism, seed)
+            for mechanism in sorted(mechanisms,
+                                    key=lambda m: (m.kind, m.noise_level, m.epsilon or 0.0))
+            for seed in sorted(seeds)]
+    # a run holds a round's updates until its FedAvg, and its snapshots until recorded
+    per_run = spec.clients_per_round + spec.global_epochs + 1
+    group_size = max(1, GROUP_VECTORS // per_run)
+    merged = SweepResult()
+    for start in range(0, len(runs), group_size):
+        group = runs[start:start + group_size]
+        results = run_simulation(spec, surveys, corpus, embeddings,
+                                 [(replace(base_config, noise=mechanism), seed)
+                                  for mechanism, seed in group])
+        for (mechanism, seed), (snapshots, _) in zip(group, results):
             run = record_run(spec, snapshots, evalset, embeddings, mechanism, seed)
             merged.predictions.extend(run.predictions)
             merged.accuracies.extend(run.accuracies)

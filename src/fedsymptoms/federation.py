@@ -100,14 +100,15 @@ class SimulationSpec:
         return scaled_count(self.n_clients, self.participation_fraction)
 
 
-def simulation_spec(sim_id: str, scale: float = 1.0,
+def simulation_spec(sim_id: str, *, scale: float = 1.0,
                     participation_fraction: float | None = None,
                     global_epochs: int = SimulationSpec.global_epochs) -> SimulationSpec:
     """Build a spec from the standard topology table, optionally scaled.
 
     `scale` multiplies both the per-client size range and the client
     count, rounding up to at least 1, so desk-size runs keep the shape
-    of the full topology.
+    of the full topology. A participation_fraction of None takes the
+    topology's own. The keyword defaults are also config.RunConfig's.
     """
     if sim_id not in _TOPOLOGY:
         raise ValueError(f"unknown simulation id {sim_id!r}; expected one of {SIMULATION_IDS}")
@@ -223,87 +224,119 @@ def _exact_mean(values: list[float], weights: list[int]) -> float:
     return float(sum(Fraction(v) * n for v, n in zip(values, weights)) / sum(weights))
 
 
-def run_round(params: MlpParameters, round_index: int, population: Population,
+def run_round(params: list[MlpParameters], round_index: int, populations: list[Population],
               spec: SimulationSpec, distributions: list, phrases: PhraseTable,
-              config: FederationConfig, master_seed: int) -> tuple[MlpParameters, RoundReport]:
-    """Execute one broadcast / local-train / aggregate cycle of 0-based round_index.
+              runs: list[tuple[FederationConfig, int]]
+              ) -> tuple[list[MlpParameters], list[RoundReport]]:
+    """Execute one broadcast / local-train / aggregate cycle of 0-based round_index for each run.
 
-    The selected clients are synthesized in client_id order into windows.
-    A window closes once it holds WINDOW_EXAMPLES examples, or at the last
-    client, and its non-empty datasets train in one train_local call, as
-    one Cohort with a stream per client. One mean_loss call then scores
-    each update on its own client's data. Updates and losses stay in
-    ascending client_id order.
-    Clients that come up empty are skipped; a round in which every
-    selected client does so carries the global parameters forward unchanged.
+    Run r has global parameters params[r], population populations[r] and
+    (config, master_seed) runs[r]. Each run selects its clients with its
+    own stream, and they are synthesized run by run, each run's in
+    client_id order, into windows shared by the group. A window closes
+    once it holds WINDOW_EXAMPLES examples, or at the group's last client,
+    and its non-empty datasets train in one train_local call, as one
+    Cohort with a start and a stream per client. One mean_loss call then
+    scores each update on its own client's data. Each run then merges its
+    updates, in ascending client_id order, with its own fedavg_aggregate.
+    Clients that come up empty are skipped; a run in which every
+    selected client does so carries its global parameters forward
+    unchanged. Each run gets its own RoundReport; its wall_time is the
+    time of the whole group's round.
     """
     started = time.perf_counter()
+    train = runs[0][0].train
 
-    selection = streams.selection_stream(master_seed, round_index)
-    # sorted() over Python ints: np.sort would map ~0.3 MB more numpy code into RSS
-    chosen = sorted(selection.choice(len(population), size=spec.clients_per_round,
-                                     replace=False).tolist())
-
-    updates: list[tuple[MlpParameters, int]] = []
-    losses: list[float] = []
-    skipped = 0
-    # this window's non-empty datasets, their training streams and their examples
+    # per run: its updates, their local losses and its skipped clients
+    updates: list[list[tuple[MlpParameters, int]]] = [[] for _ in runs]
+    losses: list[list[float]] = [[] for _ in runs]
+    skipped = [0] * len(runs)
+    # this window's non-empty datasets, their runs, their training streams and their examples
     window: list[ClientDataset] = []
+    owners: list[int] = []
     rngs: list[np.random.Generator] = []
     held = 0
-    data_round = 0 if config.fixed_client_data else round_index
-    for position, client_id in enumerate(chosen, start=1):
-        n_persons = int(population.sizes[client_id])
-        country = int(population.countries[client_id])
-        data_rng = streams.client_data_stream(master_seed, client_id, data_round)
-        dataset = synthesize_client(n_persons, distributions[country], config.noise, phrases,
-                                    data_rng)
-        if len(dataset) == 0:
-            skipped += 1
-        else:
-            window.append(dataset)
-            rngs.append(streams.client_train_stream(master_seed, client_id, round_index))
-            held += len(dataset)
-        if window and (held >= WINDOW_EXAMPLES or position == len(chosen)):
-            cohort = Cohort(tuple(window))
-            # positional, under this module's names: perfbench wraps them there
-            trained = train_local(params, cohort, config.train, rngs)
-            losses += mean_loss(trained, cohort)
-            for dataset, local in zip(window, trained):
-                weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
-                updates.append((local, weight))
-            window, rngs, held = [], [], 0
+    for r, ((config, master_seed), population) in enumerate(zip(runs, populations)):
+        selection = streams.selection_stream(master_seed, round_index)
+        # sorted() over Python ints: np.sort would map ~0.3 MB more numpy code into RSS
+        chosen = sorted(selection.choice(len(population), size=spec.clients_per_round,
+                                         replace=False).tolist())
+        data_round = 0 if config.fixed_client_data else round_index
+        last_run = r == len(runs) - 1
+        for position, client_id in enumerate(chosen, start=1):
+            n_persons = int(population.sizes[client_id])
+            country = int(population.countries[client_id])
+            data_rng = streams.client_data_stream(master_seed, client_id, data_round)
+            dataset = synthesize_client(n_persons, distributions[country], config.noise,
+                                        phrases, data_rng)
+            if len(dataset) == 0:
+                skipped[r] += 1
+            else:
+                window.append(dataset)
+                owners.append(r)
+                rngs.append(streams.client_train_stream(master_seed, client_id, round_index))
+                held += len(dataset)
+            if window and (held >= WINDOW_EXAMPLES or (last_run and position == len(chosen))):
+                cohort = Cohort(tuple(window))
+                # positional, under this module's names: perfbench wraps them there
+                trained = train_local([params[owner] for owner in owners], cohort, train, rngs)
+                window_losses = mean_loss(trained, cohort)
+                for owner, dataset, local, loss in zip(owners, window, trained, window_losses):
+                    weighting = runs[owner][0].weighting
+                    weight = len(dataset) if weighting == WEIGHT_BY_EXAMPLES else 1
+                    updates[owner].append((local, weight))
+                    losses[owner].append(loss)
+                window, owners, rngs, held = [], [], [], 0
 
-    new_params = fedavg_aggregate(updates) if updates else params
-    report = RoundReport(
+    merged = [fedavg_aggregate(run_updates) if run_updates else run_params
+              for run_params, run_updates in zip(params, updates)]
+    wall_time = time.perf_counter() - started
+    reports = [RoundReport(
         round=round_index + 1,
-        participating_clients=len(updates),
-        skipped_empty_clients=skipped,
-        mean_local_loss=float(np.mean(losses)) if losses else None,
-        wall_time=time.perf_counter() - started,
-    )
-    return new_params, report
+        participating_clients=len(run_updates),
+        skipped_empty_clients=run_skipped,
+        mean_local_loss=float(np.mean(run_losses)) if run_losses else None,
+        wall_time=wall_time,
+    ) for run_updates, run_skipped, run_losses in zip(updates, skipped, losses)]
+    return merged, reports
 
 
 def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
-                   embeddings: EmbeddingTable, config: FederationConfig,
-                   master_seed: int) -> tuple[list[MlpParameters], list[RoundReport]]:
-    """Run global_epochs rounds; snapshot the parameters after init and every round.
+                   embeddings: EmbeddingTable, runs: list[tuple[FederationConfig, int]]
+                   ) -> list[tuple[list[MlpParameters], list[RoundReport]]]:
+    """Run global_epochs rounds of each (config, master_seed) run, side by side.
+
+    Returns one (snapshots, reports) per run, in order: the parameters
+    after init and after every round, and each round's report. The runs
+    step their rounds together through run_round, so the clients of all
+    of them train in shared lockstep windows, and each run keeps its own
+    init, population and keyed streams. Since each client trains as if
+    alone, a run's snapshots and reports (but for wall_time) do not depend
+    on the runs it is grouped with. All runs must share one TrainConfig,
+    because a cohort trains at one local_epochs.
 
     The population stream never sees the noise settings, so sweeps at a
     fixed seed share client sizes and countries across noise levels.
-    Every phrase a client can emit is encoded once, up front.
+    Every phrase a client can emit is encoded once per call, up front.
     """
-    params = init_params(streams.init_stream(master_seed))
-    population = build_population(spec, surveys, streams.population_stream(master_seed))
+    runs = list(runs)
+    if not runs:
+        raise ValueError("no runs to simulate")
+    if any(config.train != runs[0][0].train for config, _ in runs):
+        raise ValueError("runs simulated together must share one train config")
     distributions = [build_distribution(s) for s in surveys]
     phrases = build_phrase_table(embeddings, corpus, distributions)
+    params = [init_params(streams.init_stream(seed)) for _, seed in runs]
+    populations = [build_population(spec, surveys, streams.population_stream(seed))
+                   for _, seed in runs]
 
-    snapshots = [params]
-    reports: list[RoundReport] = []
+    snapshots = [[run_params] for run_params in params]
+    reports: list[list[RoundReport]] = [[] for _ in runs]
     for round_index in range(spec.global_epochs):
-        params, report = run_round(params, round_index, population, spec, distributions,
-                                   phrases, config, master_seed)
-        snapshots.append(params)
-        reports.append(report)
-    return snapshots, reports
+        params, round_reports = run_round(params, round_index, populations, spec,
+                                          distributions, phrases, runs)
+        for run_snapshots, run_reports, run_params, report in zip(snapshots, reports, params,
+                                                                  round_reports):
+            run_snapshots.append(run_params)
+            run_reports.append(report)
+    return list(zip(snapshots, reports))

@@ -20,7 +20,7 @@ BATCH_SIZE rows; only the number of local epochs is set per run
 (TrainConfig).
 
 Lockstep training. train_local trains a Cohort of clients, each from
-the same start and with its own shuffling stream, and returns each
+its own start and with its own shuffling stream, and returns each
 client's parameters as if it had trained alone. Numpy call overhead on
 small minibatches dominates a step, so the clients step together. The
 cohort is sorted by size, largest first, and cut into chunks of
@@ -385,29 +385,31 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     theta -= np.divide(scratch, denom, out=scratch)
 
 
-def train_local(params: MlpParameters, dataset: Cohort, config: TrainConfig,
+def train_local(params: list[MlpParameters], dataset: Cohort, config: TrainConfig,
                 rngs: list[np.random.Generator]) -> list[MlpParameters]:
     """Run local_epochs of minibatch Adam over each client of the cohort, in lockstep.
 
-    Client i starts from params with a fresh optimizer state and shuffles
-    its row indices and labels for each of its epochs with rngs[i], a
-    small client several epochs in one draw; each step gathers its
-    minibatch straight from the shared phrase table, and the last short
-    batch is trained on. Returns each client's trained vector, frozen, in
-    input order; a non-finite one is refused. The clients train in sorted
-    chunks (see the module docstring), and each result has the bits of a
-    run of its own.
+    Client i starts from params[i] with a fresh optimizer state and
+    shuffles its row indices and labels for each of its epochs with
+    rngs[i], a small client several epochs in one draw; each step gathers
+    its minibatch straight from the shared phrase table, and the last
+    short batch is trained on. Clients may start from different
+    parameters, as the clients of several runs in one cohort do. Returns
+    each client's trained vector, frozen, in input order; a non-finite
+    one is refused. The clients train in sorted chunks (see the module
+    docstring), and each result has the bits of a run of its own.
     """
     clients = dataset.clients
-    if len(rngs) != len(clients):
-        raise ValueError(f"{len(rngs)} streams for {len(clients)} clients")
+    if not len(params) == len(rngs) == len(clients):
+        raise ValueError(f"{len(params)} parameter sets and {len(rngs)} streams "
+                         f"for {len(clients)} clients")
     # largest first, ties in input order: then no client has more steps than one before it
     order = sorted(range(len(clients)), key=lambda i: len(clients[i]), reverse=True)
     trained: list[MlpParameters | None] = [None] * len(clients)
     for start in range(0, len(order), LOCKSTEP_CLIENTS):
         chunk = order[start:start + LOCKSTEP_CLIENTS]
-        theta = _train_chunk(params.flat, [clients[i] for i in chunk], [rngs[i] for i in chunk],
-                             config.local_epochs)
+        theta = _train_chunk([params[i].flat for i in chunk], [clients[i] for i in chunk],
+                             [rngs[i] for i in chunk], config.local_epochs)
         # each row is a vector no one else holds, adopted without a copy
         for i, row in zip(chunk, theta):
             trained[i] = MlpParameters._adopt(row)
@@ -460,13 +462,17 @@ def _draw_epochs(client: ClientDataset, rng: np.random.Generator, epochs_left: i
     return list(zip(rows[::-1], labels[::-1]))
 
 
-def _train_chunk(flat: np.ndarray, clients: list[ClientDataset],
+def _train_chunk(starts: list[np.ndarray], clients: list[ClientDataset],
                  rngs: list[np.random.Generator], epochs: int) -> np.ndarray:
-    """Train clients sorted as train_local sorts them; their parameters as (k, N_PARAMS) rows."""
+    """Train clients sorted as train_local sorts them, each from its own start vector.
+
+    Returns their parameters as (k, N_PARAMS) rows.
+    """
     k = len(clients)
     table = clients[0].phrases.matrix
     theta = np.empty((k, N_PARAMS))
-    theta[...] = flat
+    for row, start in zip(theta, starts):
+        row[...] = start
     grad = np.empty((k, N_PARAMS))
     m, v = np.zeros((k, N_PARAMS)), np.zeros((k, N_PARAMS))
     scratch, denom = np.empty((k, N_PARAMS)), np.empty((k, N_PARAMS))

@@ -304,7 +304,7 @@ def test_10_separable_fixture_trains_to_perfection(capsys):
     for seed in range(1, 11):
         dataset = separable_dataset(seed)
         params = init_params(init_stream(seed))
-        [trained] = train_local(params, Cohort((dataset,)), TrainConfig(local_epochs=5),
+        [trained] = train_local([params], Cohort((dataset,)), TrainConfig(local_epochs=5),
                                 [client_train_stream(seed, 0, 0)])
         perfect.append(training_accuracy(trained, dataset) == 1.0)
     report(capsys, all(perfect), "10 separable-data sanity",
@@ -321,9 +321,10 @@ def test_11_many_tiny_clients_reported_only(surveys, corpus, table, evalset,
     for level in (0.0, 0.5, 1.0):
         mech = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=level)
         accs, mean_preds = [], []
-        for seed in (1, 2):
-            snapshots, _ = run_simulation(spec, surveys, corpus, table,
-                                          FederationConfig(noise=mech), seed)
+        seeds = (1, 2)
+        runs = run_simulation(spec, surveys, corpus, table,
+                              [(FederationConfig(noise=mech), seed) for seed in seeds])
+        for seed, (snapshots, _) in zip(seeds, runs):
             rows = record_run(spec, snapshots, evalset, table, mech, seed)
             preds = [r.prediction for r in rows.predictions
                      if r.global_epoch == spec.global_epochs]

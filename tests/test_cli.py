@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, messages."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from fedsymptoms import assets, cli, evaluation
 from fedsymptoms.cli import main
 from fedsymptoms.config import RunConfig
 from fedsymptoms.evaluation import AccuracyRow, read_accuracy_csv, write_accuracy_csv
-from fedsymptoms.federation import WEIGHTINGS, FederationConfig, simulation_spec
+from fedsymptoms.federation import SIMULATION_IDS, WEIGHTINGS, FederationConfig, simulation_spec
 from fedsymptoms.sampling import NO_NOISE, UNIFORM_THRESHOLD
 from fedsymptoms.surveys import integer, load_corpus
 
@@ -547,6 +548,12 @@ def test_run_config_defaults_are_the_library_defaults():
     assert config.spec() == simulation_spec("I")
     assert config.federation(NO_NOISE) == FederationConfig(noise=NO_NOISE)
     assert config.noise_mechanism() == NO_NOISE
+    # IV has its own participation default, which a RunConfig must leave to the topology
+    for sim_id in SIMULATION_IDS:
+        assert RunConfig(master_seed=1, simulation=sim_id).spec() == simulation_spec(sim_id)
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert simulation_spec.__kwdefaults__ == {
+        name: defaults[name] for name in ("scale", "participation_fraction", "global_epochs")}
 
 
 def test_module_entry_point_reports_version():

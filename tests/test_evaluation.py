@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedsymptoms import evaluation
 from fedsymptoms.evaluation import (
     ACCURACY_HEADER,
     GROUP_HIGH,
@@ -76,8 +77,8 @@ def test_accuracy_counts_threshold_ties_as_positive(evalset, table):
 
 def test_accuracy_is_a_sixteenth_multiple(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
-    snapshots, _ = run_simulation(spec, surveys, corpus, table,
-                                  FederationConfig(noise=NO_NOISE), 1)
+    [(snapshots, _)] = run_simulation(spec, surveys, corpus, table,
+                                      [(FederationConfig(noise=NO_NOISE), 1)])
     result = record_run(spec, snapshots, evalset, table, NO_NOISE, seed=1)
     for row in result.accuracies:
         assert abs(row.accuracy * 16 - round(row.accuracy * 16)) < 1e-12
@@ -88,8 +89,8 @@ def test_accuracy_is_a_sixteenth_multiple(surveys, corpus, table, evalset):
 
 def test_record_run_row_counts_and_epoch_numbering(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
-    snapshots, _ = run_simulation(spec, surveys, corpus, table,
-                                  FederationConfig(noise=NO_NOISE), 1)
+    [(snapshots, _)] = run_simulation(spec, surveys, corpus, table,
+                                      [(FederationConfig(noise=NO_NOISE), 1)])
     result = record_run(spec, snapshots, evalset, table, NO_NOISE, seed=1)
     assert len(result.predictions) == 16 * spec.global_epochs
     assert len(result.accuracies) == spec.global_epochs
@@ -119,6 +120,47 @@ def test_epsilon_sweep_rows_record_epsilon(surveys, corpus, table, evalset):
     assert {r.epsilon for r in result.accuracies} == {2.0, 10.0}
     assert all(r.mechanism == LAPLACE_DP for r in result.accuracies)
     assert all(r.noise_level == 0.5 for r in result.accuracies)
+
+
+def test_sweep_rows_do_not_depend_on_the_grouping(monkeypatch, surveys, corpus, table, evalset):
+    # 1 client a round over 2 rounds: each run holds 1 + 2 + 1 vectors
+    spec = simulation_spec("I", scale=0.01, global_epochs=2)
+    mechanisms = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in (0.5, 0.0)]
+    real = evaluation.run_simulation
+    groups = []
+
+    def recorded(spec, surveys, corpus, embeddings, runs):
+        groups.append(len(runs))
+        return real(spec, surveys, corpus, embeddings, runs)
+
+    monkeypatch.setattr(evaluation, "run_simulation", recorded)
+    results = {}
+    for budget, expected in ((1, [1, 1, 1, 1]), (8, [2, 2]), (12, [3, 1]), (96, [4])):
+        groups.clear()
+        monkeypatch.setattr(evaluation, "GROUP_VECTORS", budget)
+        results[budget] = sweep(spec, mechanisms, [2, 1], surveys, corpus, table,
+                                FederationConfig(noise=NO_NOISE), evalset)
+        assert groups == expected
+    first = results[1]
+    assert [(r.noise_level, r.seed) for r in first.accuracies[::spec.global_epochs]] == [
+        (0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)]
+    assert all(result == first for result in results.values())
+
+
+@pytest.mark.parametrize("levels, seeds, message", [
+    ((0.5, 0.0, 0.5), (1, 2), r"mechanisms repeat NoiseMechanism\(kind='uniform_threshold', "
+                              r"noise_level=0.5, epsilon=None\)$"),
+    ((0.5,), (3, 1, 3, 1, 2), "seeds repeat 3, 1$"),
+])
+def test_sweep_refuses_a_repeated_mechanism_or_seed(monkeypatch, surveys, corpus, table,
+                                                    evalset, levels, seeds, message):
+    # refused before any run starts: a repeat would write a run's rows twice
+    monkeypatch.setattr(evaluation, "run_simulation", None)
+    spec = simulation_spec("I", scale=0.01)
+    mechanisms = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in levels]
+    with pytest.raises(ValueError, match=message):
+        sweep(spec, mechanisms, list(seeds), surveys, corpus, table,
+              FederationConfig(noise=NO_NOISE), evalset)
 
 
 def test_prediction_csv_format(tmp_path):

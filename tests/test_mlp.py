@@ -61,7 +61,7 @@ from conftest import (
 
 def train_one(params, dataset, config, rng):
     """train_local on a cohort of one client."""
-    [trained] = train_local(params, Cohort((dataset,)), config, [rng])
+    [trained] = train_local([params], Cohort((dataset,)), config, [rng])
     return trained
 
 
@@ -483,13 +483,17 @@ def ragged_cohort(sizes, seed, table_rows=300):
 
 
 def check_cohort_matches_frozen_reference(params, cohort, config, seed):
-    """Train the cohort in lockstep and each client alone on the frozen reference; compare bytes."""
+    """Train the cohort in lockstep and each client alone on the frozen reference; compare bytes.
+
+    `params` is every client's start, or a list of one start per client.
+    """
+    starts = params if isinstance(params, list) else [params] * len(cohort.clients)
     streams = [np.random.default_rng([seed, i]) for i in range(len(cohort.clients))]
-    trained = train_local(params, cohort, config, streams)
+    trained = train_local(starts, cohort, config, streams)
     assert len(trained) == len(cohort.clients)
-    for i, (client, update) in enumerate(zip(cohort.clients, trained)):
+    for i, (client, start, update) in enumerate(zip(cohort.clients, starts, trained)):
         x = client.phrases.matrix[client.rows]
-        expected = ref_train_local(params.flat, x, client.labels, config,
+        expected = ref_train_local(start.flat, x, client.labels, config,
                                    np.random.default_rng([seed, i]))
         assert same_bytes(update.flat, expected), (i, len(client))
     return trained
@@ -514,6 +518,17 @@ def test_ragged_cohort_matches_frozen_reference_byte_for_byte(epochs):
     for i, update in enumerate(trained):
         assert not update.flat.flags.writeable
         assert not any(np.shares_memory(update.flat, other.flat) for other in trained[i + 1:])
+
+
+def test_clients_of_one_chunk_train_from_their_own_starts():
+    # as the clients of several runs do: each start is copied into its own row of the chunk
+    cohort = ragged_cohort(RAGGED_SIZES, 71)
+    starts = [init_params(np.random.default_rng([72, i % 4])) for i in range(len(RAGGED_SIZES))]
+    trained = check_cohort_matches_frozen_reference(starts, cohort, TrainConfig(local_epochs=2),
+                                                    73)
+    for start in starts:
+        assert not start.flat.flags.writeable
+        assert not any(np.shares_memory(update.flat, start.flat) for update in trained)
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 255, 256, 257, 1000])
@@ -546,7 +561,7 @@ def test_small_clients_draw_several_epochs_shuffles_at_once():
     params = init_params(np.random.default_rng(63))
     config = TrainConfig(local_epochs=5)
     streams = [DrawRecorder(np.random.default_rng([64, i])) for i in range(len(sizes))]
-    trained = train_local(params, cohort, config, streams)
+    trained = train_local([params] * len(sizes), cohort, config, streams)
     assert [stream.draws for stream in streams] == [[3, 2], [1] * 5, [5], [1] * 5]
     for i, (client, update) in enumerate(zip(cohort.clients, trained)):
         expected = ref_train_local(params.flat, client.phrases.matrix[client.rows],
@@ -614,12 +629,14 @@ def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
 def test_cohort_checks_its_clients_and_streams():
     cohort = ragged_cohort((3, 4), 60)
     params = init_params(np.random.default_rng(60))
+    three = Cohort(cohort.clients + cohort.clients[:1])
     with pytest.raises(ValueError, match="2 streams"):
-        train_local(params, Cohort(cohort.clients + cohort.clients[:1]), TrainConfig(),
-                    [np.random.default_rng(0)] * 2)
+        train_local([params] * 3, three, TrainConfig(), [np.random.default_rng(0)] * 2)
+    with pytest.raises(ValueError, match="2 parameter sets"):
+        train_local([params] * 2, three, TrainConfig(), [np.random.default_rng(0)] * 3)
     with pytest.raises(ValueError, match="share one phrase table"):
         Cohort(cohort.clients + (separable_dataset(60),))
-    assert train_local(params, Cohort(()), TrainConfig(), []) == []
+    assert train_local([], Cohort(()), TrainConfig(), []) == []
 
 
 def backprop_cases():

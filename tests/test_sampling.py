@@ -543,7 +543,7 @@ def test_synthesis_and_training_build_no_labeled_example(monkeypatch, table, cor
     noise = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
     ds = synthesize_client(60, distributions[0], noise, phrases,
                            np.random.default_rng(20))
-    [trained] = train_local(init_params(np.random.default_rng(21)), Cohort((ds,)),
+    [trained] = train_local([init_params(np.random.default_rng(21))], Cohort((ds,)),
                             TrainConfig(local_epochs=2), [np.random.default_rng(22)])
     mean_loss([trained], Cohort((ds,)))
     assert len(ds) > 0

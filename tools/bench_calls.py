@@ -14,6 +14,11 @@ to one thread, the time taken at reference speed, see `speed.py`).
 
 The summary gives each pair's ratio, base time over change time: its
 median, its quartiles and how many pairs the change won (ratio above 1).
+It also gives each side's peak RSS (`ru_maxrss`), which each worker
+reads once its last call is done. Both workers have then made the same
+number of calls, so the two peaks compare memory and not call counts;
+perfbench's `peak_rss_mb`, read at the end of a time window, rises with
+each call a faster side fits into it.
 This is for sizing a change while it is written: 30-40 pairs of
 run_IV_wide calls resolve an effect of 5-8% in about a minute on a
 2-core host. A performance claim rests on `tools/bench_pairs.py`, which
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -54,6 +60,9 @@ def serve(tree: str, workload: str, seed: int) -> int:
         outcome = run.call_cli(cli, run.WORKLOADS[workload], seed, digests)
         print(json.dumps({"ref_s": outcome.wall_s * outcome.speed,
                           "problems": outcome.problems}), flush=True)
+    # stdin closed: every call is done
+    print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
+          flush=True)
     return 0
 
 
@@ -69,6 +78,16 @@ def call(workers: dict[str, subprocess.Popen], side: str) -> float:
     if reply["problems"]:
         raise RuntimeError(f"{side} call failed its output check: {reply['problems']}")
     return reply["ref_s"]
+
+
+def finish(worker: subprocess.Popen) -> float:
+    """Close a worker's calls; the peak RSS in MB it reports after its last call."""
+    worker.stdin.close()
+    line = worker.stdout.readline()
+    worker.wait(timeout=WORKER_TIMEOUT_S)
+    if not line:
+        raise RuntimeError(f"worker exited with {worker.returncode} before its peak RSS")
+    return json.loads(line)["peak_rss_mb"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"change {times['change'][-1]:.4f} s, "
                   f"ratio {times['base'][-1] / times['change'][-1]:.3f}", flush=True)
 
+        peaks = {side: finish(worker) for side, worker in workers.items()}
         ratios = [b / c for b, c in zip(times["base"], times["change"])]
         q1, q2, q3 = quartiles(ratios)
         wins = sum(1 for r in ratios if r > 1.0)
@@ -119,12 +139,16 @@ def main(argv: list[str] | None = None) -> int:
               f"base {commits['base'][:12]} change {commits['change'][:12]}: "
               f"base/change time ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
               f"change won {wins}/{args.pairs}")
+        print(f"peak RSS after {args.pairs + 1} calls a side: base {peaks['base']:.2f} MB, "
+              f"change {peaks['change']:.2f} MB "
+              f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%)")
         print(json.dumps({"workload": args.workload, "seed": args.seed, "commits": commits,
-                          "times": times}))
+                          "times": times, "peak_rss_mb": peaks}))
     finally:
         for worker in workers.values():
-            worker.stdin.close()
-            worker.wait(timeout=WORKER_TIMEOUT_S)
+            if worker.returncode is None:
+                worker.stdin.close()
+                worker.wait(timeout=WORKER_TIMEOUT_S)
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 

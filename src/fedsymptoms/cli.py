@@ -27,7 +27,7 @@ from .evaluation import (
 )
 from .federation import SIMULATION_IDS, WEIGHTINGS, run_simulation
 from .mlp import LAYER_SIZES, save_checkpoint
-from .sampling import LAPLACE_DP, MECHANISM_KINDS, NO_NOISE, NoiseMechanism
+from .sampling import LAPLACE_DP, MECHANISM_KINDS, NoiseMechanism
 from .surveys import integer, load_corpus, load_surveys
 
 EMBEDDING_DIMENSION = LAYER_SIZES[0]
@@ -96,11 +96,10 @@ def cmd_run(config: RunConfig) -> int:
     if spec.global_epochs and target_epoch > spec.global_epochs:
         raise ValueError(f"epoch {target_epoch} not in run (1..{spec.global_epochs})")
     mechanism = config.noise_mechanism()
-    fed = config.federation(mechanism)
     table, surveys, corpus = _load_inputs(config)
 
-    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table,
-                                            [(fed, config.master_seed)])
+    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, config.federation(),
+                                            [(mechanism, config.master_seed)])
     evalset = build_evalset(surveys)
     result = record_run(spec, snapshots, evalset, table, mechanism,
                         config.master_seed)
@@ -153,7 +152,7 @@ def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float]
     table, surveys, corpus = _load_inputs(config)
     evalset = build_evalset(surveys)
     result = sweep(spec, mechanisms, seeds, surveys, corpus, table,
-                   config.federation(NO_NOISE), evalset)
+                   config.federation(), evalset)
 
     _write_results("sweep", config, spec, result,
                    extra={"axis": axis, "values": values, "seeds": seeds})

@@ -6,14 +6,14 @@ seeds from --seeds, each checked like a master_seed, and refuses a
 master_seed, so its manifest records None.
 A RunConfig checks each value's type and builds the run's SimulationSpec
 and FederationConfig once, so a bad setting fails before any input loads.
-The noise settings are checked by the NoiseMechanism that run and sweep
-build, also before any input loads.
+The noise settings stay out of it, as each run of a sweep has its own;
+the NoiseMechanism that run and sweep build checks them, also up front.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from . import assets
 from .federation import FederationConfig, SimulationSpec, simulation_spec
@@ -78,14 +78,14 @@ class RunConfig:
             participation_fraction=self.participation_fraction,
             global_epochs=self.global_epochs))
         object.__setattr__(self, "_federation", FederationConfig(
-            noise=NO_NOISE, train=TrainConfig(local_epochs=self.local_epochs),
+            train=TrainConfig(local_epochs=self.local_epochs),
             weighting=self.weighting, fixed_client_data=self.fixed_client_data))
 
     def spec(self) -> SimulationSpec:
         return self._spec
 
-    def federation(self, noise: NoiseMechanism) -> FederationConfig:
-        return replace(self._federation, noise=noise)
+    def federation(self) -> FederationConfig:
+        return self._federation
 
     def noise_mechanism(self) -> NoiseMechanism:
         return NoiseMechanism(kind=self.mechanism, noise_level=self.noise_level,

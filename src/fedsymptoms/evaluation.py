@@ -6,16 +6,17 @@ so the score is the fraction (k/16) predicted at or above
 DECISION_THRESHOLD. Symptoms are split into a high-display group (aggregate
 display fraction above 10% of the surveyed population) and the low
 group, mirroring the two curves of the sweep figures. `sweep` runs one
-simulation per (noise mechanism, seed), several side by side; the caller
-builds the mechanisms for its axis, varying the noise level or epsilon.
+simulation per (noise mechanism, seed), several side by side under one
+FederationConfig; the caller builds the mechanisms of its level or epsilon axis.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .config import check_seed
 from .embeddings import EmbeddingTable, encode_phrase
 from .federation import FederationConfig, SimulationSpec, run_simulation
 from .mlp import MlpParameters, forward
@@ -143,8 +144,8 @@ def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
 
 def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[int],
           surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
-          base_config: FederationConfig, evalset: EvalSet) -> SweepResult:
-    """One full run per (mechanism, seed) under base_config.
+          config: FederationConfig, evalset: EvalSet) -> SweepResult:
+    """One full run per (mechanism, seed), every run under config.
 
     Runs go in canonical order, mechanisms by (kind, noise level, epsilon)
     and then seeds ascending, and each run's rows come by epoch and then
@@ -152,8 +153,8 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     A repeated mechanism or seed would repeat a run's rows, so either is
     refused. The canonical list is cut into consecutive groups of runs
     that hold at most GROUP_VECTORS parameter vectors between them; each
-    group runs in one run_simulation call, and each of its runs is
-    recorded as the group ends. A run's rows do not depend on its group.
+    group runs in one run_simulation call under config, and each of its runs
+    is recorded as the group ends. A run's rows do not depend on its group.
     """
     for name, items in (("mechanisms", mechanisms), ("seeds", seeds)):
         repeated = [x for i, x in enumerate(items) if x in items[:i]]
@@ -170,9 +171,7 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     merged = SweepResult()
     for start in range(0, len(runs), group_size):
         group = runs[start:start + group_size]
-        results = run_simulation(spec, surveys, corpus, embeddings,
-                                 [(replace(base_config, noise=mechanism), seed)
-                                  for mechanism, seed in group])
+        results = run_simulation(spec, surveys, corpus, embeddings, config, group)
         for (mechanism, seed), (snapshots, _) in zip(group, results):
             run = record_run(spec, snapshots, evalset, embeddings, mechanism, seed)
             merged.predictions.extend(run.predictions)
@@ -203,9 +202,9 @@ _ACCURACY_PARSERS = dict(simulation=str, mechanism=str, noise_level=float,
 def read_accuracy_csv(path: str) -> list[AccuracyRow]:
     """Read accuracy.csv, refusing any row that would skew a seed mean.
 
-    A row with a missing or unreadable field, an accuracy outside [0, 1]
-    (NaN included), or the same run and epoch as an earlier row raises
-    ValueError naming ``path:line``.
+    A row with a missing or unreadable field, a mechanism or seed run would
+    refuse, an accuracy outside [0, 1] (NaN included), or the same run and
+    epoch as an earlier row raises ValueError naming ``path:line``.
     """
     rows: list[AccuracyRow] = []
     first_line: dict[tuple, int] = {}
@@ -224,6 +223,12 @@ def read_accuracy_csv(path: str) -> list[AccuracyRow]:
                     values[name] = parse(rec[name])
                 except ValueError:
                     raise ValueError(f"{where}: cannot read {name} {rec[name]!r}") from None
+            # the checks run and sweep make of the settings that wrote the row
+            try:
+                NoiseMechanism(values["mechanism"], values["noise_level"], values["epsilon"])
+                check_seed(values["seed"], "seed")
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             row = AccuracyRow(**values)
             if not 0.0 <= row.accuracy <= 1.0:
                 raise ValueError(f"{where}: accuracy {row.accuracy} outside [0, 1]")

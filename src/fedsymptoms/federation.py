@@ -155,9 +155,8 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Everything about a run that is not topology or data."""
+    """The settings all runs of a simulation call share; each run owns its noise and seed."""
 
-    noise: NoiseMechanism
     train: TrainConfig = field(default_factory=TrainConfig)
     weighting: str = WEIGHT_BY_EXAMPLES
     fixed_client_data: bool = False
@@ -226,67 +225,67 @@ def _exact_mean(values: list[float], weights: list[int]) -> float:
 
 def run_round(params: list[MlpParameters], round_index: int, populations: list[Population],
               spec: SimulationSpec, distributions: list, phrases: PhraseTable,
-              runs: list[tuple[FederationConfig, int]]
+              config: FederationConfig, runs: list[tuple[NoiseMechanism, int]]
               ) -> tuple[list[MlpParameters], list[RoundReport]]:
     """Execute one broadcast / local-train / aggregate cycle of 0-based round_index for each run.
 
     Run r has global parameters params[r], population populations[r] and
-    (config, master_seed) runs[r]. Each run selects its clients with its
-    own stream, and they are synthesized run by run, each run's in
-    client_id order, into windows shared by the group. A window closes
-    once it holds WINDOW_EXAMPLES examples, or at the group's last client,
-    and its non-empty datasets train in one train_local call, as one
-    Cohort with a start and a stream per client. One mean_loss call then
-    scores each update on its own client's data. Each run then merges its
-    updates, in ascending client_id order, with its own fedavg_aggregate.
-    Clients that come up empty are skipped; a run in which every
-    selected client does so carries its global parameters forward
-    unchanged. Each run gets its own RoundReport; its wall_time is the
-    time of the whole group's round.
+    (noise, master_seed) runs[r]; all train under config. Each run selects
+    its clients with its own stream, and they are synthesized run by run,
+    each run's in client_id order, into windows shared by the call. A
+    window trains once it holds WINDOW_EXAMPLES examples, and once more
+    after the last client, in one train_local call, as one Cohort with a
+    start and a stream per client; one mean_loss call then scores each
+    update on its own client's data. Each run then merges its updates, in
+    ascending client_id order, with its own fedavg_aggregate. Clients that
+    come up empty are skipped; a run in which every selected client does
+    so carries its global parameters forward unchanged. Each run gets its
+    own RoundReport; its wall_time is the time of the whole call's round.
     """
     started = time.perf_counter()
-    train = runs[0][0].train
+    data_round = 0 if config.fixed_client_data else round_index
 
     # per run: its updates, their local losses and its skipped clients
     updates: list[list[tuple[MlpParameters, int]]] = [[] for _ in runs]
     losses: list[list[float]] = [[] for _ in runs]
     skipped = [0] * len(runs)
-    # this window's non-empty datasets, their runs, their training streams and their examples
-    window: list[ClientDataset] = []
-    owners: list[int] = []
-    rngs: list[np.random.Generator] = []
+    # this window's non-empty clients as (run, dataset, training stream)
+    window: list[tuple[int, ClientDataset, np.random.Generator]] = []
+
+    def train_window() -> None:
+        cohort = Cohort(tuple(dataset for _, dataset, _ in window))
+        # positional, under this module's names: perfbench wraps them there
+        trained = train_local([params[r] for r, _, _ in window], cohort, config.train,
+                              [rng for _, _, rng in window])
+        for (r, dataset, _), local, loss in zip(window, trained, mean_loss(trained, cohort)):
+            weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
+            updates[r].append((local, weight))
+            losses[r].append(loss)
+        window.clear()
+
     held = 0
-    for r, ((config, master_seed), population) in enumerate(zip(runs, populations)):
+    for r, ((noise, master_seed), population) in enumerate(zip(runs, populations)):
         selection = streams.selection_stream(master_seed, round_index)
         # sorted() over Python ints: np.sort would map ~0.3 MB more numpy code into RSS
         chosen = sorted(selection.choice(len(population), size=spec.clients_per_round,
                                          replace=False).tolist())
-        data_round = 0 if config.fixed_client_data else round_index
-        last_run = r == len(runs) - 1
-        for position, client_id in enumerate(chosen, start=1):
+        for client_id in chosen:
             n_persons = int(population.sizes[client_id])
             country = int(population.countries[client_id])
             data_rng = streams.client_data_stream(master_seed, client_id, data_round)
-            dataset = synthesize_client(n_persons, distributions[country], config.noise,
-                                        phrases, data_rng)
+            dataset = synthesize_client(n_persons, distributions[country], noise, phrases,
+                                        data_rng)
             if len(dataset) == 0:
                 skipped[r] += 1
-            else:
-                window.append(dataset)
-                owners.append(r)
-                rngs.append(streams.client_train_stream(master_seed, client_id, round_index))
-                held += len(dataset)
-            if window and (held >= WINDOW_EXAMPLES or (last_run and position == len(chosen))):
-                cohort = Cohort(tuple(window))
-                # positional, under this module's names: perfbench wraps them there
-                trained = train_local([params[owner] for owner in owners], cohort, train, rngs)
-                window_losses = mean_loss(trained, cohort)
-                for owner, dataset, local, loss in zip(owners, window, trained, window_losses):
-                    weighting = runs[owner][0].weighting
-                    weight = len(dataset) if weighting == WEIGHT_BY_EXAMPLES else 1
-                    updates[owner].append((local, weight))
-                    losses[owner].append(loss)
-                window, owners, rngs, held = [], [], [], 0
+                continue
+            window.append((r, dataset,
+                           streams.client_train_stream(master_seed, client_id, round_index)))
+            held += len(dataset)
+            if held >= WINDOW_EXAMPLES:
+                train_window()
+                held = 0
+    if window:
+        train_window()
 
     merged = [fedavg_aggregate(run_updates) if run_updates else run_params
               for run_params, run_updates in zip(params, updates)]
@@ -302,9 +301,10 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
 
 
 def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
-                   embeddings: EmbeddingTable, runs: list[tuple[FederationConfig, int]]
+                   embeddings: EmbeddingTable, config: FederationConfig,
+                   runs: list[tuple[NoiseMechanism, int]]
                    ) -> list[tuple[list[MlpParameters], list[RoundReport]]]:
-    """Run global_epochs rounds of each (config, master_seed) run, side by side.
+    """Run global_epochs rounds of each (noise, master_seed) run under config, side by side.
 
     Returns one (snapshots, reports) per run, in order: the parameters
     after init and after every round, and each round's report. The runs
@@ -312,18 +312,14 @@ def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
     of them train in shared lockstep windows, and each run keeps its own
     init, population and keyed streams. Since each client trains as if
     alone, a run's snapshots and reports (but for wall_time) do not depend
-    on the runs it is grouped with. All runs must share one TrainConfig,
-    because a cohort trains at one local_epochs.
+    on the runs it is simulated with.
 
     The population stream never sees the noise settings, so sweeps at a
     fixed seed share client sizes and countries across noise levels.
     Every phrase a client can emit is encoded once per call, up front.
     """
-    runs = list(runs)
     if not runs:
         raise ValueError("no runs to simulate")
-    if any(config.train != runs[0][0].train for config, _ in runs):
-        raise ValueError("runs simulated together must share one train config")
     distributions = [build_distribution(s) for s in surveys]
     phrases = build_phrase_table(embeddings, corpus, distributions)
     params = [init_params(streams.init_stream(seed)) for _, seed in runs]
@@ -334,7 +330,7 @@ def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
     reports: list[list[RoundReport]] = [[] for _ in runs]
     for round_index in range(spec.global_epochs):
         params, round_reports = run_round(params, round_index, populations, spec,
-                                          distributions, phrases, runs)
+                                          distributions, phrases, config, runs)
         for run_snapshots, run_reports, run_params, report in zip(snapshots, reports, params,
                                                                   round_reports):
             run_snapshots.append(run_params)

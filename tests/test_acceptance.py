@@ -81,14 +81,14 @@ def desk_spec():
 def uniform_sweep(desk_spec, surveys, corpus, table, evalset):
     mechanisms = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in NOISE_LEVELS]
     return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table,
-                 FederationConfig(noise=NO_NOISE), evalset)
+                 FederationConfig(), evalset)
 
 
 @pytest.fixture(scope="module")
 def laplace_sweep(desk_spec, surveys, corpus, table, evalset):
     mechanisms = [NoiseMechanism(LAPLACE_DP, 0.5, epsilon=eps) for eps in EPSILONS]
     return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table,
-                 FederationConfig(noise=NO_NOISE), evalset)
+                 FederationConfig(), evalset)
 
 
 def final_accuracies(result, **match):
@@ -322,8 +322,8 @@ def test_11_many_tiny_clients_reported_only(surveys, corpus, table, evalset,
         mech = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=level)
         accs, mean_preds = [], []
         seeds = (1, 2)
-        runs = run_simulation(spec, surveys, corpus, table,
-                              [(FederationConfig(noise=mech), seed) for seed in seeds])
+        runs = run_simulation(spec, surveys, corpus, table, FederationConfig(),
+                              [(mech, seed) for seed in seeds])
         for seed, (snapshots, _) in zip(seeds, runs):
             rows = record_run(spec, snapshots, evalset, table, mech, seed)
             preds = [r.prediction for r in rows.predictions

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary: the gain claim and the no-regression verdict per metric."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -70,3 +71,50 @@ def test_under_ten_pairs_no_gain_is_claimed_but_regressions_still_show(pairs):
     faster = [(rate * 1.3, mb * 1.2) for rate, mb in STEADY[:pairs]]
     assert verdicts(STEADY[:pairs], faster) == ("no claim under 10 pairs, held",
                                                 "no claim under 10 pairs, worse than bound")
+
+
+def test_a_failed_run_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys):
+    def extract(revisions, tmp):
+        trees = {side: str(tmp_path / side) for side in revisions}
+        for tree in trees.values():
+            os.makedirs(tree)
+            with open(os.path.join(tree, "BENCHMARK.json"), "w", encoding="utf-8") as fh:
+                json.dump({"workloads": [{"name": "a"}, {"name": "b"}],
+                           "end_to_end": [{"name": name, "better": better, "bound": BOUNDS[name]}
+                                          for name, better in BETTER.items()]}, fh)
+        return {side: "0123456789abcdef" for side in revisions}, trees
+
+    calls = []
+
+    def run_side(tree, workload, seed, seconds):
+        calls.append((os.path.basename(tree), workload))
+        # pair 3 runs workload a on both sides, then fails on b's second side
+        if len(calls) == 12:
+            raise RuntimeError("perfbench failed (exit 1)")
+        return {"train_examples_per_s": 100.0 + len(calls), "peak_rss_mb": 40.0,
+                "failed_ratio": 0.0}
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    assert bench_pairs.main(["base", "change", "--workload", "all", "--pairs", "10"]) == 1
+    # never retried: the failed call is the last one
+    assert len(calls) == 12
+    out, err = capsys.readouterr()
+    assert err == "error: pair 3: perfbench failed (exit 1)\n"
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("pair ")] == [
+        f"pair {i} {name} ({first} first), base/change: "
+        f"train_examples_per_s {base:g}/{change:g}  peak_rss_mb 40/40"
+        for i, name, first, base, change in (
+            (1, "a", "base", 101, 102), (1, "b", "base", 103, 104),
+            (2, "a", "change", 106, 105), (2, "b", "change", 108, 107),
+            (3, "a", "base", 109, 110))]
+    for name in ("a", "b"):
+        header = next(i for i, line in enumerate(lines) if line.startswith(f"{name}, "))
+        assert lines[header].startswith(f"{name}, 2 pairs, seed 1, ")
+        # failed_ratio, peak_rss_mb, then the rate, which grows with each call
+        assert lines[header + 3].endswith("change won 1/2  no claim under 10 pairs, held")
+    result = json.loads(lines[-1])
+    assert {name: {side: len(values) for side, values in sides.items()}
+            for name, sides in result["runs"].items()} == {
+        "a": {"base": 2, "change": 2}, "b": {"base": 2, "change": 2}}

@@ -18,7 +18,7 @@ from fedsymptoms.cli import main
 from fedsymptoms.config import RunConfig
 from fedsymptoms.evaluation import AccuracyRow, read_accuracy_csv, write_accuracy_csv
 from fedsymptoms.federation import SIMULATION_IDS, WEIGHTINGS, FederationConfig, simulation_spec
-from fedsymptoms.sampling import NO_NOISE, UNIFORM_THRESHOLD
+from fedsymptoms.sampling import MECHANISM_KINDS, NO_NOISE, UNIFORM_THRESHOLD
 from fedsymptoms.surveys import integer, load_corpus
 
 ARTIFACTS = ("predictions.csv", "accuracy.csv", "rounds.jsonl",
@@ -316,8 +316,16 @@ ACCURACY_LINE = "I,uniform_threshold,0.0,,1,5,0.75\n"
     (ACCURACY_LINE, "repeats the run and epoch of line 2"),
     ("I,uniform_threshold,0.0,,2,5,nan\n", "accuracy nan outside [0, 1]"),
     ("I,uniform_threshold,0.0,,2,5,1.5\n", "accuracy 1.5 outside [0, 1]"),
+    ("I,uniform_threshold,nan,,2,5,0.5\n", "noise_level nan outside [0, 1]"),
+    ("I,uniform_threshold,7,,2,5,0.5\n", "noise_level 7.0 outside [0, 1]"),
+    ("I,laplace_dp,0.5,inf,2,5,0.5\n", "laplace_dp requires a finite epsilon > 0"),
+    ("I,uniform_threshold,0.0,2.0,2,5,0.5\n",
+     "epsilon applies only to laplace_dp, not uniform_threshold"),
+    ("I,bogus,0.0,,2,5,0.5\n", f"mechanism must be one of {MECHANISM_KINDS}, got 'bogus'"),
+    ("I,uniform_threshold,0.0,,-1,5,0.5\n", "seed must fit in 64 bits, got -1"),
 ], ids=["missing-field", "non-numeric-accuracy", "non-numeric-seed", "repeated-row",
-        "nan-accuracy", "accuracy-above-one"])
+        "nan-accuracy", "accuracy-above-one", "nan-level", "level-above-one",
+        "infinite-epsilon", "epsilon-without-laplace", "unknown-mechanism", "negative-seed"])
 def test_report_refuses_a_bad_row_naming_its_file_and_line(tmp_path, capsys, bad_line,
                                                            message):
     path = tmp_path / "accuracy.csv"
@@ -546,7 +554,7 @@ def test_flag_overrides_config_file_value(tmp_path):
 def test_run_config_defaults_are_the_library_defaults():
     config = RunConfig(master_seed=1)
     assert config.spec() == simulation_spec("I")
-    assert config.federation(NO_NOISE) == FederationConfig(noise=NO_NOISE)
+    assert config.federation() == FederationConfig()
     assert config.noise_mechanism() == NO_NOISE
     # IV has its own participation default, which a RunConfig must leave to the topology
     for sim_id in SIMULATION_IDS:

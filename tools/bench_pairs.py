@@ -17,6 +17,10 @@ when the base's interquartile range is wider than the bound, unless
 every change run beats every base run; otherwise "held". The extracted
 trees are removed at the end.
 
+A failed run is not retried: its error goes to standard error, the
+summary and JSON line cover the pairs completed before it, and the exit
+status is 1.
+
 Run from anywhere inside the repository; `--workload` takes one name, a
 comma list, or `all` for every workload in the change's BENCHMARK.json:
 
@@ -156,27 +160,37 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown workload(s) {unknown}; expected some of {known} or all")
 
         runs = {name: {"base": [], "change": []} for name in workloads}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        completed = 0
+        try:
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for name in workloads:
+                    for side in order:
+                        runs[name][side].append(run_side(trees[side], name, args.seed,
+                                                         args.seconds))
+                    last = runs[name]
+                    shown = "  ".join(f"{metric} {last['base'][-1][metric]:.6g}/"
+                                      f"{last['change'][-1][metric]:.6g}" for metric in better)
+                    print(f"pair {i + 1} {name} ({order[0]} first), base/change: {shown}",
+                          flush=True)
+                completed = i + 1
+        except (RuntimeError, subprocess.TimeoutExpired) as exc:
+            print(f"error: pair {completed + 1}: {exc}", file=sys.stderr, flush=True)
+            # a pair the failure cut short counts for no workload
             for name in workloads:
-                for side in order:
-                    runs[name][side].append(run_side(trees[side], name, args.seed,
-                                                     args.seconds))
-                last = runs[name]
-                shown = "  ".join(f"{metric} {last['base'][-1][metric]:.6g}/"
-                                  f"{last['change'][-1][metric]:.6g}" for metric in better)
-                print(f"pair {i + 1} {name} ({order[0]} first), base/change: {shown}",
-                      flush=True)
+                for side_runs in runs[name].values():
+                    del side_runs[completed:]
 
         for name in workloads:
-            print(f"{name}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s, "
+            print(f"{name}, {completed} pairs, seed {args.seed}, {args.seconds:g} s, "
                   f"base {commits['base'][:12]} change {commits['change'][:12]}:")
-            print("\n".join(summarize(runs[name], better, bounds)))
+            if completed:
+                print("\n".join(summarize(runs[name], better, bounds)))
         print(json.dumps({"workloads": workloads, "seed": args.seed,
                           "seconds": args.seconds, "commits": commits, "runs": runs}))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return 0
+    return 0 if completed == args.pairs else 1
 
 
 if __name__ == "__main__":

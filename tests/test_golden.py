@@ -1,10 +1,14 @@
-"""Golden sha256 digests of the CSVs of four small runs, and their losses.
+"""Golden sha256 digests of the CSVs of five small runs and a sweep, and the runs' losses.
 
 The simulator promises byte-identical CSVs for a given seed and config.
 These digests pin that output across commits, so a refactor or a faster
 path cannot shift the numbers, even in the last bits, without failing
-here. Each run is checked twice against the same table: in process,
+here. Each command is checked twice against the same table: in process,
 and as a ``python -m fedsymptoms.cli`` subprocess with 4 BLAS threads.
+The runs and the sweep between them set every training setting a
+simulation call shares: uniform weighting and two local epochs change
+``predictions.csv`` of both commands, and the sweep's eight runs train
+in two groups of runs.
 The digests were recorded under the numpy ``major.minor`` in
 ``RECORDED_NUMPY``; another numpy may round differently, so the tests
 skip there and say why. ``MEAN_LOCAL_LOSS`` pins the ``repr`` of each
@@ -38,12 +42,25 @@ CONFIGS = {
                         "--epsilon", "2"),
     "I_fixed_client_data": ("--simulation", "I", "--mechanism", "uniform_threshold",
                             "--noise-level", "0.5", "--fixed-client-data"),
+    "III_uniform_weighting_2_local_epochs": ("--simulation", "III",
+                                             "--mechanism", "uniform_threshold",
+                                             "--noise-level", "0.5", "--weighting", "uniform",
+                                             "--local-epochs", "2"),
 }
+
+# 8 runs of 9 clients and 5 rounds, 15 parameter vectors each: sweep groups of 6 and 2
+SWEEP_ARGV = ("sweep", "--axis", "noise", "--values", "0,0.5", "--seeds", "1,2,3,4",
+              "--simulation", "III", "--scale", "0.01", "--mechanism", "uniform_threshold",
+              "--weighting", "uniform", "--local-epochs", "2")
 
 GOLDEN = {
     "III_normal": {
         "predictions.csv": "10575b687ec5a706e4ef313c37aa6a081a3007ba464be01205510e7d145199be",
         "accuracy.csv": "bbf57f6513439c9cce6e266ebc3c0da918bbe5288650ff8f631638572c80557e",
+    },
+    "III_uniform_weighting_2_local_epochs": {
+        "predictions.csv": "da4d777b2b6ef5831cc62d8c4c482d5f2993038a5daf1ab1a06f1f736812ed62",
+        "accuracy.csv": "4bde3aabf6b2170a2cc408c66ed52bd1ef75c8fd185fd6e569f316895c52ee27",
     },
     "IV_laplace_eps2": {
         "predictions.csv": "415719c18d4450c73da586bc80a11bc707513da557bbdab0d966d4702c0a092c",
@@ -59,6 +76,11 @@ GOLDEN = {
     },
 }
 
+SWEEP_GOLDEN = {
+    "predictions.csv": "750fc42e8a519c85a50271800a7e2939a79ca473952d2cb39a64f8e3672cb277",
+    "accuracy.csv": "7d044c59a47817cc4d3054f497b63c12dfcc811a92d57eaef5db240da13e3dc2",
+}
+
 
 MEAN_LOCAL_LOSS = {
     "III_normal": (
@@ -67,6 +89,13 @@ MEAN_LOCAL_LOSS = {
         "0.5959509632686885",
         "0.5703881875627954",
         "0.5337539164047667",
+    ),
+    "III_uniform_weighting_2_local_epochs": (
+        "0.6728655860348773",
+        "0.663555594196906",
+        "0.6553229067200576",
+        "0.6432859236847401",
+        "0.6219889218833707",
     ),
     "IV_laplace_eps2": (
         "0.6646005189291262",
@@ -96,6 +125,10 @@ def run_argv(name: str, out_dir) -> list[str]:
             "--output-dir", str(out_dir)]
 
 
+def sweep_argv(out_dir) -> list[str]:
+    return [*SWEEP_ARGV, "--output-dir", str(out_dir)]
+
+
 def csv_digests(out_dir) -> dict[str, str]:
     return {csv: hashlib.sha256((out_dir / csv).read_bytes()).hexdigest()
             for csv in CSV_NAMES}
@@ -107,21 +140,21 @@ def round_losses(out_dir) -> tuple[str, ...]:
     return tuple(repr(json.loads(line)["mean_local_loss"]) for line in lines)
 
 
-def run_digests(name: str, out_dir) -> dict[str, str]:
-    if main(run_argv(name, out_dir)) != 0:
-        raise RuntimeError(f"run {name} failed")
+def cli_digests(argv: list[str], out_dir) -> dict[str, str]:
+    if main(argv) != 0:
+        raise RuntimeError(f"{argv[0]} failed")
     return csv_digests(out_dir)
 
 
-def subprocess_digests(name: str, out_dir) -> dict[str, str]:
-    """The same run as run_digests, in a fresh interpreter with 4 BLAS threads."""
+def subprocess_digests(argv: list[str], out_dir) -> dict[str, str]:
+    """The same command as cli_digests, in a fresh interpreter with 4 BLAS threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedsymptoms.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4", MKL_NUM_THREADS="4",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "fedsymptoms.cli", *run_argv(name, out_dir)],
+    done = subprocess.run([sys.executable, "-m", "fedsymptoms.cli", *argv],
                           capture_output=True, text=True, env=env)
     if done.returncode != 0:
-        raise RuntimeError(f"run {name} failed: {done.stderr}")
+        raise RuntimeError(f"{argv[0]} failed: {done.stderr}")
     return csv_digests(out_dir)
 
 
@@ -135,27 +168,37 @@ def skip_under_other_numpy():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests_match_golden(name, tmp_path):
     skip_under_other_numpy()
-    assert run_digests(name, tmp_path) == GOLDEN[name]
+    assert cli_digests(run_argv(name, tmp_path), tmp_path) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_mean_local_loss_matches_golden(name, tmp_path):
     skip_under_other_numpy()
-    run_digests(name, tmp_path)
+    cli_digests(run_argv(name, tmp_path), tmp_path)
     assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests_match_golden_at_4_blas_threads(name, tmp_path):
     skip_under_other_numpy()
-    assert subprocess_digests(name, tmp_path) == GOLDEN[name]
+    assert subprocess_digests(run_argv(name, tmp_path), tmp_path) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_mean_local_loss_matches_golden_at_4_blas_threads(name, tmp_path):
     skip_under_other_numpy()
-    subprocess_digests(name, tmp_path)
+    subprocess_digests(run_argv(name, tmp_path), tmp_path)
     assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name]
+
+
+def test_sweep_csv_digests_match_golden(tmp_path):
+    skip_under_other_numpy()
+    assert cli_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN
+
+
+def test_sweep_csv_digests_match_golden_at_4_blas_threads(tmp_path):
+    skip_under_other_numpy()
+    assert subprocess_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN
 
 
 if __name__ == "__main__":
@@ -170,12 +213,20 @@ if __name__ == "__main__":
         for name in sorted(CONFIGS):
             out_dir = pathlib.Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
-                digests = run_digests(name, out_dir)
+                digests = cli_digests(run_argv(name, out_dir), out_dir)
             losses[name] = round_losses(out_dir)
             print(f'    "{name}": {{')
             for csv in CSV_NAMES:
                 print(f'        "{csv}": "{digests[csv]}",')
             print("    },")
+        print("}")
+        print()
+        out_dir = pathlib.Path(tmp) / "sweep"
+        with contextlib.redirect_stdout(io.StringIO()):
+            digests = cli_digests(sweep_argv(out_dir), out_dir)
+        print("SWEEP_GOLDEN = {")
+        for csv in CSV_NAMES:
+            print(f'    "{csv}": "{digests[csv]}",')
         print("}")
     print()
     print("MEAN_LOCAL_LOSS = {")

@@ -98,7 +98,7 @@ def cmd_run(config: RunConfig) -> int:
     mechanism = config.noise_mechanism()
     table, surveys, corpus = _load_inputs(config)
 
-    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, config.federation(),
+    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table,
                                             [(mechanism, config.master_seed)])
     evalset = build_evalset(surveys)
     result = record_run(spec, snapshots, evalset, table, mechanism,
@@ -151,8 +151,7 @@ def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float]
     spec = config.spec()
     table, surveys, corpus = _load_inputs(config)
     evalset = build_evalset(surveys)
-    result = sweep(spec, mechanisms, seeds, surveys, corpus, table,
-                   config.federation(), evalset)
+    result = sweep(spec, mechanisms, seeds, surveys, corpus, table, evalset)
 
     _write_results("sweep", config, spec, result,
                    extra={"axis": axis, "values": values, "seeds": seeds})

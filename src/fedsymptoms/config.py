@@ -4,10 +4,11 @@ A run's seed is mandatory and never defaulted from the clock; a run is
 meant to be reproducible from its manifest alone. A sweep takes its
 seeds from --seeds, each checked like a master_seed, and refuses a
 master_seed, so its manifest records None.
-A RunConfig checks each value's type and builds the run's SimulationSpec
-and FederationConfig once, so a bad setting fails before any input loads.
-The noise settings stay out of it, as each run of a sweep has its own;
-the NoiseMechanism that run and sweep build checks them, also up front.
+A RunConfig checks each value's type and builds the one SimulationSpec
+that all its runs share (topology, schedule, local epochs, weighting and
+fixed client data), so a bad setting fails before any input loads. The
+noise settings stay out of it, as each run of a sweep has its own; the
+NoiseMechanism that run and sweep build checks them, also up front.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import json
 from dataclasses import dataclass, fields
 
 from . import assets
-from .federation import FederationConfig, SimulationSpec, simulation_spec
-from .mlp import TrainConfig
+from .federation import SimulationSpec, simulation_spec
 from .sampling import NO_NOISE, NoiseMechanism
 
 MAX_SEED = 2 ** 64 - 1
@@ -29,7 +29,7 @@ def check_seed(seed: int, name: str) -> None:
         raise ValueError(f"{name} must fit in 64 bits, got {seed}")
 
 
-# simulation_spec's keyword defaults, so each topology default has one home
+# simulation_spec's keyword defaults, so each topology and training default has one home
 _SPEC_DEFAULTS = simulation_spec.__kwdefaults__
 
 # field annotation (without "| None") -> the accepted type; bool is not an int here
@@ -45,10 +45,10 @@ class RunConfig:
     epsilon: float | None = None
     scale: float = _SPEC_DEFAULTS["scale"]
     participation_fraction: float | None = _SPEC_DEFAULTS["participation_fraction"]
-    local_epochs: int = TrainConfig.local_epochs
+    local_epochs: int = _SPEC_DEFAULTS["local_epochs"]
     global_epochs: int = _SPEC_DEFAULTS["global_epochs"]
-    weighting: str = FederationConfig.weighting
-    fixed_client_data: bool = FederationConfig.fixed_client_data
+    weighting: str = _SPEC_DEFAULTS["weighting"]
+    fixed_client_data: bool = _SPEC_DEFAULTS["fixed_client_data"]
     epoch: int | None = None
     output_dir: str = "out"
     embeddings_path: str = assets.default_embeddings_path()
@@ -72,20 +72,15 @@ class RunConfig:
             raise ValueError("epoch must be at least 1")
         if not self.output_dir:
             raise ValueError("output_dir must be non-empty")
-        # these constructors are the one check of the topology and training settings
+        # this constructor is the one check of the topology and training settings
         object.__setattr__(self, "_spec", simulation_spec(
             self.simulation, scale=self.scale,
             participation_fraction=self.participation_fraction,
-            global_epochs=self.global_epochs))
-        object.__setattr__(self, "_federation", FederationConfig(
-            train=TrainConfig(local_epochs=self.local_epochs),
+            global_epochs=self.global_epochs, local_epochs=self.local_epochs,
             weighting=self.weighting, fixed_client_data=self.fixed_client_data))
 
     def spec(self) -> SimulationSpec:
         return self._spec
-
-    def federation(self) -> FederationConfig:
-        return self._federation
 
     def noise_mechanism(self) -> NoiseMechanism:
         return NoiseMechanism(kind=self.mechanism, noise_level=self.noise_level,

@@ -7,7 +7,7 @@ DECISION_THRESHOLD. Symptoms are split into a high-display group (aggregate
 display fraction above 10% of the surveyed population) and the low
 group, mirroring the two curves of the sweep figures. `sweep` runs one
 simulation per (noise mechanism, seed), several side by side under one
-FederationConfig; the caller builds the mechanisms of its level or epsilon axis.
+SimulationSpec; the caller builds the mechanisms of its level or epsilon axis.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .config import check_seed
 from .embeddings import EmbeddingTable, encode_phrase
-from .federation import FederationConfig, SimulationSpec, run_simulation
+from .federation import SimulationSpec, run_simulation
 from .mlp import MlpParameters, forward
 from .sampling import NoiseMechanism
 from .surveys import CountrySurvey
@@ -144,8 +144,8 @@ def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
 
 def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[int],
           surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
-          config: FederationConfig, evalset: EvalSet) -> SweepResult:
-    """One full run per (mechanism, seed), every run under config.
+          evalset: EvalSet) -> SweepResult:
+    """One full run per (mechanism, seed), every run under spec.
 
     Runs go in canonical order, mechanisms by (kind, noise level, epsilon)
     and then seeds ascending, and each run's rows come by epoch and then
@@ -153,7 +153,7 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     A repeated mechanism or seed would repeat a run's rows, so either is
     refused. The canonical list is cut into consecutive groups of runs
     that hold at most GROUP_VECTORS parameter vectors between them; each
-    group runs in one run_simulation call under config, and each of its runs
+    group runs in one run_simulation call under spec, and each of its runs
     is recorded as the group ends. A run's rows do not depend on its group.
     """
     for name, items in (("mechanisms", mechanisms), ("seeds", seeds)):
@@ -171,7 +171,7 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     merged = SweepResult()
     for start in range(0, len(runs), group_size):
         group = runs[start:start + group_size]
-        results = run_simulation(spec, surveys, corpus, embeddings, config, group)
+        results = run_simulation(spec, surveys, corpus, embeddings, group)
         for (mechanism, seed), (snapshots, _) in zip(group, results):
             run = record_run(spec, snapshots, evalset, embeddings, mechanism, seed)
             merged.predictions.extend(run.predictions)

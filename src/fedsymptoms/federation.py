@@ -73,13 +73,20 @@ def scaled_count(value: int, scale: float) -> int:
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Client topology and schedule of one simulation."""
+    """What every run of one simulation call shares; a run owns only its noise and seed.
+
+    That is the client topology, the round schedule, local training, the
+    FedAvg weighting and whether each client keeps its round-0 data.
+    """
 
     id: str
     size_range: tuple[int, int]
     n_clients: int
     global_epochs: int = 5
     participation_fraction: float = 1.0
+    train: TrainConfig = field(default_factory=TrainConfig)
+    weighting: str = WEIGHT_BY_EXAMPLES
+    fixed_client_data: bool = False
 
     def __post_init__(self):
         lo, hi = self.size_range
@@ -93,6 +100,8 @@ class SimulationSpec:
             raise ValueError("participation_fraction selects no clients")
         if self.global_epochs < 0:
             raise ValueError("global_epochs must be non-negative")
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 
     @property
     def clients_per_round(self) -> int:
@@ -102,13 +111,18 @@ class SimulationSpec:
 
 def simulation_spec(sim_id: str, *, scale: float = 1.0,
                     participation_fraction: float | None = None,
-                    global_epochs: int = SimulationSpec.global_epochs) -> SimulationSpec:
+                    global_epochs: int = SimulationSpec.global_epochs,
+                    local_epochs: int = TrainConfig.local_epochs,
+                    weighting: str = SimulationSpec.weighting,
+                    fixed_client_data: bool = SimulationSpec.fixed_client_data
+                    ) -> SimulationSpec:
     """Build a spec from the standard topology table, optionally scaled.
 
     `scale` multiplies both the per-client size range and the client
     count, rounding up to at least 1, so desk-size runs keep the shape
     of the full topology. A participation_fraction of None takes the
-    topology's own. The keyword defaults are also config.RunConfig's.
+    topology's own. Every keyword default is also config.RunConfig's
+    default for the field of the same name, so each has this one home.
     """
     if sim_id not in _TOPOLOGY:
         raise ValueError(f"unknown simulation id {sim_id!r}; expected one of {SIMULATION_IDS}")
@@ -123,6 +137,9 @@ def simulation_spec(sim_id: str, *, scale: float = 1.0,
         n_clients=scaled_count(n_clients, scale),
         global_epochs=global_epochs,
         participation_fraction=participation_fraction,
+        train=TrainConfig(local_epochs=local_epochs),
+        weighting=weighting,
+        fixed_client_data=fixed_client_data,
     )
 
 
@@ -151,19 +168,6 @@ class RoundReport:
     skipped_empty_clients: int
     mean_local_loss: float | None  # None when no client trained
     wall_time: float
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """The settings all runs of a simulation call share; each run owns its noise and seed."""
-
-    train: TrainConfig = field(default_factory=TrainConfig)
-    weighting: str = WEIGHT_BY_EXAMPLES
-    fixed_client_data: bool = False
-
-    def __post_init__(self):
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 
 
 def build_population(spec: SimulationSpec, surveys: list[CountrySurvey],
@@ -225,12 +229,13 @@ def _exact_mean(values: list[float], weights: list[int]) -> float:
 
 def run_round(params: list[MlpParameters], round_index: int, populations: list[Population],
               spec: SimulationSpec, distributions: list, phrases: PhraseTable,
-              config: FederationConfig, runs: list[tuple[NoiseMechanism, int]]
+              runs: list[tuple[NoiseMechanism, int]]
               ) -> tuple[list[MlpParameters], list[RoundReport]]:
     """Execute one broadcast / local-train / aggregate cycle of 0-based round_index for each run.
 
     Run r has global parameters params[r], population populations[r] and
-    (noise, master_seed) runs[r]; all train under config. Each run selects
+    (noise, master_seed) runs[r]; all share spec's topology, local
+    training, weighting and fixed_client_data. Each run selects
     its clients with its own stream, and they are synthesized run by run,
     each run's in client_id order, into windows shared by the call. A
     window trains once it holds WINDOW_EXAMPLES examples, and once more
@@ -243,7 +248,7 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     own RoundReport; its wall_time is the time of the whole call's round.
     """
     started = time.perf_counter()
-    data_round = 0 if config.fixed_client_data else round_index
+    data_round = 0 if spec.fixed_client_data else round_index
 
     # per run: its updates, their local losses and its skipped clients
     updates: list[list[tuple[MlpParameters, int]]] = [[] for _ in runs]
@@ -255,10 +260,10 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     def train_window() -> None:
         cohort = Cohort(tuple(dataset for _, dataset, _ in window))
         # positional, under this module's names: perfbench wraps them there
-        trained = train_local([params[r] for r, _, _ in window], cohort, config.train,
+        trained = train_local([params[r] for r, _, _ in window], cohort, spec.train,
                               [rng for _, _, rng in window])
         for (r, dataset, _), local, loss in zip(window, trained, mean_loss(trained, cohort)):
-            weight = len(dataset) if config.weighting == WEIGHT_BY_EXAMPLES else 1
+            weight = len(dataset) if spec.weighting == WEIGHT_BY_EXAMPLES else 1
             updates[r].append((local, weight))
             losses[r].append(loss)
         window.clear()
@@ -301,10 +306,9 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
 
 
 def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
-                   embeddings: EmbeddingTable, config: FederationConfig,
-                   runs: list[tuple[NoiseMechanism, int]]
+                   embeddings: EmbeddingTable, runs: list[tuple[NoiseMechanism, int]]
                    ) -> list[tuple[list[MlpParameters], list[RoundReport]]]:
-    """Run global_epochs rounds of each (noise, master_seed) run under config, side by side.
+    """Run spec.global_epochs rounds of each (noise, master_seed) run under spec, side by side.
 
     Returns one (snapshots, reports) per run, in order: the parameters
     after init and after every round, and each round's report. The runs
@@ -330,7 +334,7 @@ def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
     reports: list[list[RoundReport]] = [[] for _ in runs]
     for round_index in range(spec.global_epochs):
         params, round_reports = run_round(params, round_index, populations, spec,
-                                          distributions, phrases, config, runs)
+                                          distributions, phrases, runs)
         for run_snapshots, run_reports, run_params, report in zip(snapshots, reports, params,
                                                                   round_reports):
             run_snapshots.append(run_params)

@@ -23,7 +23,6 @@ from fedsymptoms.evaluation import (
     sweep,
 )
 from fedsymptoms.federation import (
-    FederationConfig,
     fedavg_aggregate,
     run_simulation,
     simulation_spec,
@@ -80,15 +79,13 @@ def desk_spec():
 @pytest.fixture(scope="module")
 def uniform_sweep(desk_spec, surveys, corpus, table, evalset):
     mechanisms = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in NOISE_LEVELS]
-    return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table,
-                 FederationConfig(), evalset)
+    return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table, evalset)
 
 
 @pytest.fixture(scope="module")
 def laplace_sweep(desk_spec, surveys, corpus, table, evalset):
     mechanisms = [NoiseMechanism(LAPLACE_DP, 0.5, epsilon=eps) for eps in EPSILONS]
-    return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table,
-                 FederationConfig(), evalset)
+    return sweep(desk_spec, mechanisms, list(SEEDS), surveys, corpus, table, evalset)
 
 
 def final_accuracies(result, **match):
@@ -322,8 +319,7 @@ def test_11_many_tiny_clients_reported_only(surveys, corpus, table, evalset,
         mech = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=level)
         accs, mean_preds = [], []
         seeds = (1, 2)
-        runs = run_simulation(spec, surveys, corpus, table, FederationConfig(),
-                              [(mech, seed) for seed in seeds])
+        runs = run_simulation(spec, surveys, corpus, table, [(mech, seed) for seed in seeds])
         for seed, (snapshots, _) in zip(seeds, runs):
             rows = record_run(spec, snapshots, evalset, table, mech, seed)
             preds = [r.prediction for r in rows.predictions

@@ -17,7 +17,7 @@ from fedsymptoms import assets, cli, evaluation
 from fedsymptoms.cli import main
 from fedsymptoms.config import RunConfig
 from fedsymptoms.evaluation import AccuracyRow, read_accuracy_csv, write_accuracy_csv
-from fedsymptoms.federation import SIMULATION_IDS, WEIGHTINGS, FederationConfig, simulation_spec
+from fedsymptoms.federation import SIMULATION_IDS, WEIGHTINGS, simulation_spec
 from fedsymptoms.sampling import MECHANISM_KINDS, NO_NOISE, UNIFORM_THRESHOLD
 from fedsymptoms.surveys import integer, load_corpus
 
@@ -554,14 +554,13 @@ def test_flag_overrides_config_file_value(tmp_path):
 def test_run_config_defaults_are_the_library_defaults():
     config = RunConfig(master_seed=1)
     assert config.spec() == simulation_spec("I")
-    assert config.federation() == FederationConfig()
     assert config.noise_mechanism() == NO_NOISE
     # IV has its own participation default, which a RunConfig must leave to the topology
     for sim_id in SIMULATION_IDS:
         assert RunConfig(master_seed=1, simulation=sim_id).spec() == simulation_spec(sim_id)
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     assert simulation_spec.__kwdefaults__ == {
-        name: defaults[name] for name in ("scale", "participation_fraction", "global_epochs")}
+        name: defaults[name] for name in simulation_spec.__kwdefaults__}
 
 
 def test_module_entry_point_reports_version():

@@ -20,7 +20,7 @@ from fedsymptoms.evaluation import (
     write_accuracy_csv,
     write_predictions_csv,
 )
-from fedsymptoms.federation import FederationConfig, run_simulation, simulation_spec
+from fedsymptoms.federation import run_simulation, simulation_spec
 from fedsymptoms.mlp import LAYER_SIZES, MlpParameters
 from fedsymptoms.sampling import (
     LAPLACE_DP,
@@ -77,8 +77,7 @@ def test_accuracy_counts_threshold_ties_as_positive(evalset, table):
 
 def test_accuracy_is_a_sixteenth_multiple(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
-    [(snapshots, _)] = run_simulation(spec, surveys, corpus, table, FederationConfig(),
-                                      [(NO_NOISE, 1)])
+    [(snapshots, _)] = run_simulation(spec, surveys, corpus, table, [(NO_NOISE, 1)])
     result = record_run(spec, snapshots, evalset, table, NO_NOISE, seed=1)
     for row in result.accuracies:
         assert abs(row.accuracy * 16 - round(row.accuracy * 16)) < 1e-12
@@ -89,8 +88,7 @@ def test_accuracy_is_a_sixteenth_multiple(surveys, corpus, table, evalset):
 
 def test_record_run_row_counts_and_epoch_numbering(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
-    [(snapshots, _)] = run_simulation(spec, surveys, corpus, table, FederationConfig(),
-                                      [(NO_NOISE, 1)])
+    [(snapshots, _)] = run_simulation(spec, surveys, corpus, table, [(NO_NOISE, 1)])
     result = record_run(spec, snapshots, evalset, table, NO_NOISE, seed=1)
     assert len(result.predictions) == 16 * spec.global_epochs
     assert len(result.accuracies) == spec.global_epochs
@@ -103,8 +101,7 @@ def test_record_run_row_counts_and_epoch_numbering(surveys, corpus, table, evals
 def test_noise_sweep_row_counts(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
     mechanisms = [NoiseMechanism(NORMAL_THRESHOLD, level) for level in (0.0, 0.5)]
-    result = sweep(spec, mechanisms, [1, 2], surveys, corpus, table,
-                   FederationConfig(), evalset)
+    result = sweep(spec, mechanisms, [1, 2], surveys, corpus, table, evalset)
     assert len(result.accuracies) == 2 * 2 * spec.global_epochs
     assert len(result.predictions) == 2 * 2 * spec.global_epochs * 16
     assert all(r.mechanism == NORMAL_THRESHOLD for r in result.accuracies)
@@ -114,8 +111,7 @@ def test_noise_sweep_row_counts(surveys, corpus, table, evalset):
 def test_epsilon_sweep_rows_record_epsilon(surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
     mechanisms = [NoiseMechanism(LAPLACE_DP, 0.5, epsilon=eps) for eps in (2.0, 10.0)]
-    result = sweep(spec, mechanisms, [1], surveys, corpus, table,
-                   FederationConfig(), evalset)
+    result = sweep(spec, mechanisms, [1], surveys, corpus, table, evalset)
     assert len(result.accuracies) == 2 * spec.global_epochs
     assert {r.epsilon for r in result.accuracies} == {2.0, 10.0}
     assert all(r.mechanism == LAPLACE_DP for r in result.accuracies)
@@ -129,17 +125,16 @@ def test_sweep_rows_do_not_depend_on_the_grouping(monkeypatch, surveys, corpus, 
     real = evaluation.run_simulation
     groups = []
 
-    def recorded(spec, surveys, corpus, embeddings, config, runs):
+    def recorded(spec, surveys, corpus, embeddings, runs):
         groups.append(len(runs))
-        return real(spec, surveys, corpus, embeddings, config, runs)
+        return real(spec, surveys, corpus, embeddings, runs)
 
     monkeypatch.setattr(evaluation, "run_simulation", recorded)
     results = {}
     for budget, expected in ((1, [1, 1, 1, 1]), (8, [2, 2]), (12, [3, 1]), (96, [4])):
         groups.clear()
         monkeypatch.setattr(evaluation, "GROUP_VECTORS", budget)
-        results[budget] = sweep(spec, mechanisms, [2, 1], surveys, corpus, table,
-                                FederationConfig(), evalset)
+        results[budget] = sweep(spec, mechanisms, [2, 1], surveys, corpus, table, evalset)
         assert groups == expected
     first = results[1]
     assert [(r.noise_level, r.seed) for r in first.accuracies[::spec.global_epochs]] == [
@@ -159,8 +154,7 @@ def test_sweep_refuses_a_repeated_mechanism_or_seed(monkeypatch, surveys, corpus
     spec = simulation_spec("I", scale=0.01)
     mechanisms = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in levels]
     with pytest.raises(ValueError, match=message):
-        sweep(spec, mechanisms, list(seeds), surveys, corpus, table,
-              FederationConfig(), evalset)
+        sweep(spec, mechanisms, list(seeds), surveys, corpus, table, evalset)
 
 
 def test_prediction_csv_format(tmp_path):
@@ -213,7 +207,7 @@ def test_read_accuracy_csv_rejects_missing_columns(tmp_path):
 def test_csv_writes_are_byte_stable(tmp_path, surveys, corpus, table, evalset):
     spec = simulation_spec("I", scale=0.01)
     result = sweep(spec, [NoiseMechanism(UNIFORM_THRESHOLD, 0.0)], [1], surveys, corpus,
-                   table, FederationConfig(), evalset)
+                   table, evalset)
     p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
     write_predictions_csv(result.predictions, str(p1))
     write_predictions_csv(result.predictions, str(p2))

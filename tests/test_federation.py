@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from fedsymptoms import federation, mlp
 from fedsymptoms.embeddings import UnembeddablePhraseError
 from fedsymptoms.federation import (
-    FederationConfig,
     SimulationSpec,
     WEIGHT_UNIFORM,
     build_population,
@@ -21,7 +21,7 @@ from fedsymptoms.federation import (
     scaled_count,
     simulation_spec,
 )
-from fedsymptoms.mlp import LAYER_SIZES, N_PARAMS, MlpParameters, TrainConfig, init_params
+from fedsymptoms.mlp import LAYER_SIZES, N_PARAMS, MlpParameters, init_params
 from fedsymptoms.rng import client_data_stream, population_stream, selection_stream
 from fedsymptoms.sampling import (
     NO_NOISE,
@@ -76,6 +76,10 @@ def test_simulation_spec_validation():
     with pytest.raises(ValueError):
         SimulationSpec(id="I", size_range=(2, 5), n_clients=100,
                        participation_fraction=0.001)
+    with pytest.raises(ValueError, match="weighting must be one of"):
+        simulation_spec("I", weighting="by_persons")
+    with pytest.raises(ValueError, match="local_epochs must be at least 1"):
+        simulation_spec("I", local_epochs=0)
 
 
 def test_build_population_sizes_and_indices(surveys):
@@ -254,8 +258,7 @@ def test_fedavg_scalar_property(case):
 
 def test_run_simulation_snapshots_and_reports(surveys, corpus, table):
     spec = simulation_spec("I", scale=0.01)
-    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, FederationConfig(),
-                                            [(NO_NOISE, 1)])
+    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, [(NO_NOISE, 1)])
     assert len(snapshots) == spec.global_epochs + 1
     assert len(reports) == spec.global_epochs
     for report in reports:
@@ -269,16 +272,15 @@ def test_round_trains_the_rounded_share_of_clients(surveys, corpus, table, fract
     # 100 * 0.07 is 7.000000000000001 in float, which must not round up to 8
     spec = simulation_spec("IV", scale=0.001, participation_fraction=fraction, global_epochs=1)
     assert spec.n_clients == 100
-    [(_, reports)] = run_simulation(spec, surveys, corpus, table, FederationConfig(),
-                                    [(NO_NOISE, 1)])
+    [(_, reports)] = run_simulation(spec, surveys, corpus, table, [(NO_NOISE, 1)])
     assert reports[0].participating_clients + reports[0].skipped_empty_clients == per_round
 
 
 def test_run_simulation_deterministic(surveys, corpus, table):
     spec = simulation_spec("I", scale=0.01)
     run = (NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 2)
-    [(a, _)] = run_simulation(spec, surveys, corpus, table, FederationConfig(), [run])
-    [(b, _)] = run_simulation(spec, surveys, corpus, table, FederationConfig(), [run])
+    [(a, _)] = run_simulation(spec, surveys, corpus, table, [run])
+    [(b, _)] = run_simulation(spec, surveys, corpus, table, [run])
     for ma, mb in zip(a, b):
         for (wa, ba), (wb, bb) in zip(ma.layers, mb.layers):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
@@ -294,11 +296,10 @@ def test_population_independent_of_noise(surveys, corpus, table):
 
 
 def test_fixed_client_data_changes_dynamics(surveys, corpus, table):
-    spec = simulation_spec("I", scale=0.01)
-    fresh = FederationConfig(fixed_client_data=False)
-    fixed = FederationConfig(fixed_client_data=True)
-    [(a, _)] = run_simulation(spec, surveys, corpus, table, fresh, [(NO_NOISE, 5)])
-    [(b, _)] = run_simulation(spec, surveys, corpus, table, fixed, [(NO_NOISE, 5)])
+    fresh = simulation_spec("I", scale=0.01, fixed_client_data=False)
+    fixed = simulation_spec("I", scale=0.01, fixed_client_data=True)
+    [(a, _)] = run_simulation(fresh, surveys, corpus, table, [(NO_NOISE, 5)])
+    [(b, _)] = run_simulation(fixed, surveys, corpus, table, [(NO_NOISE, 5)])
     # first round uses round-0 data either way
     wa0, _ = a[1].layers[0]
     wb0, _ = b[1].layers[0]
@@ -311,11 +312,9 @@ def test_fixed_client_data_changes_dynamics(surveys, corpus, table):
 
 def test_uniform_weighting_single_client_matches(surveys, corpus, table):
     spec = simulation_spec("I", scale=0.01)
-    [(by_examples, _)] = run_simulation(
-        spec, surveys, corpus, table, FederationConfig(), [(NO_NOISE, 6)])
-    [(uniform, _)] = run_simulation(
-        spec, surveys, corpus, table, FederationConfig(weighting=WEIGHT_UNIFORM),
-        [(NO_NOISE, 6)])
+    [(by_examples, _)] = run_simulation(spec, surveys, corpus, table, [(NO_NOISE, 6)])
+    [(uniform, _)] = run_simulation(replace(spec, weighting=WEIGHT_UNIFORM), surveys, corpus,
+                                    table, [(NO_NOISE, 6)])
     wa, _ = by_examples[-1].layers[0]
     wb, _ = uniform[-1].layers[0]
     assert np.array_equal(wa, wb)
@@ -327,15 +326,14 @@ def test_unembeddable_surveyed_symptom_fails_at_run_start(corpus, table):
     # no round runs, so the phrase is refused before any client is synthesized
     spec = simulation_spec("I", scale=0.01, global_epochs=0)
     with pytest.raises(UnembeddablePhraseError, match="Zzxq blorp") as err:
-        run_simulation(spec, [survey], corpus, table, FederationConfig(), [(NO_NOISE, 1)])
+        run_simulation(spec, [survey], corpus, table, [(NO_NOISE, 1)])
     assert err.value.phrase == "Zzxq blorp"
 
 
 def test_round_output_does_not_depend_on_chunk_size_or_window(monkeypatch, surveys, corpus,
                                                                table):
     # 27 clients of 108-906 rows: several steps an epoch, finishing at different steps
-    spec = simulation_spec("III", scale=0.03, global_epochs=1)
-    config = FederationConfig(train=TrainConfig(local_epochs=2))
+    spec = simulation_spec("III", scale=0.03, global_epochs=1, local_epochs=2)
     run = (NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 3)
     real = federation.train_local
     results = {}
@@ -352,7 +350,7 @@ def test_round_output_does_not_depend_on_chunk_size_or_window(monkeypatch, surve
             monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", chunk)
             monkeypatch.setattr(federation, "WINDOW_EXAMPLES", budget)
             monkeypatch.setattr(federation, "train_local", recorded)
-            [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, config, [run])
+            [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, [run])
             # a budget of one row gives each client a window, and so a call, of its own
             assert set(cohorts) == ({1} if budget == 1 else {spec.clients_per_round})
             results[chunk, budget] = (updates, repr(reports[0].mean_local_loss),
@@ -365,8 +363,8 @@ def test_round_output_does_not_depend_on_chunk_size_or_window(monkeypatch, surve
 def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surveys, corpus,
                                                                table):
     # wraps federation.train_local as perfbench's ExampleCounter does, four positional arguments
-    spec = simulation_spec("IV", scale=0.01, participation_fraction=0.05, global_epochs=2)
-    config = FederationConfig(train=TrainConfig(local_epochs=3))
+    spec = simulation_spec("IV", scale=0.01, participation_fraction=0.05, global_epochs=2,
+                           local_epochs=3)
     noise = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
     seed = 4
     counted = []
@@ -377,7 +375,7 @@ def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surv
         return real(params, dataset, config, rng)
 
     monkeypatch.setattr(federation, "train_local", counter)
-    run_simulation(spec, surveys, corpus, table, config, [(noise, seed)])
+    run_simulation(spec, surveys, corpus, table, [(noise, seed)])
 
     # the same keyed streams, drawn here client by client
     population = build_population(spec, surveys, population_stream(seed))
@@ -392,7 +390,7 @@ def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surv
                                         distributions[int(population.countries[client_id])],
                                         noise, phrases,
                                         client_data_stream(seed, client_id, round_index))
-            expected += len(dataset) * config.train.local_epochs
+            expected += len(dataset) * spec.train.local_epochs
     assert len(counted) == spec.global_epochs
     assert expected > 0 and sum(counted) == expected
 
@@ -410,11 +408,11 @@ def run_bytes(snapshots, reports):
 def test_a_run_keeps_its_bytes_in_any_group(monkeypatch, corpus, table, settings):
     # 3 fever-or-cough respondents in 100: without noise, seed 5's first round is empty
     quiet = [CountrySurvey(country="Quiet", total=1000, symptom_counts={"Fever": 30, "Cough": 10})]
-    spec = simulation_spec("III", scale=0.01, participation_fraction=0.25, global_epochs=3)
-    config = FederationConfig(train=TrainConfig(local_epochs=2), **settings)
+    spec = simulation_spec("III", scale=0.01, participation_fraction=0.25, global_epochs=3,
+                           local_epochs=2, **settings)
     noisy = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
     runs = [(noisy, 1), (NoiseMechanism(UNIFORM_THRESHOLD, 0.9), 2), (noisy, 3), (NO_NOISE, 5)]
-    alone = [run_bytes(*run_simulation(spec, quiet, corpus, table, config, [run])[0])
+    alone = [run_bytes(*run_simulation(spec, quiet, corpus, table, [run])[0])
              for run in runs]
     assert alone[3][1][0] == (1, 0, spec.clients_per_round, "None")
     assert alone[3][0][1] == alone[3][0][0]
@@ -424,7 +422,7 @@ def test_a_run_keeps_its_bytes_in_any_group(monkeypatch, corpus, table, settings
     for budget in (1, 40, federation.WINDOW_EXAMPLES):
         monkeypatch.setattr(federation, "WINDOW_EXAMPLES", budget)
         for group in (runs, runs[::-1], runs[1:3]):
-            results = run_simulation(spec, quiet, corpus, table, config, group)
+            results = run_simulation(spec, quiet, corpus, table, group)
             assert [run_bytes(*result) for result in results] == [
                 alone[runs.index(run)] for run in group], (budget, group)
 
@@ -432,4 +430,4 @@ def test_a_run_keeps_its_bytes_in_any_group(monkeypatch, corpus, table, settings
 def test_run_simulation_refuses_no_runs(surveys, corpus, table):
     spec = simulation_spec("I", scale=0.01, global_epochs=1)
     with pytest.raises(ValueError, match="no runs"):
-        run_simulation(spec, surveys, corpus, table, FederationConfig(), [])
+        run_simulation(spec, surveys, corpus, table, [])

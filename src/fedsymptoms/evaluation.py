@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .config import check_seed
 from .embeddings import EmbeddingTable, encode_phrase
-from .federation import SimulationSpec, run_simulation
+from .federation import SIMULATION_IDS, SimulationSpec, run_simulation
 from .mlp import MlpParameters, forward
 from .sampling import NoiseMechanism
 from .surveys import CountrySurvey
@@ -202,8 +202,9 @@ _ACCURACY_PARSERS = dict(simulation=str, mechanism=str, noise_level=float,
 def read_accuracy_csv(path: str) -> list[AccuracyRow]:
     """Read accuracy.csv, refusing any row that would skew a seed mean.
 
-    A row with a missing or unreadable field, a mechanism or seed run would
-    refuse, an accuracy outside [0, 1] (NaN included), or the same run and
+    A row with a missing or unreadable field, a simulation, mechanism or
+    seed run would refuse, a global epoch below 1 (record_run numbers them
+    from 1), an accuracy outside [0, 1] (NaN included), or the same run and
     epoch as an earlier row raises ValueError naming ``path:line``.
     """
     rows: list[AccuracyRow] = []
@@ -230,6 +231,11 @@ def read_accuracy_csv(path: str) -> list[AccuracyRow]:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             row = AccuracyRow(**values)
+            if row.simulation not in SIMULATION_IDS:
+                raise ValueError(f"{where}: unknown simulation {row.simulation!r}; "
+                                 f"expected one of {SIMULATION_IDS}")
+            if row.global_epoch < 1:
+                raise ValueError(f"{where}: global_epoch {row.global_epoch} is below 1")
             if not 0.0 <= row.accuracy <= 1.0:
                 raise ValueError(f"{where}: accuracy {row.accuracy} outside [0, 1]")
             run_and_epoch = row[:-1]

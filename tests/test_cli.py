@@ -323,9 +323,14 @@ ACCURACY_LINE = "I,uniform_threshold,0.0,,1,5,0.75\n"
      "epsilon applies only to laplace_dp, not uniform_threshold"),
     ("I,bogus,0.0,,2,5,0.5\n", f"mechanism must be one of {MECHANISM_KINDS}, got 'bogus'"),
     ("I,uniform_threshold,0.0,,-1,5,0.5\n", "seed must fit in 64 bits, got -1"),
+    ("V,uniform_threshold,0.0,,2,5,0.5\n",
+     "unknown simulation 'V'; expected one of ('I', 'II', 'III', 'IV')"),
+    ("I,uniform_threshold,0.0,,2,-3,0.5\n", "global_epoch -3 is below 1"),
+    ("I,uniform_threshold,0.0,,2,0,0.5\n", "global_epoch 0 is below 1"),
 ], ids=["missing-field", "non-numeric-accuracy", "non-numeric-seed", "repeated-row",
         "nan-accuracy", "accuracy-above-one", "nan-level", "level-above-one",
-        "infinite-epsilon", "epsilon-without-laplace", "unknown-mechanism", "negative-seed"])
+        "infinite-epsilon", "epsilon-without-laplace", "unknown-mechanism", "negative-seed",
+        "unknown-simulation", "negative-epoch", "zero-epoch"])
 def test_report_refuses_a_bad_row_naming_its_file_and_line(tmp_path, capsys, bad_line,
                                                            message):
     path = tmp_path / "accuracy.csv"

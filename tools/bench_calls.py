@@ -19,6 +19,9 @@ reads once its last call is done. Both workers have then made the same
 number of calls, so the two peaks compare memory and not call counts;
 perfbench's `peak_rss_mb`, read at the end of a time window, rises with
 each call a faster side fits into it.
+A failed call is not retried: its error goes to standard error, the
+summary and JSON line cover the pairs completed before it, with no peak
+RSS, and the exit status is 1.
 This is for sizing a change while it is written: 30-40 pairs of
 run_IV_wide calls resolve an effect of 5-8% in about a minute on a
 2-core host. A performance claim rests on `tools/bench_pairs.py`, which
@@ -64,6 +67,14 @@ def serve(tree: str, workload: str, seed: int) -> int:
     print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
           flush=True)
     return 0
+
+
+def start_worker(tree: str, workload: str, seed: int) -> subprocess.Popen:
+    """A worker process serving calls of the workload from the tree at `tree`."""
+    return subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--serve", tree,
+         "--workload", workload, "--seed", str(seed)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
 
 def call(workers: dict[str, subprocess.Popen], side: str) -> float:
@@ -115,42 +126,56 @@ def main(argv: list[str] | None = None) -> int:
         if args.workload not in known:
             parser.error(f"unknown workload {args.workload!r}; expected one of {known}")
         for side, tree in trees.items():
-            workers[side] = subprocess.Popen(
-                [sys.executable, os.path.abspath(__file__), "--serve", tree,
-                 "--workload", args.workload, "--seed", str(args.seed)],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            workers[side] = start_worker(tree, args.workload, args.seed)
         for side in workers:
             call(workers, side)  # untimed warm-up
 
         times: dict[str, list[float]] = {"base": [], "change": []}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                times[side].append(call(workers, side))
-            print(f"pair {i + 1} ({order[0]} first): base {times['base'][-1]:.4f} s, "
-                  f"change {times['change'][-1]:.4f} s, "
-                  f"ratio {times['base'][-1] / times['change'][-1]:.3f}", flush=True)
+        completed = 0
+        peaks = None
+        try:
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    times[side].append(call(workers, side))
+                print(f"pair {i + 1} ({order[0]} first): base {times['base'][-1]:.4f} s, "
+                      f"change {times['change'][-1]:.4f} s, "
+                      f"ratio {times['base'][-1] / times['change'][-1]:.3f}", flush=True)
+                completed = i + 1
+        except (RuntimeError, BrokenPipeError) as exc:
+            # BrokenPipeError: the worker exited before it read its call
+            print(f"error: pair {completed + 1}: {exc}", file=sys.stderr, flush=True)
+            # a pair the failure cut short counts for neither side
+            for side_times in times.values():
+                del side_times[completed:]
+        else:
+            peaks = {side: finish(worker) for side, worker in workers.items()}
 
-        peaks = {side: finish(worker) for side, worker in workers.items()}
+        summary = (f"{args.workload}, {completed} pairs, seed {args.seed}, "
+                   f"base {commits['base'][:12]} change {commits['change'][:12]}")
         ratios = [b / c for b, c in zip(times["base"], times["change"])]
-        q1, q2, q3 = quartiles(ratios)
-        wins = sum(1 for r in ratios if r > 1.0)
-        print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}, "
-              f"base {commits['base'][:12]} change {commits['change'][:12]}: "
-              f"base/change time ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
-              f"change won {wins}/{args.pairs}")
-        print(f"peak RSS after {args.pairs + 1} calls a side: base {peaks['base']:.2f} MB, "
-              f"change {peaks['change']:.2f} MB "
-              f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%)")
+        if ratios:
+            q1, q2, q3 = quartiles(ratios)
+            wins = sum(1 for r in ratios if r > 1.0)
+            summary += (f": base/change time ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
+                        f"change won {wins}/{completed}")
+        print(summary)
+        if peaks:
+            print(f"peak RSS after {completed + 1} calls a side: base {peaks['base']:.2f} MB, "
+                  f"change {peaks['change']:.2f} MB "
+                  f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%)")
         print(json.dumps({"workload": args.workload, "seed": args.seed, "commits": commits,
                           "times": times, "peak_rss_mb": peaks}))
     finally:
         for worker in workers.values():
             if worker.returncode is None:
-                worker.stdin.close()
+                try:
+                    worker.stdin.close()
+                except BrokenPipeError:
+                    pass  # the worker is gone with a call still buffered
                 worker.wait(timeout=WORKER_TIMEOUT_S)
         shutil.rmtree(tmp, ignore_errors=True)
-    return 0
+    return 0 if completed == args.pairs else 1
 
 
 if __name__ == "__main__":

@@ -33,15 +33,22 @@ def test_a_worker_reports_its_peak_rss_after_its_last_call(monkeypatch):
 
 
 class FakeWorker:
-    """Stands in for a worker process: only what main's clean-up touches."""
+    """Stands in for a worker process: only what main's clean-up touches.
 
-    def __init__(self):
+    A broken worker's stdin raises on close, as a pipe does once its reader
+    has exited with a call still buffered.
+    """
+
+    def __init__(self, broken):
         self.returncode = None
         self.stdin = self
         self.closed = False
+        self.broken = broken
 
     def close(self):
         self.closed = True
+        if self.broken:
+            raise BrokenPipeError(32, "Broken pipe")
 
     def wait(self, timeout=None):
         self.returncode = 0
@@ -66,7 +73,7 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
     workers = {}
 
     def start_worker(tree, workload, seed):
-        workers[os.path.basename(tree)] = FakeWorker()
+        workers[os.path.basename(tree)] = FakeWorker(isinstance(error, BrokenPipeError))
         return workers[os.path.basename(tree)]
 
     calls = []

@@ -1,4 +1,5 @@
-"""tools/bench_calls.py's worker protocol, and the pairs it keeps when a call fails."""
+"""tools/bench_calls.py's worker protocol, its series over several workloads, and the
+pairs it keeps when a call fails."""
 
 import importlib
 import json
@@ -55,21 +56,29 @@ class FakeWorker:
         return 0
 
 
-@pytest.mark.parametrize("error", [RuntimeError("change worker exited with 1"),
-                                   BrokenPipeError(32, "Broken pipe")],
-                         ids=["worker-exited", "broken-pipe"])
-def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, error):
-    monkeypatch.syspath_prepend(TOOLS)
-    bench_calls = importlib.import_module("bench_calls")
+WORKLOADS = ("run_I_single", "run_IV_wide", "sweep_eps_III")
+
+
+def fake_extract(tmp_path):
+    """Stands in for bench_pairs.extract: two trees whose BENCHMARK.json lists WORKLOADS."""
 
     def extract(revisions, tmp):
         trees = {side: str(tmp_path / side) for side in revisions}
         for tree in trees.values():
             os.makedirs(tree)
             with open(os.path.join(tree, "BENCHMARK.json"), "w", encoding="utf-8") as fh:
-                json.dump({"workloads": [{"name": "run_IV_wide"}]}, fh)
+                json.dump({"workloads": [{"name": name} for name in WORKLOADS]}, fh)
         return {side: "0123456789abcdef" for side in revisions}, trees
 
+    return extract
+
+
+@pytest.mark.parametrize("error", [RuntimeError("change worker exited with 1"),
+                                   BrokenPipeError(32, "Broken pipe")],
+                         ids=["worker-exited", "broken-pipe"])
+def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, error):
+    monkeypatch.syspath_prepend(TOOLS)
+    bench_calls = importlib.import_module("bench_calls")
     workers = {}
 
     def start_worker(tree, workload, seed):
@@ -88,7 +97,7 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
     def finish(worker):
         raise AssertionError("no peak RSS is read after a failed call")
 
-    monkeypatch.setattr(bench_calls, "extract", extract)
+    monkeypatch.setattr(bench_calls, "extract", fake_extract(tmp_path))
     monkeypatch.setattr(bench_calls, "start_worker", start_worker)
     monkeypatch.setattr(bench_calls, "call", call)
     monkeypatch.setattr(bench_calls, "finish", finish)
@@ -97,14 +106,113 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
     # never retried: the failed call is the last one
     assert calls == ["base", "change", "base", "change", "change", "base", "base", "change"]
     out, err = capsys.readouterr()
-    assert err == f"error: pair 3: {error}\n"
+    assert err == f"error: run_IV_wide pair 3: {error}\n"
     lines = out.splitlines()
     assert lines[:-1] == [
-        "pair 1 (base first): base 2.0000 s, change 1.0000 s, ratio 2.000",
-        "pair 2 (change first): base 2.0000 s, change 1.0000 s, ratio 2.000",
+        "pair 1 run_IV_wide (base first): base 2.0000 s, change 1.0000 s, ratio 2.000",
+        "pair 2 run_IV_wide (change first): base 2.0000 s, change 1.0000 s, ratio 2.000",
         "run_IV_wide, 2 pairs, seed 1, base 0123456789ab change 0123456789ab: "
         "base/change time ratio 2.000 [2.000-2.000], change won 2/2"]
     result = json.loads(lines[-1])
-    assert result["times"] == {"base": [2.0, 2.0], "change": [1.0, 1.0]}
-    assert result["peak_rss_mb"] is None
+    assert result["times"] == {"run_IV_wide": {"base": [2.0, 2.0], "change": [1.0, 1.0]}}
+    assert result["peak_rss_mb"] == {"run_IV_wide": None}
     assert all(worker.closed and worker.returncode == 0 for worker in workers.values())
+
+
+class FakeWorkload:
+    """Fake workers for a series over several workloads.
+
+    A call's time and a worker's peak RSS depend on its side and on the
+    workload it serves; `fail` makes that workload's first change call fail.
+    """
+
+    def __init__(self, fail=None):
+        self.started = []
+        self.fail = fail
+
+    def start_worker(self, tree, workload, seed):
+        side = os.path.basename(tree)
+        self.started.append((side, workload, seed))
+        worker = FakeWorker(broken=False)
+        worker.side, worker.workload = side, workload
+        return worker
+
+    def call(self, workers, side):
+        workload = workers[side].workload
+        if side == "change" and workload == self.fail:
+            raise RuntimeError("change worker exited with 1")
+        return (1.0 + WORKLOADS.index(workload)) * (2.0 if side == "base" else 1.0)
+
+    def finish(self, worker):
+        worker.returncode = 0
+        return 40.0 + WORKLOADS.index(worker.workload) + (0.5 if worker.side == "change" else 0)
+
+
+@pytest.mark.parametrize("argument, expected", [("all", WORKLOADS),
+                                                ("sweep_eps_III,run_I_single",
+                                                 ("sweep_eps_III", "run_I_single"))],
+                         ids=["all", "comma-list"])
+def test_each_workload_gets_its_own_worker_pair_summary_and_json_key(
+        monkeypatch, tmp_path, capsys, argument, expected):
+    monkeypatch.syspath_prepend(TOOLS)
+    bench_calls = importlib.import_module("bench_calls")
+    fake = FakeWorkload()
+    monkeypatch.setattr(bench_calls, "extract", fake_extract(tmp_path))
+    monkeypatch.setattr(bench_calls, "start_worker", fake.start_worker)
+    monkeypatch.setattr(bench_calls, "call", fake.call)
+    monkeypatch.setattr(bench_calls, "finish", fake.finish)
+    assert bench_calls.main(["base", "change", "--workload", argument, "--pairs", "2",
+                             "--seed", "3"]) == 0
+    # one base and one change worker per workload, in the order asked for
+    assert fake.started == [(side, name, 3) for name in expected for side in ("base", "change")]
+    lines = capsys.readouterr().out.splitlines()
+    summaries = [line for line in lines if line.startswith(tuple(f"{n}, " for n in expected))]
+    peaks = [line for line in lines if " peak RSS " in line]
+    assert [line.split(",")[0] for line in summaries] == list(expected)
+    assert all(line.endswith("base/change time ratio 2.000 [2.000-2.000], change won 2/2")
+               for line in summaries)
+    assert peaks == [f"{name} peak RSS after 3 calls a side: "
+                     f"base {40 + WORKLOADS.index(name):.2f} MB, "
+                     f"change {40.5 + WORKLOADS.index(name):.2f} MB "
+                     f"({100 * (0.5 / (40 + WORKLOADS.index(name))):+.2f}%)"
+                     for name in expected]
+    result = json.loads(lines[-1])
+    assert result["workloads"] == list(expected)
+    assert list(result["times"]) == list(expected) == list(result["peak_rss_mb"])
+    for name in expected:
+        step = 1.0 + WORKLOADS.index(name)
+        assert result["times"][name] == {"base": [2 * step] * 2, "change": [step] * 2}
+        assert result["peak_rss_mb"][name] == {"base": 40 + WORKLOADS.index(name),
+                                               "change": 40.5 + WORKLOADS.index(name)}
+
+
+def test_a_failed_workload_ends_the_series(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    bench_calls = importlib.import_module("bench_calls")
+    fake = FakeWorkload(fail="run_IV_wide")
+    monkeypatch.setattr(bench_calls, "extract", fake_extract(tmp_path))
+    monkeypatch.setattr(bench_calls, "start_worker", fake.start_worker)
+    monkeypatch.setattr(bench_calls, "call", fake.call)
+    monkeypatch.setattr(bench_calls, "finish", fake.finish)
+    assert bench_calls.main(["base", "change", "--workload", "all", "--pairs", "2"]) == 1
+    # the failure comes in run_IV_wide's warm-up; sweep_eps_III never starts
+    assert [name for _, name, _ in fake.started] == ["run_I_single"] * 2 + ["run_IV_wide"] * 2
+    out, err = capsys.readouterr()
+    assert err == "error: run_IV_wide pair 1: change worker exited with 1\n"
+    result = json.loads(out.splitlines()[-1])
+    assert result["times"]["run_IV_wide"] == {"base": [], "change": []}
+    assert result["peak_rss_mb"] == {"run_I_single": {"base": 40.0, "change": 40.5},
+                                     "run_IV_wide": None}
+    assert "run_IV_wide, 0 pairs, seed 1, base 0123456789ab change 0123456789ab" in out
+
+
+def test_an_unknown_workload_is_refused_before_any_worker_starts(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    bench_calls = importlib.import_module("bench_calls")
+    fake = FakeWorkload()
+    monkeypatch.setattr(bench_calls, "extract", fake_extract(tmp_path))
+    monkeypatch.setattr(bench_calls, "start_worker", fake.start_worker)
+    with pytest.raises(SystemExit):
+        bench_calls.main(["base", "change", "--workload", "run_IV_wide,run_V", "--pairs", "2"])
+    assert fake.started == []
+    assert "unknown workload(s) ['run_V']" in capsys.readouterr().err

@@ -1,36 +1,41 @@
 """Time single CLI calls of two git revisions in alternating pairs, to size a change.
 
 Each revision's files are extracted with `git archive` into a temporary
-directory (as `bench_pairs.py` does), and one warm worker process per
-side imports that tree's package and its `perfbench/run.py`, whose
-WORKLOADS give the workload's CLI arguments. The two trees need a
-process each, because the package imports its data files by the name
-`fedsymptoms` (see `assets.py`). The workers take their calls over
+directory (as `bench_pairs.py` does). For each workload in turn, one
+warm worker process per side imports that tree's package and its
+`perfbench/run.py`, whose WORKLOADS give the workload's CLI arguments.
+The two trees need a process each, because the package imports its
+data files by the name `fedsymptoms` (see `assets.py`). The workers take their calls over
 pipes, one at a time, so they never run at once. After one untimed call
 on each side, pair i makes one call on each side, the base side first in
 even pairs and the change side first in odd ones. Every call is timed
 and its output checked as perfbench does it (`run.call_cli`, BLAS pinned
 to one thread, the time taken at reference speed, see `speed.py`).
 
-The summary gives each pair's ratio, base time over change time: its
-median, its quartiles and how many pairs the change won (ratio above 1).
-It also gives each side's peak RSS (`ru_maxrss`), which each worker
+Each workload's summary gives its pairs' ratio, base time over change
+time: its median, its quartiles and how many pairs the change won (ratio
+above 1). It also gives each side's peak RSS (`ru_maxrss`), which each worker
 reads once its last call is done. Both workers have then made the same
 number of calls, so the two peaks compare memory and not call counts;
 perfbench's `peak_rss_mb`, read at the end of a time window, rises with
 each call a faster side fits into it.
-A failed call is not retried: its error goes to standard error, the
-summary and JSON line cover the pairs completed before it, with no peak
-RSS, and the exit status is 1.
+A failed call is not retried: its error goes to standard error, its
+workload's summary and the JSON line cover the pairs completed before
+it, with no peak RSS, no later workload runs, and the exit status is 1.
 This is for sizing a change while it is written: 30-40 pairs of
 run_IV_wide calls resolve an effect of 5-8% in about a minute on a
 2-core host. A performance claim rests on `tools/bench_pairs.py`, which
 runs the benchmark itself.
 
+`--workload` takes one name, a comma list, or `all` for every workload
+in the change's BENCHMARK.json:
+
     python3 tools/bench_calls.py HEAD~1 HEAD --workload run_IV_wide --pairs 30
+    python3 tools/bench_calls.py HEAD~1 HEAD --workload all --pairs 20
 
 The temporary directory follows `TMPDIR`. The last line of standard
-output is one JSON object with every call's time.
+output is one JSON object with every call's time and each side's peak
+RSS, keyed by workload.
 """
 
 from __future__ import annotations
@@ -101,11 +106,70 @@ def finish(worker: subprocess.Popen) -> float:
     return json.loads(line)["peak_rss_mb"]
 
 
+def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str,
+                   seed: int, pairs: int) -> tuple[dict[str, list[float]], dict | None]:
+    """Pairs of calls of one workload on a fresh worker pair; prints its lines as it goes.
+
+    Returns each side's call times and peak RSS, the peaks None if a call
+    failed, with the times of the pairs completed before it.
+    """
+    workers: dict[str, subprocess.Popen] = {}
+    times: dict[str, list[float]] = {"base": [], "change": []}
+    completed = 0
+    peaks = None
+    try:
+        for side, tree in trees.items():
+            workers[side] = start_worker(tree, workload, seed)
+        try:
+            for side in workers:
+                call(workers, side)  # untimed warm-up
+            for i in range(pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    times[side].append(call(workers, side))
+                print(f"pair {i + 1} {workload} ({order[0]} first): "
+                      f"base {times['base'][-1]:.4f} s, change {times['change'][-1]:.4f} s, "
+                      f"ratio {times['base'][-1] / times['change'][-1]:.3f}", flush=True)
+                completed = i + 1
+        except (RuntimeError, BrokenPipeError) as exc:
+            # BrokenPipeError: the worker exited before it read its call
+            print(f"error: {workload} pair {completed + 1}: {exc}", file=sys.stderr, flush=True)
+            # a pair the failure cut short counts for neither side
+            for side_times in times.values():
+                del side_times[completed:]
+        else:
+            peaks = {side: finish(worker) for side, worker in workers.items()}
+    finally:
+        for worker in workers.values():
+            if worker.returncode is None:
+                try:
+                    worker.stdin.close()
+                except BrokenPipeError:
+                    pass  # the worker is gone with a call still buffered
+                worker.wait(timeout=WORKER_TIMEOUT_S)
+
+    summary = (f"{workload}, {completed} pairs, seed {seed}, "
+               f"base {commits['base'][:12]} change {commits['change'][:12]}")
+    ratios = [b / c for b, c in zip(times["base"], times["change"])]
+    if ratios:
+        q1, q2, q3 = quartiles(ratios)
+        wins = sum(1 for r in ratios if r > 1.0)
+        summary += (f": base/change time ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
+                    f"change won {wins}/{completed}")
+    print(summary)
+    if peaks:
+        print(f"{workload} peak RSS after {completed + 1} calls a side: "
+              f"base {peaks['base']:.2f} MB, change {peaks['change']:.2f} MB "
+              f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%)")
+    return times, peaks
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", nargs="?", help="git revision of the base side, e.g. HEAD~1")
     parser.add_argument("change", nargs="?", help="git revision of the change side, e.g. HEAD")
-    parser.add_argument("--workload", required=True, help="one workload name")
+    parser.add_argument("--workload", required=True,
+                        help="a workload name, a comma list of them, or all")
     parser.add_argument("--pairs", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--serve", metavar="TREE", help=argparse.SUPPRESS)
@@ -118,64 +182,26 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be positive")
 
     tmp = tempfile.mkdtemp(prefix="bench_calls_")
-    workers: dict[str, subprocess.Popen] = {}
+    times: dict[str, dict[str, list[float]]] = {}
+    peaks: dict[str, dict | None] = {}
     try:
         commits, trees = extract({"base": args.base, "change": args.change}, tmp)
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             known = [w["name"] for w in json.load(fh)["workloads"]]
-        if args.workload not in known:
-            parser.error(f"unknown workload {args.workload!r}; expected one of {known}")
-        for side, tree in trees.items():
-            workers[side] = start_worker(tree, args.workload, args.seed)
-        for side in workers:
-            call(workers, side)  # untimed warm-up
-
-        times: dict[str, list[float]] = {"base": [], "change": []}
-        completed = 0
-        peaks = None
-        try:
-            for i in range(args.pairs):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                for side in order:
-                    times[side].append(call(workers, side))
-                print(f"pair {i + 1} ({order[0]} first): base {times['base'][-1]:.4f} s, "
-                      f"change {times['change'][-1]:.4f} s, "
-                      f"ratio {times['base'][-1] / times['change'][-1]:.3f}", flush=True)
-                completed = i + 1
-        except (RuntimeError, BrokenPipeError) as exc:
-            # BrokenPipeError: the worker exited before it read its call
-            print(f"error: pair {completed + 1}: {exc}", file=sys.stderr, flush=True)
-            # a pair the failure cut short counts for neither side
-            for side_times in times.values():
-                del side_times[completed:]
-        else:
-            peaks = {side: finish(worker) for side, worker in workers.items()}
-
-        summary = (f"{args.workload}, {completed} pairs, seed {args.seed}, "
-                   f"base {commits['base'][:12]} change {commits['change'][:12]}")
-        ratios = [b / c for b, c in zip(times["base"], times["change"])]
-        if ratios:
-            q1, q2, q3 = quartiles(ratios)
-            wins = sum(1 for r in ratios if r > 1.0)
-            summary += (f": base/change time ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
-                        f"change won {wins}/{completed}")
-        print(summary)
-        if peaks:
-            print(f"peak RSS after {completed + 1} calls a side: base {peaks['base']:.2f} MB, "
-                  f"change {peaks['change']:.2f} MB "
-                  f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%)")
-        print(json.dumps({"workload": args.workload, "seed": args.seed, "commits": commits,
+        workloads = known if args.workload == "all" else args.workload.split(",")
+        unknown = [name for name in workloads if name not in known]
+        if unknown:
+            parser.error(f"unknown workload(s) {unknown}; expected some of {known} or all")
+        for name in workloads:
+            times[name], peaks[name] = bench_workload(trees, commits, name, args.seed,
+                                                      args.pairs)
+            if peaks[name] is None:
+                break  # a failed call ends the series
+        print(json.dumps({"workloads": workloads, "seed": args.seed, "commits": commits,
                           "times": times, "peak_rss_mb": peaks}))
     finally:
-        for worker in workers.values():
-            if worker.returncode is None:
-                try:
-                    worker.stdin.close()
-                except BrokenPipeError:
-                    pass  # the worker is gone with a call still buffered
-                worker.wait(timeout=WORKER_TIMEOUT_S)
         shutil.rmtree(tmp, ignore_errors=True)
-    return 0 if completed == args.pairs else 1
+    return 0 if len(peaks) == len(workloads) and all(peaks.values()) else 1
 
 
 if __name__ == "__main__":

@@ -236,7 +236,8 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     Run r has global parameters params[r], population populations[r] and
     (noise, master_seed) runs[r]; all share spec's topology, local
     training, weighting and fixed_client_data. Each run selects
-    its clients with its own stream, and they are synthesized run by run,
+    its clients with its own stream and derives their data and training
+    streams in one call each, and they are synthesized run by run,
     each run's in client_id order, into windows shared by the call. A
     window trains once it holds WINDOW_EXAMPLES examples, and once more
     after the last client, in one train_local call, as one Cohort with a
@@ -274,17 +275,18 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
         # sorted() over Python ints: np.sort would map ~0.3 MB more numpy code into RSS
         chosen = sorted(selection.choice(len(population), size=spec.clients_per_round,
                                          replace=False).tolist())
-        for client_id in chosen:
+        # keyed streams: a train stream derived for a client that comes up empty goes unused
+        for client_id, data_rng, train_rng in zip(
+                chosen, streams.client_data_stream(master_seed, chosen, data_round),
+                streams.client_train_stream(master_seed, chosen, round_index)):
             n_persons = int(population.sizes[client_id])
             country = int(population.countries[client_id])
-            data_rng = streams.client_data_stream(master_seed, client_id, data_round)
             dataset = synthesize_client(n_persons, distributions[country], noise, phrases,
                                         data_rng)
             if len(dataset) == 0:
                 skipped[r] += 1
                 continue
-            window.append((r, dataset,
-                           streams.client_train_stream(master_seed, client_id, round_index)))
+            window.append((r, dataset, train_rng))
             held += len(dataset)
             if held >= WINDOW_EXAMPLES:
                 train_window()

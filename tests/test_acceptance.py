@@ -302,7 +302,7 @@ def test_10_separable_fixture_trains_to_perfection(capsys):
         dataset = separable_dataset(seed)
         params = init_params(init_stream(seed))
         [trained] = train_local([params], Cohort((dataset,)), TrainConfig(local_epochs=5),
-                                [client_train_stream(seed, 0, 0)])
+                                client_train_stream(seed, [0], 0))
         perfect.append(training_accuracy(trained, dataset) == 1.0)
     report(capsys, all(perfect), "10 separable-data sanity",
            f"{sum(perfect)}/10 seeds reach training accuracy 1.0 "

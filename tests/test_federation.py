@@ -377,7 +377,7 @@ def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surv
     monkeypatch.setattr(federation, "train_local", counter)
     run_simulation(spec, surveys, corpus, table, [(noise, seed)])
 
-    # the same keyed streams, drawn here client by client
+    # the same keyed streams, derived here a round at a time, in selection order
     population = build_population(spec, surveys, population_stream(seed))
     distributions = [build_distribution(s) for s in surveys]
     phrases = build_phrase_table(table, corpus, distributions)
@@ -385,11 +385,11 @@ def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surv
     for round_index in range(spec.global_epochs):
         chosen = selection_stream(seed, round_index).choice(
             len(population), size=spec.clients_per_round, replace=False)
-        for client_id in chosen.tolist():
+        data_rngs = client_data_stream(seed, chosen, round_index)
+        for client_id, data_rng in zip(chosen.tolist(), data_rngs):
             dataset = synthesize_client(int(population.sizes[client_id]),
                                         distributions[int(population.countries[client_id])],
-                                        noise, phrases,
-                                        client_data_stream(seed, client_id, round_index))
+                                        noise, phrases, data_rng)
             expected += len(dataset) * spec.train.local_epochs
     assert len(counted) == spec.global_epochs
     assert expected > 0 and sum(counted) == expected

@@ -59,6 +59,7 @@ def _hashmix(value: int, const: int) -> tuple[int, int]:
 
 
 def _mix(x: int, y: int) -> int:
+    """numpy's mix of a hashed word y into the pool word x."""
     result = (_MIX_L * x - _MIX_R * y) & _MASK
     return result ^ result >> _SHIFT
 
@@ -130,15 +131,14 @@ def _client_words(client_ids) -> np.ndarray:
 
 
 class _StateWords(ISeedSequence):
-    """One stream's four 64-bit state words, handed to PCG64 as its seed sequence would."""
+    """One stream's state: the 4 uint64 words PCG64 asks its seed sequence for."""
+
+    __slots__ = ("_words",)
 
     def __init__(self, words: np.ndarray):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self._words) or np.dtype(dtype) != self._words.dtype:
-            raise ValueError(f"derived for {len(self._words)} {self._words.dtype} words, "
-                             f"asked for {n_words} {np.dtype(dtype)}")
         return self._words
 
 

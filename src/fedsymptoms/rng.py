@@ -50,51 +50,44 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    """numpy's hashmix on one word: the mixed word and the next hash constant."""
-    value ^= const
-    const = const * _MULT_A & _MASK
-    value = value * const & _MASK
-    return value ^ value >> _SHIFT, const
-
-
-def _mix(x: int, y: int) -> int:
-    """numpy's mix of a hashed word y into the pool word x."""
-    result = (_MIX_L * x - _MIX_R * y) & _MASK
-    return result ^ result >> _SHIFT
-
-
 @functools.lru_cache(maxsize=64)
-def _mix_constants(word_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constants that mix the word_index-th word past the pool into its 4 pool words.
-
-    The pool takes 16 hashmix calls, and each later word 4 more, so word j
-    is xored with constants 16 + 4j ... 19 + 4j of INIT_A's sequence and
-    multiplied by the next one of each.
-    """
-    first = _POOL_SIZE * (_POOL_SIZE + word_index)
+def _hash_consts(first: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's hash constants INIT_A * MULT_A**k for k = first ... first + 3, and the next ones."""
     consts = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK for k in range(first, first + 5)]
-    return np.array(consts[:4], np.uint32), np.array(consts[1:], np.uint32)
+    consts = np.array(consts, np.uint32)
+    return consts[:-1], consts[1:]
 
 
-# generate_state's constants: output word i is pool word i % 4, xored with the
-# i-th constant of INIT_B's sequence and multiplied by the next one
+# generate_state hashes output word i, pool word i % 4, with INIT_B * MULT_B**i
+# and the next one
 _OUT_CONSTS = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK for k in range(9)], np.uint32)
 
 
+# uint32 arrays throughout: numpy warns on a scalar's wrap-around, not an array's
+def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
+    """numpy's hashmix: xor a word with a hash constant, multiply it by the next one."""
+    value = (value ^ xor) * mult
+    return value ^ value >> _SHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of the hashed word y into the pool word x."""
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> _SHIFT
+
+
 def _mix_word(pool: np.ndarray, word, word_index: int) -> np.ndarray:
-    """Mix one entropy word (an int, or a (n, 1) uint32 column) into every pool word."""
-    xor, mult = _mix_constants(word_index)
-    hashed = (word ^ xor) * mult
-    hashed ^= hashed >> _SHIFT
-    pool = _MIX_L * pool - _MIX_R * hashed
-    pool ^= pool >> _SHIFT
-    return pool
+    """Mix the word_index-th word past the seed's 4 (an int, or a (n, 1) column) into the pool.
+
+    Filling and mixing the pool takes 16 hash constants and each later word
+    4 more, one per pool word.
+    """
+    return _mix(pool, _hashmix(word, *_hash_consts(_POOL_SIZE * (_POOL_SIZE + word_index))))
 
 
 @functools.lru_cache(maxsize=16)
 def _seed_pool(master_seed: int) -> tuple[np.ndarray, int]:
-    """The pool after the master seed's words, and the index of the next word to mix in.
+    """The (1, 4) pool after the master seed's words, and the index of the next word.
 
     A non-empty spawn key pads the seed to at least 4 words. Those fill the
     pool and are mixed together; any seed word past the fourth is mixed in
@@ -102,17 +95,14 @@ def _seed_pool(master_seed: int) -> tuple[np.ndarray, int]:
     """
     words = _words(master_seed)
     words += [0] * (_POOL_SIZE - len(words))
-    pool = []
-    const = _INIT_A
-    for word in words[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
+    pool = _hashmix(np.array([words[:_POOL_SIZE]], np.uint32), *_hash_consts(0))
+    k = _POOL_SIZE
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    pool = np.array([pool], np.uint32)
+                xor, mult = _hash_consts(k)
+                pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src], xor[0], mult[0]))
+                k += 1
     for word_index, word in enumerate(words[_POOL_SIZE:]):
         pool = _mix_word(pool, word, word_index)
     pool.flags.writeable = False
@@ -158,10 +148,7 @@ def _streams(master_seed: int, key: tuple) -> list[np.random.Generator]:
         else:
             pool = _mix_word(pool, _client_words(entry), word_index)
             word_index += 1
-    state = np.concatenate([pool, pool], axis=1)
-    state ^= _OUT_CONSTS[:-1]
-    state *= _OUT_CONSTS[1:]
-    state ^= state >> _SHIFT
+    state = _hashmix(np.concatenate([pool, pool], axis=1), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
     return [np.random.Generator(np.random.PCG64(_StateWords(row)))
             for row in state.view("<u8")]
 

@@ -4,28 +4,28 @@ Each revision's files are extracted with `git archive` into a temporary
 directory (as `bench_pairs.py` does). For each workload in turn, one
 warm worker process per side imports that tree's package and its
 `perfbench/run.py`, whose WORKLOADS give the workload's CLI arguments.
-The two trees need a process each, because the package imports its
-data files by the name `fedsymptoms` (see `assets.py`). The workers take their calls over
-pipes, one at a time, so they never run at once. After one untimed call
-on each side, pair i makes one call on each side, the base side first in
-even pairs and the change side first in odd ones. Every call is timed
-and its output checked as perfbench does it (`run.call_cli`, BLAS pinned
-to one thread, the time taken at reference speed, see `speed.py`).
+The two trees need a process each, because the package imports its data
+files by the name `fedsymptoms` (see `assets.py`). The workers take
+their calls over pipes, one at a time, so they never run at once. After
+one untimed call on each side, pair i makes one call on each side, the
+base side first in even pairs and the change side first in odd ones.
+Every call is timed and its output checked as perfbench does it
+(`run.call_cli`, BLAS pinned to one thread, the time taken at reference
+speed, see `speed.py`).
 
 Each workload's summary gives its pairs' ratio, base time over change
 time: its median, its quartiles and how many pairs the change won (ratio
-above 1). It also gives each side's peak RSS (`ru_maxrss`), which each worker
-reads once its last call is done. Both workers have then made the same
-number of calls, so the two peaks compare memory and not call counts;
-perfbench's `peak_rss_mb`, read at the end of a time window, rises with
-each call a faster side fits into it.
-A failed call is not retried: its error goes to standard error, its
-workload's summary and the JSON line cover the pairs completed before
-it, with no peak RSS, no later workload runs, and the exit status is 1.
-This is for sizing a change while it is written: 30-40 pairs of
-run_IV_wide calls resolve an effect of 5-8% in about a minute on a
-2-core host. A performance claim rests on `tools/bench_pairs.py`, which
-runs the benchmark itself.
+above 1). It also gives each side's peak RSS (`ru_maxrss`), which each
+worker reads once its last call is done. Both workers have then made the
+same number of calls, so the two peaks compare memory and not call
+counts; perfbench's `peak_rss_mb`, read at the end of a time window,
+rises with each call a faster side fits into it. A failed call is not
+retried: its error goes to standard error, its workload's summary and
+the JSON line cover the pairs completed before it, with no peak RSS, no
+later workload runs, and the exit status is 1. This is for sizing a
+change while it is written: 30-40 pairs of run_IV_wide calls resolve an
+effect of 5-8% in about a minute on a 2-core host. A performance claim
+rests on `tools/bench_pairs.py`, which runs the benchmark itself.
 
 `--workload` takes one name, a comma list, or `all` for every workload
 in the change's BENCHMARK.json:

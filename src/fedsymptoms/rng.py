@@ -21,7 +21,6 @@ import functools
 import operator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # Stream labels. Values are part of the reproducibility contract: changing
 # them changes every downstream result for a given master seed.
@@ -120,16 +119,25 @@ def _client_words(client_ids) -> np.ndarray:
     raise ValueError(f"client ids must be integers in [0, 2**32), got {bad}")
 
 
-class _StateWords(ISeedSequence):
-    """One stream's state: the 4 uint64 words PCG64 asks its seed sequence for."""
+@functools.cache
+def _state_words_type() -> type:
+    """numpy's ISeedSequence for one stream's state: the 4 uint64 words PCG64 asks for.
 
-    __slots__ = ("_words",)
+    Defined on first use, because importing numpy.random (~20 ms) would
+    otherwise fall on every import of the package, not on the first draw.
+    """
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self._words = words
+    class StateWords(ISeedSequence):
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
 
 
 def _streams(master_seed: int, key: tuple) -> list[np.random.Generator]:
@@ -149,7 +157,8 @@ def _streams(master_seed: int, key: tuple) -> list[np.random.Generator]:
             pool = _mix_word(pool, _client_words(entry), word_index)
             word_index += 1
     state = _hashmix(np.concatenate([pool, pool], axis=1), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
-    return [np.random.Generator(np.random.PCG64(_StateWords(row)))
+    state_words = _state_words_type()
+    return [np.random.Generator(np.random.PCG64(state_words(row)))
             for row in state.view("<u8")]
 
 

@@ -98,6 +98,8 @@ class SimulationSpec:
             raise ValueError("participation_fraction must be in (0, 1]")
         if _rounded_product(self.n_clients, self.participation_fraction) < 1.0:
             raise ValueError("participation_fraction selects no clients")
+        if isinstance(self.global_epochs, bool) or not isinstance(self.global_epochs, int):
+            raise ValueError(f"global_epochs must be an integer, got {self.global_epochs!r}")
         if self.global_epochs < 0:
             raise ValueError("global_epochs must be non-negative")
         if self.weighting not in WEIGHTINGS:

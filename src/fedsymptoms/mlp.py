@@ -24,12 +24,17 @@ its own start and with its own shuffling stream, and returns each
 client's parameters as if it had trained alone. Numpy call overhead on
 small minibatches dominates a step, so the clients step together. The
 cohort is sorted by size, largest first, and cut into chunks of
-LOCKSTEP_CLIENTS. A chunk keeps its clients' parameters, gradients, Adam
-moments and Adam scratch as rows of (k, N_PARAMS) arrays. At step j the clients still training are a prefix
-of the chunk, all on Adam step j + 1, so one adam_step over that prefix
-updates them all. The prefix is split into contiguous runs of clients
-whose minibatches have the same number of rows, and each run takes one
-forward and backward pass over a slice of the chunk's arrays.
+LOCKSTEP_CLIENTS. A call holds one output block with a row per client,
+in sorted order, and one workspace of five arrays of at most
+LOCKSTEP_CLIENTS rows: gradients, Adam moments and Adam scratch. Each
+chunk trains in place in its k rows of the block and reuses the
+workspace's first k rows, so a chunk allocates nothing of that size, and
+each result is a read-only row of the block. At step j the clients still
+training are a prefix of the chunk, all on Adam step j + 1, so one
+adam_step over that prefix updates them all. The prefix is split into
+contiguous runs of clients whose minibatches have the same number of
+rows, and each run takes one forward and backward pass over a slice of
+the chunk's arrays.
 
 One forward pass. _activations writes the four layers out once, for
 scoring (_forward) and training (_backprop) alike; _backprop adds only
@@ -97,7 +102,8 @@ OUTPUT_CLIP = 1e-12
 # rows per scoring block; a client under 2 * SCORE_ROWS rows is one block
 SCORE_ROWS = 256
 
-# clients per lockstep chunk: each holds six (k, N_PARAMS) arrays, 18.4 KB a client each
+# clients per lockstep chunk, and the rows of a train_local call's workspace of five
+# (rows, N_PARAMS) arrays, 18.4 KB a row each
 LOCKSTEP_CLIENTS = 8
 
 
@@ -137,7 +143,8 @@ class MlpParameters:
     def _adopt(cls, flat: np.ndarray) -> "MlpParameters":
         """Wrap a fresh float64 vector of N_PARAMS that no one else holds, without a copy.
 
-        For init_params', train_local's and fedavg_aggregate's own results:
+        For init_params', train_local's and fedavg_aggregate's own results; a
+        train_local result is one row of the call's output block:
         the vector is refused if non-finite, as the constructor would, and
         is made read-only in place.
         """
@@ -198,6 +205,9 @@ class TrainConfig:
     batch_size: ClassVar[int] = BATCH_SIZE
 
     def __post_init__(self):
+        # checked here: True would train one epoch, and 2.5 fail in range() after synthesis
+        if isinstance(self.local_epochs, bool) or not isinstance(self.local_epochs, int):
+            raise ValueError(f"local_epochs must be an integer, got {self.local_epochs!r}")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be at least 1")
 
@@ -405,14 +415,20 @@ def train_local(params: list[MlpParameters], dataset: Cohort, config: TrainConfi
                          f"for {len(clients)} clients")
     # largest first, ties in input order: then no client has more steps than one before it
     order = sorted(range(len(clients)), key=lambda i: len(clients[i]), reverse=True)
+    # a row per client in sorted order, each chunk training in place in its own rows,
+    # and one workspace of grad, m, v, scratch and denom rows that every chunk reuses
+    out = np.empty((len(clients), N_PARAMS))
+    rows = min(LOCKSTEP_CLIENTS, len(clients))
+    workspace = tuple(np.empty((rows, N_PARAMS)) for _ in range(5))
     trained: list[MlpParameters | None] = [None] * len(clients)
     for start in range(0, len(order), LOCKSTEP_CLIENTS):
         chunk = order[start:start + LOCKSTEP_CLIENTS]
-        theta = _train_chunk([params[i].flat for i in chunk], [clients[i] for i in chunk],
-                             [rngs[i] for i in chunk], config.local_epochs)
-        # each row is a vector no one else holds, adopted without a copy
-        for i, row in zip(chunk, theta):
-            trained[i] = MlpParameters._adopt(row)
+        _train_chunk(out[start:start + len(chunk)], [params[i].flat for i in chunk],
+                     [clients[i] for i in chunk], [rngs[i] for i in chunk],
+                     config.local_epochs, workspace)
+        # no one else holds a row of the block, so each is adopted without a copy
+        for p, i in enumerate(chunk, start):
+            trained[i] = MlpParameters._adopt(out[p])
     return trained
 
 
@@ -462,20 +478,22 @@ def _draw_epochs(client: ClientDataset, rng: np.random.Generator, epochs_left: i
     return list(zip(rows[::-1], labels[::-1]))
 
 
-def _train_chunk(starts: list[np.ndarray], clients: list[ClientDataset],
-                 rngs: list[np.random.Generator], epochs: int) -> np.ndarray:
+def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[ClientDataset],
+                 rngs: list[np.random.Generator], epochs: int, workspace: tuple) -> None:
     """Train clients sorted as train_local sorts them, each from its own start vector.
 
-    Returns their parameters as (k, N_PARAMS) rows.
+    theta is their (k, N_PARAMS) rows, which the starts are copied into and
+    which end as the trained parameters. workspace holds the grad, m, v,
+    scratch and denom arrays of at least k rows each; the chunk uses their
+    first k rows and zeroes its Adam moments before step 1.
     """
     k = len(clients)
     table = clients[0].phrases.matrix
-    theta = np.empty((k, N_PARAMS))
     for row, start in zip(theta, starts):
         row[...] = start
-    grad = np.empty((k, N_PARAMS))
-    m, v = np.zeros((k, N_PARAMS)), np.zeros((k, N_PARAMS))
-    scratch, denom = np.empty((k, N_PARAMS)), np.empty((k, N_PARAMS))
+    grad, m, v, scratch, denom = (array[:k] for array in workspace)
+    m[...] = 0.0
+    v[...] = 0.0
     per_epoch = [-(-len(client) // BATCH_SIZE) for client in clients]
     last_step = [steps * epochs for steps in per_epoch]
     # run_views[first][end]: _run_views of the run [first, end), once it has been met
@@ -520,7 +538,6 @@ def _train_chunk(starts: list[np.ndarray], clients: list[ClientDataset],
             _backprop(views[0], x, labels, views[1])
             first = end
         adam_step(theta_p, grad_p, m_p, v_p, j + 1, scratch_p, denom_p)
-    return theta
 
 
 def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:

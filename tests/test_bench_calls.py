@@ -1,5 +1,5 @@
-"""tools/bench_calls.py's worker protocol, its series over several workloads, and the
-pairs it keeps when a call fails."""
+"""tools/bench_calls.py's worker protocol, its series over several workloads, the minor
+page faults it reports, and the pairs it keeps when a call fails."""
 
 import importlib
 import json
@@ -13,7 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOLS = os.path.join(ROOT, "tools")
 
 
-def test_a_worker_reports_its_peak_rss_after_its_last_call(monkeypatch):
+def test_a_worker_reports_each_calls_faults_and_its_peak_rss_after_its_last_call(monkeypatch):
     monkeypatch.syspath_prepend(TOOLS)
     bench_calls = importlib.import_module("bench_calls")
     # this checkout serves as the tree, as an extracted revision would
@@ -22,7 +22,10 @@ def test_a_worker_reports_its_peak_rss_after_its_last_call(monkeypatch):
          "--workload", "run_I_single", "--seed", "1"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     try:
-        assert bench_calls.call({"base": worker}, "base") > 0.0
+        seconds, faults = bench_calls.call({"base": worker}, "base")
+        assert seconds > 0.0
+        # a first call faults in the pages of everything it builds
+        assert type(faults) is int and faults > 0
         peak = bench_calls.finish(worker)
     finally:
         if worker.returncode is None:
@@ -92,7 +95,7 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
         # two warm-up calls, two pairs, then pair 3 fails on its second side
         if len(calls) == 8:
             raise error
-        return 2.0 if side == "base" else 1.0
+        return (2.0, 300) if side == "base" else (1.0, 7)
 
     def finish(worker):
         raise AssertionError("no peak RSS is read after a failed call")
@@ -115,6 +118,7 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
         "base/change time ratio 2.000 [2.000-2.000], change won 2/2"]
     result = json.loads(lines[-1])
     assert result["times"] == {"run_IV_wide": {"base": [2.0, 2.0], "change": [1.0, 1.0]}}
+    assert result["minor_faults"] == {"run_IV_wide": {"base": [300, 300], "change": [7, 7]}}
     assert result["peak_rss_mb"] == {"run_IV_wide": None}
     assert all(worker.closed and worker.returncode == 0 for worker in workers.values())
 
@@ -122,13 +126,16 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
 class FakeWorkload:
     """Fake workers for a series over several workloads.
 
-    A call's time and a worker's peak RSS depend on its side and on the
-    workload it serves; `fail` makes that workload's first change call fail.
+    A call's time and faults and a worker's peak RSS depend on its side and
+    on the workload it serves; the change side's faults alternate between
+    two values, so their median is not one call's. `fail` makes that
+    workload's first change call fail.
     """
 
     def __init__(self, fail=None):
         self.started = []
         self.fail = fail
+        self.change_calls = 0
 
     def start_worker(self, tree, workload, seed):
         side = os.path.basename(tree)
@@ -141,7 +148,11 @@ class FakeWorkload:
         workload = workers[side].workload
         if side == "change" and workload == self.fail:
             raise RuntimeError("change worker exited with 1")
-        return (1.0 + WORKLOADS.index(workload)) * (2.0 if side == "base" else 1.0)
+        step = 1.0 + WORKLOADS.index(workload)
+        if side == "base":
+            return 2.0 * step, 1000 * int(step)
+        self.change_calls += 1
+        return step, 10 + self.change_calls % 2
 
     def finish(self, worker):
         worker.returncode = 0
@@ -171,17 +182,25 @@ def test_each_workload_gets_its_own_worker_pair_summary_and_json_key(
     assert [line.split(",")[0] for line in summaries] == list(expected)
     assert all(line.endswith("base/change time ratio 2.000 [2.000-2.000], change won 2/2")
                for line in summaries)
+    # the median of the change side's two timed calls, 10 and 11 faults, is 10.5; "{:.0f}"
+    # rounds it half to even
     assert peaks == [f"{name} peak RSS after 3 calls a side: "
                      f"base {40 + WORKLOADS.index(name):.2f} MB, "
                      f"change {40.5 + WORKLOADS.index(name):.2f} MB "
-                     f"({100 * (0.5 / (40 + WORKLOADS.index(name))):+.2f}%)"
+                     f"({100 * (0.5 / (40 + WORKLOADS.index(name))):+.2f}%); "
+                     f"median minor faults a call: base {1000 * (1 + WORKLOADS.index(name))}, "
+                     f"change 10"
                      for name in expected]
     result = json.loads(lines[-1])
     assert result["workloads"] == list(expected)
     assert list(result["times"]) == list(expected) == list(result["peak_rss_mb"])
+    assert list(result["minor_faults"]) == list(expected)
     for name in expected:
         step = 1.0 + WORKLOADS.index(name)
         assert result["times"][name] == {"base": [2 * step] * 2, "change": [step] * 2}
+        # every timed call's faults, and none of the warm-up's
+        assert result["minor_faults"][name]["base"] == [1000 * int(step)] * 2
+        assert sorted(result["minor_faults"][name]["change"]) == [10, 11]
         assert result["peak_rss_mb"][name] == {"base": 40 + WORKLOADS.index(name),
                                                "change": 40.5 + WORKLOADS.index(name)}
 
@@ -201,6 +220,7 @@ def test_a_failed_workload_ends_the_series(monkeypatch, tmp_path, capsys):
     assert err == "error: run_IV_wide pair 1: change worker exited with 1\n"
     result = json.loads(out.splitlines()[-1])
     assert result["times"]["run_IV_wide"] == {"base": [], "change": []}
+    assert result["minor_faults"]["run_IV_wide"] == {"base": [], "change": []}
     assert result["peak_rss_mb"] == {"run_I_single": {"base": 40.0, "change": 40.5},
                                      "run_IV_wide": None}
     assert "run_IV_wide, 0 pairs, seed 1, base 0123456789ab change 0123456789ab" in out

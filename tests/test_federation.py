@@ -82,6 +82,14 @@ def test_simulation_spec_validation():
         simulation_spec("I", local_epochs=0)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True, False])
+@pytest.mark.parametrize("name", ["local_epochs", "global_epochs"])
+def test_simulation_spec_refuses_a_non_integer_epoch_count(name, value):
+    # refused while the spec is built, before any survey is synthesized
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        simulation_spec("I", scale=0.01, **{name: value})
+
+
 def test_build_population_sizes_and_indices(surveys):
     spec = simulation_spec("III", scale=0.1)
     pop = build_population(spec, surveys, population_stream(3))

@@ -348,6 +348,12 @@ def test_train_config_validation():
         TrainConfig(local_epochs=0)
 
 
+@pytest.mark.parametrize("epochs", [2.5, 3.0, float("nan"), True, "3"])
+def test_train_config_refuses_a_non_integer_epoch_count(epochs):
+    with pytest.raises(ValueError, match="local_epochs must be an integer"):
+        TrainConfig(local_epochs=epochs)
+
+
 def ref_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -612,9 +618,9 @@ def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
     chunks = []
     real = mlp._train_chunk
 
-    def spy(flat, clients, rngs, epochs):
+    def spy(theta, starts, clients, rngs, epochs, workspace):
         chunks.append([position[id(client)] for client in clients])
-        return real(flat, clients, rngs, epochs)
+        return real(theta, starts, clients, rngs, epochs, workspace)
 
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
     monkeypatch.setattr(mlp, "_train_chunk", spy)
@@ -624,6 +630,43 @@ def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
     order = [i for chunk in chunks for i in chunk]
     assert all(sizes[a] > sizes[b] or (sizes[a] == sizes[b] and a < b)
                for a, b in zip(order, order[1:]))
+
+
+def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
+    # ragged sizes in chunks of 3 (3 + 3 + a lone client): each chunk trains in its own
+    # rows of one output block, on the first rows of the same five workspace arrays
+    sizes = (33, 1, 65, 32, 2, 64, 31)
+    cohort = ragged_cohort(sizes, 74)
+    calls = []
+    real = mlp._train_chunk
+
+    def spy(theta, starts, clients, rngs, epochs, workspace):
+        calls.append((theta, workspace))
+        return real(theta, starts, clients, rngs, epochs, workspace)
+
+    monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
+    monkeypatch.setattr(mlp, "_train_chunk", spy)
+    trained = check_cohort_matches_frozen_reference(init_params(np.random.default_rng(75)),
+                                                    cohort, TrainConfig(local_epochs=2), 76)
+    assert [len(theta) for theta, _ in calls] == [3, 3, 1]
+    block, workspace = calls[0][0].base, calls[0][1]
+    assert block.shape == (len(sizes), N_PARAMS)
+    # five separate arrays, not views of one
+    assert len(workspace) == 5
+    assert all(array.shape == (3, N_PARAMS) and array.base is None for array in workspace)
+    row = 0
+    for theta, used in calls:
+        assert all(a is b for a, b in zip(used, workspace, strict=True))
+        assert theta.base is block
+        assert theta.ctypes.data == block[row].ctypes.data
+        row += len(theta)
+    # each result is a read-only row of the block, in input order: client i is the row
+    # of its place in the sorted order
+    order = sorted(range(len(sizes)), key=lambda i: sizes[i], reverse=True)
+    for p, i in enumerate(order):
+        assert trained[i].flat.base is block
+        assert trained[i].flat.ctypes.data == block[p].ctypes.data
+        assert not trained[i].flat.flags.writeable
 
 
 def test_cohort_checks_its_clients_and_streams():

@@ -11,12 +11,15 @@ one untimed call on each side, pair i makes one call on each side, the
 base side first in even pairs and the change side first in odd ones.
 Every call is timed and its output checked as perfbench does it
 (`run.call_cli`, BLAS pinned to one thread, the time taken at reference
-speed, see `speed.py`).
+speed, see `speed.py`). The worker also reports each call's minor page
+faults: the change in its `ru_minflt` over the call, which counts the
+pages the call's fresh allocations fault in.
 
 Each workload's summary gives its pairs' ratio, base time over change
 time: its median, its quartiles and how many pairs the change won (ratio
 above 1). It also gives each side's peak RSS (`ru_maxrss`), which each
-worker reads once its last call is done. Both workers have then made the
+worker reads once its last call is done, and each side's median minor
+page faults a timed call. Both workers have then made the
 same number of calls, so the two peaks compare memory and not call
 counts; perfbench's `peak_rss_mb`, read at the end of a time window,
 rises with each call a faster side fits into it. A failed call is not
@@ -34,8 +37,8 @@ in the change's BENCHMARK.json:
     python3 tools/bench_calls.py HEAD~1 HEAD --workload all --pairs 20
 
 The temporary directory follows `TMPDIR`. The last line of standard
-output is one JSON object with every call's time and each side's peak
-RSS, keyed by workload.
+output is one JSON object with every timed call's time and minor page
+faults, and each side's peak RSS, keyed by workload.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import json
 import os
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -65,8 +69,10 @@ def serve(tree: str, workload: str, seed: int) -> int:
     digests, _ = run.check.recorded_digests(run.check.load_digests(), workload, seed,
                                             numpy.__version__)
     for _ in sys.stdin:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         outcome = run.call_cli(cli, run.WORKLOADS[workload], seed, digests)
-        print(json.dumps({"ref_s": outcome.wall_s * outcome.speed,
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        print(json.dumps({"ref_s": outcome.wall_s * outcome.speed, "minflt": faults,
                           "problems": outcome.problems}), flush=True)
     # stdin closed: every call is done
     print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
@@ -82,8 +88,8 @@ def start_worker(tree: str, workload: str, seed: int) -> subprocess.Popen:
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
 
-def call(workers: dict[str, subprocess.Popen], side: str) -> float:
-    """One call on a side's worker; its time at reference speed."""
+def call(workers: dict[str, subprocess.Popen], side: str) -> tuple[float, int]:
+    """One call on a side's worker; its time at reference speed and its minor page faults."""
     worker = workers[side]
     worker.stdin.write("call\n")
     worker.stdin.flush()
@@ -93,7 +99,7 @@ def call(workers: dict[str, subprocess.Popen], side: str) -> float:
     reply = json.loads(line)
     if reply["problems"]:
         raise RuntimeError(f"{side} call failed its output check: {reply['problems']}")
-    return reply["ref_s"]
+    return reply["ref_s"], reply["minflt"]
 
 
 def finish(worker: subprocess.Popen) -> float:
@@ -106,15 +112,17 @@ def finish(worker: subprocess.Popen) -> float:
     return json.loads(line)["peak_rss_mb"]
 
 
-def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str,
-                   seed: int, pairs: int) -> tuple[dict[str, list[float]], dict | None]:
+def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str, seed: int,
+                   pairs: int) -> tuple[dict[str, list[float]], dict[str, list[int]], dict | None]:
     """Pairs of calls of one workload on a fresh worker pair; prints its lines as it goes.
 
-    Returns each side's call times and peak RSS, the peaks None if a call
-    failed, with the times of the pairs completed before it.
+    Returns each side's call times, minor page faults and peak RSS, the
+    peaks None if a call failed, with the times and faults of the pairs
+    completed before it.
     """
     workers: dict[str, subprocess.Popen] = {}
     times: dict[str, list[float]] = {"base": [], "change": []}
+    faults: dict[str, list[int]] = {"base": [], "change": []}
     completed = 0
     peaks = None
     try:
@@ -126,7 +134,9 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
             for i in range(pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    times[side].append(call(workers, side))
+                    seconds, minflt = call(workers, side)
+                    times[side].append(seconds)
+                    faults[side].append(minflt)
                 print(f"pair {i + 1} {workload} ({order[0]} first): "
                       f"base {times['base'][-1]:.4f} s, change {times['change'][-1]:.4f} s, "
                       f"ratio {times['base'][-1] / times['change'][-1]:.3f}", flush=True)
@@ -135,8 +145,8 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
             # BrokenPipeError: the worker exited before it read its call
             print(f"error: {workload} pair {completed + 1}: {exc}", file=sys.stderr, flush=True)
             # a pair the failure cut short counts for neither side
-            for side_times in times.values():
-                del side_times[completed:]
+            for side_values in (*times.values(), *faults.values()):
+                del side_values[completed:]
         else:
             peaks = {side: finish(worker) for side, worker in workers.items()}
     finally:
@@ -160,8 +170,10 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
     if peaks:
         print(f"{workload} peak RSS after {completed + 1} calls a side: "
               f"base {peaks['base']:.2f} MB, change {peaks['change']:.2f} MB "
-              f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%)")
-    return times, peaks
+              f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%); "
+              f"median minor faults a call: base {statistics.median(faults['base']):.0f}, "
+              f"change {statistics.median(faults['change']):.0f}")
+    return times, faults, peaks
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
 
     tmp = tempfile.mkdtemp(prefix="bench_calls_")
     times: dict[str, dict[str, list[float]]] = {}
+    faults: dict[str, dict[str, list[int]]] = {}
     peaks: dict[str, dict | None] = {}
     try:
         commits, trees = extract({"base": args.base, "change": args.change}, tmp)
@@ -193,12 +206,12 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown workload(s) {unknown}; expected some of {known} or all")
         for name in workloads:
-            times[name], peaks[name] = bench_workload(trees, commits, name, args.seed,
-                                                      args.pairs)
+            times[name], faults[name], peaks[name] = bench_workload(
+                trees, commits, name, args.seed, args.pairs)
             if peaks[name] is None:
                 break  # a failed call ends the series
         print(json.dumps({"workloads": workloads, "seed": args.seed, "commits": commits,
-                          "times": times, "peak_rss_mb": peaks}))
+                          "times": times, "minor_faults": faults, "peak_rss_mb": peaks}))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0 if len(peaks) == len(workloads) and all(peaks.values()) else 1

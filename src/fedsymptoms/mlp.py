@@ -418,8 +418,8 @@ def train_local(params: list[MlpParameters], dataset: Cohort, config: TrainConfi
     # a row per client in sorted order, each chunk training in place in its own rows,
     # and one workspace of grad, m, v, scratch and denom rows that every chunk reuses
     out = np.empty((len(clients), N_PARAMS))
-    rows = min(LOCKSTEP_CLIENTS, len(clients))
-    workspace = tuple(np.empty((rows, N_PARAMS)) for _ in range(5))
+    workspace = tuple(np.empty((min(LOCKSTEP_CLIENTS, len(clients)), N_PARAMS))
+                      for _ in range(5))
     trained: list[MlpParameters | None] = [None] * len(clients)
     for start in range(0, len(order), LOCKSTEP_CLIENTS):
         chunk = order[start:start + LOCKSTEP_CLIENTS]

@@ -19,10 +19,10 @@ Each workload's summary gives its pairs' ratio, base time over change
 time: its median, its quartiles and how many pairs the change won (ratio
 above 1). It also gives each side's peak RSS (`ru_maxrss`), which each
 worker reads once its last call is done, and each side's median minor
-page faults a timed call. Both workers have then made the
-same number of calls, so the two peaks compare memory and not call
-counts; perfbench's `peak_rss_mb`, read at the end of a time window,
-rises with each call a faster side fits into it. A failed call is not
+page faults a timed call. Both workers have then made the same number
+of calls, so the two peaks compare memory and not call counts;
+perfbench's `peak_rss_mb`, read at the end of a time window, rises with
+each call a faster side fits into it. A failed call is not
 retried: its error goes to standard error, its workload's summary and
 the JSON line cover the pairs completed before it, with no peak RSS, no
 later workload runs, and the exit status is 1. This is for sizing a

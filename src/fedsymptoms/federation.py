@@ -10,6 +10,7 @@ scheduling order, and of how a round's clients are grouped for training.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,6 +72,17 @@ def scaled_count(value: int, scale: float) -> int:
     return max(1, math.ceil(_rounded_product(value, scale)))
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Refuse a value that is not a numbers.Integral or numbers.Real `kind`, or is a bool.
+
+    A bool is an int to Python, but True for a count or a fraction is a mistake,
+    not a 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """What every run of one simulation call shares; a run owns only its noise and seed.
@@ -90,16 +102,19 @@ class SimulationSpec:
 
     def __post_init__(self):
         lo, hi = self.size_range
+        _check_type("size_range", lo, numbers.Integral)
+        _check_type("size_range", hi, numbers.Integral)
         if not (1 <= lo <= hi):
             raise ValueError(f"bad size_range {self.size_range}")
+        _check_type("n_clients", self.n_clients, numbers.Integral)
         if self.n_clients < 1:
             raise ValueError("n_clients must be positive")
+        _check_type("participation_fraction", self.participation_fraction, numbers.Real)
         if not 0.0 < self.participation_fraction <= 1.0:
             raise ValueError("participation_fraction must be in (0, 1]")
         if _rounded_product(self.n_clients, self.participation_fraction) < 1.0:
             raise ValueError("participation_fraction selects no clients")
-        if isinstance(self.global_epochs, bool) or not isinstance(self.global_epochs, int):
-            raise ValueError(f"global_epochs must be an integer, got {self.global_epochs!r}")
+        _check_type("global_epochs", self.global_epochs, numbers.Integral)
         if self.global_epochs < 0:
             raise ValueError("global_epochs must be non-negative")
         if self.weighting not in WEIGHTINGS:
@@ -128,6 +143,7 @@ def simulation_spec(sim_id: str, *, scale: float = 1.0,
     """
     if sim_id not in _TOPOLOGY:
         raise ValueError(f"unknown simulation id {sim_id!r}; expected one of {SIMULATION_IDS}")
+    _check_type("scale", scale, numbers.Real)
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
     (lo, hi), n_clients = _TOPOLOGY[sim_id]

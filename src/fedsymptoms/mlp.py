@@ -23,18 +23,23 @@ Lockstep training. train_local trains a Cohort of clients, each from
 its own start and with its own shuffling stream, and returns each
 client's parameters as if it had trained alone. Numpy call overhead on
 small minibatches dominates a step, so the clients step together. The
-cohort is sorted by size, largest first, and cut into chunks of
-LOCKSTEP_CLIENTS. A call holds one output block with a row per client,
-in sorted order, and one workspace of five arrays of at most
-LOCKSTEP_CLIENTS rows: gradients, Adam moments and Adam scratch. Each
-chunk trains in place in its k rows of the block and reuses the
-workspace's first k rows, so a chunk allocates nothing of that size, and
-each result is a read-only row of the block. At step j the clients still
-training are a prefix of the chunk, all on Adam step j + 1, so one
-adam_step over that prefix updates them all. The prefix is split into
-contiguous runs of clients whose minibatches have the same number of
-rows, and each run takes one forward and backward pass over a slice of
-the chunk's arrays.
+cohort is sorted by size, largest first, and cut into contiguous chunks:
+a chunk takes LOCKSTEP_CLIENTS clients, then each next client of the
+same size as its last, up to LOCKSTEP_MAX_CLIENTS, so clients of one
+size share a chunk and its stacked passes; with all sizes distinct every
+chunk but the last has LOCKSTEP_CLIENTS clients. A call holds one output
+block with a row per client, in sorted order, and one workspace of four
+arrays: gradients and Adam moments with a row per client of the largest
+chunk, and Adam scratch of at most LOCKSTEP_CLIENTS rows. Each chunk
+trains in place in its k rows of the block and reuses the workspace's
+first rows, so a chunk allocates nothing of that size, and each result is
+a read-only row of the block. At step j the clients still training are a
+prefix of the chunk, all on Adam step j + 1, so adam_step updates that
+prefix in blocks of at most LOCKSTEP_CLIENTS rows, past which its cost
+per element rises; each block's gradient rows, read for the last time,
+serve as its denom. The prefix is split into contiguous runs of clients
+whose minibatches have the same number of rows, and each run takes one
+forward and backward pass over a slice of the chunk's arrays.
 
 One forward pass. _activations writes the four layers out once, for
 scoring (_forward) and training (_backprop) alike; _backprop adds only
@@ -102,9 +107,12 @@ OUTPUT_CLIP = 1e-12
 # rows per scoring block; a client under 2 * SCORE_ROWS rows is one block
 SCORE_ROWS = 256
 
-# clients per lockstep chunk, and the rows of a train_local call's workspace of five
-# (rows, N_PARAMS) arrays, 18.4 KB a row each
+# clients per lockstep chunk before ties extend it, the rows of one adam_step block, and
+# the rows of a train_local call's Adam scratch; a (rows, N_PARAMS) row is 18.4 KB
 LOCKSTEP_CLIENTS = 8
+# clients per lockstep chunk at most, ties included; the rows of a call's gradient and
+# Adam moment arrays are its largest chunk's
+LOCKSTEP_MAX_CLIENTS = 32
 
 
 def layer_views(flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -368,11 +376,13 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     The arrays are one client's vectors or the rows of several clients on
     the same step. `step` is the 1-based count including this update.
     `scratch` and `denom`, shaped like theta, hold the temporaries, each
-    computed in the textbook evaluation order. From step 356 on,
-    1 - BETA1 ** step rounds to exactly 1.0, and the first moment is used
-    as it is, with no divide by its bias correction. The gradient is not
-    checked here: a non-finite element leaves a NaN in theta that no later
-    step clears, and the MlpParameters that train_local returns refuses it.
+    computed in the textbook evaluation order; denom may be grad itself,
+    which is read for the last time before denom is written. From step
+    356 on, 1 - BETA1 ** step rounds to exactly 1.0, and the first moment
+    is used as it is, with no divide by its bias correction. The gradient
+    is not checked here: a non-finite element leaves a NaN in theta that no
+    later step clears, and the MlpParameters that train_local returns
+    refuses it.
     """
     m *= BETA1
     np.multiply(1.0 - BETA1, grad, out=scratch)
@@ -406,8 +416,10 @@ def train_local(params: list[MlpParameters], dataset: Cohort, config: TrainConfi
     short batch is trained on. Clients may start from different
     parameters, as the clients of several runs in one cohort do. Returns
     each client's trained vector, frozen, in input order; a non-finite
-    one is refused. The clients train in sorted chunks (see the module
-    docstring), and each result has the bits of a run of its own.
+    one is refused. The clients train in sorted chunks of LOCKSTEP_CLIENTS,
+    extended over clients of the chunk's last size up to
+    LOCKSTEP_MAX_CLIENTS (see the module docstring), and each result has
+    the bits of a run of its own.
     """
     clients = dataset.clients
     if not len(params) == len(rngs) == len(clients):
@@ -415,15 +427,27 @@ def train_local(params: list[MlpParameters], dataset: Cohort, config: TrainConfi
                          f"for {len(clients)} clients")
     # largest first, ties in input order: then no client has more steps than one before it
     order = sorted(range(len(clients)), key=lambda i: len(clients[i]), reverse=True)
+    sizes = [len(clients[i]) for i in order]
+    # chunks are contiguous slices of the sorted order: LOCKSTEP_CLIENTS clients, then
+    # each next client of the last one's size, up to LOCKSTEP_MAX_CLIENTS in all
+    bounds = [0]
+    while bounds[-1] < len(order):
+        limit = min(bounds[-1] + LOCKSTEP_MAX_CLIENTS, len(order))
+        end = min(bounds[-1] + LOCKSTEP_CLIENTS, limit)
+        while end < limit and sizes[end] == sizes[end - 1]:
+            end += 1
+        bounds.append(end)
     # a row per client in sorted order, each chunk training in place in its own rows,
-    # and one workspace of grad, m, v, scratch and denom rows that every chunk reuses
+    # and one workspace that every chunk reuses: grad, m and v rows for the largest
+    # chunk, and scratch rows for one adam_step block
+    rows = max((end - start for start, end in zip(bounds, bounds[1:])), default=0)
     out = np.empty((len(clients), N_PARAMS))
-    workspace = tuple(np.empty((min(LOCKSTEP_CLIENTS, len(clients)), N_PARAMS))
-                      for _ in range(5))
+    workspace = tuple(np.empty((n, N_PARAMS))
+                      for n in (rows, rows, rows, min(rows, LOCKSTEP_CLIENTS)))
     trained: list[MlpParameters | None] = [None] * len(clients)
-    for start in range(0, len(order), LOCKSTEP_CLIENTS):
-        chunk = order[start:start + LOCKSTEP_CLIENTS]
-        _train_chunk(out[start:start + len(chunk)], [params[i].flat for i in chunk],
+    for start, end in zip(bounds, bounds[1:]):
+        chunk = order[start:end]
+        _train_chunk(out[start:end], [params[i].flat for i in chunk],
                      [clients[i] for i in chunk], [rngs[i] for i in chunk],
                      config.local_epochs, workspace)
         # no one else holds a row of the block, so each is adopted without a copy
@@ -483,15 +507,19 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
     """Train clients sorted as train_local sorts them, each from its own start vector.
 
     theta is their (k, N_PARAMS) rows, which the starts are copied into and
-    which end as the trained parameters. workspace holds the grad, m, v,
-    scratch and denom arrays of at least k rows each; the chunk uses their
-    first k rows and zeroes its Adam moments before step 1.
+    which end as the trained parameters. workspace holds the grad, m and v
+    arrays of at least k rows each, of which the chunk uses the first k
+    rows and zeroes its Adam moments before step 1, and the scratch rows of
+    one adam_step block. Adam steps the clients still training in blocks of
+    at most LOCKSTEP_CLIENTS rows, each block's gradient rows serving as
+    its denom.
     """
     k = len(clients)
     table = clients[0].phrases.matrix
     for row, start in zip(theta, starts):
         row[...] = start
-    grad, m, v, scratch, denom = (array[:k] for array in workspace)
+    grad, m, v = (array[:k] for array in workspace[:3])
+    scratch = workspace[3]
     m[...] = 0.0
     v[...] = 0.0
     per_epoch = [-(-len(client) // BATCH_SIZE) for client in clients]
@@ -507,10 +535,12 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
             active = sum(last > j for last in last_step)
             leaves = last_step[active - 1]
             training = range(active)
-            # one client alone steps on 1-D rows, which numpy iterates faster
-            prefix = slice(active) if active > 1 else 0
-            theta_p, grad_p, m_p, v_p, scratch_p, denom_p = [
-                array[prefix] for array in (theta, grad, m, v, scratch, denom)]
+            blocks = []
+            for first in range(0, active, LOCKSTEP_CLIENTS):
+                n = min(LOCKSTEP_CLIENTS, active - first)
+                # a block of one client steps on 1-D rows, which numpy iterates faster
+                part, lead = (first, 0) if n == 1 else (slice(first, first + n), slice(n))
+                blocks.append((theta[part], grad[part], m[part], v[part], scratch[lead]))
         batches = []
         for i in training:
             position = j % per_epoch[i]
@@ -537,7 +567,9 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
                 views = run_views[first][end] = _run_views(theta, grad, first, end)
             _backprop(views[0], x, labels, views[1])
             first = end
-        adam_step(theta_p, grad_p, m_p, v_p, j + 1, scratch_p, denom_p)
+        for theta_b, grad_b, m_b, v_b, scratch_b in blocks:
+            # adam_step reads the gradient for the last time before it writes denom
+            adam_step(theta_b, grad_b, m_b, v_b, j + 1, scratch_b, grad_b)
 
 
 def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:

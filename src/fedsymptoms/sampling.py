@@ -22,6 +22,7 @@ generator other than PCG64.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 from typing import NamedTuple
@@ -55,6 +56,13 @@ class NoiseMechanism:
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
             raise ValueError(f"mechanism must be one of {MECHANISM_KINDS}, got {self.kind!r}")
+        # a bool is an int to Python, but True would be level 1.0, or an epsilon the
+        # CSVs record as True
+        if isinstance(self.noise_level, bool) or not isinstance(self.noise_level, numbers.Real):
+            raise ValueError(f"noise_level must be a number, got {self.noise_level!r}")
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon,
+                                                            (numbers.Real, type(None))):
+            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
         # + 0.0 turns -0.0 into 0.0, so one level has one CSV spelling
         object.__setattr__(self, "noise_level", self.noise_level + 0.0)
         if not 0.0 <= self.noise_level <= 1.0:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -22,6 +23,8 @@ def test_a_worker_reports_each_calls_faults_and_its_peak_rss_after_its_last_call
          "--workload", "run_I_single", "--seed", "1"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     try:
+        # one untimed call, whose training steps are counted, then one timed call
+        counts = bench_calls.warm_up({"base": worker}, "base")
         seconds, faults = bench_calls.call({"base": worker}, "base")
         assert seconds > 0.0
         # a first call faults in the pages of everything it builds
@@ -34,6 +37,37 @@ def test_a_worker_reports_each_calls_faults_and_its_peak_rss_after_its_last_call
     assert worker.returncode == 0
     # the package, numpy and one call's arrays: tens of MB, not a kilobyte count
     assert 10.0 < peak < 1000.0
+    # one client alone: one gradient and one Adam update a step
+    assert set(counts) == set(bench_calls.COUNTED)
+    assert counts["_backprop"] == counts["adam_step"] > 0
+
+
+def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
+    monkeypatch.syspath_prepend(TOOLS)
+    bench_calls = importlib.import_module("bench_calls")
+
+    def backprop(x):
+        return 2 * x
+
+    # a tree whose mlp has no adam_step counts it as None
+    module = types.SimpleNamespace(_backprop=backprop)
+
+    def work():
+        assert module._backprop is not backprop
+        return sum(module._backprop(x) for x in range(5))
+
+    result, counts = bench_calls.counted(module, work)
+    assert result == 20
+    assert counts == {"_backprop": 5, "adam_step": None}
+    assert module._backprop is backprop and not hasattr(module, "adam_step")
+
+    def fails():
+        module._backprop(1)
+        raise ValueError("call failed")
+
+    with pytest.raises(ValueError, match="call failed"):
+        bench_calls.counted(module, fails)
+    assert module._backprop is backprop
 
 
 class FakeWorker:
@@ -90,6 +124,11 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
 
     calls = []
 
+    def warm_up(_workers, side):
+        calls.append(side)
+        return {"_backprop": 9, "adam_step": 8} if side == "base" else {"_backprop": 4,
+                                                                         "adam_step": 6}
+
     def call(_workers, side):
         calls.append(side)
         # two warm-up calls, two pairs, then pair 3 fails on its second side
@@ -102,6 +141,7 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
 
     monkeypatch.setattr(bench_calls, "extract", fake_extract(tmp_path))
     monkeypatch.setattr(bench_calls, "start_worker", start_worker)
+    monkeypatch.setattr(bench_calls, "warm_up", warm_up)
     monkeypatch.setattr(bench_calls, "call", call)
     monkeypatch.setattr(bench_calls, "finish", finish)
     assert bench_calls.main(["base", "change", "--workload", "run_IV_wide",
@@ -115,8 +155,12 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
         "pair 1 run_IV_wide (base first): base 2.0000 s, change 1.0000 s, ratio 2.000",
         "pair 2 run_IV_wide (change first): base 2.0000 s, change 1.0000 s, ratio 2.000",
         "run_IV_wide, 2 pairs, seed 1, base 0123456789ab change 0123456789ab: "
-        "base/change time ratio 2.000 [2.000-2.000], change won 2/2"]
+        "base/change time ratio 2.000 [2.000-2.000], change won 2/2",
+        "run_IV_wide calls in the untimed call: base _backprop 9, adam_step 8; "
+        "change _backprop 4, adam_step 6"]
     result = json.loads(lines[-1])
+    assert result["calls"] == {"run_IV_wide": {"base": {"_backprop": 9, "adam_step": 8},
+                                               "change": {"_backprop": 4, "adam_step": 6}}}
     assert result["times"] == {"run_IV_wide": {"base": [2.0, 2.0], "change": [1.0, 1.0]}}
     assert result["minor_faults"] == {"run_IV_wide": {"base": [300, 300], "change": [7, 7]}}
     assert result["peak_rss_mb"] == {"run_IV_wide": None}
@@ -144,10 +188,17 @@ class FakeWorkload:
         worker.side, worker.workload = side, workload
         return worker
 
-    def call(self, workers, side):
+    def warm_up(self, workers, side):
         workload = workers[side].workload
         if side == "change" and workload == self.fail:
             raise RuntimeError("change worker exited with 1")
+        # a tree without adam_step counts it as None
+        step = WORKLOADS.index(workload)
+        return ({"_backprop": 100 + step, "adam_step": 50 + step} if side == "base"
+                else {"_backprop": 10 + step, "adam_step": None})
+
+    def call(self, workers, side):
+        workload = workers[side].workload
         step = 1.0 + WORKLOADS.index(workload)
         if side == "base":
             return 2.0 * step, 1000 * int(step)
@@ -170,6 +221,7 @@ def test_each_workload_gets_its_own_worker_pair_summary_and_json_key(
     fake = FakeWorkload()
     monkeypatch.setattr(bench_calls, "extract", fake_extract(tmp_path))
     monkeypatch.setattr(bench_calls, "start_worker", fake.start_worker)
+    monkeypatch.setattr(bench_calls, "warm_up", fake.warm_up)
     monkeypatch.setattr(bench_calls, "call", fake.call)
     monkeypatch.setattr(bench_calls, "finish", fake.finish)
     assert bench_calls.main(["base", "change", "--workload", argument, "--pairs", "2",
@@ -178,6 +230,11 @@ def test_each_workload_gets_its_own_worker_pair_summary_and_json_key(
     assert fake.started == [(side, name, 3) for name in expected for side in ("base", "change")]
     lines = capsys.readouterr().out.splitlines()
     summaries = [line for line in lines if line.startswith(tuple(f"{n}, " for n in expected))]
+    assert [line for line in lines if " calls in the untimed call: " in line] == [
+        f"{name} calls in the untimed call: "
+        f"base _backprop {100 + WORKLOADS.index(name)}, adam_step {50 + WORKLOADS.index(name)}; "
+        f"change _backprop {10 + WORKLOADS.index(name)}, adam_step None"
+        for name in expected]
     peaks = [line for line in lines if " peak RSS " in line]
     assert [line.split(",")[0] for line in summaries] == list(expected)
     assert all(line.endswith("base/change time ratio 2.000 [2.000-2.000], change won 2/2")
@@ -203,6 +260,11 @@ def test_each_workload_gets_its_own_worker_pair_summary_and_json_key(
         assert sorted(result["minor_faults"][name]["change"]) == [10, 11]
         assert result["peak_rss_mb"][name] == {"base": 40 + WORKLOADS.index(name),
                                                "change": 40.5 + WORKLOADS.index(name)}
+        # keyed like the times; null for the name the change side's tree lacks
+        assert result["calls"][name] == {
+            "base": {"_backprop": 100 + WORKLOADS.index(name),
+                     "adam_step": 50 + WORKLOADS.index(name)},
+            "change": {"_backprop": 10 + WORKLOADS.index(name), "adam_step": None}}
 
 
 def test_a_failed_workload_ends_the_series(monkeypatch, tmp_path, capsys):
@@ -211,6 +273,7 @@ def test_a_failed_workload_ends_the_series(monkeypatch, tmp_path, capsys):
     fake = FakeWorkload(fail="run_IV_wide")
     monkeypatch.setattr(bench_calls, "extract", fake_extract(tmp_path))
     monkeypatch.setattr(bench_calls, "start_worker", fake.start_worker)
+    monkeypatch.setattr(bench_calls, "warm_up", fake.warm_up)
     monkeypatch.setattr(bench_calls, "call", fake.call)
     monkeypatch.setattr(bench_calls, "finish", fake.finish)
     assert bench_calls.main(["base", "change", "--workload", "all", "--pairs", "2"]) == 1
@@ -223,6 +286,10 @@ def test_a_failed_workload_ends_the_series(monkeypatch, tmp_path, capsys):
     assert result["minor_faults"]["run_IV_wide"] == {"base": [], "change": []}
     assert result["peak_rss_mb"] == {"run_I_single": {"base": 40.0, "change": 40.5},
                                      "run_IV_wide": None}
+    # the base side's untimed call completed; the change side's failed
+    assert result["calls"]["run_IV_wide"] == {"base": {"_backprop": 101, "adam_step": 51},
+                                              "change": None}
+    assert "run_IV_wide calls in the untimed call" not in out
     assert "run_IV_wide, 0 pairs, seed 1, base 0123456789ab change 0123456789ab" in out
 
 

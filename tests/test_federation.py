@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -88,6 +89,36 @@ def test_simulation_spec_refuses_a_non_integer_epoch_count(name, value):
     # refused while the spec is built, before any survey is synthesized
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         simulation_spec("I", scale=0.01, **{name: value})
+
+
+@pytest.mark.parametrize("build, name, what", [
+    (lambda: simulation_spec("I", scale=True), "scale", "a number"),
+    (lambda: simulation_spec("III", scale=0.01, participation_fraction=True),
+     "participation_fraction", "a number"),
+    (lambda: SimulationSpec(id="I", size_range=(True, 5), n_clients=3), "size_range",
+     "an integer"),
+    (lambda: SimulationSpec(id="I", size_range=(1, 2.5), n_clients=3), "size_range",
+     "an integer"),
+    (lambda: SimulationSpec(id="I", size_range=(1, 5), n_clients=True), "n_clients",
+     "an integer"),
+    (lambda: SimulationSpec(id="I", size_range=(1, 5), n_clients=3.0), "n_clients",
+     "an integer"),
+    (lambda: SimulationSpec(id="I", size_range=(1, 5), n_clients=3,
+                            participation_fraction="1"), "participation_fraction",
+     "a number"),
+], ids=["scale-true", "fraction-true", "size-true", "size-float", "clients-true",
+        "clients-float", "fraction-string"])
+def test_simulation_spec_refuses_a_bool_or_other_type_for_a_number(build, name, what):
+    # True would pass every range check as 1: a full-scale spec, a fraction of 1, one client
+    with pytest.raises(ValueError, match=f"{name} must be {what}"):
+        build()
+
+
+def test_simulation_spec_takes_numpy_numbers():
+    spec = SimulationSpec(id="I", size_range=(np.int64(2), 5), n_clients=np.int64(3),
+                          participation_fraction=np.float64(0.5))
+    assert spec.clients_per_round == 2
+    assert simulation_spec("I", scale=np.float64(0.01)).size_range == (600, 600)
 
 
 def test_build_population_sizes_and_indices(surveys):
@@ -338,33 +369,66 @@ def test_unembeddable_surveyed_symptom_fails_at_run_start(corpus, table):
     assert err.value.phrase == "Zzxq blorp"
 
 
+def chunked_round_results(monkeypatch, spec, run, surveys, corpus, table, settings):
+    """One round's updates, client sizes, mean local loss and final model, by setting.
+
+    A setting is a (chunk, cap, budget) triple: the round runs with
+    mlp.LOCKSTEP_CLIENTS, mlp.LOCKSTEP_MAX_CLIENTS and federation.WINDOW_EXAMPLES
+    set to it. Every update is recorded as bytes.
+    """
+    real = federation.train_local
+    results = {}
+    for chunk, cap, budget in settings:
+        cohorts, sizes, updates = [], [], []
+
+        def recorded(params, dataset, config, rngs):
+            trained = real(params, dataset, config, rngs)
+            cohorts.append(len(dataset.clients))
+            sizes.extend(len(client) for client in dataset.clients)
+            updates.extend(update.flat.tobytes() for update in trained)
+            return trained
+
+        monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", chunk)
+        monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", cap)
+        monkeypatch.setattr(federation, "WINDOW_EXAMPLES", budget)
+        monkeypatch.setattr(federation, "train_local", recorded)
+        [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, [run])
+        # a budget of one row gives each client a window, and so a call, of its own
+        assert set(cohorts) == ({1} if budget == 1 else {spec.clients_per_round})
+        results[chunk, cap, budget] = (updates, sizes, repr(reports[0].mean_local_loss),
+                                       snapshots[-1].flat.tobytes())
+    return results
+
+
 def test_round_output_does_not_depend_on_chunk_size_or_window(monkeypatch, surveys, corpus,
                                                                table):
     # 27 clients of 108-906 rows: several steps an epoch, finishing at different steps
     spec = simulation_spec("III", scale=0.03, global_epochs=1, local_epochs=2)
     run = (NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 3)
-    real = federation.train_local
-    results = {}
-    for chunk in (1, 3, 8, 64):
-        for budget in (1, federation.WINDOW_EXAMPLES):
-            cohorts, updates = [], []
-
-            def recorded(params, dataset, config, rngs):
-                trained = real(params, dataset, config, rngs)
-                cohorts.append(len(dataset.clients))
-                updates.extend(update.flat.tobytes() for update in trained)
-                return trained
-
-            monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", chunk)
-            monkeypatch.setattr(federation, "WINDOW_EXAMPLES", budget)
-            monkeypatch.setattr(federation, "train_local", recorded)
-            [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table, [run])
-            # a budget of one row gives each client a window, and so a call, of its own
-            assert set(cohorts) == ({1} if budget == 1 else {spec.clients_per_round})
-            results[chunk, budget] = (updates, repr(reports[0].mean_local_loss),
-                                      snapshots[-1].flat.tobytes())
-    first = results[1, 1]
+    results = chunked_round_results(
+        monkeypatch, spec, run, surveys, corpus, table,
+        [(chunk, mlp.LOCKSTEP_MAX_CLIENTS, budget) for chunk in (1, 3, 8, 64)
+         for budget in (1, federation.WINDOW_EXAMPLES)])
+    first = next(iter(results.values()))
     assert len(first[0]) == spec.clients_per_round
+    assert all(result == first for result in results.values())
+
+
+def test_round_output_does_not_depend_on_chunking_where_sizes_repeat(monkeypatch, surveys,
+                                                                     corpus, table):
+    # 250 clients of one or two persons: few sizes, each shared by many clients, so ties
+    # extend chunks up to each cap
+    spec = simulation_spec("IV", scale=0.1, participation_fraction=0.025, global_epochs=1,
+                           local_epochs=2)
+    run = (NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 5)
+    results = chunked_round_results(
+        monkeypatch, spec, run, surveys, corpus, table,
+        [(chunk, cap, budget) for chunk in (1, 3, 8) for cap in (1, 8, 32, 64)
+         for budget in (1, federation.WINDOW_EXAMPLES)])
+    first = next(iter(results.values()))
+    assert len(first[0]) == spec.clients_per_round
+    # 18 sizes, up to 31 clients of one: ties carry chunks of 8 past 8 clients
+    assert max(Counter(first[1]).values()) > 8
     assert all(result == first for result in results.values())
 
 

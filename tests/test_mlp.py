@@ -609,33 +609,50 @@ def test_a_run_of_one_client_between_runs_of_several(monkeypatch):
     assert shapes == step * 2
 
 
+# sizes around one and two batches, with a run of five ties at 33
+CHUNKED_SIZES = (33, 64, 32, 65, 33, 64, 32, 65, 31, 33, 33, 33)
+
+# the chunks of CHUNKED_SIZES at LOCKSTEP_CLIENTS = 3, by cap
+CHUNKS_BY_CAP = {
+    32: [[3, 7, 1, 5], [0, 4, 9, 10, 11], [2, 6, 8]],
+    # the cap stops the ties at 33 after two, and the next chunk starts with the third
+    4: [[3, 7, 1, 5], [0, 4, 9, 10], [11, 2, 6], [8]],
+    # a cap of LOCKSTEP_CLIENTS or less cuts chunks of the cap, ties or not
+    3: [[3, 7, 1], [5, 0, 4], [9, 10, 11], [2, 6, 8]],
+    1: [[3], [7], [1], [5], [0], [4], [9], [10], [11], [2], [6], [8]],
+}
+
+
 def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
-    # _train_chunk needs the clients still training to be a prefix of its chunk; sizes
-    # around one and two batches, with ties split across chunks of 3
-    sizes = (33, 64, 32, 65, 33, 64, 32, 65, 31, 33)
-    cohort = ragged_cohort(sizes, 68)
+    # _train_chunk needs the clients still training to be a prefix of its chunk; a chunk
+    # takes 3 clients, then each next client of its last one's size, up to the cap
+    cohort = ragged_cohort(CHUNKED_SIZES, 68)
     position = {id(client): i for i, client in enumerate(cohort.clients)}
-    chunks = []
     real = mlp._train_chunk
-
-    def spy(theta, starts, clients, rngs, epochs, workspace):
-        chunks.append([position[id(client)] for client in clients])
-        return real(theta, starts, clients, rngs, epochs, workspace)
-
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
-    monkeypatch.setattr(mlp, "_train_chunk", spy)
-    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(69)), cohort,
-                                          TrainConfig(local_epochs=2), 70)
-    assert chunks == [[3, 7, 1], [5, 0, 4], [9, 2, 6], [8]]
-    order = [i for chunk in chunks for i in chunk]
-    assert all(sizes[a] > sizes[b] or (sizes[a] == sizes[b] and a < b)
-               for a, b in zip(order, order[1:]))
+    for cap, expected in CHUNKS_BY_CAP.items():
+        chunks = []
+
+        def spy(theta, starts, clients, rngs, epochs, workspace):
+            chunks.append([position[id(client)] for client in clients])
+            return real(theta, starts, clients, rngs, epochs, workspace)
+
+        monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", cap)
+        monkeypatch.setattr(mlp, "_train_chunk", spy)
+        check_cohort_matches_frozen_reference(init_params(np.random.default_rng(69)), cohort,
+                                              TrainConfig(local_epochs=2), 70)
+        assert chunks == expected, cap
+        order = [i for chunk in chunks for i in chunk]
+        assert all(CHUNKED_SIZES[a] > CHUNKED_SIZES[b]
+                   or (CHUNKED_SIZES[a] == CHUNKED_SIZES[b] and a < b)
+                   for a, b in zip(order, order[1:]))
 
 
 def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
-    # ragged sizes in chunks of 3 (3 + 3 + a lone client): each chunk trains in its own
-    # rows of one output block, on the first rows of the same five workspace arrays
-    sizes = (33, 1, 65, 32, 2, 64, 31)
+    # ragged sizes in chunks of 3, the second extended over the ties at 31 (3 + 4 + 2):
+    # each chunk trains in its own rows of one output block, on the first rows of the
+    # same four workspace arrays
+    sizes = (33, 1, 65, 32, 2, 64, 31, 31, 31)
     cohort = ragged_cohort(sizes, 74)
     calls = []
     real = mlp._train_chunk
@@ -645,15 +662,18 @@ def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
         return real(theta, starts, clients, rngs, epochs, workspace)
 
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
+    monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 32)
     monkeypatch.setattr(mlp, "_train_chunk", spy)
     trained = check_cohort_matches_frozen_reference(init_params(np.random.default_rng(75)),
                                                     cohort, TrainConfig(local_epochs=2), 76)
-    assert [len(theta) for theta, _ in calls] == [3, 3, 1]
+    assert [len(theta) for theta, _ in calls] == [3, 4, 2]
     block, workspace = calls[0][0].base, calls[0][1]
     assert block.shape == (len(sizes), N_PARAMS)
-    # five separate arrays, not views of one
-    assert len(workspace) == 5
-    assert all(array.shape == (3, N_PARAMS) and array.base is None for array in workspace)
+    # four separate arrays, not views of one: grad, m and v with a row per client of
+    # the largest chunk, and scratch with the rows of one adam_step block
+    assert len(workspace) == 4
+    assert [array.shape for array in workspace] == [(4, N_PARAMS)] * 3 + [(3, N_PARAMS)]
+    assert all(array.base is None for array in workspace)
     row = 0
     for theta, used in calls:
         assert all(a is b for a, b in zip(used, workspace, strict=True))
@@ -667,6 +687,28 @@ def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
         assert trained[i].flat.base is block
         assert trained[i].flat.ctypes.data == block[p].ctypes.data
         assert not trained[i].flat.flags.writeable
+
+
+def test_adam_steps_a_chunk_in_blocks_of_lockstep_clients_rows(monkeypatch):
+    # five clients of one size share a chunk; Adam steps them in blocks of 2, 2 and a lone
+    # client's 1-D rows, each block's gradient rows serving as its denom
+    cohort = ragged_cohort((40,) * 5, 77)
+    blocks = []
+    real = mlp.adam_step
+
+    def spy(theta, grad, m, v, step, scratch, denom):
+        blocks.append((theta.shape, step, scratch.shape))
+        assert denom is grad
+        return real(theta, grad, m, v, step, scratch, denom)
+
+    monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 2)
+    monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 32)
+    monkeypatch.setattr(mlp, "adam_step", spy)
+    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(78)), cohort,
+                                          TrainConfig(local_epochs=1), 79)
+    # 40 rows: two steps an epoch
+    assert blocks == [(shape, step, shape) for step in (1, 2)
+                      for shape in ((2, N_PARAMS), (2, N_PARAMS), (N_PARAMS,))]
 
 
 def test_cohort_checks_its_clients_and_streams():

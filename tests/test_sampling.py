@@ -56,6 +56,26 @@ def test_mechanism_validation():
         NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=0.5, epsilon=3.0)
 
 
+@pytest.mark.parametrize("kind, level, epsilon, name", [
+    (UNIFORM_THRESHOLD, True, None, "noise_level"),
+    (NORMAL_THRESHOLD, False, None, "noise_level"),
+    (LAPLACE_DP, True, 2.0, "noise_level"),
+    (UNIFORM_THRESHOLD, "0.5", None, "noise_level"),
+    (LAPLACE_DP, 0.5, True, "epsilon"),
+    (LAPLACE_DP, 0.5, "2", "epsilon"),
+], ids=["uniform-level-true", "normal-level-false", "laplace-level-true", "level-string",
+        "epsilon-true", "epsilon-string"])
+def test_mechanism_refuses_a_bool_or_other_type_for_a_number(kind, level, epsilon, name):
+    # True would pass the range checks as 1: level 1.0, or an epsilon written as True
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        NoiseMechanism(kind, level, epsilon)
+
+
+def test_mechanism_takes_integer_and_numpy_numbers():
+    assert NoiseMechanism(UNIFORM_THRESHOLD, 1).noise_level == 1.0
+    assert NoiseMechanism(LAPLACE_DP, np.float64(0.5), np.int64(2)).epsilon == 2
+
+
 def test_uniform_threshold_fire_rate_equals_level():
     assert_rate(NoiseMechanism(UNIFORM_THRESHOLD, 0.3), 0.3)
 

@@ -13,7 +13,11 @@ Every call is timed and its output checked as perfbench does it
 (`run.call_cli`, BLAS pinned to one thread, the time taken at reference
 speed, see `speed.py`). The worker also reports each call's minor page
 faults: the change in its `ru_minflt` over the call, which counts the
-pages the call's fresh allocations fault in.
+pages the call's fresh allocations fault in. On its untimed call only,
+the worker also counts the calls of the package's `mlp._backprop` and
+`mlp.adam_step` (COUNTED): it wraps each, makes the call and restores
+them. The call counts of a fixed workload and seed repeat exactly, so
+they show a change in how training is batched without timing noise.
 
 Each workload's summary gives its pairs' ratio, base time over change
 time: its median, its quartiles and how many pairs the change won (ratio
@@ -22,7 +26,8 @@ worker reads once its last call is done, and each side's median minor
 page faults a timed call. Both workers have then made the same number
 of calls, so the two peaks compare memory and not call counts;
 perfbench's `peak_rss_mb`, read at the end of a time window, rises with
-each call a faster side fits into it. A failed call is not
+each call a faster side fits into it. A further line gives each side's
+COUNTED call counts in its untimed call. A failed call is not
 retried: its error goes to standard error, its workload's summary and
 the JSON line cover the pairs completed before it, with no peak RSS, no
 later workload runs, and the exit status is 1. This is for sizing a
@@ -38,7 +43,8 @@ in the change's BENCHMARK.json:
 
 The temporary directory follows `TMPDIR`. The last line of standard
 output is one JSON object with every timed call's time and minor page
-faults, and each side's peak RSS, keyed by workload.
+faults, each side's peak RSS and each side's COUNTED call counts (null
+for a name the side's tree lacks), keyed by workload.
 """
 
 from __future__ import annotations
@@ -57,23 +63,63 @@ from bench_pairs import extract, quartiles
 
 WORKER_TIMEOUT_S = 60
 
+# the mlp functions whose calls the untimed call counts
+COUNTED = ("_backprop", "adam_step")
+
+
+def counted(module, function):
+    """function()'s result and the calls it made of each COUNTED name of `module`.
+
+    Each name is wrapped while function runs and restored after it; a name
+    the module lacks counts None.
+    """
+    counts: dict[str, int | None] = dict.fromkeys(COUNTED)
+    originals = {name: getattr(module, name) for name in COUNTED if hasattr(module, name)}
+
+    def counter(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, original in originals.items():
+        counts[name] = 0
+        setattr(module, name, counter(name, original))
+    try:
+        result = function()
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+    return result, counts
+
 
 def serve(tree: str, workload: str, seed: int) -> int:
-    """Worker: one checked call of the workload per line read; its JSON result per line written."""
+    """Worker: one checked call of the workload per line read; its JSON result per line written.
+
+    A line "warm" asks for the untimed call, which also reports its COUNTED call counts.
+    """
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import run  # pins the BLAS threads before it imports numpy
 
     cli = run._import_package()
     import numpy
+    from fedsymptoms import mlp
 
     digests, _ = run.check.recorded_digests(run.check.load_digests(), workload, seed,
                                             numpy.__version__)
-    for _ in sys.stdin:
+
+    def one_call():
+        return run.call_cli(cli, run.WORKLOADS[workload], seed, digests)
+
+    for line in sys.stdin:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        outcome = run.call_cli(cli, run.WORKLOADS[workload], seed, digests)
+        if line.strip() == "warm":
+            outcome, counts = counted(mlp, one_call)
+        else:
+            outcome, counts = one_call(), None
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         print(json.dumps({"ref_s": outcome.wall_s * outcome.speed, "minflt": faults,
-                          "problems": outcome.problems}), flush=True)
+                          "problems": outcome.problems, "counts": counts}), flush=True)
     # stdin closed: every call is done
     print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
           flush=True)
@@ -88,18 +134,29 @@ def start_worker(tree: str, workload: str, seed: int) -> subprocess.Popen:
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
 
-def call(workers: dict[str, subprocess.Popen], side: str) -> tuple[float, int]:
-    """One call on a side's worker; its time at reference speed and its minor page faults."""
+def request(workers: dict[str, subprocess.Popen], side: str, line: str) -> dict:
+    """Send one line to a side's worker; its reply to the checked call."""
     worker = workers[side]
-    worker.stdin.write("call\n")
+    worker.stdin.write(line + "\n")
     worker.stdin.flush()
-    line = worker.stdout.readline()
-    if not line:
+    answer = worker.stdout.readline()
+    if not answer:
         raise RuntimeError(f"{side} worker exited with {worker.wait()}")
-    reply = json.loads(line)
+    reply = json.loads(answer)
     if reply["problems"]:
         raise RuntimeError(f"{side} call failed its output check: {reply['problems']}")
+    return reply
+
+
+def call(workers: dict[str, subprocess.Popen], side: str) -> tuple[float, int]:
+    """One call on a side's worker; its time at reference speed and its minor page faults."""
+    reply = request(workers, side, "call")
     return reply["ref_s"], reply["minflt"]
+
+
+def warm_up(workers: dict[str, subprocess.Popen], side: str) -> dict[str, int | None]:
+    """The untimed call on a side's worker; its COUNTED call counts."""
+    return request(workers, side, "warm")["counts"]
 
 
 def finish(worker: subprocess.Popen) -> float:
@@ -113,16 +170,18 @@ def finish(worker: subprocess.Popen) -> float:
 
 
 def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str, seed: int,
-                   pairs: int) -> tuple[dict[str, list[float]], dict[str, list[int]], dict | None]:
+                   pairs: int) -> tuple[dict, dict, dict | None, dict]:
     """Pairs of calls of one workload on a fresh worker pair; prints its lines as it goes.
 
-    Returns each side's call times, minor page faults and peak RSS, the
-    peaks None if a call failed, with the times and faults of the pairs
-    completed before it.
+    Returns each side's call times, minor page faults, peak RSS and
+    COUNTED call counts in its untimed call: the peaks None if a call
+    failed, with the times and faults of the pairs completed before it,
+    and a side's counts None if its untimed call did not complete.
     """
     workers: dict[str, subprocess.Popen] = {}
     times: dict[str, list[float]] = {"base": [], "change": []}
     faults: dict[str, list[int]] = {"base": [], "change": []}
+    counts: dict[str, dict | None] = {"base": None, "change": None}
     completed = 0
     peaks = None
     try:
@@ -130,7 +189,7 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
             workers[side] = start_worker(tree, workload, seed)
         try:
             for side in workers:
-                call(workers, side)  # untimed warm-up
+                counts[side] = warm_up(workers, side)
             for i in range(pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
@@ -167,13 +226,17 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
         summary += (f": base/change time ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
                     f"change won {wins}/{completed}")
     print(summary)
+    if all(counts.values()):
+        print(f"{workload} calls in the untimed call: " + "; ".join(
+            f"{side} " + ", ".join(f"{name} {count}" for name, count in side_counts.items())
+            for side, side_counts in counts.items()))
     if peaks:
         print(f"{workload} peak RSS after {completed + 1} calls a side: "
               f"base {peaks['base']:.2f} MB, change {peaks['change']:.2f} MB "
               f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%); "
               f"median minor faults a call: base {statistics.median(faults['base']):.0f}, "
               f"change {statistics.median(faults['change']):.0f}")
-    return times, faults, peaks
+    return times, faults, peaks, counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,6 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     times: dict[str, dict[str, list[float]]] = {}
     faults: dict[str, dict[str, list[int]]] = {}
     peaks: dict[str, dict | None] = {}
+    counts: dict[str, dict] = {}
     try:
         commits, trees = extract({"base": args.base, "change": args.change}, tmp)
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -206,12 +270,13 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown workload(s) {unknown}; expected some of {known} or all")
         for name in workloads:
-            times[name], faults[name], peaks[name] = bench_workload(
+            times[name], faults[name], peaks[name], counts[name] = bench_workload(
                 trees, commits, name, args.seed, args.pairs)
             if peaks[name] is None:
                 break  # a failed call ends the series
         print(json.dumps({"workloads": workloads, "seed": args.seed, "commits": commits,
-                          "times": times, "minor_faults": faults, "peak_rss_mb": peaks}))
+                          "times": times, "minor_faults": faults, "peak_rss_mb": peaks,
+                          "calls": counts}))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0 if len(peaks) == len(workloads) and all(peaks.values()) else 1

@@ -75,6 +75,12 @@ def _write_results(command: str, config: RunConfig, spec, result,
         fh.write("\n")
 
 
+def _write_rounds(config: RunConfig, records) -> None:
+    """Write rounds.jsonl into the output directory, one JSON object per record."""
+    with open(os.path.join(config.output_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
 def cmd_validate(config: RunConfig) -> int:
     table, surveys, corpus = _load_inputs(config)
     evalset = build_evalset(surveys)
@@ -105,8 +111,7 @@ def cmd_run(config: RunConfig) -> int:
                         config.master_seed)
 
     _write_results("run", config, spec, result)
-    with open(os.path.join(config.output_dir, "rounds.jsonl"), "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(asdict(r), sort_keys=True) + "\n" for r in reports)
+    _write_rounds(config, (asdict(r) for r in reports))
     save_checkpoint(snapshots[-1], os.path.join(config.output_dir, "model_final.npz"))
 
     if result.accuracies:
@@ -155,11 +160,12 @@ def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float]
 
     _write_results("sweep", config, spec, result,
                    extra={"axis": axis, "values": values, "seeds": seeds})
+    _write_rounds(config, result.rounds)
 
     print(f"swept {axis} over {len(values)} values x {len(seeds)} seeds "
           f"({len(values) * len(seeds)} runs)")
     print(f"artifacts in {config.output_dir}: predictions.csv, accuracy.csv, "
-          f"manifest.json")
+          f"rounds.jsonl, manifest.json")
     return 0
 
 

@@ -13,8 +13,10 @@ SimulationSpec; the caller builds the mechanisms of its level or epsilon axis.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .config import check_seed
 from .embeddings import EmbeddingTable, encode_phrase
@@ -28,9 +30,9 @@ GROUP_LOW = "low"
 HIGH_FRACTION_CUTOFF = 0.10
 DECISION_THRESHOLD = 0.5
 
-# parameter vectors of 18.4 KB (~1.8 MB) that the runs of one sweep group
+# parameter vectors of 18.4 KB (~3.5 MB) that the runs of one sweep group
 # hold at once; a run that needs more runs alone
-GROUP_VECTORS = 96
+GROUP_VECTORS = 192
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,9 @@ ACCURACY_HEADER = AccuracyRow._fields
 class SweepResult:
     predictions: list[PredictionRow] = field(default_factory=list)
     accuracies: list[AccuracyRow] = field(default_factory=list)
+    # sweep's rounds.jsonl records: a run's mechanism, noise_level, epsilon and
+    # seed, then one RoundReport's fields
+    rounds: list[dict] = field(default_factory=list)
 
 
 def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
@@ -122,17 +127,17 @@ def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
                mechanism: NoiseMechanism, seed: int) -> SweepResult:
     """Turn one run's post-round snapshots into sweep rows.
 
-    Each symptom is encoded once and scored once per snapshot; the
-    accuracy row is derived from those same predictions. Epoch numbering
-    starts at 1 for the first aggregated model; the pre-training
-    snapshot is not recorded.
+    The symptoms are encoded once, stacked, and scored in one forward
+    call per snapshot, each as a lone row; the accuracy row is derived
+    from those same predictions. Epoch numbering starts at 1 for the
+    first aggregated model; the pre-training snapshot is not recorded.
     """
-    vectors = [encode_phrase(embeddings, s) for s in evalset.symptoms]
+    vectors = np.stack([encode_phrase(embeddings, s) for s in evalset.symptoms])
     run = dict(simulation=spec.id, mechanism=mechanism.kind,
                noise_level=mechanism.noise_level, epsilon=mechanism.epsilon, seed=seed)
     result = SweepResult()
     for epoch, params in enumerate(snapshots[1:], start=1):
-        predictions = [forward(params, v) for v in vectors]
+        predictions = forward(params, vectors).tolist()
         result.predictions.extend(
             PredictionRow(**run, global_epoch=epoch, symptom=symptom,
                           group=evalset.group_of(symptom), prediction=p)
@@ -154,7 +159,8 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     refused. The canonical list is cut into consecutive groups of runs
     that hold at most GROUP_VECTORS parameter vectors between them; each
     group runs in one run_simulation call under spec, and each of its runs
-    is recorded as the group ends. A run's rows do not depend on its group.
+    is recorded as the group ends, its round reports in `rounds`. A run's
+    rows do not depend on its group.
     """
     for name, items in (("mechanisms", mechanisms), ("seeds", seeds)):
         repeated = [x for i, x in enumerate(items) if x in items[:i]]
@@ -172,10 +178,13 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     for start in range(0, len(runs), group_size):
         group = runs[start:start + group_size]
         results = run_simulation(spec, surveys, corpus, embeddings, group)
-        for (mechanism, seed), (snapshots, _) in zip(group, results):
+        for (mechanism, seed), (snapshots, reports) in zip(group, results):
             run = record_run(spec, snapshots, evalset, embeddings, mechanism, seed)
             merged.predictions.extend(run.predictions)
             merged.accuracies.extend(run.accuracies)
+            key = dict(mechanism=mechanism.kind, noise_level=mechanism.noise_level,
+                       epsilon=mechanism.epsilon, seed=seed)
+            merged.rounds.extend({**key, **asdict(report)} for report in reports)
     return merged
 
 

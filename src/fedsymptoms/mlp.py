@@ -61,7 +61,11 @@ LOCKSTEP_CLIENTS at a time to bound the memory, and each stack is
 gathered as a lockstep run is (_gather_stack) and takes one rank-generic
 _forward pass; a client alone in its stack, and any larger client, is
 scored block by block on its own. Either way each loss has the bits of
-the client scored alone.
+the client scored alone. forward scores each row as a lone vector: an
+(m, 50) call takes one _forward pass over an (m, 1, 50) stack, in which
+np.matmul runs BLAS's matrix-vector kernel on each row, as a (50,) call
+does, so each row has the bits of its own call at any BLAS thread count.
+forward_batch's blocks take the matrix-matrix kernel, whose bits differ.
 
 Shuffles. A client of n rows draws its epochs' shuffles min(epochs left,
 max(1, SCORE_ROWS // n)) epochs at a time, so a draw holds at most
@@ -302,12 +306,22 @@ def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
     return np.clip(p, OUTPUT_CLIP, 1.0 - OUTPUT_CLIP, out=p)
 
 
-def forward(params: MlpParameters, x) -> float:
-    """Probability for a single length-50 phrase vector."""
+def forward(params: MlpParameters, x) -> float | np.ndarray:
+    """Probability for a length-50 phrase vector, or an (m,) array of them for (m, 50) rows.
+
+    Each row of an (m, 50) call gets the bits of a (50,) call of its own:
+    the rows go through one (m, 1, 50) pass, a lone row each, not
+    forward_batch's matrix product. Values lie strictly inside (0, 1).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (LAYER_SIZES[0],):
-        raise ValueError(f"expected shape ({LAYER_SIZES[0]},), got {x.shape}")
-    return float(forward_batch(params, x[None, :])[0])
+    if x.ndim > 2 or x.shape[-1:] != (LAYER_SIZES[0],):
+        raise ValueError(f"expected shape ({LAYER_SIZES[0]},) or (m, {LAYER_SIZES[0]}), "
+                         f"got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input components")
+    p = _forward(params.layers, x.reshape(-1, 1, LAYER_SIZES[0]))[:, 0]
+    np.clip(p, OUTPUT_CLIP, 1.0 - OUTPUT_CLIP, out=p)
+    return float(p[0]) if x.ndim == 1 else p
 
 
 def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:

@@ -39,7 +39,9 @@ def test_a_worker_reports_each_calls_faults_and_its_peak_rss_after_its_last_call
     assert 10.0 < peak < 1000.0
     # one client alone: one gradient and one Adam update a step
     assert set(counts) == set(bench_calls.COUNTED)
-    assert counts["_backprop"] == counts["adam_step"] > 0
+    assert counts["mlp._backprop"] == counts["mlp.adam_step"] > 0
+    # one forward call scores each of the 5 snapshots' symptoms
+    assert counts["evaluation.forward"] == 5
 
 
 def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
@@ -49,25 +51,34 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
     def backprop(x):
         return 2 * x
 
+    def forward(x):
+        return x
+
     # a tree whose mlp has no adam_step counts it as None
     module = types.SimpleNamespace(_backprop=backprop)
+    evaluation = types.SimpleNamespace(forward=forward)
+    package = types.SimpleNamespace(mlp=module, evaluation=evaluation)
 
     def work():
-        assert module._backprop is not backprop
-        return sum(module._backprop(x) for x in range(5))
+        assert module._backprop is not backprop and evaluation.forward is not forward
+        return sum(module._backprop(x) for x in range(5)) + evaluation.forward(1)
 
-    result, counts = bench_calls.counted(module, work)
-    assert result == 20
-    assert counts == {"_backprop": 5, "adam_step": None}
+    result, counts = bench_calls.counted(package, work)
+    assert result == 21
+    assert counts == {"mlp._backprop": 5, "mlp.adam_step": None, "evaluation.forward": 1}
     assert module._backprop is backprop and not hasattr(module, "adam_step")
+    assert evaluation.forward is forward
 
     def fails():
         module._backprop(1)
         raise ValueError("call failed")
 
     with pytest.raises(ValueError, match="call failed"):
-        bench_calls.counted(module, fails)
-    assert module._backprop is backprop
+        bench_calls.counted(package, fails)
+    assert module._backprop is backprop and evaluation.forward is forward
+    # a tree without the module counts each of its names as None
+    _, counts = bench_calls.counted(types.SimpleNamespace(mlp=module), lambda: None)
+    assert counts["evaluation.forward"] is None
 
 
 class FakeWorker:

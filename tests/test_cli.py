@@ -104,6 +104,31 @@ def test_sweep_noise_axis_writes_rows(tmp_path):
     assert manifest["seeds"] == [1]
 
 
+def test_sweep_writes_each_runs_rounds_in_canonical_order(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--axis", "noise", "--values", "0.5,0", "--seeds", "2,1",
+                 "--scale", "0.01", "--global-epochs", "2", "--mechanism", "uniform_threshold",
+                 "--output-dir", str(out_dir)]) == 0
+    assert "rounds.jsonl" in capsys.readouterr().out
+    lines = (out_dir / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [(r["mechanism"], r["noise_level"], r["epsilon"], r["seed"], r["round"])
+            for r in records] == [("uniform_threshold", level, None, seed, round_index)
+                                  for level in (0.0, 0.5) for seed in (1, 2)
+                                  for round_index in (1, 2)]
+    # a sweep's run reports the rounds the run command reports for its noise and seed
+    run_dir = tmp_path / "run"
+    assert main(["run", "--seed", "2", "--scale", "0.01", "--global-epochs", "2",
+                 "--mechanism", "uniform_threshold", "--noise-level", "0.5",
+                 "--output-dir", str(run_dir)]) == 0
+    alone = [json.loads(line) for line in
+             (run_dir / "rounds.jsonl").read_text(encoding="utf-8").splitlines()]
+    swept = [r for r in records if (r["noise_level"], r["seed"]) == (0.5, 2)]
+    for record in (*alone, *swept):
+        del record["wall_time"]
+    assert [{k: r[k] for k in alone[0]} for r in swept] == alone
+
+
 def test_sweep_epsilon_axis_defaults_to_half_level(tmp_path):
     out_dir = tmp_path / "eps"
     assert main(["sweep", "--axis", "epsilon", "--values", "100", "--seeds", "1",

@@ -8,7 +8,7 @@ and as a ``python -m fedsymptoms.cli`` subprocess with 4 BLAS threads.
 The runs and the sweep between them set every training setting a
 simulation call shares: uniform weighting and two local epochs change
 ``predictions.csv`` of both commands, and the sweep's eight runs train
-in two groups of runs.
+in one group of runs, and in process also in two (groups of 6 and 2).
 The digests were recorded under the numpy ``major.minor`` in
 ``RECORDED_NUMPY``; another numpy may round differently, so the tests
 skip there and say why. ``MEAN_LOCAL_LOSS`` pins the ``repr`` of each
@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import fedsymptoms
+from fedsymptoms import evaluation
 from fedsymptoms.cli import main
 
 RECORDED_NUMPY = "2.4"
@@ -48,7 +49,8 @@ CONFIGS = {
                                              "--local-epochs", "2"),
 }
 
-# 8 runs of 9 clients and 5 rounds, 15 parameter vectors each: sweep groups of 6 and 2
+# 8 runs of 9 clients and 5 rounds, 15 parameter vectors each: one sweep group, and
+# groups of 6 and 2 at TWO_GROUP_VECTORS
 SWEEP_ARGV = ("sweep", "--axis", "noise", "--values", "0,0.5", "--seeds", "1,2,3,4",
               "--simulation", "III", "--scale", "0.01", "--mechanism", "uniform_threshold",
               "--weighting", "uniform", "--local-epochs", "2")
@@ -75,6 +77,9 @@ GOLDEN = {
         "accuracy.csv": "85674178ecc69e85494a88bced8682c6f0970e4502beb043c6c0908e0762a166",
     },
 }
+
+# a sweep group budget that cuts SWEEP_ARGV's runs into groups of 6 and 2
+TWO_GROUP_VECTORS = 96
 
 SWEEP_GOLDEN = {
     "predictions.csv": "750fc42e8a519c85a50271800a7e2939a79ca473952d2cb39a64f8e3672cb277",
@@ -194,6 +199,21 @@ def test_mean_local_loss_matches_golden_at_4_blas_threads(name, tmp_path):
 def test_sweep_csv_digests_match_golden(tmp_path):
     skip_under_other_numpy()
     assert cli_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN
+
+
+def test_two_group_sweep_csv_digests_match_golden(monkeypatch, tmp_path):
+    skip_under_other_numpy()
+    real = evaluation.run_simulation
+    groups = []
+
+    def recorded(spec, surveys, corpus, embeddings, runs):
+        groups.append(len(runs))
+        return real(spec, surveys, corpus, embeddings, runs)
+
+    monkeypatch.setattr(evaluation, "run_simulation", recorded)
+    monkeypatch.setattr(evaluation, "GROUP_VECTORS", TWO_GROUP_VECTORS)
+    assert cli_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN
+    assert groups == [6, 2]
 
 
 def test_sweep_csv_digests_match_golden_at_4_blas_threads(tmp_path):

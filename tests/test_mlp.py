@@ -175,6 +175,49 @@ def test_forward_rejects_bad_shapes_and_nonfinite():
         forward_batch(params, bad)
 
 
+def test_forward_of_rows_refuses_bad_shapes_and_a_non_finite_row():
+    params = init_params(np.random.default_rng(6))
+    for shape in ((3, LAYER_SIZES[0] - 1), (2, 1, LAYER_SIZES[0]), ()):
+        with pytest.raises(ValueError, match="expected shape"):
+            forward(params, np.zeros(shape))
+    bad = np.zeros((3, LAYER_SIZES[0]))
+    bad[2, 7] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        forward(params, bad)
+
+
+# row counts of the (m, 50) forward calls checked against one call per row
+LONE_ROW_COUNTS = (1, 2, 16, 17, 300)
+
+
+def check_forward_of_rows_matches_one_call_per_row():
+    """An (m, 50) forward call against one (50,) call per row, and a frozen one-row reference.
+
+    Parameter sets of several scales put outputs near 0.5, out in the
+    sigmoid's tails and past OUTPUT_CLIP.
+    """
+    rng = np.random.default_rng(72)
+    for trial in range(60):
+        params = MlpParameters((0.05, 0.5, 3.0)[trial % 3] * rng.standard_normal(N_PARAMS))
+        for m in LONE_ROW_COUNTS:
+            x = rng.standard_normal((m, LAYER_SIZES[0]))
+            got = forward(params, x)
+            assert got.shape == (m,)
+            one_by_one = [forward(params, row) for row in x]
+            assert all(type(p) is float for p in one_by_one)
+            assert same_bytes(got, one_by_one), (trial, m)
+            assert same_bytes(got, [ref_forward_batch(params.layers, row[None, :])[0]
+                                    for row in x]), (trial, m)
+
+
+def test_forward_of_rows_matches_one_call_per_row():
+    check_forward_of_rows_matches_one_call_per_row()
+
+
+def test_forward_of_rows_matches_one_call_per_row_at_4_blas_threads():
+    at_blas_threads(4, "import test_mlp; test_mlp.check_forward_of_rows_matches_one_call_per_row()")
+
+
 def test_gradient_matches_finite_differences():
     h = 1e-4
     rng = np.random.default_rng(7)

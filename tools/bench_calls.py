@@ -14,10 +14,11 @@ Every call is timed and its output checked as perfbench does it
 speed, see `speed.py`). The worker also reports each call's minor page
 faults: the change in its `ru_minflt` over the call, which counts the
 pages the call's fresh allocations fault in. On its untimed call only,
-the worker also counts the calls of the package's `mlp._backprop` and
-`mlp.adam_step` (COUNTED): it wraps each, makes the call and restores
-them. The call counts of a fixed workload and seed repeat exactly, so
-they show a change in how training is batched without timing noise.
+the worker also counts the calls of the package's `mlp._backprop`,
+`mlp.adam_step` and `evaluation.forward` (COUNTED): it wraps each, makes
+the call and restores them. The call counts of a fixed workload and seed
+repeat exactly, so they show a change in how training or scoring is
+batched without timing noise.
 
 Each workload's summary gives its pairs' ratio, base time over change
 time: its median, its quartiles and how many pairs the change won (ratio
@@ -63,18 +64,24 @@ from bench_pairs import extract, quartiles
 
 WORKER_TIMEOUT_S = 60
 
-# the mlp functions whose calls the untimed call counts
-COUNTED = ("_backprop", "adam_step")
+# the package functions, "module.attribute", whose calls the untimed call counts
+COUNTED = ("mlp._backprop", "mlp.adam_step", "evaluation.forward")
 
 
-def counted(module, function):
-    """function()'s result and the calls it made of each COUNTED name of `module`.
+def counted(package, function):
+    """function()'s result and the calls it made through each COUNTED name of `package`.
 
-    Each name is wrapped while function runs and restored after it; a name
-    the module lacks counts None.
+    Each name is wrapped in its module while function runs and restored
+    after it, so a call through the module's global counts; a name the
+    package lacks counts None.
     """
     counts: dict[str, int | None] = dict.fromkeys(COUNTED)
-    originals = {name: getattr(module, name) for name in COUNTED if hasattr(module, name)}
+    sites = {}
+    for name in COUNTED:
+        module_name, attr = name.split(".")
+        module = getattr(package, module_name, None)
+        if hasattr(module, attr):
+            sites[name] = (module, attr, getattr(module, attr))
 
     def counter(name, original):
         def wrapper(*args, **kwargs):
@@ -82,14 +89,14 @@ def counted(module, function):
             return original(*args, **kwargs)
         return wrapper
 
-    for name, original in originals.items():
+    for name, (module, attr, original) in sites.items():
         counts[name] = 0
-        setattr(module, name, counter(name, original))
+        setattr(module, attr, counter(name, original))
     try:
         result = function()
     finally:
-        for name, original in originals.items():
-            setattr(module, name, original)
+        for module, attr, original in sites.values():
+            setattr(module, attr, original)
     return result, counts
 
 
@@ -102,8 +109,8 @@ def serve(tree: str, workload: str, seed: int) -> int:
     import run  # pins the BLAS threads before it imports numpy
 
     cli = run._import_package()
+    import fedsymptoms
     import numpy
-    from fedsymptoms import mlp
 
     digests, _ = run.check.recorded_digests(run.check.load_digests(), workload, seed,
                                             numpy.__version__)
@@ -114,7 +121,7 @@ def serve(tree: str, workload: str, seed: int) -> int:
     for line in sys.stdin:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         if line.strip() == "warm":
-            outcome, counts = counted(mlp, one_call)
+            outcome, counts = counted(fedsymptoms, one_call)
         else:
             outcome, counts = one_call(), None
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults

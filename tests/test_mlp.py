@@ -173,10 +173,7 @@ def test_forward_rejects_bad_shapes_and_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         forward_batch(params, bad)
-
-
-def test_forward_of_rows_refuses_bad_shapes_and_a_non_finite_row():
-    params = init_params(np.random.default_rng(6))
+    # forward takes one row or an (m, 50) matrix of them, every value finite
     for shape in ((3, LAYER_SIZES[0] - 1), (2, 1, LAYER_SIZES[0]), ()):
         with pytest.raises(ValueError, match="expected shape"):
             forward(params, np.zeros(shape))

@@ -119,6 +119,9 @@ class SimulationSpec:
             raise ValueError("global_epochs must be non-negative")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
+        # any truthy value would otherwise reuse round-0 data every round
+        if not isinstance(self.fixed_client_data, bool):
+            raise ValueError(f"fixed_client_data must be a bool, got {self.fixed_client_data!r}")
 
     @property
     def clients_per_round(self) -> int:

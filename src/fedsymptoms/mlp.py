@@ -11,13 +11,12 @@ it, with no copy; the public constructor copies and checks everything.
 
 A client's examples are row indices into the run's shared phrase table:
 each training step gathers its own minibatch from that table, and
-scoring (mean_loss, forward_batch) runs in blocks of SCORE_ROWS rows, so
-the memory a call holds is bounded by the batch, block and chunk size,
-not by the client size. A training step computes the gradient only; the
-loss lives in mean_loss (forward only) and loss_and_gradient. Every
-client trains with the same Adam LEARNING_RATE and minibatches of
-BATCH_SIZE rows; only the number of local epochs is set per run
-(TrainConfig).
+mean_loss scores in blocks of SCORE_ROWS rows, so the memory a call
+holds is bounded by the batch, block and chunk size, not by the client
+size. A training step computes the gradient only; the loss lives in
+mean_loss (forward only) and loss_and_gradient. Every client trains with
+the same Adam LEARNING_RATE and minibatches of BATCH_SIZE rows; only the
+number of local epochs is set per run (TrainConfig).
 
 Lockstep training. train_local trains a Cohort of clients, each from
 its own start and with its own shuffling stream, and returns each
@@ -55,17 +54,17 @@ its first-moment bias-correction divide once that correction is exactly
 1.0; both keep every bit.
 
 Scoring. mean_loss scores a whole cohort, each client with its own
-trained parameters, in one call. A client under 2 * SCORE_ROWS rows is
-one scoring block, so clients of equal size are stacked, up to
-LOCKSTEP_CLIENTS at a time to bound the memory, and each stack is
-gathered as a lockstep run is (_gather_stack) and takes one rank-generic
-_forward pass; a client alone in its stack, and any larger client, is
-scored block by block on its own. Either way each loss has the bits of
-the client scored alone. forward scores each row as a lone vector: an
-(m, 50) call takes one _forward pass over an (m, 1, 50) stack, in which
-np.matmul runs BLAS's matrix-vector kernel on each row, as a (50,) call
-does, so each row has the bits of its own call at any BLAS thread count.
-forward_batch's blocks take the matrix-matrix kernel, whose bits differ.
+trained parameters, in one call and along one path. Clients of one size
+are scored in stacks of up to LOCKSTEP_CLIENTS, and a client of
+2 * SCORE_ROWS rows or more alone, so a call holds one large client's
+losses at a time. Each stack is gathered as a lockstep run is (_gather)
+and walked block by block, one rank-generic _forward pass a block; each
+client's mean sums its row of losses in the order of its own 1-D
+np.add.reduce, so it has the bits of the client scored alone. forward
+scores each row as a lone vector: an (m, 50) call takes one _forward
+pass over an (m, 1, 50) stack, in which np.matmul runs BLAS's
+matrix-vector kernel on each row, as a (50,) call does, so each row has
+the bits of its own call at any BLAS thread count.
 
 Shuffles. A client of n rows draws its epochs' shuffles min(epochs left,
 max(1, SCORE_ROWS // n)) epochs at a time, so a draw holds at most
@@ -75,16 +74,18 @@ the orders that one rng.permutation(n) call per epoch gives, and the
 stream is left in the same state, so a small client pays one draw, not
 one per epoch, for the same bits.
 
-Every scored row comes from one fixed partition into blocks of SCORE_ROWS
-to 2 * SCORE_ROWS - 1 rows, the short tail merged into the block before
-it. On OpenBLAS such blocks give each row the same bits as a one-thread
-whole-matrix forward, at 1, 2 and 4 threads alike. A tail block of a few
-rows does not, because BLAS takes other kernels for it, and neither does
-a threaded whole-matrix forward, which splits the rows between threads.
+Every row mean_loss scores comes from one fixed partition into blocks of
+SCORE_ROWS to 2 * SCORE_ROWS - 1 rows, the short tail merged into the
+block before it. On OpenBLAS such blocks give each row the same bits as
+a one-thread whole-matrix forward, at 1, 2 and 4 threads alike. A tail
+block of a few rows does not, because BLAS takes other kernels for it,
+and neither does a threaded whole-matrix forward, which splits the rows
+between threads.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -218,7 +219,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # checked here: True would train one epoch, and 2.5 fail in range() after synthesis
-        if isinstance(self.local_epochs, bool) or not isinstance(self.local_epochs, int):
+        if isinstance(self.local_epochs, bool) or not isinstance(self.local_epochs, numbers.Integral):
             raise ValueError(f"local_epochs must be an integer, got {self.local_epochs!r}")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be at least 1")
@@ -281,37 +282,12 @@ def _row_bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def _blocked_forward(layers, x: np.ndarray, rows: np.ndarray | None = None):
-    """Yield (slice, unclipped probabilities) for each scoring block of x, or of x[rows], in order.
-
-    Only one block's gather and activations are alive at a time.
-    """
-    n = len(x) if rows is None else len(rows)
-    count = max(1, n // SCORE_ROWS)
-    for i in range(count):
-        block = slice(i * SCORE_ROWS, n if i == count - 1 else (i + 1) * SCORE_ROWS)
-        yield block, _forward(layers, x[block] if rows is None else x[rows[block]])
-
-
-def forward_batch(params: MlpParameters, x: np.ndarray) -> np.ndarray:
-    """Probabilities for a (n, 50) batch, each strictly inside (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0]:
-        raise ValueError(f"expected shape (n, {LAYER_SIZES[0]}), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input components")
-    p = np.empty(len(x))
-    for block, q in _blocked_forward(params.layers, x):
-        p[block] = q
-    return np.clip(p, OUTPUT_CLIP, 1.0 - OUTPUT_CLIP, out=p)
-
-
 def forward(params: MlpParameters, x) -> float | np.ndarray:
     """Probability for a length-50 phrase vector, or an (m,) array of them for (m, 50) rows.
 
     Each row of an (m, 50) call gets the bits of a (50,) call of its own:
-    the rows go through one (m, 1, 50) pass, a lone row each, not
-    forward_batch's matrix product. Values lie strictly inside (0, 1).
+    the rows go through one (m, 1, 50) pass, a lone row each, on BLAS's
+    matrix-vector kernel. Values lie strictly inside (0, 1).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim > 2 or x.shape[-1:] != (LAYER_SIZES[0],):
@@ -486,12 +462,17 @@ def _run_views(theta: np.ndarray, grad: np.ndarray, first: int, end: int) -> tup
     return _stacked_layers(theta[first:end]), layer_views(grad[first:end])
 
 
-def _gather_stack(table: np.ndarray, pairs: list) -> tuple[np.ndarray, np.ndarray]:
-    """k clients' (rows, labels) of n rows each, as a (k, n, 50) stack of table rows and their labels.
+def _gather(table: np.ndarray, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows and labels of k clients' (rows, labels) pairs of n rows each.
 
-    The labels keep each client's shape behind the new leading axis: (n,)
-    labels give (k, n), and (n, 1) columns give (k, n, 1).
+    One pair gives its (n, 50) rows and its labels unchanged; several give
+    a (k, n, 50) stack and the labels stacked behind a new leading axis:
+    (n,) labels give (k, n), and (n, 1) columns give (k, n, 1).
     """
+    if len(pairs) == 1:
+        rows, labels = pairs[0]
+        # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
+        return table.take(rows, axis=0), labels
     k, n = len(pairs), len(pairs[0][0])
     x = table.take(np.concatenate([rows for rows, _ in pairs]), axis=0)
     labels = np.concatenate([labels for _, labels in pairs])
@@ -567,15 +548,11 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
             batches.append((rows[start:start + BATCH_SIZE], labels[start:start + BATCH_SIZE]))
         first = 0
         while first < active:
-            rows, labels = batches[first]
+            size = len(batches[first][0])
             end = first + 1
-            while end < active and len(batches[end][0]) == len(rows):
+            while end < active and len(batches[end][0]) == size:
                 end += 1
-            if end - first == 1:
-                # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
-                x = table.take(rows, axis=0)
-            else:
-                x, labels = _gather_stack(table, batches[first:end])
+            x, labels = _gather(table, batches[first:end])
             views = run_views[first][end]
             if views is None:
                 views = run_views[first][end] = _run_views(theta, grad, first, end)
@@ -589,54 +566,37 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
 def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:
     """Mean binary cross-entropy of trained[i] on the cohort's client i, for each i, in order.
 
-    A client under 2 * SCORE_ROWS rows is one scoring block. Clients of such
-    a size are scored in stacks of up to LOCKSTEP_CLIENTS clients of equal
-    size, one stacked forward pass a stack; a client alone in its stack, or
-    a larger one, is scored block by block on its own. Each loss has the
-    bits the client gets scored alone.
+    Clients of one size are scored in stacks, each walked block by block
+    (see the module docstring); each loss has the bits of the client scored alone.
     """
     clients = dataset.clients
     if len(trained) != len(clients):
         raise ValueError(f"{len(trained)} parameter sets for {len(clients)} clients")
     losses = [0.0] * len(clients)
-    # the clients of one scoring block, by size
     by_size: dict[int, list[int]] = {}
     for i, client in enumerate(clients):
-        if len(client) < 2 * SCORE_ROWS:
-            by_size.setdefault(len(client), []).append(i)
-        else:
-            losses[i] = _client_loss(trained[i], client)
+        by_size.setdefault(len(client), []).append(i)
     for n, group in by_size.items():
-        for start in range(0, len(group), LOCKSTEP_CLIENTS):
-            stack = group[start:start + LOCKSTEP_CLIENTS]
+        per_stack = LOCKSTEP_CLIENTS if n < 2 * SCORE_ROWS else 1
+        count = max(1, n // SCORE_ROWS)
+        for start in range(0, len(group), per_stack):
+            stack = group[start:start + per_stack]
             if len(stack) == 1:
-                losses[stack[0]] = _client_loss(trained[stack[0]], clients[stack[0]])
-                continue
-            theta = np.stack([trained[i].flat for i in stack])
-            x, y = _gather_stack(clients[0].phrases.matrix,
-                                 [(clients[i].rows, clients[i].labels) for i in stack])
-            loss = _row_bce(_forward(_stacked_layers(theta), x), y)
+                # fresh views, not the cached params.layers: each local update is scored
+                # once, and a cache would hold its views until FedAvg merges the round
+                layers = layer_views(trained[stack[0]].flat)
+            else:
+                layers = _stacked_layers(np.stack([trained[i].flat for i in stack]))
+            loss = np.empty((len(stack), n))
+            for b in range(count):
+                block = slice(b * SCORE_ROWS, n if b == count - 1 else (b + 1) * SCORE_ROWS)
+                pairs = [(clients[i].rows[block], clients[i].labels[block]) for i in stack]
+                x, y = _gather(clients[0].phrases.matrix, pairs)
+                loss[:, block] = _row_bce(_forward(layers, x), y)
             # each client's row sum in the order of its own 1-D np.add.reduce
             for i, value in zip(stack, (np.add.reduce(loss, axis=-1) / n).tolist()):
                 losses[i] = value
     return losses
-
-
-def _client_loss(params: MlpParameters, client: ClientDataset) -> float:
-    """One client's mean binary cross-entropy, scored block by block.
-
-    Each block's per-row losses go into one array, so the mean sums them
-    in the same order as a whole-client forward would; np.add.reduce over
-    len is np.mean's own sum and divide, without its Python-level wrapper.
-    """
-    y = client.labels
-    loss = np.empty(len(y))
-    # fresh views, not the cached params.layers: each local update is scored
-    # once, and a cache would hold its views until FedAvg merges the round
-    for block, p in _blocked_forward(layer_views(params.flat), client.phrases.matrix,
-                                     client.rows):
-        loss[block] = _row_bce(p, y[block])
-    return float(np.add.reduce(loss) / len(loss))
 
 
 def save_checkpoint(params: MlpParameters, path: str) -> None:

@@ -63,8 +63,11 @@ class NoiseMechanism:
         if isinstance(self.epsilon, bool) or not isinstance(self.epsilon,
                                                             (numbers.Real, type(None))):
             raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
-        # + 0.0 turns -0.0 into 0.0, so one level has one CSV spelling
-        object.__setattr__(self, "noise_level", self.noise_level + 0.0)
+        # float() stores a numpy scalar as the float64 the draws compare against and the
+        # records spell; + 0.0 turns -0.0 into 0.0, so one level has one CSV spelling
+        object.__setattr__(self, "noise_level", float(self.noise_level) + 0.0)
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", float(self.epsilon))
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level {self.noise_level} outside [0, 1]")
         if self.kind == LAPLACE_DP:

@@ -9,7 +9,7 @@ from fedsymptoms.evaluation import build_evalset
 from fedsymptoms.mlp import (
     LAYER_SIZES,
     MlpParameters,
-    forward_batch,
+    forward,
     layer_views,
     loss_and_gradient,
 )
@@ -100,7 +100,7 @@ def separable_dataset(seed, n=200):
 
 
 def training_accuracy(params, dataset):
-    p = forward_batch(params, dataset.phrases.matrix[dataset.rows])
+    p = forward(params, dataset.phrases.matrix[dataset.rows])
     return float(np.mean((p >= 0.5) == (dataset.labels == 1.0)))
 
 

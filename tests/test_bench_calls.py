@@ -42,6 +42,9 @@ def test_a_worker_reports_each_calls_faults_and_its_peak_rss_after_its_last_call
     assert counts["mlp._backprop"] == counts["mlp.adam_step"] > 0
     # one forward call scores each of the 5 snapshots' symptoms
     assert counts["evaluation.forward"] == 5
+    # a scoring pass for each snapshot, and 257 for the 5 rounds' mean_loss of the client
+    # of ~13k rows, walked in blocks of 256 to 511 rows
+    assert counts["mlp._forward"] == 5 + 257
 
 
 def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
@@ -55,19 +58,22 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
         return x
 
     # a tree whose mlp has no adam_step counts it as None
-    module = types.SimpleNamespace(_backprop=backprop)
+    module = types.SimpleNamespace(_backprop=backprop, _forward=forward)
     evaluation = types.SimpleNamespace(forward=forward)
     package = types.SimpleNamespace(mlp=module, evaluation=evaluation)
 
     def work():
         assert module._backprop is not backprop and evaluation.forward is not forward
-        return sum(module._backprop(x) for x in range(5)) + evaluation.forward(1)
+        assert module._forward is not forward
+        return (sum(module._backprop(x) for x in range(5)) + evaluation.forward(1)
+                + module._forward(2) + module._forward(3))
 
     result, counts = bench_calls.counted(package, work)
-    assert result == 21
-    assert counts == {"mlp._backprop": 5, "mlp.adam_step": None, "evaluation.forward": 1}
+    assert result == 26
+    assert counts == {"mlp._backprop": 5, "mlp.adam_step": None, "mlp._forward": 2,
+                      "evaluation.forward": 1}
     assert module._backprop is backprop and not hasattr(module, "adam_step")
-    assert evaluation.forward is forward
+    assert module._forward is forward and evaluation.forward is forward
 
     def fails():
         module._backprop(1)

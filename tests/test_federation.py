@@ -119,6 +119,15 @@ def test_simulation_spec_takes_numpy_numbers():
                           participation_fraction=np.float64(0.5))
     assert spec.clients_per_round == 2
     assert simulation_spec("I", scale=np.float64(0.01)).size_range == (600, 600)
+    spec = simulation_spec("III", local_epochs=np.int64(2), global_epochs=np.int64(2))
+    assert spec.train.local_epochs == spec.global_epochs == 2
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None])
+def test_simulation_spec_refuses_a_non_bool_fixed_client_data(value):
+    # "no" is truthy: taken as it is, it would reuse round-0 data every round
+    with pytest.raises(ValueError, match="fixed_client_data must be a bool"):
+        simulation_spec("III", fixed_client_data=value)
 
 
 def test_build_population_sizes_and_indices(surveys):

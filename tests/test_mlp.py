@@ -5,9 +5,9 @@ oracle; the Adam check replays the moment recursion in pure Python.
 The ``ref_*`` functions are a frozen copy of an earlier, plainer
 training step (masked sigmoid, loss computed on every step, Adam with
 fresh temporaries), trained one client at a time, and whole-matrix
-forward; the lockstep engine and the window scorer, stacked or blocked,
-must match them bit for bit, client by client. Checks that depend on the
-BLAS thread count run in a fresh interpreter with that many threads.
+forward; the lockstep engine and the window scorer must match them bit
+for bit, client by client. Checks that depend on the BLAS thread count
+run in a fresh interpreter with that many threads.
 """
 
 import hashlib
@@ -39,7 +39,6 @@ from fedsymptoms.mlp import (
     _sigmoid,
     adam_step,
     forward,
-    forward_batch,
     init_params,
     layer_views,
     load_checkpoint,
@@ -151,7 +150,7 @@ def test_forward_matches_manual_chain():
     z = (h @ w + b)[:, 0]
     expected = np.clip(1.0 / (1.0 + np.exp(-z)), OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
 
-    got = forward_batch(params, x)
+    got = forward(params, x)
     assert np.max(np.abs(got - expected)) <= 1e-12
     assert forward(params, x[0]) == got[0]
 
@@ -159,20 +158,14 @@ def test_forward_matches_manual_chain():
 def test_forward_output_strictly_inside_unit_interval():
     params = init_params(np.random.default_rng(5))
     x = 1e6 * np.ones((1, LAYER_SIZES[0]))
-    p = forward_batch(params, x)[0]
+    p = forward(params, x)[0]
     assert OUTPUT_CLIP <= p <= 1.0 - OUTPUT_CLIP
 
 
 def test_forward_rejects_bad_shapes_and_nonfinite():
     params = init_params(np.random.default_rng(6))
     with pytest.raises(ValueError):
-        forward_batch(params, np.zeros((3, LAYER_SIZES[0] + 1)))
-    with pytest.raises(ValueError):
         forward(params, np.zeros(LAYER_SIZES[0] - 1))
-    bad = np.zeros((1, LAYER_SIZES[0]))
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        forward_batch(params, bad)
     # forward takes one row or an (m, 50) matrix of them, every value finite
     for shape in ((3, LAYER_SIZES[0] - 1), (2, 1, LAYER_SIZES[0]), ()):
         with pytest.raises(ValueError, match="expected shape"):
@@ -257,7 +250,7 @@ def test_loss_matches_clamped_cross_entropy():
     x = rng.standard_normal((10, LAYER_SIZES[0]))
     y = rng.integers(0, 2, size=10).astype(np.float64)
     loss, _ = loss_and_gradient(params, x, y)
-    p = np.clip(forward_batch(params, x), LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    p = np.clip(forward(params, x), LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     expected = float(np.mean(-(y * np.log(p) + (1 - y) * np.log1p(-p))))
     assert abs(loss - expected) < 1e-12
 
@@ -388,7 +381,8 @@ def test_train_config_validation():
         TrainConfig(local_epochs=0)
 
 
-@pytest.mark.parametrize("epochs", [2.5, 3.0, float("nan"), True, "3"])
+@pytest.mark.parametrize("epochs", [2.5, 3.0, float("nan"), True, "3", np.float64(3.0),
+                                    np.True_])
 def test_train_config_refuses_a_non_integer_epoch_count(epochs):
     with pytest.raises(ValueError, match="local_epochs must be an integer"):
         TrainConfig(local_epochs=epochs)
@@ -794,7 +788,7 @@ def test_backprop_matches_frozen_reference_byte_for_byte():
             gw0, gb0 = layer_views(grad)[0]
             assert not gw0[:, 5].any() and gb0[5] == 0.0
         if name == "saturated":
-            p = forward_batch(params, x)
+            p = forward(params, x)
             outside = (p <= LOSS_CLAMP) | (p >= 1.0 - LOSS_CLAMP)
             assert outside.any() and not outside.all()
 
@@ -820,7 +814,8 @@ def test_forward_and_sigmoid_match_frozen_reference_on_extreme_logits():
     x = np.zeros((7, LAYER_SIZES[0]))
     x[:, :2] = [[800.0, 0.0], [0.0, 800.0], [40.0, 0.0], [0.0, 40.0],
                 [3.3, 0.0], [0.0, 3.3], [0.0, 0.0]]
-    assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x))
+    assert same_bytes(forward(params, x), [ref_forward_batch(params.layers, row[None, :])[0]
+                                           for row in x])
 
 
 def at_blas_threads(threads: int, code: str) -> str:
@@ -852,14 +847,13 @@ REFERENCE_SIZES = sorted({1, 7, 1023, 1024, 1025, 2047, 2048, 2049, 3071, 3072, 
 
 
 def check_blocked_scoring_matches_whole_matrix_reference():
-    """forward_batch and mean_loss against one whole-matrix forward of every size."""
+    """mean_loss against one whole-matrix forward of every size."""
     rng = np.random.default_rng(23)
     start = init_params(np.random.default_rng(24))
     for params in (start, MlpParameters(3.0 * start.flat)):
         for n in REFERENCE_SIZES:
             dataset = random_client(n, rng)
             x = dataset.phrases.matrix[dataset.rows]
-            assert np.array_equal(forward_batch(params, x), ref_forward_batch(params.layers, x)), n
             assert same_bytes(score_one(params, dataset),
                               ref_mean_loss(params.flat, x, dataset.labels)), n
 
@@ -871,19 +865,23 @@ def test_blocked_scoring_matches_whole_matrix_reference_at_1_blas_thread():
 
 
 def forward_digests() -> list[str]:
-    """sha256 of forward_batch on 59,429 rows, for inputs whose whole-matrix
-    forward changes a row at 4 OpenBLAS threads on a Haswell kernel."""
+    """sha256 of the mean_loss of a 59,429-row client, for inputs whose
+    whole-matrix forward changes a row at 4 OpenBLAS threads on a Haswell kernel."""
     digests = []
     for seed in (31, 33, 36):
         params = init_params(np.random.default_rng(seed))
         x = np.random.default_rng(seed + 1000).standard_normal((59429, LAYER_SIZES[0]))
-        digests.append(hashlib.sha256(forward_batch(params, x).tobytes()).hexdigest())
+        client = ClientDataset(phrases=matrix_phrase_table(x), rows=np.arange(len(x)),
+                               labels=np.random.default_rng(seed + 2000).integers(0, 2, len(x)))
+        loss = np.float64(score_one(params, client))
+        digests.append(hashlib.sha256(loss.tobytes()).hexdigest())
     return digests
 
 
-# one client of each size around the batch and block edges, and more than LOCKSTEP_CLIENTS
-# clients of 31 rows: clients under 2 * SCORE_ROWS rows are scored in stacks of equal size
-WINDOW_SIZES = (1, 2, 31, 32, 33, 255, 511, 512, 513, 769, 2) + (31,) * 16
+# one client of each size around the batch and block edges, more than LOCKSTEP_CLIENTS
+# clients of 31 rows and three of 769: clients under 2 * SCORE_ROWS rows are scored in
+# stacks of equal size, and larger ones alone
+WINDOW_SIZES = (1, 2, 31, 32, 33, 255, 511, 512, 513, 769, 2) + (31,) * 16 + (769, 769)
 
 
 def window_scoring_case():
@@ -923,7 +921,10 @@ def test_window_scoring_stacks_equal_sizes_and_matches_clients_scored_alone(monk
     # 16 + 1 clients of 31 rows: stacks of 8 and 8, then one alone; 2 clients of 2 rows
     assert stacked == [(2, 2), (8, 31), (8, 31)]
     # blocks of 256 rows, the last up to 511: 512 and 513 rows take two, 769 three
-    assert sum(len(shape) == 2 for shape in shapes) == 6 + 2 + 2 + 3
+    assert sum(len(shape) == 2 for shape in shapes) == 6 + 2 + 2 + 3 * 3
+    # 769 is the last size met: each of its clients alone, block by block
+    assert shapes[-9:] == [(256, LAYER_SIZES[0]), (256, LAYER_SIZES[0]),
+                           (257, LAYER_SIZES[0])] * 3
     for client, params, loss in zip(cohort.clients, trained, losses):
         assert same_bytes(loss, score_one(params, client)), len(client)
 
@@ -940,7 +941,7 @@ def test_mean_loss_checks_its_clients():
     assert mean_loss([], Cohort(())) == []
 
 
-def test_forward_batch_bits_do_not_depend_on_blas_threads():
+def test_scoring_bits_do_not_depend_on_blas_threads():
     code = "import test_mlp; print(test_mlp.forward_digests())"
     assert at_blas_threads(4, code) == at_blas_threads(1, code)
 

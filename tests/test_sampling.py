@@ -4,6 +4,7 @@ Monte-Carlo checks compare empirical rates against closed-form firing
 probabilities using a 99.9% binomial interval (z = 3.2905).
 """
 
+import json
 import math
 from dataclasses import fields
 
@@ -74,6 +75,16 @@ def test_mechanism_refuses_a_bool_or_other_type_for_a_number(kind, level, epsilo
 def test_mechanism_takes_integer_and_numpy_numbers():
     assert NoiseMechanism(UNIFORM_THRESHOLD, 1).noise_level == 1.0
     assert NoiseMechanism(LAPLACE_DP, np.float64(0.5), np.int64(2)).epsilon == 2
+
+
+def test_mechanism_stores_its_numbers_as_python_floats():
+    # a float32 level kept as it is would be spelled 0.1 in the CSVs but drawn against
+    # 0.10000000149011612, keep the Laplace scale 1 / epsilon in float32, and fail json.dumps
+    mech = NoiseMechanism(LAPLACE_DP, np.float32(0.1), np.float32(2.0))
+    assert type(mech.noise_level) is float and type(mech.epsilon) is float
+    assert mech.noise_level == 0.10000000149011612 and mech.epsilon == 2.0
+    assert json.dumps([mech.noise_level, mech.epsilon]) == "[0.10000000149011612, 2.0]"
+    assert type(NoiseMechanism(UNIFORM_THRESHOLD, np.int64(1)).noise_level) is float
 
 
 def test_uniform_threshold_fire_rate_equals_level():

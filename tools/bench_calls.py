@@ -15,8 +15,9 @@ speed, see `speed.py`). The worker also reports each call's minor page
 faults: the change in its `ru_minflt` over the call, which counts the
 pages the call's fresh allocations fault in. On its untimed call only,
 the worker also counts the calls of the package's `mlp._backprop`,
-`mlp.adam_step` and `evaluation.forward` (COUNTED): it wraps each, makes
-the call and restores them. The call counts of a fixed workload and seed
+`mlp.adam_step`, `mlp._forward` (one a scoring pass) and
+`evaluation.forward` (COUNTED): it wraps each, makes the call and
+restores them. The call counts of a fixed workload and seed
 repeat exactly, so they show a change in how training or scoring is
 batched without timing noise.
 
@@ -65,7 +66,7 @@ from bench_pairs import extract, quartiles
 WORKER_TIMEOUT_S = 60
 
 # the package functions, "module.attribute", whose calls the untimed call counts
-COUNTED = ("mlp._backprop", "mlp.adam_step", "evaluation.forward")
+COUNTED = ("mlp._backprop", "mlp.adam_step", "mlp._forward", "evaluation.forward")
 
 
 def counted(package, function):

@@ -189,6 +189,11 @@ class RoundReport:
     skipped_empty_clients: int
     mean_local_loss: float | None  # None when no client trained
     wall_time: float
+    # the round's seconds in synthesize_client, in train_local and mean_loss, and in
+    # fedavg_aggregate; like wall_time, those of the whole run_round call
+    synthesis_s: float
+    training_s: float
+    aggregation_s: float
 
 
 def build_population(spec: SimulationSpec, surveys: list[CountrySurvey],
@@ -267,9 +272,11 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     ascending client_id order, with its own fedavg_aggregate. Clients that
     come up empty are skipped; a run in which every selected client does
     so carries its global parameters forward unchanged. Each run gets its
-    own RoundReport; its wall_time is the time of the whole call's round.
+    own RoundReport; its wall_time and stage times (synthesis, training and
+    aggregation) are those of the whole call's round.
     """
     started = time.perf_counter()
+    synthesis_s = training_s = 0.0
     data_round = 0 if spec.fixed_client_data else round_index
 
     # per run: its updates, their local losses and its skipped clients
@@ -280,11 +287,15 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     window: list[tuple[int, ClientDataset, np.random.Generator]] = []
 
     def train_window() -> None:
+        nonlocal training_s
         cohort = Cohort(tuple(dataset for _, dataset, _ in window))
+        begun = time.perf_counter()
         # positional, under this module's names: perfbench wraps them there
         trained = train_local([params[r] for r, _, _ in window], cohort, spec.train,
                               [rng for _, _, rng in window])
-        for (r, dataset, _), local, loss in zip(window, trained, mean_loss(trained, cohort)):
+        window_losses = mean_loss(trained, cohort)
+        training_s += time.perf_counter() - begun
+        for (r, dataset, _), local, loss in zip(window, trained, window_losses):
             weight = len(dataset) if spec.weighting == WEIGHT_BY_EXAMPLES else 1
             updates[r].append((local, weight))
             losses[r].append(loss)
@@ -302,8 +313,10 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
                 streams.client_train_stream(master_seed, chosen, round_index)):
             n_persons = int(population.sizes[client_id])
             country = int(population.countries[client_id])
+            begun = time.perf_counter()
             dataset = synthesize_client(n_persons, distributions[country], noise, phrases,
                                         data_rng)
+            synthesis_s += time.perf_counter() - begun
             if len(dataset) == 0:
                 skipped[r] += 1
                 continue
@@ -315,8 +328,10 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     if window:
         train_window()
 
+    begun = time.perf_counter()
     merged = [fedavg_aggregate(run_updates) if run_updates else run_params
               for run_params, run_updates in zip(params, updates)]
+    aggregation_s = time.perf_counter() - begun
     wall_time = time.perf_counter() - started
     reports = [RoundReport(
         round=round_index + 1,
@@ -324,6 +339,9 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
         skipped_empty_clients=run_skipped,
         mean_local_loss=float(np.mean(run_losses)) if run_losses else None,
         wall_time=wall_time,
+        synthesis_s=synthesis_s,
+        training_s=training_s,
+        aggregation_s=aggregation_s,
     ) for run_updates, run_skipped, run_losses in zip(updates, skipped, losses)]
     return merged, reports
 
@@ -338,7 +356,7 @@ def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
     step their rounds together through run_round, so the clients of all
     of them train in shared lockstep windows, and each run keeps its own
     init, population and keyed streams. Since each client trains as if
-    alone, a run's snapshots and reports (but for wall_time) do not depend
+    alone, a run's snapshots and reports (but for their times) do not depend
     on the runs it is simulated with.
 
     The population stream never sees the noise settings, so sweeps at a

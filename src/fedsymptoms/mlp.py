@@ -36,8 +36,9 @@ a read-only row of the block. At step j the clients still training are a
 prefix of the chunk, all on Adam step j + 1, so adam_step updates that
 prefix in blocks of at most LOCKSTEP_CLIENTS rows, past which its cost
 per element rises; each block's gradient rows, read for the last time,
-serve as its denom. The prefix is split into contiguous runs of clients
-whose minibatches have the same number of rows, and each run takes one
+serve as its denom. The prefix is split into contiguous runs of size
+groups (see Shuffles) whose minibatches have the same number of rows,
+and each run takes one gather, with one piece a size group, and one
 forward and backward pass over a slice of the chunk's arrays.
 
 One forward pass. _activations writes the four layers out once, for
@@ -57,8 +58,8 @@ Scoring. mean_loss scores a whole cohort, each client with its own
 trained parameters, in one call and along one path. Clients of one size
 are scored in stacks of up to LOCKSTEP_CLIENTS, and a client of
 2 * SCORE_ROWS rows or more alone, so a call holds one large client's
-losses at a time. Each stack is gathered as a lockstep run is (_gather)
-and walked block by block, one rank-generic _forward pass a block; each
+losses at a time. Each stack is walked block by block, one take of its
+(k, block) rows and one rank-generic _forward pass a block; each
 client's mean sums its row of losses in the order of its own 1-D
 np.add.reduce, so it has the bits of the client scored alone. forward
 scores each row as a lone vector: an (m, 50) call takes one _forward
@@ -66,13 +67,18 @@ pass over an (m, 1, 50) stack, in which np.matmul runs BLAS's
 matrix-vector kernel on each row, as a (50,) call does, so each row has
 the bits of its own call at any BLAS thread count.
 
-Shuffles. A client of n rows draws its epochs' shuffles min(epochs left,
-max(1, SCORE_ROWS // n)) epochs at a time, so a draw holds at most
-max(n, SCORE_ROWS) rows: one rng.permuted call over one row of arange(n)
-per epoch, and one gather of rows and labels for them all. Those rows are
-the orders that one rng.permutation(n) call per epoch gives, and the
-stream is left in the same state, so a small client pays one draw, not
-one per epoch, for the same bits.
+Shuffles. The clients of one size in a chunk, next to each other in the
+sorted order, form a size group, which trains the same steps and draws
+its epochs' shuffles min(epochs left, max(1, SCORE_ROWS // n)) epochs at
+a time into one (k, epochs, n) order array, so a draw holds at most
+k * max(n, SCORE_ROWS) rows. Each client fills its own slice with one
+rng.permuted call of its own stream over a row of its indices per epoch;
+those rows are the orders that one rng.permutation(n) call per epoch
+gives, and the stream is left in the same state. One gather of the rows
+and one of the labels then serve the whole group, and each step takes
+one slice of them a group, so a small client pays one draw, not one per
+epoch, and no gather of its own, for the same bits. A lone client's
+slices are its own 1-D rows.
 
 Every row mean_loss scores comes from one fixed partition into blocks of
 SCORE_ROWS to 2 * SCORE_ROWS - 1 rows, the short tail merged into the
@@ -462,39 +468,52 @@ def _run_views(theta: np.ndarray, grad: np.ndarray, first: int, end: int) -> tup
     return _stacked_layers(theta[first:end]), layer_views(grad[first:end])
 
 
-def _gather(table: np.ndarray, pairs: list) -> tuple[np.ndarray, np.ndarray]:
-    """The table rows and labels of k clients' (rows, labels) pairs of n rows each.
+def _gather(table: np.ndarray, pieces: list) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows and label columns of pieces of one batch length n, in one stack.
 
-    One pair gives its (n, 50) rows and its labels unchanged; several give
-    a (k, n, 50) stack and the labels stacked behind a new leading axis:
-    (n,) labels give (k, n), and (n, 1) columns give (k, n, 1).
+    A piece is one client's (n,) rows and (n, 1) label column, or k clients'
+    (k, n) rows and (k, n, 1) columns. One piece gives its rows' (n, 50) or
+    (k, n, 50) gather and its labels unchanged; several give one stack of
+    all their clients, in piece order, and their columns stacked alike.
     """
-    if len(pairs) == 1:
-        rows, labels = pairs[0]
+    if len(pieces) == 1:
+        rows, labels = pieces[0]
         # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
         return table.take(rows, axis=0), labels
-    k, n = len(pairs), len(pairs[0][0])
-    x = table.take(np.concatenate([rows for rows, _ in pairs]), axis=0)
-    labels = np.concatenate([labels for _, labels in pairs])
-    return x.reshape(k, n, LAYER_SIZES[0]), labels.reshape(k, *pairs[0][1].shape)
+    n = pieces[0][0].shape[-1]
+    # axis=None flattens each piece's rows, a lone client's and a group's alike; the
+    # columns join as columns, a group's reshaped, which is faster than flattening each
+    rows = np.concatenate([rows for rows, _ in pieces], axis=None)
+    labels = np.concatenate([labels if labels.ndim == 2 else labels.reshape(-1, 1)
+                             for _, labels in pieces])
+    return table.take(rows, axis=0).reshape(-1, n, LAYER_SIZES[0]), labels.reshape(-1, n, 1)
 
 
-def _draw_epochs(client: ClientDataset, rng: np.random.Generator, epochs_left: int) -> list:
-    """The client's shuffled (rows, label column) of its next epochs, the next epoch last.
+def _draw_shuffles(rows: np.ndarray, labels: np.ndarray, rngs: list, epochs_left: int) -> list:
+    """A size group's shuffled (rows, label columns) of its next epochs, the next epoch last.
 
-    Draws min(epochs_left, max(1, SCORE_ROWS // n)) epochs of a client of n
-    rows in one call, so a draw holds at most max(n, SCORE_ROWS) rows.
-    rng.permuted over one row of arange(n) per epoch gives the orders of,
-    and leaves the stream as, one rng.permutation(n) call per epoch.
+    rows and labels hold the group's k clients' n examples each, end to
+    end. One (k, epochs, n) order array takes min(epochs_left, max(1,
+    SCORE_ROWS // n)) epochs, so a draw holds at most k * max(n, SCORE_ROWS)
+    rows. Each client shuffles its own (epochs, n) slice, a row of its own
+    indices per epoch, with one rng.permuted call of its own stream: the
+    orders of, and the stream left as by, one rng.permutation(n) call per
+    epoch. Then one gather of the rows and one of the labels serve them
+    all. An epoch is (n,) rows and an (n, 1) column for a lone client, and
+    (k, n) rows and (k, n, 1) columns for several.
     """
-    n = len(client)
-    order = np.arange(n)[None].repeat(min(epochs_left, max(1, SCORE_ROWS // n)), axis=0)
-    rng.permuted(order, axis=1, out=order)
-    rows = client.rows[order]
+    k = len(rngs)
+    n = len(rows) // k
+    # client c's indices start at c * n; a shuffle moves values, whatever they are
+    order = np.arange(k * n).reshape(k, 1, n).repeat(min(epochs_left, max(1, SCORE_ROWS // n)),
+                                                     axis=1)
+    for c, rng in enumerate(rngs):
+        rng.permuted(order[c], axis=1, out=order[c])
+    # epoch by epoch: a lone client's (epochs, n) orders, or (epochs, k, n)
+    order = order[0] if k == 1 else order.swapaxes(0, 1)
     # the labels as the (n, 1) columns _backprop takes; a view of the
     # gather, which is cheaper than gathering rows of a column
-    labels = client.labels[order][..., None]
-    return list(zip(rows[::-1], labels[::-1]))
+    return list(zip(rows[order][::-1], labels[order][..., None][::-1]))
 
 
 def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[ClientDataset],
@@ -507,7 +526,9 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
     rows and zeroes its Adam moments before step 1, and the scratch rows of
     one adam_step block. Adam steps the clients still training in blocks of
     at most LOCKSTEP_CLIENTS rows, each block's gradient rows serving as
-    its denom.
+    its denom. Clients of one size sit next to each other in the sorted
+    order and train the same steps: each such size group draws its
+    shuffles together (_draw_shuffles) and takes one slice of them a step.
     """
     k = len(clients)
     table = clients[0].phrases.matrix
@@ -517,45 +538,62 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
     scratch = workspace[3]
     m[...] = 0.0
     v[...] = 0.0
-    per_epoch = [-(-len(client) // BATCH_SIZE) for client in clients]
+    # size group g is the clients [edges[g], edges[g + 1])
+    edges = [0, *(c for c in range(1, k) if len(clients[c]) != len(clients[c - 1])), k]
+    groups = []  # per group: its rows and labels end to end, and its streams
+    for first, end in zip(edges, edges[1:]):
+        members = clients[first:end]
+        if len(members) == 1:
+            groups.append((members[0].rows, members[0].labels, rngs[first:end]))
+        else:
+            groups.append((np.concatenate([client.rows for client in members]),
+                           np.concatenate([client.labels for client in members]),
+                           rngs[first:end]))
+    per_epoch = [-(-len(clients[first]) // BATCH_SIZE) for first in edges[:-1]]
     last_step = [steps * epochs for steps in per_epoch]
-    # run_views[first][end]: _run_views of the run [first, end), once it has been met
-    run_views = [[None] * (k + 1) for _ in range(k)]
-    shuffled: list = [None] * k  # each client's rows and label column for this epoch
-    drawn: list[list] = [[] for _ in range(k)]  # each client's later epochs, already shuffled
+    # run_views[first][end]: _run_views of the run of groups [first, end), once it has been met
+    run_views = [[None] * (len(groups) + 1) for _ in groups]
+    shuffled: list = [None] * len(groups)  # each group's rows and label columns this epoch
+    drawn: list[list] = [[] for _ in groups]  # each group's later epochs, already shuffled
     leaves = 0  # the next step at which the prefix shrinks; step 0 sets it up
     for j in range(last_step[0]):
         if j == leaves:
-            # the clients still training are a prefix of the chunk
-            active = sum(last > j for last in last_step)
-            leaves = last_step[active - 1]
-            training = range(active)
+            # the groups still training are a prefix of the chunk, and so are their clients
+            live = sum(last > j for last in last_step)
+            leaves = last_step[live - 1]
+            training = range(live)
+            active = edges[live]
             blocks = []
             for first in range(0, active, LOCKSTEP_CLIENTS):
                 n = min(LOCKSTEP_CLIENTS, active - first)
                 # a block of one client steps on 1-D rows, which numpy iterates faster
                 part, lead = (first, 0) if n == 1 else (slice(first, first + n), slice(n))
                 blocks.append((theta[part], grad[part], m[part], v[part], scratch[lead]))
-        batches = []
-        for i in training:
-            position = j % per_epoch[i]
+        pieces = []
+        for g in training:
+            position = j % per_epoch[g]
             if not position:
-                if not drawn[i]:
-                    drawn[i] = _draw_epochs(clients[i], rngs[i], epochs - j // per_epoch[i])
-                shuffled[i] = drawn[i].pop()
-            rows, labels = shuffled[i]
+                if not drawn[g]:
+                    drawn[g] = _draw_shuffles(*groups[g], epochs - j // per_epoch[g])
+                shuffled[g] = drawn[g].pop()
+            rows, labels = shuffled[g]
             start = position * BATCH_SIZE
-            batches.append((rows[start:start + BATCH_SIZE], labels[start:start + BATCH_SIZE]))
+            if rows.ndim == 1:  # a lone client's epoch is its own 1-D rows
+                pieces.append((rows[start:start + BATCH_SIZE], labels[start:start + BATCH_SIZE]))
+            else:
+                pieces.append((rows[:, start:start + BATCH_SIZE],
+                               labels[:, start:start + BATCH_SIZE]))
+        # runs of groups whose batches have the same length take one pass each
         first = 0
-        while first < active:
-            size = len(batches[first][0])
+        while first < live:
+            size = pieces[first][0].shape[-1]
             end = first + 1
-            while end < active and len(batches[end][0]) == size:
+            while end < live and pieces[end][0].shape[-1] == size:
                 end += 1
-            x, labels = _gather(table, batches[first:end])
+            x, labels = _gather(table, pieces[first:end])
             views = run_views[first][end]
             if views is None:
-                views = run_views[first][end] = _run_views(theta, grad, first, end)
+                views = run_views[first][end] = _run_views(theta, grad, edges[first], edges[end])
             _backprop(views[0], x, labels, views[1])
             first = end
         for theta_b, grad_b, m_b, v_b, scratch_b in blocks:
@@ -585,14 +623,17 @@ def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:
                 # fresh views, not the cached params.layers: each local update is scored
                 # once, and a cache would hold its views until FedAvg merges the round
                 layers = layer_views(trained[stack[0]].flat)
+                rows, labels = clients[stack[0]].rows, clients[stack[0]].labels
             else:
                 layers = _stacked_layers(np.stack([trained[i].flat for i in stack]))
+                rows = np.stack([clients[i].rows for i in stack])
+                labels = np.stack([clients[i].labels for i in stack])
             loss = np.empty((len(stack), n))
             for b in range(count):
                 block = slice(b * SCORE_ROWS, n if b == count - 1 else (b + 1) * SCORE_ROWS)
-                pairs = [(clients[i].rows[block], clients[i].labels[block]) for i in stack]
-                x, y = _gather(clients[0].phrases.matrix, pairs)
-                loss[:, block] = _row_bce(_forward(layers, x), y)
+                # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
+                x = clients[0].phrases.matrix.take(rows[..., block], axis=0)
+                loss[:, block] = _row_bce(_forward(layers, x), labels[..., block])
             # each client's row sum in the order of its own 1-D np.add.reduce
             for i, value in zip(stack, (np.add.reduce(loss, axis=-1) / n).tolist()):
                 losses[i] = value

@@ -11,12 +11,14 @@ into that table and an array of 0/1 labels, so the walk appends row ids
 and no per-example object or feature copy is kept.
 
 `_walk` is the definition of one person's walk: one numpy call per
-draw. `synthesize_client` replays the same walks from the generator's
-raw 64-bit words instead (`_replay_walks`): the same draws in the same
-order, so the same items and the same final generator state. Two cases
-keep the scalar walk: normal_threshold, whose ziggurat normal draw
-cannot be rebuilt from words with numpy's public API, and any bit
-generator other than PCG64.
+draw. `synthesize_client` replays a client's whole survey from the
+generator's raw 64-bit words instead: its persons' walks
+(`_replay_walks`) and its negative picks (`_replay_picks`), the same
+draws in the same order, so the same rows; the generator's state is
+written once at the end, so numpy's shuffle that follows, and the final
+state, are those of the scalar walk. Two cases keep the scalar walk:
+normal_threshold, whose ziggurat normal draw cannot be rebuilt from
+words with numpy's public API, and any bit generator other than PCG64.
 """
 
 from __future__ import annotations
@@ -95,17 +97,30 @@ class PhraseTable:
 
     Row i of the read-only ``matrix`` is the embedding of phrase
     ``names[i]``. ``walks[dist]`` is dist's prominent-symptom list as
-    (row, display probability) pairs, in order;
+    (row, display probability) pairs, in order, and ``word_walks[dist]``
+    the same list as (row, raw-word threshold) pairs (`word_threshold`);
     ``term_rows[i]`` is the row of corpus term i. ``negatives[dist.prominent_lower]``
     holds the rows of the corpus terms outside dist's prominent-symptom set,
-    in corpus order (possibly none), as a read-only intp array.
+    in corpus order (possibly none), as a tuple.
     """
 
     matrix: np.ndarray
     names: tuple[str, ...]
     walks: dict[SymptomDistribution, tuple[tuple[int, float], ...]]
+    word_walks: dict[SymptomDistribution, tuple[tuple[int, int], ...]]
     term_rows: tuple[int, ...]
-    negatives: dict[frozenset[str], np.ndarray]
+    negatives: dict[frozenset[str], tuple[int, ...]]
+
+
+def word_threshold(p: float) -> int:
+    """The bound under which a PCG64 raw word w makes numpy's uniform draw fall below p.
+
+    ``rng.random()`` is ``(w >> 11) * 2**-53``, and for p in [0, 1] that
+    is below p exactly when ``w < ceil(p * 2**53) << 11``: the scaling by
+    a power of two is exact, and the draw is an integer count of 2**-53.
+    p = 1 gives 2**64, above every word.
+    """
+    return math.ceil(p * 2.0 ** 53) << 11
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -127,10 +142,12 @@ def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
     rows = {phrase: i for i, phrase in enumerate(names)}
     matrix = _read_only(np.stack([encode_phrase(embeddings, phrase) for phrase in names]))
     walks = {d: tuple((rows[name], p) for name, p in d.entries) for d in distributions}
-    negatives = {d.prominent_lower: _read_only(np.array(
-        [rows[t] for t in corpus.terms if t.lower() not in d.prominent_lower], dtype=np.intp))
-        for d in distributions}
-    return PhraseTable(matrix, names, walks,
+    word_walks = {d: tuple((row, word_threshold(p)) for row, p in walk)
+                  for d, walk in walks.items()}
+    negatives = {d.prominent_lower: tuple(rows[t] for t in corpus.terms
+                                          if t.lower() not in d.prominent_lower)
+                 for d in distributions}
+    return PhraseTable(matrix, names, walks, word_walks,
                        tuple(rows[t] for t in corpus.terms), negatives)
 
 
@@ -215,17 +232,80 @@ def _walk(entries, terms, noise: NoiseMechanism, rng: np.random.Generator,
 # raised the peak RSS by 0.1-0.2 MB
 _BLOCK_WORDS = 64
 _UNIT = 2.0 ** -53
+# laplace_dp's U is 0.0, which numpy redraws, for a word under _ZERO_WORDS, and 0.5 or
+# more for a word from _HALF_WORD on
+_ZERO_WORDS = word_threshold(_UNIT)
+_HALF_WORD = word_threshold(0.5)
+# a client's negative picks are replayed up to this many; numpy draws a larger batch
+# faster (~10 us a batch against ~0.3 us a replayed pick, on a 2-core x86-64 host)
+_REPLAYED_PICKS = 48
+
+# PCG64 steps its 128-bit LCG state s to s * multiplier + inc before each raw word
+_PCG_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_MASK = 2 ** 128 - 1
 
 
-def _replay_walks(entries, terms, noise: NoiseMechanism, rng: np.random.Generator,
-                  n_persons: int, out: list) -> None:
-    """Run `_walk` n_persons times from rng's raw PCG64 words, with the same result.
+def _lcg_jumps(n: int) -> tuple[tuple[int, int], ...]:
+    """(a, c) for d = 0..n steps: d steps take s to (a * s + c * inc) mod 2**128."""
+    jumps, a, c = [], 1, 0
+    for _ in range(n + 1):
+        jumps.append((a, c))
+        a, c = a * _PCG_MULTIPLIER & _PCG_MASK, (c * _PCG_MULTIPLIER + 1) & _PCG_MASK
+    return tuple(jumps)
 
-    The draws come in `_walk`'s order and give the same items, and rng
-    ends in the same state, kept 32-bit half included. Each numpy draw
-    is a plain function of the words:
 
-    - ``rng.random()`` is ``(w >> 11) * 2**-53`` of one word;
+_JUMPS = _lcg_jumps(_BLOCK_WORDS)
+
+
+class _RawWords:
+    """A PCG64 generator's raw words, read ahead in blocks, and its state written back once.
+
+    The replays read ``words[i]`` and call `more` when a block runs out;
+    ``has`` and ``half`` are the state's kept 32-bit half, which a 32-bit
+    draw takes before a fresh word. Words read ahead but not used are
+    given back by `close`, which writes the state that numpy's own draws
+    would have left: the LCG stepped once per word used, and the kept
+    half. Blocks hold at most `_BLOCK_WORDS` words.
+    """
+
+    __slots__ = ("rng", "_state", "_lcg", "words", "i", "has", "half")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._state = state = rng.bit_generator.state
+        self._lcg = state["state"]["state"]  # the LCG state before the current block
+        self.has, self.half = state["has_uint32"], state["uinteger"]
+        self.words, self.i = [], 0
+
+    def more(self, wanted: int) -> list:
+        """The next block, of min(wanted, _BLOCK_WORDS) words but at least one, read from 0."""
+        a, c = _JUMPS[len(self.words)]
+        self._lcg = (a * self._lcg + c * self._state["state"]["inc"]) & _PCG_MASK
+        bitgen = self.rng.bit_generator
+        # random_raw() skips the array for a block of one
+        self.words = (bitgen.random_raw(min(wanted, _BLOCK_WORDS)).tolist() if wanted > 1
+                      else [bitgen.random_raw()])
+        return self.words
+
+    def close(self) -> None:
+        """Leave the generator after the words used, with the kept half, as numpy would."""
+        a, c = _JUMPS[self.i]
+        state = self._state
+        state["state"]["state"] = (a * self._lcg + c * state["state"]["inc"]) & _PCG_MASK
+        state["has_uint32"], state["uinteger"] = self.has, self.half
+        self.rng.bit_generator.state = state
+
+
+def _replay_walks(entries, terms, noise: NoiseMechanism, raw: _RawWords, n_persons: int,
+                  out: list) -> None:
+    """Run `_walk` n_persons times from raw's words, with the same result.
+
+    `entries` are (item, word threshold) pairs (`word_threshold` of each
+    probability). The draws come in `_walk`'s order and give the same
+    items, and raw ends where the generator would, kept 32-bit half
+    included. Each numpy draw is a plain function of the words:
+
+    - ``rng.random() < p`` is ``w < word_threshold(p)`` of one word;
     - ``rng.integers(k)`` is Lemire's method on 32-bit halves. A fresh
       word gives its low half and keeps its high half for the next
       32-bit draw (the state's ``has_uint32`` and ``uinteger``). A draw
@@ -234,74 +314,104 @@ def _replay_walks(entries, terms, noise: NoiseMechanism, rng: np.random.Generato
       It fires when ``0.0 - scale * log(2.0 - U - U)`` exceeds the level
       for U >= 0.5; below 0.5 its value is at most 0, so it never fires.
 
-    Words come in blocks of at most `_BLOCK_WORDS`, and never more than
-    the walks are certain to use: the current draw, and one for each
-    symptom after it. So no word is drawn ahead. Only for a PCG64
-    generator and uniform_threshold or laplace_dp. numpy picks among
-    more than 2**32 terms with 64-bit draws, which this does not replay;
-    a phrase table never holds that many rows.
+    A block asks for three words for each symptom left, and a few more: a
+    walk under noise uses about two, and each pick about one half word,
+    so a small client's survey takes one block. Only for uniform_threshold
+    or laplace_dp. numpy picks among more than 2**32 terms with 64-bit
+    draws, which this does not replay; a phrase table never holds that
+    many rows.
     """
-    bitgen = rng.bit_generator
     k = len(terms)
     reject_below = (2**32 - k) % k if k else 0
     laplace = noise.kind == LAPLACE_DP
     scale = 1.0 / noise.epsilon if laplace else 0.0
     level = noise.noise_level
+    fires_below = word_threshold(level)
     total = n_persons * len(entries)
-
-    def block(j: int):
-        """The next words when symptom j needs one: at most as many as are certain."""
-        n = min(total - j, _BLOCK_WORDS)
-        # a walk's last symptoms often take one word at a time; random_raw() skips the array
-        return (bitgen.random_raw(n).tolist() if n > 1 else [bitgen.random_raw()]), 0
-
-    state = None  # read at the first pick, the one draw that uses the kept half
-    words, i = [], 0
-    for j, (item, p) in enumerate(islice(cycle(entries), total)):
-        if i == len(words):
-            words, i = block(j)
+    append = out.append
+    words, i, has, half = raw.words, raw.i, raw.has, raw.half
+    n = len(words)
+    for j, (item, threshold) in enumerate(islice(cycle(entries), total)):
+        if i == n:
+            words, i = raw.more(3 * (total - j) + 4), 0
+            n = len(words)
         w = words[i]
         i += 1
-        if (w >> 11) * _UNIT < p:
-            out.append(item)
+        if w < threshold:
+            append(item)
             continue
-        if i == len(words):
-            words, i = block(j)
-        u = (words[i] >> 11) * _UNIT
+        if i == n:
+            words, i = raw.more(3 * (total - j) + 4), 0
+            n = len(words)
+        w = words[i]
         i += 1
         if laplace:
-            while not u:  # numpy redraws U == 0.0
-                if i == len(words):
-                    words, i = block(j)
-                u = (words[i] >> 11) * _UNIT
+            while w < _ZERO_WORDS:  # numpy redraws U == 0.0
+                if i == n:
+                    words, i = raw.more(3 * (total - j) + 4), 0
+                    n = len(words)
+                w = words[i]
                 i += 1
-            if u < 0.5 or 0.0 - scale * math.log(2.0 - u - u) <= level:
+            if w < _HALF_WORD:
                 continue
-        elif u >= level:
+            u = (w >> 11) * _UNIT
+            if 0.0 - scale * math.log(2.0 - u - u) <= level:
+                continue
+        elif w >= fires_below:
             continue
         if k < 2:  # k == 1 draws nothing; k == 0 raises numpy's own error
-            out.append(terms[rng.integers(k)])
+            append(terms[raw.rng.integers(k)])
             continue
-        if state is None:
-            state = bitgen.state
-            has, half = state["has_uint32"], state["uinteger"]
         while True:
             if has:
                 has, r = 0, half
             else:
-                if i == len(words):
-                    words, i = block(j)
+                if i == n:
+                    words, i = raw.more(3 * (total - j) + 4), 0
+                    n = len(words)
                 w = words[i]
                 i += 1
                 has, half, r = 1, w >> 32, w & 0xFFFFFFFF
             m = r * k
             if m & 0xFFFFFFFF >= reject_below:
                 break
-        out.append(terms[m >> 32])
-    if state is not None and (has, half) != (state["has_uint32"], state["uinteger"]):
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = has, half
-        bitgen.state = state
+        append(terms[m >> 32])
+    raw.i, raw.has, raw.half = i, has, half
+
+
+def _replay_picks(raw: _RawWords, pool, n_picks: int, out: list) -> None:
+    """Append ``pool[j]`` for each j of ``rng.integers(len(pool), size=n_picks)``, replayed.
+
+    numpy's draws of a size-n array under 2**32 are the scalar draw's
+    Lemire method, once per value, on the same 32-bit halves, the kept
+    half first (see `_replay_walks`). A pool of one draws nothing, and an
+    empty pool raises numpy's own error.
+    """
+    k = len(pool)
+    if k < 2:
+        out.extend(pool[j] for j in raw.rng.integers(k, size=n_picks).tolist())
+        return
+    reject_below = (2**32 - k) % k
+    append = out.append
+    words, i, has, half = raw.words, raw.i, raw.has, raw.half
+    n = len(words)
+    for left in range(n_picks, 0, -1):
+        while True:
+            if has:
+                has, r = 0, half
+            else:
+                if i == n:
+                    # a word gives two picks
+                    words, i = raw.more((left + 1) // 2), 0
+                    n = len(words)
+                w = words[i]
+                i += 1
+                has, half, r = 1, w >> 32, w & 0xFFFFFFFF
+            m = r * k
+            if m & 0xFFFFFFFF >= reject_below:
+                break
+        append(pool[m >> 32])
+    raw.i, raw.has, raw.half = i, has, half
 
 
 def simulate_person(dist: SymptomDistribution, corpus: MedicalCorpus,
@@ -321,37 +431,52 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     produced from a given stream. `phrases` must be built from a list of
     distributions that includes `dist`; the persons walk its rows
     (``walks[dist]``, ``term_rows``), so no phrase is looked up, and no
-    example object or feature row is made, per example.
+    example object or feature row is made, per example. n_persons must
+    be an integer of at least 1 (a bool is refused), checked before any
+    draw.
 
     On a PCG64 generator under uniform_threshold or laplace_dp, the
-    persons' walks are replayed from raw words (`_replay_walks`), with
-    the same draws: ~4x faster than one numpy call per draw on a
-    1,800-person client, and about even on a 1-person one. Under
+    persons' walks are replayed from raw words (`_replay_walks`), and so
+    are the negative picks of up to _REPLAYED_PICKS positives
+    (`_replay_picks`), with the same draws; the generator's state is
+    written once before numpy draws the rest. Over one CLI call's clients
+    (seed 1, interleaved repeats on a shared 2-core x86-64 host) that
+    takes ~25 us a run_IV_wide client of 1-2 persons against ~38 us with
+    the walks alone replayed and numpy's batch of picks, and ~4.1 ms a
+    run_I_single client of 1,800 persons against ~6.4 ms. Under
     normal_threshold, or on another bit generator, each person takes
-    `_walk`.
+    `_walk` and the picks one numpy call.
     """
+    # a bool is an int to Python, but True would synthesize one person
+    if isinstance(n_persons, bool) or not isinstance(n_persons, numbers.Integral):
+        raise ValueError(f"n_persons must be an integer, got {n_persons!r}")
     if n_persons < 1:
         raise ValueError("n_persons must be at least 1")
 
-    walk, terms = phrases.walks[dist], phrases.term_rows
-    emitted: list[int] = []
+    terms, pool = phrases.term_rows, phrases.negatives[dist.prominent_lower]
+    emitted: list[int] = []  # the positives' rows, then the replayed negatives'
     if type(rng.bit_generator) is np.random.PCG64 and noise.kind != NORMAL_THRESHOLD:
-        _replay_walks(walk, terms, noise, rng, n_persons, emitted)
+        raw = _RawWords(rng)
+        _replay_walks(phrases.word_walks[dist], terms, noise, raw, n_persons, emitted)
+        n_pos = len(emitted)
+        if n_pos <= _REPLAYED_PICKS and pool:
+            _replay_picks(raw, pool, n_pos, emitted)
+        raw.close()
     else:
+        walk = phrases.walks[dist]
         for _ in range(n_persons):
             _walk(walk, terms, noise, rng, emitted)
+        n_pos = len(emitted)
 
-    n_pos = len(emitted)
     if not n_pos:
         return ClientDataset._built(phrases, np.empty(0, np.intp), np.empty(0))
-
-    negative_pool = phrases.negatives[dist.prominent_lower]
-    if not negative_pool.size:
+    if not pool:
         raise ValueError("corpus has no terms outside the prominent-symptom set")
 
-    picks = rng.integers(len(negative_pool), size=n_pos)
+    rows = np.array(emitted, dtype=np.intp)
+    if len(rows) == n_pos:  # the picks were not replayed: numpy draws them
+        rows = np.concatenate([rows, np.take(pool, rng.integers(len(pool), size=n_pos))])
     order = rng.permutation(2 * n_pos)
-    rows = np.concatenate([np.array(emitted, dtype=np.intp), negative_pool[picks]])
     # positives come first before the shuffle, so a row is positive iff it came from [0, n_pos);
     # every row comes from the table's walks and negatives, so nothing needs re-checking
     return ClientDataset._built(phrases, rows[order], (order < n_pos).astype(np.float64))

@@ -22,6 +22,9 @@ from fedsymptoms.surveys import (
     load_surveys,
 )
 
+# the RoundReport fields that time a round; the others repeat exactly
+TIMED_FIELDS = ("wall_time", "synthesis_s", "training_s", "aggregation_s")
+
 
 @pytest.fixture(scope="session")
 def table():
@@ -82,7 +85,8 @@ def matrix_phrase_table(matrix):
     matrix = np.array(matrix, dtype=np.float64)
     matrix.flags.writeable = False
     names = tuple(f"row{i}" for i in range(len(matrix)))
-    return PhraseTable(matrix=matrix, names=names, walks={}, term_rows=(), negatives={})
+    return PhraseTable(matrix=matrix, names=names, walks={}, word_walks={}, term_rows=(),
+                       negatives={})
 
 
 def separable_dataset(seed, n=200):

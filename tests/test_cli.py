@@ -21,6 +21,8 @@ from fedsymptoms.federation import SIMULATION_IDS, WEIGHTINGS, simulation_spec
 from fedsymptoms.sampling import MECHANISM_KINDS, NO_NOISE, UNIFORM_THRESHOLD
 from fedsymptoms.surveys import integer, load_corpus
 
+from conftest import TIMED_FIELDS
+
 ARTIFACTS = ("predictions.csv", "accuracy.csv", "rounds.jsonl",
              "model_final.npz", "manifest.json")
 
@@ -60,6 +62,10 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     for line in lines:
         record = json.loads(line)
         assert record["participating_clients"] + record["skipped_empty_clients"] == 1
+        # each stage's seconds, a part of the round's
+        stages = [record[name] for name in ("synthesis_s", "training_s", "aggregation_s")]
+        assert all(seconds > 0.0 for seconds in stages)
+        assert sum(stages) <= record["wall_time"]
 
     assert "accuracy at epoch 5" in capsys.readouterr().out
 
@@ -125,7 +131,8 @@ def test_sweep_writes_each_runs_rounds_in_canonical_order(tmp_path, capsys):
              (run_dir / "rounds.jsonl").read_text(encoding="utf-8").splitlines()]
     swept = [r for r in records if (r["noise_level"], r["seed"]) == (0.5, 2)]
     for record in (*alone, *swept):
-        del record["wall_time"]
+        for timed in TIMED_FIELDS:
+            del record[timed]
     assert [{k: r[k] for k in alone[0]} for r in swept] == alone
 
 

@@ -30,6 +30,8 @@ from fedsymptoms.sampling import (
     NoiseMechanism,
 )
 
+from conftest import TIMED_FIELDS
+
 
 def zero_params():
     layers = tuple(
@@ -139,10 +141,10 @@ def test_sweep_rows_do_not_depend_on_the_grouping(monkeypatch, surveys, corpus, 
     first = results[1]
     assert [(r.noise_level, r.seed) for r in first.accuracies[::spec.global_epochs]] == [
         (0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)]
-    # every row and round report holds, apart from the wall time of the group's rounds
+    # every row and round report holds, apart from the times of the group's rounds
     def untimed(result):
         return (result.predictions, result.accuracies,
-                [{k: v for k, v in r.items() if k != "wall_time"} for r in result.rounds])
+                [{k: v for k, v in r.items() if k not in TIMED_FIELDS} for r in result.rounds])
 
     assert len(first.rounds) == 4 * spec.global_epochs
     assert all(untimed(result) == untimed(first) for result in results.values())

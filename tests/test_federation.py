@@ -313,6 +313,9 @@ def test_run_simulation_snapshots_and_reports(surveys, corpus, table):
         assert report.participating_clients + report.skipped_empty_clients == 1
         assert report.wall_time >= 0.0
         assert math.isfinite(report.mean_local_loss)
+        stages = (report.synthesis_s, report.training_s, report.aggregation_s)
+        assert all(seconds > 0.0 for seconds in stages)
+        assert sum(stages) <= report.wall_time
 
 
 @pytest.mark.parametrize("fraction, per_round", [(0.07, 7), (0.14, 14)])

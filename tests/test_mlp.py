@@ -583,6 +583,50 @@ def test_permuted_rows_are_successive_permutations(n):
         assert many.bit_generator.state == one.bit_generator.state
 
 
+@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 255, 256, 257])
+def test_stacked_draws_are_each_clients_successive_permutations(k, n):
+    # a size group of k clients draws its shuffles together, as many epochs a draw as
+    # train_local asks for; rows k * n end to end, each its own index, show the orders
+    rows = np.arange(k * n)
+    labels = (rows % 3 == 0).astype(np.float64)
+    for epochs in range(1, 6):
+        streams = [np.random.default_rng([k, n, epochs, c]) for c in range(k)]
+        refs = [np.random.default_rng([k, n, epochs, c]) for c in range(k)]
+        left = epochs
+        while left:
+            drawn = mlp._draw_shuffles(rows, labels, streams, left)
+            assert 1 <= len(drawn) <= left
+            left -= len(drawn)
+            for shuffled, columns in reversed(drawn):  # the next epoch last
+                assert shuffled.shape == ((n,) if k == 1 else (k, n))
+                assert columns.shape == shuffled.shape + (1,)
+                for c, ref in enumerate(refs):
+                    expected = c * n + ref.permutation(n)
+                    assert np.array_equal(shuffled.reshape(k, n)[c], expected)
+                    assert np.array_equal(columns.reshape(k, n)[c], labels[expected])
+        assert [s.bit_generator.state for s in streams] == [r.bit_generator.state for r in refs]
+
+
+def test_a_size_group_takes_one_gathered_piece_a_step(monkeypatch):
+    # one chunk: 40 x 2, a lone 33, 20 x 3 and a lone 7, over 2 epochs. 40 and 33
+    # take batches of 32 then 8 and 1; 20 and 7 one batch an epoch and so finish after 2
+    # steps. Runs of one batch length take one gather, with a piece per size group
+    cohort = ragged_cohort((20, 40, 7, 33, 20, 40, 20), 80)
+    gathers = []
+    real = mlp._gather
+
+    def spy(table, pieces):
+        gathers.append([rows.shape for rows, _ in pieces])
+        return real(table, pieces)
+
+    monkeypatch.setattr(mlp, "_gather", spy)
+    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(81)), cohort,
+                                          TrainConfig(local_epochs=2), 82)
+    first, second = [[(2, 32), (32,)], [(3, 20)], [(7,)]], [[(2, 8)], [(1,)]]
+    assert gathers == [*first, *second, [(3, 20)], [(7,)], first[0], *second]
+
+
 class DrawRecorder:
     """A client's stream that records how many epochs each shuffle draw covers."""
 

@@ -6,6 +6,7 @@ probabilities using a 99.9% binomial interval (z = 3.2905).
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -245,7 +246,12 @@ def ref_synthesize_examples(n_persons, dist, corpus, noise, rng):
 @pytest.mark.parametrize("noise", [NO_NOISE, NoiseMechanism(UNIFORM_THRESHOLD, 0.5),
                                    NoiseMechanism(NORMAL_THRESHOLD, 0.0),
                                    NoiseMechanism(LAPLACE_DP, 0.5, 2.0)])
-def test_synthesize_client_matches_frozen_object_reference(noise):
+@pytest.mark.parametrize("replayed_picks", [0, sampling._REPLAYED_PICKS, 10**9])
+def test_synthesize_client_matches_frozen_object_reference(noise, replayed_picks, monkeypatch):
+    # under a cap of 0 numpy draws every client's negative picks, and under 10**9 the
+    # replay does; at the default, the 1- and 2-person clients replay them, and all but
+    # one 60-person client, of 49 to 86 positives, do not
+    monkeypatch.setattr(sampling, "_REPLAYED_PICKS", replayed_picks)
     survey = CountrySurvey(country="Testland", total=1000,
                            symptom_counts={"beta": 300, "alpha": 600, "gamma": 0})
     dist = build_distribution(survey)
@@ -254,10 +260,10 @@ def test_synthesize_client_matches_frozen_object_reference(noise):
     table = build_phrase_table(tiny_table(["alpha", "beta", "gamma", "delta", "epsilon"]),
                                corpus, [dist])
     assert table.term_rows != tuple(range(len(corpus.terms)))
-    for seed in range(5):
+    for seed, n_persons in zip(range(10), (60, 1, 2) * 4):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ds = synthesize_client(30, dist, noise, table, rng)
-        expected = ref_synthesize_examples(30, dist, corpus, noise, ref_rng)
+        ds = synthesize_client(n_persons, dist, noise, table, rng)
+        expected = ref_synthesize_examples(n_persons, dist, corpus, noise, ref_rng)
         assert [tuple(ex) for ex in ds.examples] == expected
         assert ds.labels.tolist() == [float(label) for label, _ in expected]
         assert ds.rows.tolist() == [table.names.index(phrase) for _, phrase in expected]
@@ -290,13 +296,21 @@ REPLAY_NOISES = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in (0.0, 0.5
     for level in (0.0, 0.5, 1.0) for epsilon in (1e-3, 0.1, 2.0, 100.0)]
 
 
+def replay_walks(entries, terms, noise, rng, n_persons, items):
+    """`_replay_walks` of (item, probability) entries on rng's words, the state written back."""
+    raw = sampling._RawWords(rng)
+    sampling._replay_walks([(item, sampling.word_threshold(p)) for item, p in entries], terms,
+                           noise, raw, n_persons, items)
+    raw.close()
+
+
 def scalar_and_replayed_walks(entries, terms, noise, n_persons, rng_of):
     """(items, final PCG64 state) of `_walk` n_persons times, then of `_replay_walks`."""
     results = []
     for replay in (False, True):
         rng, items = rng_of(), []
         if replay:
-            sampling._replay_walks(entries, terms, noise, rng, n_persons, items)
+            replay_walks(entries, terms, noise, rng, n_persons, items)
         else:
             for _ in range(n_persons):
                 sampling._walk(entries, terms, noise, rng, items)
@@ -371,6 +385,67 @@ def test_replayed_pick_keeps_a_draw_exactly_at_the_rejection_bound():
     assert replayed == scalar
 
 
+def numpy_and_replayed_picks(k, n, rng_of):
+    """(values, final PCG64 state) of rng.integers(k, size=n), then of `_replay_picks`.
+
+    range(k) stands in for the pool, so the replay's values are the picks
+    themselves and no pool of k rows is built.
+    """
+    rng = rng_of()
+    expected = (rng.integers(k, size=n).tolist(), rng.bit_generator.state)
+    rng, picks = rng_of(), []
+    raw = sampling._RawWords(rng)
+    sampling._replay_picks(raw, range(k), n, picks)
+    raw.close()
+    return expected, (picks, rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("k", [2, 97, 3 * 2**30, 2**32 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1000])
+def test_replayed_picks_match_numpys_batch_and_its_final_state(k, n):
+    # k = 3 * 2**30 rejects a quarter of the 32-bit draws; a kept half goes first, and
+    # 1,000 picks take several blocks of words
+    for seed, kept_half in ((6, False), (7, True)):
+        expected, replayed = numpy_and_replayed_picks(k, n, seeded(seed, kept_half))
+        assert replayed == expected
+
+
+def test_replayed_picks_keep_a_draw_exactly_at_the_rejection_bound():
+    # word 1's low half r = 3 lands on the bound 2**30 of k = 3 * 2**30 and is kept
+    # (term 2); its high half 0 is rejected, and word 2's low half picks again
+    k = 3 * 2**30
+    expected, replayed = numpy_and_replayed_picks(k, 2, pcg64_whose_word(1, 3))
+    assert expected[0][0] == 2
+    assert replayed == expected
+
+
+def test_replayed_picks_from_a_pool_of_one_draw_no_word():
+    expected, replayed = numpy_and_replayed_picks(1, 5, seeded(8, True))
+    assert expected[0] == [0] * 5
+    assert replayed == expected
+
+
+def test_replayed_picks_from_an_empty_pool_raise_numpys_error():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(8).integers(0, size=5)
+    with pytest.raises(ValueError) as replay_error:
+        sampling._replay_picks(sampling._RawWords(np.random.default_rng(8)), range(0), 5, [])
+    assert str(replay_error.value) == str(numpy_error.value)
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 1.0])
+def test_word_threshold_gives_the_float_compares_answer(p):
+    # (w >> 11) * 2**-53 < p, for the words just either side of the threshold and of
+    # its 2**11-word step
+    threshold = sampling.word_threshold(p)
+    words = [w for w in (0, 1, threshold - 2049, threshold - 2048, threshold - 1, threshold,
+                         threshold + 1, threshold + 2047, threshold + 2048, 2**64 - 1)
+             if 0 <= w < 2**64]
+    assert words
+    for w in words:
+        assert (w < threshold) == ((w >> 11) * 2.0**-53 < p), w
+
+
 def test_replay_with_no_terms_raises_numpys_error_only_when_a_pick_is_due():
     never = NoiseMechanism(UNIFORM_THRESHOLD, 0.0)
     scalar, replayed = scalar_and_replayed_walks(REPLAY_WALK, (), never, 50, seeded(5, True))
@@ -379,7 +454,7 @@ def test_replay_with_no_terms_raises_numpys_error_only_when_a_pick_is_due():
     with pytest.raises(ValueError) as scalar_error:
         sampling._walk(REPLAY_WALK, (), always, np.random.default_rng(5), [])
     with pytest.raises(ValueError) as replay_error:
-        sampling._replay_walks(REPLAY_WALK, (), always, np.random.default_rng(5), 50, [])
+        replay_walks(REPLAY_WALK, (), always, np.random.default_rng(5), 50, [])
     assert str(replay_error.value) == str(scalar_error.value)
 
 
@@ -417,7 +492,7 @@ def test_negative_pool_is_built_once_per_table():
     table = build_phrase_table(tiny_table(list(terms)), corpus, [dist])
     pool = table.negatives[dist.prominent_lower]
     assert [table.names[row] for row in pool] == ["gamma", "delta", "epsilon"]
-    assert pool.dtype == np.intp and not pool.flags.writeable
+    assert type(pool) is tuple and all(type(row) is int for row in pool)
     walks = terms.walks
     for seed in range(3):
         ds = synthesize_client(40, dist, NO_NOISE, table,
@@ -444,6 +519,29 @@ def test_synthesize_client_rejects_zero_persons():
     with pytest.raises(ValueError):
         synthesize_client(0, dist, NO_NOISE, table,
                           np.random.default_rng(15))
+
+
+@pytest.mark.parametrize("noise", [NO_NOISE, NoiseMechanism(NORMAL_THRESHOLD, 0.5)])
+@pytest.mark.parametrize("n_persons", [True, False, 2.0, 2.5, "2", None, np.float64(2.0)])
+def test_synthesize_client_refuses_a_bool_or_non_integer_person_count(n_persons, noise):
+    # True would synthesize one person, 2.0 fail inside islice and 2.5 in range();
+    # the check comes before any draw
+    dist, _, table = make_fixture()
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    message = f"n_persons must be an integer, got {n_persons!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synthesize_client(n_persons, dist, noise, table, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_synthesize_client_takes_numpy_integer_person_counts():
+    dist, _, table = make_fixture()
+    for n_persons in (np.int64(3), np.int32(3), np.uint8(3)):
+        ds = synthesize_client(n_persons, dist, NO_NOISE, table, np.random.default_rng(16))
+        expected = synthesize_client(3, dist, NO_NOISE, table, np.random.default_rng(16))
+        assert np.array_equal(ds.rows, expected.rows)
+        assert np.array_equal(ds.labels, expected.labels)
 
 
 def test_feature_matrix_shapes():

@@ -20,9 +20,9 @@ import numpy as np
 from . import rng as streams
 from .embeddings import EmbeddingTable
 from .mlp import (
-    Cohort,
     MlpParameters,
     TrainConfig,
+    Window,
     init_params,
     mean_loss,
     train_local,
@@ -266,14 +266,18 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     streams in one call each, and they are synthesized run by run,
     each run's in client_id order, into windows shared by the call. A
     window trains once it holds WINDOW_EXAMPLES examples, and once more
-    after the last client, in one train_local call, as one Cohort with a
-    start and a stream per client; one mean_loss call then scores each
-    update on its own client's data. Each run then merges its updates, in
-    ascending client_id order, with its own fedavg_aggregate. Clients that
-    come up empty are skipped; a run in which every selected client does
-    so carries its global parameters forward unchanged. Each run gets its
-    own RoundReport; its wall_time and stage times (synthesis, training and
-    aggregation) are those of the whole call's round.
+    after the last client, in one train_local call, as one mlp.Window
+    (its clients' arrays in one size-sorted layout) with a start and a
+    stream per client. train_local returns one output block, a row per
+    client, and one mean_loss call scores each row on its own client's
+    data. The block's rows, wrapped without a copy, are the updates, each
+    weighted by its client's size as the window read it. Each run then
+    merges its updates, in ascending client_id order, with its own
+    fedavg_aggregate. Clients that come up empty are skipped; a run in
+    which every selected client does so carries its global parameters
+    forward unchanged. Each run gets its own RoundReport; its wall_time
+    and stage times (synthesis, training and aggregation) are those of the
+    whole call's round.
     """
     started = time.perf_counter()
     synthesis_s = training_s = 0.0
@@ -284,22 +288,27 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     losses: list[list[float]] = [[] for _ in runs]
     skipped = [0] * len(runs)
     # this window's non-empty clients as (run, dataset, training stream)
-    window: list[tuple[int, ClientDataset, np.random.Generator]] = []
+    pending: list[tuple[int, ClientDataset, np.random.Generator]] = []
+    by_examples = spec.weighting == WEIGHT_BY_EXAMPLES
 
     def train_window() -> None:
         nonlocal training_s
-        cohort = Cohort(tuple(dataset for _, dataset, _ in window))
+        window = Window([dataset for _, dataset, _ in pending])
         begun = time.perf_counter()
         # positional, under this module's names: perfbench wraps them there
-        trained = train_local([params[r] for r, _, _ in window], cohort, spec.train,
-                              [rng for _, _, rng in window])
-        window_losses = mean_loss(trained, cohort)
+        block, order = train_local([params[r] for r, _, _ in pending], window, spec.train,
+                                   [rng for _, _, rng in pending])
+        window_losses = mean_loss(block, window)
         training_s += time.perf_counter() - begun
-        for (r, dataset, _), local, loss in zip(window, trained, window_losses):
-            weight = len(dataset) if spec.weighting == WEIGHT_BY_EXAMPLES else 1
-            updates[r].append((local, weight))
-            losses[r].append(loss)
-        window.clear()
+        # block row p is client order[p]; each run takes its updates in input order
+        position = [0] * len(order)
+        for p, i in enumerate(order):
+            position[i] = p
+        for (r, _, _), p in zip(pending, position):
+            weight = window.sizes[p] if by_examples else 1
+            updates[r].append((MlpParameters._wrap(block[p]), weight))
+            losses[r].append(window_losses[p])
+        pending.clear()
 
     held = 0
     for r, ((noise, master_seed), population) in enumerate(zip(runs, populations)):
@@ -317,15 +326,16 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
             dataset = synthesize_client(n_persons, distributions[country], noise, phrases,
                                         data_rng)
             synthesis_s += time.perf_counter() - begun
-            if len(dataset) == 0:
+            examples = len(dataset)
+            if examples == 0:
                 skipped[r] += 1
                 continue
-            window.append((r, dataset, train_rng))
-            held += len(dataset)
+            pending.append((r, dataset, train_rng))
+            held += examples
             if held >= WINDOW_EXAMPLES:
                 train_window()
                 held = 0
-    if window:
+    if pending:
         train_window()
 
     begun = time.perf_counter()

@@ -4,10 +4,12 @@ Three ReLU hidden layers feed one sigmoid output neuron. Training is
 binary cross-entropy under Adam. All 2,305 parameters live in one flat
 float64 vector; each layer's weights and biases are views into it, built
 once per parameter set. A parameter set is validated once, when it is
-built, and is read-only from then on. init_params, train_local and
-fedavg_aggregate hand their fresh private vectors to
-MlpParameters._adopt, which checks only that each is finite and freezes
-it, with no copy; the public constructor copies and checks everything.
+built, and is read-only from then on. init_params and fedavg_aggregate
+hand their fresh private vectors to MlpParameters._adopt, which checks
+only that each is finite and freezes it, with no copy; train_local
+checks and freezes its whole output block at once, whose rows
+MlpParameters._wrap then wraps as they are. The public constructor
+copies and checks everything.
 
 A client's examples are row indices into the run's shared phrase table:
 each training step gathers its own minibatch from that table, and
@@ -18,21 +20,27 @@ mean_loss (forward only) and loss_and_gradient. Every client trains with
 the same Adam LEARNING_RATE and minibatches of BATCH_SIZE rows; only the
 number of local epochs is set per run (TrainConfig).
 
-Lockstep training. train_local trains a Cohort of clients, each from
-its own start and with its own shuffling stream, and returns each
-client's parameters as if it had trained alone. Numpy call overhead on
-small minibatches dominates a step, so the clients step together. The
-cohort is sorted by size, largest first, and cut into contiguous chunks:
-a chunk takes LOCKSTEP_CLIENTS clients, then each next client of the
-same size as its last, up to LOCKSTEP_MAX_CLIENTS, so clients of one
-size share a chunk and its stacked passes; with all sizes distinct every
-chunk but the last has LOCKSTEP_CLIENTS clients. A call holds one output
-block with a row per client, in sorted order, and one workspace of four
-arrays: gradients and Adam moments with a row per client of the largest
-chunk, and Adam scratch of at most LOCKSTEP_CLIENTS rows. Each chunk
-trains in place in its k rows of the block and reuses the workspace's
-first rows, so a chunk allocates nothing of that size, and each result is
-a read-only row of the block. At step j the clients still training are a
+Lockstep training. train_local trains a Window of clients, each from
+its own start and with its own shuffling stream, and returns the
+parameters of each client as if it had trained alone. Numpy call
+overhead on small minibatches dominates a step, so the clients step
+together. A Window is its clients as one array layout, built once:
+sorted by size, largest first, ties in input order, each size read once,
+and all rows and labels concatenated in that order with their offsets,
+so each run of equal sizes is one contiguous slice. train_local cuts
+that order into contiguous chunks: a chunk takes LOCKSTEP_CLIENTS
+clients, then each next client of the same size as its last, up to
+LOCKSTEP_MAX_CLIENTS, so clients of one size share a chunk and its
+stacked passes; with all sizes distinct every chunk but the last has
+LOCKSTEP_CLIENTS clients. A call holds one output block with a row per
+client, in the window's order, and one workspace of four arrays:
+gradients and Adam moments with a row per client of the largest chunk,
+and Adam scratch of at most LOCKSTEP_CLIENTS rows. Each chunk trains in
+place in its k rows of the block from slices of the layout, and reuses
+the workspace's first rows, so a chunk allocates nothing of that size.
+The block is checked for finiteness once, frozen and returned whole, with
+the window's order: the block is what mean_loss scores and what FedAvg
+merges, a row per update. At step j the clients still training are a
 prefix of the chunk, all on Adam step j + 1, so adam_step updates that
 prefix in blocks of at most LOCKSTEP_CLIENTS rows, past which its cost
 per element rises; each block's gradient rows, read for the last time,
@@ -47,21 +55,24 @@ the backward pass. It is rank-generic: one client's (n, 50) batch goes
 through np.dot, and a (k, n, 50) stack of k clients through np.matmul,
 which runs one small BLAS product per client and so gives each client
 the bits np.dot gives it alone; tests compare the bytes of ragged
-cohorts with a per-client reference, and the golden runs at 1 and 4 BLAS
+windows with a per-client reference, and the golden runs at 1 and 4 BLAS
 threads. A run of one client steps on its own 1-D parameter row through
 np.dot, which has less dispatch overhead. Each ReLU's gradient is masked
 by multiplying in place with np.sign of its output, and adam_step skips
 its first-moment bias-correction divide once that correction is exactly
 1.0; both keep every bit.
 
-Scoring. mean_loss scores a whole cohort, each client with its own
-trained parameters, in one call and along one path. Clients of one size
-are scored in stacks of up to LOCKSTEP_CLIENTS, and a client of
-2 * SCORE_ROWS rows or more alone, so a call holds one large client's
-losses at a time. Each stack is walked block by block, one take of its
-(k, block) rows and one rank-generic _forward pass a block; each
-client's mean sums its row of losses in the order of its own 1-D
-np.add.reduce, so it has the bits of the client scored alone. forward
+Scoring. mean_loss scores a whole window from train_local's block, each
+client with its own row, in one call and along one path. Clients of one
+size, next to each other in the window's order, are scored in stacks of
+contiguous block rows and layout slices, with no copy: up to
+LOCKSTEP_MAX_CLIENTS clients and LOCKSTEP_CLIENTS * 2 * SCORE_ROWS rows
+a stack. A client of 2 * SCORE_ROWS rows or more is scored alone, so a
+call holds one large client's losses at a time. Each stack is walked
+block by block, one take of its (k, block) rows and one rank-generic
+_forward pass a block; each client's mean sums its row of losses in the
+order of its own 1-D np.add.reduce, so it has the bits of the client
+scored alone. forward
 scores each row as a lone vector: an (m, 50) call takes one _forward
 pass over an (m, 1, 50) stack, in which np.matmul runs BLAS's
 matrix-vector kernel on each row, as a (50,) call does, so each row has
@@ -92,8 +103,10 @@ between threads.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -162,14 +175,22 @@ class MlpParameters:
     def _adopt(cls, flat: np.ndarray) -> "MlpParameters":
         """Wrap a fresh float64 vector of N_PARAMS that no one else holds, without a copy.
 
-        For init_params', train_local's and fedavg_aggregate's own results; a
-        train_local result is one row of the call's output block:
-        the vector is refused if non-finite, as the constructor would, and
-        is made read-only in place.
+        For init_params' and fedavg_aggregate's own results: the vector is
+        refused if non-finite, as the constructor would, and is made
+        read-only in place.
         """
         if not np.isfinite(flat).all():
             raise ValueError("non-finite parameters")
         flat.flags.writeable = False
+        return cls._wrap(flat)
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray) -> "MlpParameters":
+        """Wrap a read-only, finite float64 vector of N_PARAMS as it is: no check, no copy.
+
+        For a row of train_local's output block, which train_local checks
+        and freezes once as a whole.
+        """
         params = object.__new__(cls)
         object.__setattr__(params, "flat", flat)
         return params
@@ -197,24 +218,44 @@ class MlpParameters:
         return layer_views(self.flat)
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """The clients one train_local call trains, none empty, all rows of one phrase table.
+class Window:
+    """The clients one train_local call trains, as one size-sorted array layout.
 
-    Its len() is its number of examples, as a ClientDataset's is. This is
-    the one check of the clients; train_local and mean_loss rely on it.
+    Position p is the p-th client largest first, ties in input order, and
+    order[p] is its index in the input. Its sizes[p] examples are rows
+    offsets[p] to offsets[p + 1] of rows and labels: row indices into
+    table, the clients' shared phrase matrix, and their float64 0/1 labels.
+    Each size is read once, and the clients' arrays are concatenated once
+    in that order, read-only; a one-client window keeps its client's own
+    arrays. Block row p of train_local and mean_loss is position p. Its
+    len() is its number of examples. Building it is the one check of the
+    clients: at least one, none empty, all rows of one phrase table;
+    train_local and mean_loss rely on it.
     """
 
-    clients: tuple[ClientDataset, ...]
-
-    def __post_init__(self):
-        if not all(len(client) for client in self.clients):
+    def __init__(self, clients: Sequence[ClientDataset]):
+        if not clients:
+            raise ValueError("a window needs at least one client")
+        sizes = [len(client) for client in clients]
+        if not all(sizes):
             raise ValueError("empty client")
-        if any(client.phrases is not self.clients[0].phrases for client in self.clients):
-            raise ValueError("a cohort's clients must share one phrase table")
+        phrases = clients[0].phrases
+        if any(client.phrases is not phrases for client in clients):
+            raise ValueError("a window's clients must share one phrase table")
+        # largest first, ties in input order: then no client has more steps than one before it
+        self.order = tuple(sorted(range(len(clients)), key=sizes.__getitem__, reverse=True))
+        self.sizes = tuple(sizes[i] for i in self.order)
+        self.offsets = (0, *accumulate(self.sizes))
+        self.table = phrases.matrix
+        if len(clients) == 1:
+            self.rows, self.labels = clients[0].rows, clients[0].labels
+        else:
+            self.rows = np.concatenate([clients[i].rows for i in self.order])
+            self.labels = np.concatenate([clients[i].labels for i in self.order])
+            self.rows.flags.writeable = self.labels.flags.writeable = False
 
     def __len__(self) -> int:
-        return sum(len(client) for client in self.clients)
+        return self.offsets[-1]
 
 
 @dataclass(frozen=True)
@@ -401,55 +442,55 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     theta -= np.divide(scratch, denom, out=scratch)
 
 
-def train_local(params: list[MlpParameters], dataset: Cohort, config: TrainConfig,
-                rngs: list[np.random.Generator]) -> list[MlpParameters]:
-    """Run local_epochs of minibatch Adam over each client of the cohort, in lockstep.
+def train_local(params: list[MlpParameters], dataset: Window, config: TrainConfig,
+                rngs: list[np.random.Generator]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Run local_epochs of minibatch Adam over each client of the window, in lockstep.
 
-    Client i starts from params[i] with a fresh optimizer state and
-    shuffles its row indices and labels for each of its epochs with
-    rngs[i], a small client several epochs in one draw; each step gathers
-    its minibatch straight from the shared phrase table, and the last
-    short batch is trained on. Clients may start from different
-    parameters, as the clients of several runs in one cohort do. Returns
-    each client's trained vector, frozen, in input order; a non-finite
-    one is refused. The clients train in sorted chunks of LOCKSTEP_CLIENTS,
-    extended over clients of the chunk's last size up to
-    LOCKSTEP_MAX_CLIENTS (see the module docstring), and each result has
-    the bits of a run of its own.
+    Client i (in input order) starts from params[i] with a fresh optimizer
+    state and shuffles its row indices and labels for each of its epochs
+    with rngs[i], a small client several epochs in one draw; each step
+    gathers its minibatch straight from the shared phrase table, and the
+    last short batch is trained on. Clients may start from different
+    parameters, as the clients of several runs in one window do. The
+    clients train in the window's size order, in chunks of
+    LOCKSTEP_CLIENTS extended over clients of the chunk's last size up to
+    LOCKSTEP_MAX_CLIENTS (see the module docstring), each from slices of
+    the window's layout, and each result has the bits of a run of its own.
+
+    Returns the output block and the window's order: row p is the trained
+    vector of client order[p]. The block is checked once, and refused if
+    any element is non-finite, then made read-only. (`dataset` keeps its
+    name: perfbench's tracer reads the window's len() under it.)
     """
-    clients = dataset.clients
-    if not len(params) == len(rngs) == len(clients):
+    window = dataset
+    sizes = window.sizes
+    if not len(params) == len(rngs) == len(sizes):
         raise ValueError(f"{len(params)} parameter sets and {len(rngs)} streams "
-                         f"for {len(clients)} clients")
-    # largest first, ties in input order: then no client has more steps than one before it
-    order = sorted(range(len(clients)), key=lambda i: len(clients[i]), reverse=True)
-    sizes = [len(clients[i]) for i in order]
-    # chunks are contiguous slices of the sorted order: LOCKSTEP_CLIENTS clients, then
-    # each next client of the last one's size, up to LOCKSTEP_MAX_CLIENTS in all
+                         f"for {len(sizes)} clients")
+    # chunks are contiguous runs of positions: LOCKSTEP_CLIENTS clients, then each next
+    # client of the last one's size, up to LOCKSTEP_MAX_CLIENTS in all
     bounds = [0]
-    while bounds[-1] < len(order):
-        limit = min(bounds[-1] + LOCKSTEP_MAX_CLIENTS, len(order))
+    while bounds[-1] < len(sizes):
+        limit = min(bounds[-1] + LOCKSTEP_MAX_CLIENTS, len(sizes))
         end = min(bounds[-1] + LOCKSTEP_CLIENTS, limit)
         while end < limit and sizes[end] == sizes[end - 1]:
             end += 1
         bounds.append(end)
-    # a row per client in sorted order, each chunk training in place in its own rows,
-    # and one workspace that every chunk reuses: grad, m and v rows for the largest
-    # chunk, and scratch rows for one adam_step block
-    rows = max((end - start for start, end in zip(bounds, bounds[1:])), default=0)
-    out = np.empty((len(clients), N_PARAMS))
+    # a row per position, each chunk training in place in its own rows, and one
+    # workspace that every chunk reuses: grad, m and v rows for the largest chunk, and
+    # scratch rows for one adam_step block
+    rows = max(end - start for start, end in zip(bounds, bounds[1:]))
+    out = np.empty((len(sizes), N_PARAMS))
     workspace = tuple(np.empty((n, N_PARAMS))
                       for n in (rows, rows, rows, min(rows, LOCKSTEP_CLIENTS)))
-    trained: list[MlpParameters | None] = [None] * len(clients)
-    for start, end in zip(bounds, bounds[1:]):
-        chunk = order[start:end]
-        _train_chunk(out[start:end], [params[i].flat for i in chunk],
-                     [clients[i] for i in chunk], [rngs[i] for i in chunk],
-                     config.local_epochs, workspace)
-        # no one else holds a row of the block, so each is adopted without a copy
-        for p, i in enumerate(chunk, start):
-            trained[i] = MlpParameters._adopt(out[p])
-    return trained
+    for chunk in map(slice, bounds, bounds[1:]):
+        clients = window.order[chunk]
+        _train_chunk(out[chunk], [params[i].flat for i in clients], window, chunk,
+                     [rngs[i] for i in clients], config.local_epochs, workspace)
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite parameters")
+    out.flags.writeable = False
+    return out, window.order
 
 
 def _stacked_layers(theta: np.ndarray) -> tuple:
@@ -516,9 +557,9 @@ def _draw_shuffles(rows: np.ndarray, labels: np.ndarray, rngs: list, epochs_left
     return list(zip(rows[order][::-1], labels[order][..., None][::-1]))
 
 
-def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[ClientDataset],
+def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], window: Window, chunk: slice,
                  rngs: list[np.random.Generator], epochs: int, workspace: tuple) -> None:
-    """Train clients sorted as train_local sorts them, each from its own start vector.
+    """Train the window's clients at the positions of chunk, each from its own start vector.
 
     theta is their (k, N_PARAMS) rows, which the starts are copied into and
     which end as the trained parameters. workspace holds the grad, m and v
@@ -526,30 +567,27 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
     rows and zeroes its Adam moments before step 1, and the scratch rows of
     one adam_step block. Adam steps the clients still training in blocks of
     at most LOCKSTEP_CLIENTS rows, each block's gradient rows serving as
-    its denom. Clients of one size sit next to each other in the sorted
+    its denom. Clients of one size sit next to each other in the window's
     order and train the same steps: each such size group draws its
-    shuffles together (_draw_shuffles) and takes one slice of them a step.
+    shuffles together (_draw_shuffles), from its slice of the window's
+    layout, and takes one slice of them a step.
     """
-    k = len(clients)
-    table = clients[0].phrases.matrix
+    k = len(theta)
+    table = window.table
     for row, start in zip(theta, starts):
         row[...] = start
     grad, m, v = (array[:k] for array in workspace[:3])
     scratch = workspace[3]
     m[...] = 0.0
     v[...] = 0.0
+    sizes, offsets = window.sizes[chunk], window.offsets[chunk.start:chunk.stop + 1]
     # size group g is the clients [edges[g], edges[g + 1])
-    edges = [0, *(c for c in range(1, k) if len(clients[c]) != len(clients[c - 1])), k]
-    groups = []  # per group: its rows and labels end to end, and its streams
-    for first, end in zip(edges, edges[1:]):
-        members = clients[first:end]
-        if len(members) == 1:
-            groups.append((members[0].rows, members[0].labels, rngs[first:end]))
-        else:
-            groups.append((np.concatenate([client.rows for client in members]),
-                           np.concatenate([client.labels for client in members]),
-                           rngs[first:end]))
-    per_epoch = [-(-len(clients[first]) // BATCH_SIZE) for first in edges[:-1]]
+    edges = [0, *(c for c in range(1, k) if sizes[c] != sizes[c - 1]), k]
+    # per group: its rows and labels end to end, a slice of the layout, and its streams
+    groups = [(window.rows[offsets[first]:offsets[last]],
+               window.labels[offsets[first]:offsets[last]], rngs[first:last])
+              for first, last in zip(edges, edges[1:])]
+    per_epoch = [-(-sizes[first] // BATCH_SIZE) for first in edges[:-1]]
     last_step = [steps * epochs for steps in per_epoch]
     # run_views[first][end]: _run_views of the run of groups [first, end), once it has been met
     run_views = [[None] * (len(groups) + 1) for _ in groups]
@@ -601,42 +639,48 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], clients: list[Clie
             adam_step(theta_b, grad_b, m_b, v_b, j + 1, scratch_b, grad_b)
 
 
-def mean_loss(trained: list[MlpParameters], dataset: Cohort) -> list[float]:
-    """Mean binary cross-entropy of trained[i] on the cohort's client i, for each i, in order.
+def mean_loss(block: np.ndarray, window: Window) -> list[float]:
+    """Mean binary cross-entropy of each block row on its window position's client, in order.
 
-    Clients of one size are scored in stacks, each walked block by block
-    (see the module docstring); each loss has the bits of the client scored alone.
+    block is train_local's (k, N_PARAMS) output: row p is scored on the
+    client at position p. Each run of equal sizes is scored in stacks of
+    contiguous block rows and layout slices, each walked block by block
+    (see the module docstring); each loss has the bits of the client
+    scored alone.
     """
-    clients = dataset.clients
-    if len(trained) != len(clients):
-        raise ValueError(f"{len(trained)} parameter sets for {len(clients)} clients")
-    losses = [0.0] * len(clients)
-    by_size: dict[int, list[int]] = {}
-    for i, client in enumerate(clients):
-        by_size.setdefault(len(client), []).append(i)
-    for n, group in by_size.items():
-        per_stack = LOCKSTEP_CLIENTS if n < 2 * SCORE_ROWS else 1
+    sizes, offsets = window.sizes, window.offsets
+    k = len(sizes)
+    if len(block) != k:
+        raise ValueError(f"{len(block)} parameter sets for {k} clients")
+    losses: list[float] = []
+    first = 0
+    while first < k:
+        n = sizes[first]
+        # a stack is the next clients of this size, as many as its caps allow; a client of
+        # several blocks is scored alone, so a call holds one large client's losses at a time
+        cap = (1 if n >= 2 * SCORE_ROWS
+               else min(LOCKSTEP_MAX_CLIENTS, LOCKSTEP_CLIENTS * 2 * SCORE_ROWS // n))
+        end = first + 1
+        while end < k and end - first < cap and sizes[end] == n:
+            end += 1
+        rows = window.rows[offsets[first]:offsets[end]]
+        labels = window.labels[offsets[first]:offsets[end]]
+        if end - first == 1:
+            # fresh views, not cached ones: each local update is scored once
+            layers = layer_views(block[first])
+        else:
+            layers = _stacked_layers(block[first:end])
+            rows, labels = rows.reshape(end - first, n), labels.reshape(end - first, n)
         count = max(1, n // SCORE_ROWS)
-        for start in range(0, len(group), per_stack):
-            stack = group[start:start + per_stack]
-            if len(stack) == 1:
-                # fresh views, not the cached params.layers: each local update is scored
-                # once, and a cache would hold its views until FedAvg merges the round
-                layers = layer_views(trained[stack[0]].flat)
-                rows, labels = clients[stack[0]].rows, clients[stack[0]].labels
-            else:
-                layers = _stacked_layers(np.stack([trained[i].flat for i in stack]))
-                rows = np.stack([clients[i].rows for i in stack])
-                labels = np.stack([clients[i].labels for i in stack])
-            loss = np.empty((len(stack), n))
-            for b in range(count):
-                block = slice(b * SCORE_ROWS, n if b == count - 1 else (b + 1) * SCORE_ROWS)
-                # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
-                x = clients[0].phrases.matrix.take(rows[..., block], axis=0)
-                loss[:, block] = _row_bce(_forward(layers, x), labels[..., block])
-            # each client's row sum in the order of its own 1-D np.add.reduce
-            for i, value in zip(stack, (np.add.reduce(loss, axis=-1) / n).tolist()):
-                losses[i] = value
+        loss = np.empty((end - first, n))
+        for b in range(count):
+            part = slice(b * SCORE_ROWS, n if b == count - 1 else (b + 1) * SCORE_ROWS)
+            # take(axis=0) gathers the same rows as table[...] with less dispatch overhead
+            x = window.table.take(rows[..., part], axis=0)
+            loss[:, part] = _row_bce(_forward(layers, x), labels[..., part])
+        # each client's row sum in the order of its own 1-D np.add.reduce
+        losses.extend((np.add.reduce(loss, axis=-1) / n).tolist())
+        first = end
     return losses
 
 

@@ -35,16 +35,28 @@ class CountrySurvey:
 
 @dataclass(frozen=True)
 class SymptomDistribution:
-    """Prominent symptoms of one country with exact display probabilities."""
+    """Prominent symptoms of one country with exact display probabilities.
+
+    Its hash is computed once, at construction: a distribution keys the
+    phrase table's walks, looked up once a synthesized client, and the
+    generated hash would re-hash every entry on each lookup. Equality is
+    the generated field-by-field one.
+    """
 
     country: str
     entries: tuple[tuple[str, float], ...]
     prominent_lower: frozenset[str] = field(init=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "prominent_lower", frozenset(name.lower() for name, _ in self.entries)
         )
+        object.__setattr__(self, "_hash",
+                           hash((self.country, self.entries, self.prominent_lower)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ from fedsymptoms.federation import (
 )
 from fedsymptoms.mlp import (
     LAYER_SIZES,
-    Cohort,
     MlpParameters,
     TrainConfig,
+    Window,
     init_params,
     layer_views,
     loss_and_gradient,
@@ -301,9 +301,9 @@ def test_10_separable_fixture_trains_to_perfection(capsys):
     for seed in range(1, 11):
         dataset = separable_dataset(seed)
         params = init_params(init_stream(seed))
-        [trained] = train_local([params], Cohort((dataset,)), TrainConfig(local_epochs=5),
-                                client_train_stream(seed, [0], 0))
-        perfect.append(training_accuracy(trained, dataset) == 1.0)
+        block, _ = train_local([params], Window((dataset,)), TrainConfig(local_epochs=5),
+                               client_train_stream(seed, [0], 0))
+        perfect.append(training_accuracy(MlpParameters(block[0]), dataset) == 1.0)
     report(capsys, all(perfect), "10 separable-data sanity",
            f"{sum(perfect)}/10 seeds reach training accuracy 1.0 "
            f"within 5 epochs on the 200-point fixture")

@@ -45,6 +45,8 @@ def test_a_worker_reports_each_calls_faults_and_its_peak_rss_after_its_last_call
     # a scoring pass for each snapshot, and 257 for the 5 rounds' mean_loss of the client
     # of ~13k rows, walked in blocks of 256 to 511 rows
     assert counts["mlp._forward"] == 5 + 257
+    # the client's size is read twice a round: by run_round and by its window
+    assert counts["sampling.ClientDataset.__len__"] == 2 * 5
 
 
 def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
@@ -57,23 +59,32 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
     def forward(x):
         return x
 
+    class ClientDataset:
+        def __len__(self):
+            return 4
+
+    length = ClientDataset.__len__
     # a tree whose mlp has no adam_step counts it as None
     module = types.SimpleNamespace(_backprop=backprop, _forward=forward)
     evaluation = types.SimpleNamespace(forward=forward)
-    package = types.SimpleNamespace(mlp=module, evaluation=evaluation)
+    sampling = types.SimpleNamespace(ClientDataset=ClientDataset)
+    package = types.SimpleNamespace(mlp=module, evaluation=evaluation, sampling=sampling)
 
     def work():
         assert module._backprop is not backprop and evaluation.forward is not forward
-        assert module._forward is not forward
+        assert module._forward is not forward and ClientDataset.__len__ is not length
+        # len() of an instance goes through the class's wrapped __len__
         return (sum(module._backprop(x) for x in range(5)) + evaluation.forward(1)
-                + module._forward(2) + module._forward(3))
+                + module._forward(2) + module._forward(3) + len(ClientDataset())
+                + len(ClientDataset()))
 
     result, counts = bench_calls.counted(package, work)
-    assert result == 26
+    assert result == 34
     assert counts == {"mlp._backprop": 5, "mlp.adam_step": None, "mlp._forward": 2,
-                      "evaluation.forward": 1}
+                      "evaluation.forward": 1, "sampling.ClientDataset.__len__": 2}
     assert module._backprop is backprop and not hasattr(module, "adam_step")
     assert module._forward is forward and evaluation.forward is forward
+    assert ClientDataset.__len__ is length and len(ClientDataset()) == 4
 
     def fails():
         module._backprop(1)
@@ -82,9 +93,13 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
     with pytest.raises(ValueError, match="call failed"):
         bench_calls.counted(package, fails)
     assert module._backprop is backprop and evaluation.forward is forward
-    # a tree without the module counts each of its names as None
+    # a tree without the module, or without the class, counts each of their names as None
     _, counts = bench_calls.counted(types.SimpleNamespace(mlp=module), lambda: None)
     assert counts["evaluation.forward"] is None
+    assert counts["sampling.ClientDataset.__len__"] is None
+    _, counts = bench_calls.counted(types.SimpleNamespace(sampling=types.SimpleNamespace()),
+                                    lambda: None)
+    assert counts["sampling.ClientDataset.__len__"] is None
 
 
 class FakeWorker:

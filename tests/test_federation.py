@@ -386,7 +386,8 @@ def chunked_round_results(monkeypatch, spec, run, surveys, corpus, table, settin
 
     A setting is a (chunk, cap, budget) triple: the round runs with
     mlp.LOCKSTEP_CLIENTS, mlp.LOCKSTEP_MAX_CLIENTS and federation.WINDOW_EXAMPLES
-    set to it. Every update is recorded as bytes.
+    set to it; the two caps bound both the training chunks and the scoring
+    stacks. Every update is recorded as bytes, in input order.
     """
     real = federation.train_local
     results = {}
@@ -394,11 +395,13 @@ def chunked_round_results(monkeypatch, spec, run, surveys, corpus, table, settin
         cohorts, sizes, updates = [], [], []
 
         def recorded(params, dataset, config, rngs):
-            trained = real(params, dataset, config, rngs)
-            cohorts.append(len(dataset.clients))
-            sizes.extend(len(client) for client in dataset.clients)
-            updates.extend(update.flat.tobytes() for update in trained)
-            return trained
+            block, order = real(params, dataset, config, rngs)
+            cohorts.append(len(order))
+            # block row p is input client order[p]
+            by_input = sorted(range(len(order)), key=order.__getitem__)
+            sizes.extend(dataset.sizes[p] for p in by_input)
+            updates.extend(block[p].tobytes() for p in by_input)
+            return block, order
 
         monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", chunk)
         monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", cap)
@@ -429,13 +432,13 @@ def test_round_output_does_not_depend_on_chunk_size_or_window(monkeypatch, surve
 def test_round_output_does_not_depend_on_chunking_where_sizes_repeat(monkeypatch, surveys,
                                                                      corpus, table):
     # 250 clients of one or two persons: few sizes, each shared by many clients, so ties
-    # extend chunks up to each cap
+    # extend chunks, and scoring stacks, up to each cap
     spec = simulation_spec("IV", scale=0.1, participation_fraction=0.025, global_epochs=1,
                            local_epochs=2)
     run = (NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 5)
     results = chunked_round_results(
         monkeypatch, spec, run, surveys, corpus, table,
-        [(chunk, cap, budget) for chunk in (1, 3, 8) for cap in (1, 8, 32, 64)
+        [(chunk, cap, budget) for chunk in (1, 3, 8, 32) for cap in (1, 3, 8, 32, 64)
          for budget in (1, federation.WINDOW_EXAMPLES)])
     first = next(iter(results.values()))
     assert len(first[0]) == spec.clients_per_round
@@ -444,13 +447,18 @@ def test_round_output_does_not_depend_on_chunking_where_sizes_repeat(monkeypatch
     assert all(result == first for result in results.values())
 
 
+@pytest.mark.parametrize("spec, seed, pinned", [
+    (simulation_spec("IV", scale=0.01, participation_fraction=0.05, global_epochs=2,
+                     local_epochs=3), 4, None),
+    # a round of run_IV_wide: 250 clients of 1-2 persons in one window, 3,566 examples
+    # trained for 5 local epochs
+    (simulation_spec("IV", scale=0.1, participation_fraction=0.025, global_epochs=1), 1, 17830),
+], ids=["two-rounds", "run_IV_wide-round"])
 def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surveys, corpus,
-                                                               table):
-    # wraps federation.train_local as perfbench's ExampleCounter does, four positional arguments
-    spec = simulation_spec("IV", scale=0.01, participation_fraction=0.05, global_epochs=2,
-                           local_epochs=3)
+                                                               table, spec, seed, pinned):
+    # wraps federation.train_local as perfbench's ExampleCounter does, four positional
+    # arguments, and reads the window's len()
     noise = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
-    seed = 4
     counted = []
     real = federation.train_local
 
@@ -477,6 +485,7 @@ def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surv
             expected += len(dataset) * spec.train.local_epochs
     assert len(counted) == spec.global_epochs
     assert expected > 0 and sum(counted) == expected
+    assert pinned in (None, expected)
 
 
 def run_bytes(snapshots, reports):

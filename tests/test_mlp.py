@@ -26,7 +26,6 @@ from fedsymptoms.mlp import (
     BATCH_SIZE,
     BETA1,
     BETA2,
-    Cohort,
     EPS_HAT,
     LAYER_SIZES,
     LEARNING_RATE,
@@ -36,6 +35,7 @@ from fedsymptoms.mlp import (
     OUTPUT_CLIP,
     SCORE_ROWS,
     TrainConfig,
+    Window,
     _sigmoid,
     adam_step,
     forward,
@@ -59,15 +59,24 @@ from conftest import (
 
 
 def train_one(params, dataset, config, rng):
-    """train_local on a cohort of one client."""
-    [trained] = train_local([params], Cohort((dataset,)), config, [rng])
-    return trained
+    """train_local on a window of one client: its one block row, wrapped as parameters."""
+    block, order = train_local([params], Window((dataset,)), config, [rng])
+    assert order == (0,)
+    return MlpParameters._wrap(block[0])
 
 
 def score_one(params, dataset):
-    """mean_loss on a cohort of one client."""
-    [loss] = mean_loss([params], Cohort((dataset,)))
+    """mean_loss on a window of one client."""
+    [loss] = mean_loss(params.flat[None], Window((dataset,)))
     return loss
+
+
+def by_client(block, order):
+    """train_local's block rows in input order: client i's trained vector is row i."""
+    rows = [None] * len(order)
+    for p, i in enumerate(order):
+        rows[i] = block[p]
+    return rows
 
 
 def test_init_shapes_and_glorot_bounds():
@@ -312,11 +321,11 @@ def test_train_local_deterministic():
 
 
 def test_train_local_rejects_empty_dataset():
-    # the cohort refuses an empty client before train_local sees it
+    # the window refuses an empty client before train_local sees it
     empty = ClientDataset(phrases=matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))),
                           rows=np.empty(0, np.intp), labels=np.empty(0))
     with pytest.raises(ValueError, match="empty client"):
-        Cohort((empty,))
+        Window((empty,))
 
 
 def test_train_local_refuses_a_non_finite_update():
@@ -514,28 +523,30 @@ def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
     assert same_bytes(trained.flat, expected)
 
 
-def ragged_cohort(sizes, seed, table_rows=300):
-    """A cohort of clients of the given sizes, drawn with repeats from one shared random table."""
+def ragged_clients(sizes, seed, table_rows=300):
+    """Clients of the given sizes, drawn with repeats from one shared random table."""
     rng = np.random.default_rng(seed)
     table = matrix_phrase_table(rng.standard_normal((table_rows, LAYER_SIZES[0])))
-    return Cohort(tuple(ClientDataset(phrases=table, rows=rng.integers(table_rows, size=n),
-                                      labels=rng.integers(0, 2, size=n)) for n in sizes))
+    return [ClientDataset(phrases=table, rows=rng.integers(table_rows, size=n),
+                          labels=rng.integers(0, 2, size=n)) for n in sizes]
 
 
-def check_cohort_matches_frozen_reference(params, cohort, config, seed):
-    """Train the cohort in lockstep and each client alone on the frozen reference; compare bytes.
+def check_window_matches_frozen_reference(params, clients, config, seed):
+    """Train the clients' window in lockstep and each client alone on the frozen reference.
 
-    `params` is every client's start, or a list of one start per client.
+    Compares bytes. `params` is every client's start, or a list of one
+    start per client. Returns the block's rows in input order.
     """
-    starts = params if isinstance(params, list) else [params] * len(cohort.clients)
-    streams = [np.random.default_rng([seed, i]) for i in range(len(cohort.clients))]
-    trained = train_local(starts, cohort, config, streams)
-    assert len(trained) == len(cohort.clients)
-    for i, (client, start, update) in enumerate(zip(cohort.clients, starts, trained)):
+    starts = params if isinstance(params, list) else [params] * len(clients)
+    streams = [np.random.default_rng([seed, i]) for i in range(len(clients))]
+    block, order = train_local(starts, Window(clients), config, streams)
+    assert block.shape == (len(clients), N_PARAMS) and not block.flags.writeable
+    trained = by_client(block, order)
+    for i, (client, start, update) in enumerate(zip(clients, starts, trained)):
         x = client.phrases.matrix[client.rows]
         expected = ref_train_local(start.flat, x, client.labels, config,
                                    np.random.default_rng([seed, i]))
-        assert same_bytes(update.flat, expected), (i, len(client))
+        assert same_bytes(update, expected), (i, len(client))
     return trained
 
 
@@ -546,29 +557,65 @@ RAGGED_SIZES = (65, 1, 33, 32, 2, 64, 31, 300, 33, 1, 65, 2, 32)
 
 
 @pytest.mark.parametrize("epochs", [1, 2, 3, 5])
-def test_ragged_cohort_matches_frozen_reference_byte_for_byte(epochs):
+def test_ragged_window_matches_frozen_reference_byte_for_byte(epochs):
     assert len(RAGGED_SIZES) > mlp.LOCKSTEP_CLIENTS
-    cohort = ragged_cohort(RAGGED_SIZES, 50 + epochs)
-    assert len(cohort) == sum(RAGGED_SIZES)
+    clients = ragged_clients(RAGGED_SIZES, 50 + epochs)
     start = init_params(np.random.default_rng(51))
     # 3x the start also puts outputs outside the LOSS_CLAMP band
     for params in (start, MlpParameters(3.0 * start.flat)):
-        trained = check_cohort_matches_frozen_reference(
-            params, cohort, TrainConfig(local_epochs=epochs), 52)
+        trained = check_window_matches_frozen_reference(
+            params, clients, TrainConfig(local_epochs=epochs), 52)
     for i, update in enumerate(trained):
-        assert not update.flat.flags.writeable
-        assert not any(np.shares_memory(update.flat, other.flat) for other in trained[i + 1:])
+        assert not update.flags.writeable
+        assert not any(np.shares_memory(update, other) for other in trained[i + 1:])
 
 
 def test_clients_of_one_chunk_train_from_their_own_starts():
     # as the clients of several runs do: each start is copied into its own row of the chunk
-    cohort = ragged_cohort(RAGGED_SIZES, 71)
+    clients = ragged_clients(RAGGED_SIZES, 71)
     starts = [init_params(np.random.default_rng([72, i % 4])) for i in range(len(RAGGED_SIZES))]
-    trained = check_cohort_matches_frozen_reference(starts, cohort, TrainConfig(local_epochs=2),
-                                                    73)
+    trained = check_window_matches_frozen_reference(starts, clients,
+                                                    TrainConfig(local_epochs=2), 73)
     for start in starts:
         assert not start.flat.flags.writeable
-        assert not any(np.shares_memory(update.flat, start.flat) for update in trained)
+        assert not any(np.shares_memory(update, start.flat) for update in trained)
+
+
+def test_a_window_lays_its_clients_out_by_size_once():
+    # largest first, ties in input order; each client's rows and labels in one read-only
+    # array each, at its offsets, and len() the examples of all clients
+    clients = ragged_clients(RAGGED_SIZES, 90)
+    window = Window(clients)
+    assert len(window) == sum(RAGGED_SIZES) == window.offsets[-1]
+    assert list(window.order) == sorted(range(len(clients)), key=lambda i: -RAGGED_SIZES[i])
+    assert list(window.sizes) == sorted(RAGGED_SIZES, reverse=True)
+    assert not window.rows.flags.writeable and not window.labels.flags.writeable
+    assert window.table is clients[0].phrases.matrix
+    for p, i in enumerate(window.order):
+        lo, hi = window.offsets[p], window.offsets[p + 1]
+        assert np.array_equal(window.rows[lo:hi], clients[i].rows)
+        assert np.array_equal(window.labels[lo:hi], clients[i].labels)
+    # a window of one client keeps that client's own arrays
+    [client] = ragged_clients((600,), 91)
+    alone = Window([client])
+    assert len(alone) == 600 and alone.rows is client.rows and alone.labels is client.labels
+
+
+def test_the_block_check_refuses_a_non_finite_output_row():
+    # one client of three reads a NaN table row: its output row alone is non-finite, and
+    # train_local refuses the block
+    x = np.random.default_rng(92).standard_normal((6, LAYER_SIZES[0]))
+    x[5, 3] = np.nan
+    table = matrix_phrase_table(x)
+    clients = [ClientDataset(phrases=table, rows=rows, labels=np.arange(len(rows)) % 2)
+               for rows in ([0, 1, 2, 3], [1, 5, 2], [4, 3])]
+    params = init_params(np.random.default_rng(93))
+    streams = [np.random.default_rng([94, i]) for i in range(3)]
+    with pytest.raises(ValueError, match="non-finite"):
+        train_local([params] * 3, Window(clients), TrainConfig(local_epochs=1), streams)
+    block, _ = train_local([params] * 2, Window([clients[0], clients[2]]),
+                           TrainConfig(local_epochs=1), streams[:2])
+    assert np.isfinite(block).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 255, 256, 257, 1000])
@@ -612,7 +659,7 @@ def test_a_size_group_takes_one_gathered_piece_a_step(monkeypatch):
     # one chunk: 40 x 2, a lone 33, 20 x 3 and a lone 7, over 2 epochs. 40 and 33
     # take batches of 32 then 8 and 1; 20 and 7 one batch an epoch and so finish after 2
     # steps. Runs of one batch length take one gather, with a piece per size group
-    cohort = ragged_cohort((20, 40, 7, 33, 20, 40, 20), 80)
+    clients = ragged_clients((20, 40, 7, 33, 20, 40, 20), 80)
     gathers = []
     real = mlp._gather
 
@@ -621,7 +668,7 @@ def test_a_size_group_takes_one_gathered_piece_a_step(monkeypatch):
         return real(table, pieces)
 
     monkeypatch.setattr(mlp, "_gather", spy)
-    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(81)), cohort,
+    check_window_matches_frozen_reference(init_params(np.random.default_rng(81)), clients,
                                           TrainConfig(local_epochs=2), 82)
     first, second = [[(2, 32), (32,)], [(3, 20)], [(7,)]], [[(2, 8)], [(1,)]]
     assert gathers == [*first, *second, [(3, 20)], [(7,)], first[0], *second]
@@ -641,21 +688,21 @@ class DrawRecorder:
 def test_small_clients_draw_several_epochs_shuffles_at_once():
     # SCORE_ROWS // n epochs a draw, at least one and at most the epochs left
     sizes = (65, SCORE_ROWS + 44, 1, SCORE_ROWS)
-    cohort = ragged_cohort(sizes, 62)
+    clients = ragged_clients(sizes, 62)
     params = init_params(np.random.default_rng(63))
     config = TrainConfig(local_epochs=5)
     streams = [DrawRecorder(np.random.default_rng([64, i])) for i in range(len(sizes))]
-    trained = train_local([params] * len(sizes), cohort, config, streams)
+    trained = by_client(*train_local([params] * len(sizes), Window(clients), config, streams))
     assert [stream.draws for stream in streams] == [[3, 2], [1] * 5, [5], [1] * 5]
-    for i, (client, update) in enumerate(zip(cohort.clients, trained)):
+    for i, (client, update) in enumerate(zip(clients, trained)):
         expected = ref_train_local(params.flat, client.phrases.matrix[client.rows],
                                    client.labels, config, np.random.default_rng([64, i]))
-        assert same_bytes(update.flat, expected), len(client)
+        assert same_bytes(update, expected), len(client)
 
 
 def test_clients_leave_the_lockstep_prefix_as_they_finish(monkeypatch):
     # 3, 2 and 1 steps an epoch: over 2 epochs the clients stop after steps 6, 4 and 2
-    cohort = ragged_cohort((10, 70, 40), 54)
+    clients = ragged_clients((10, 70, 40), 54)
     steps = []
     real = mlp.adam_step
 
@@ -665,14 +712,14 @@ def test_clients_leave_the_lockstep_prefix_as_they_finish(monkeypatch):
         return real(theta, *args)
 
     monkeypatch.setattr(mlp, "adam_step", spy)
-    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(55)), cohort,
+    check_window_matches_frozen_reference(init_params(np.random.default_rng(55)), clients,
                                           TrainConfig(local_epochs=2), 56)
     assert steps == [(3, 1), (3, 2), (2, 3), (2, 4), (1, 5), (1, 6)]
 
 
 def test_a_run_of_one_client_between_runs_of_several(monkeypatch):
     # one step an epoch each; sorted by batch size: 20, 20 | 15 | 10, 10
-    cohort = ragged_cohort((10, 20, 15, 20, 10), 57)
+    clients = ragged_clients((10, 20, 15, 20, 10), 57)
     shapes = []
     real = mlp._backprop
 
@@ -681,7 +728,7 @@ def test_a_run_of_one_client_between_runs_of_several(monkeypatch):
         return real(layers, x, y, grads)
 
     monkeypatch.setattr(mlp, "_backprop", spy)
-    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(58)), cohort,
+    check_window_matches_frozen_reference(init_params(np.random.default_rng(58)), clients,
                                           TrainConfig(local_epochs=2), 59)
     step = [(2, 20, LAYER_SIZES[0]), (15, LAYER_SIZES[0]), (2, 10, LAYER_SIZES[0])]
     assert shapes == step * 2
@@ -704,20 +751,19 @@ CHUNKS_BY_CAP = {
 def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
     # _train_chunk needs the clients still training to be a prefix of its chunk; a chunk
     # takes 3 clients, then each next client of its last one's size, up to the cap
-    cohort = ragged_cohort(CHUNKED_SIZES, 68)
-    position = {id(client): i for i, client in enumerate(cohort.clients)}
+    clients = ragged_clients(CHUNKED_SIZES, 68)
     real = mlp._train_chunk
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
     for cap, expected in CHUNKS_BY_CAP.items():
         chunks = []
 
-        def spy(theta, starts, clients, rngs, epochs, workspace):
-            chunks.append([position[id(client)] for client in clients])
-            return real(theta, starts, clients, rngs, epochs, workspace)
+        def spy(theta, starts, window, chunk, rngs, epochs, workspace):
+            chunks.append(list(window.order[chunk]))
+            return real(theta, starts, window, chunk, rngs, epochs, workspace)
 
         monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", cap)
         monkeypatch.setattr(mlp, "_train_chunk", spy)
-        check_cohort_matches_frozen_reference(init_params(np.random.default_rng(69)), cohort,
+        check_window_matches_frozen_reference(init_params(np.random.default_rng(69)), clients,
                                               TrainConfig(local_epochs=2), 70)
         assert chunks == expected, cap
         order = [i for chunk in chunks for i in chunk]
@@ -731,19 +777,19 @@ def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
     # each chunk trains in its own rows of one output block, on the first rows of the
     # same four workspace arrays
     sizes = (33, 1, 65, 32, 2, 64, 31, 31, 31)
-    cohort = ragged_cohort(sizes, 74)
+    clients = ragged_clients(sizes, 74)
     calls = []
     real = mlp._train_chunk
 
-    def spy(theta, starts, clients, rngs, epochs, workspace):
+    def spy(theta, starts, window, chunk, rngs, epochs, workspace):
         calls.append((theta, workspace))
-        return real(theta, starts, clients, rngs, epochs, workspace)
+        return real(theta, starts, window, chunk, rngs, epochs, workspace)
 
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
     monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 32)
     monkeypatch.setattr(mlp, "_train_chunk", spy)
-    trained = check_cohort_matches_frozen_reference(init_params(np.random.default_rng(75)),
-                                                    cohort, TrainConfig(local_epochs=2), 76)
+    trained = check_window_matches_frozen_reference(init_params(np.random.default_rng(75)),
+                                                    clients, TrainConfig(local_epochs=2), 76)
     assert [len(theta) for theta, _ in calls] == [3, 4, 2]
     block, workspace = calls[0][0].base, calls[0][1]
     assert block.shape == (len(sizes), N_PARAMS)
@@ -758,19 +804,19 @@ def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
         assert theta.base is block
         assert theta.ctypes.data == block[row].ctypes.data
         row += len(theta)
-    # each result is a read-only row of the block, in input order: client i is the row
-    # of its place in the sorted order
+    # the block is what train_local returns: client i's result is the row of its place
+    # in the sorted order
     order = sorted(range(len(sizes)), key=lambda i: sizes[i], reverse=True)
     for p, i in enumerate(order):
-        assert trained[i].flat.base is block
-        assert trained[i].flat.ctypes.data == block[p].ctypes.data
-        assert not trained[i].flat.flags.writeable
+        assert trained[i].base is block
+        assert trained[i].ctypes.data == block[p].ctypes.data
+    assert not block.flags.writeable
 
 
 def test_adam_steps_a_chunk_in_blocks_of_lockstep_clients_rows(monkeypatch):
     # five clients of one size share a chunk; Adam steps them in blocks of 2, 2 and a lone
     # client's 1-D rows, each block's gradient rows serving as its denom
-    cohort = ragged_cohort((40,) * 5, 77)
+    clients = ragged_clients((40,) * 5, 77)
     blocks = []
     real = mlp.adam_step
 
@@ -782,24 +828,25 @@ def test_adam_steps_a_chunk_in_blocks_of_lockstep_clients_rows(monkeypatch):
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 2)
     monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 32)
     monkeypatch.setattr(mlp, "adam_step", spy)
-    check_cohort_matches_frozen_reference(init_params(np.random.default_rng(78)), cohort,
+    check_window_matches_frozen_reference(init_params(np.random.default_rng(78)), clients,
                                           TrainConfig(local_epochs=1), 79)
     # 40 rows: two steps an epoch
     assert blocks == [(shape, step, shape) for step in (1, 2)
                       for shape in ((2, N_PARAMS), (2, N_PARAMS), (N_PARAMS,))]
 
 
-def test_cohort_checks_its_clients_and_streams():
-    cohort = ragged_cohort((3, 4), 60)
+def test_window_checks_its_clients_and_train_local_its_streams():
+    clients = ragged_clients((3, 4), 60)
     params = init_params(np.random.default_rng(60))
-    three = Cohort(cohort.clients + cohort.clients[:1])
+    three = Window(clients + clients[:1])
     with pytest.raises(ValueError, match="2 streams"):
         train_local([params] * 3, three, TrainConfig(), [np.random.default_rng(0)] * 2)
     with pytest.raises(ValueError, match="2 parameter sets"):
         train_local([params] * 2, three, TrainConfig(), [np.random.default_rng(0)] * 3)
     with pytest.raises(ValueError, match="share one phrase table"):
-        Cohort(cohort.clients + (separable_dataset(60),))
-    assert train_local([], Cohort(()), TrainConfig(), []) == []
+        Window(clients + [separable_dataset(60)])
+    with pytest.raises(ValueError, match="at least one client"):
+        Window([])
 
 
 def backprop_cases():
@@ -926,24 +973,35 @@ def forward_digests() -> list[str]:
 # clients of 31 rows and three of 769: clients under 2 * SCORE_ROWS rows are scored in
 # stacks of equal size, and larger ones alone
 WINDOW_SIZES = (1, 2, 31, 32, 33, 255, 511, 512, 513, 769, 2) + (31,) * 16 + (769, 769)
+# a tie group of 40 rows wider than both client caps, ten clients of 500 rows that the
+# row cap stacks 8 at a time, a 600-row client scored alone, and pairs of 1-3 rows
+CAPPED_SIZES = (40,) * 40 + (3, 600, 1, 2) + (500,) * 10 + (3, 1, 2)
 
 
-def window_scoring_case():
-    """A ragged cohort, one parameter set per client from 1x to 3x one start, and its losses."""
-    cohort = ragged_cohort(WINDOW_SIZES, 65)
+def window_scoring_case(sizes):
+    """Clients, one parameter set each from 1x to 3x one start, and their losses in input order.
+
+    The losses come from one mean_loss call on the clients' window, with
+    the block rows in the window's order.
+    """
+    clients = ragged_clients(sizes, 65)
     start = init_params(np.random.default_rng(66))
     # 3x the start also puts outputs outside the LOSS_CLAMP band
-    trained = [MlpParameters((1.0 + 2.0 * i / (len(WINDOW_SIZES) - 1)) * start.flat)
-               for i in range(len(WINDOW_SIZES))]
-    return cohort, trained, mean_loss(trained, cohort)
+    trained = [MlpParameters((1.0 + 2.0 * i / (len(sizes) - 1)) * start.flat)
+               for i in range(len(sizes))]
+    window = Window(clients)
+    losses = by_client(mean_loss(np.stack([trained[i].flat for i in window.order]), window),
+                       window.order)
+    return clients, trained, losses
 
 
 def check_window_scoring_matches_whole_matrix_reference():
-    cohort, trained, losses = window_scoring_case()
-    assert len(losses) == len(cohort.clients)
-    for client, params, loss in zip(cohort.clients, trained, losses):
-        expected = ref_mean_loss(params.flat, client.phrases.matrix[client.rows], client.labels)
-        assert same_bytes(loss, expected), len(client)
+    for sizes in (WINDOW_SIZES, CAPPED_SIZES):
+        clients, trained, losses = window_scoring_case(sizes)
+        for client, params, loss in zip(clients, trained, losses, strict=True):
+            expected = ref_mean_loss(params.flat, client.phrases.matrix[client.rows],
+                                     client.labels)
+            assert same_bytes(loss, expected), len(client)
 
 
 def test_window_scoring_matches_whole_matrix_reference_at_1_blas_thread():
@@ -951,7 +1009,9 @@ def test_window_scoring_matches_whole_matrix_reference_at_1_blas_thread():
                        "test_mlp.check_window_scoring_matches_whole_matrix_reference()")
 
 
-def test_window_scoring_stacks_equal_sizes_and_matches_clients_scored_alone(monkeypatch):
+def scored_shapes(monkeypatch, sizes):
+    """The shapes of _forward's inputs in one mean_loss call, after checking its losses
+    against each client scored alone."""
     shapes = []
     real = mlp._forward
 
@@ -960,29 +1020,45 @@ def test_window_scoring_stacks_equal_sizes_and_matches_clients_scored_alone(monk
         return real(layers, x)
 
     monkeypatch.setattr(mlp, "_forward", spy)
-    cohort, trained, losses = window_scoring_case()
-    stacked = sorted(shape[:2] for shape in shapes if len(shape) == 3)
-    # 16 + 1 clients of 31 rows: stacks of 8 and 8, then one alone; 2 clients of 2 rows
-    assert stacked == [(2, 2), (8, 31), (8, 31)]
-    # blocks of 256 rows, the last up to 511: 512 and 513 rows take two, 769 three
-    assert sum(len(shape) == 2 for shape in shapes) == 6 + 2 + 2 + 3 * 3
-    # 769 is the last size met: each of its clients alone, block by block
-    assert shapes[-9:] == [(256, LAYER_SIZES[0]), (256, LAYER_SIZES[0]),
-                           (257, LAYER_SIZES[0])] * 3
-    for client, params, loss in zip(cohort.clients, trained, losses):
+    clients, trained, losses = window_scoring_case(sizes)
+    monkeypatch.setattr(mlp, "_forward", real)
+    for client, params, loss in zip(clients, trained, losses, strict=True):
         assert same_bytes(loss, score_one(params, client)), len(client)
+    return shapes
 
 
-def test_mean_loss_checks_its_clients():
-    cohort = ragged_cohort((3, 4), 67)
+def test_window_scoring_stacks_equal_sizes_and_matches_clients_scored_alone(monkeypatch):
+    shapes = scored_shapes(monkeypatch, WINDOW_SIZES)
+    stacked = sorted(shape[:2] for shape in shapes if len(shape) == 3)
+    # 16 + 1 clients of 31 rows in one stack, and 2 clients of 2 rows
+    assert stacked == [(2, 2), (17, 31)]
+    # blocks of 256 rows, the last up to 511: 512 and 513 rows take two, 769 three
+    assert sum(len(shape) == 2 for shape in shapes) == 5 + 2 + 2 + 3 * 3
+    # 769 is the first size in the window's order: each of its clients alone, block by block
+    assert shapes[:9] == [(256, LAYER_SIZES[0]), (256, LAYER_SIZES[0]),
+                          (257, LAYER_SIZES[0])] * 3
+
+
+def test_window_scoring_caps_each_stack_by_clients_and_rows(monkeypatch):
+    # largest first: the 600-row client alone in two blocks; 500 rows, 8 clients a stack
+    # for the 4,096 rows of LOCKSTEP_CLIENTS stacks of 2 * SCORE_ROWS; 40 rows, up to
+    # LOCKSTEP_MAX_CLIENTS a stack; then the pairs of 3, 2 and 1 rows
+    shapes = scored_shapes(monkeypatch, CAPPED_SIZES)
+    assert mlp.LOCKSTEP_CLIENTS * 2 * SCORE_ROWS // 500 == 8 < mlp.LOCKSTEP_MAX_CLIENTS == 32
+    assert shapes == [(256, LAYER_SIZES[0]), (344, LAYER_SIZES[0]),
+                      (8, 500, LAYER_SIZES[0]), (2, 500, LAYER_SIZES[0]),
+                      (32, 40, LAYER_SIZES[0]), (8, 40, LAYER_SIZES[0]),
+                      (2, 3, LAYER_SIZES[0]), (2, 2, LAYER_SIZES[0]), (2, 1, LAYER_SIZES[0])]
+
+
+def test_mean_loss_checks_its_block():
+    clients = ragged_clients((3, 4), 67)
     params = init_params(np.random.default_rng(67))
     with pytest.raises(ValueError, match="1 parameter sets for 2 clients"):
-        mean_loss([params], cohort)
-    empty = ClientDataset(phrases=cohort.clients[0].phrases, rows=np.arange(0),
-                          labels=np.arange(0))
+        mean_loss(params.flat[None], Window(clients))
+    empty = ClientDataset(phrases=clients[0].phrases, rows=np.arange(0), labels=np.arange(0))
     with pytest.raises(ValueError, match="empty client"):
-        Cohort(cohort.clients + (empty,))
-    assert mean_loss([], Cohort(())) == []
+        Window(clients + [empty])
 
 
 def test_scoring_bits_do_not_depend_on_blas_threads():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fedsymptoms import sampling
-from fedsymptoms.mlp import Cohort, TrainConfig, init_params, mean_loss, train_local
+from fedsymptoms.mlp import TrainConfig, Window, init_params, mean_loss, train_local
 from fedsymptoms.sampling import (
     LAPLACE_DP,
     NO_NOISE,
@@ -672,9 +672,10 @@ def test_synthesis_and_training_build_no_labeled_example(monkeypatch, table, cor
     noise = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
     ds = synthesize_client(60, distributions[0], noise, phrases,
                            np.random.default_rng(20))
-    [trained] = train_local([init_params(np.random.default_rng(21))], Cohort((ds,)),
-                            TrainConfig(local_epochs=2), [np.random.default_rng(22)])
-    mean_loss([trained], Cohort((ds,)))
+    window = Window((ds,))
+    block, _ = train_local([init_params(np.random.default_rng(21))], window,
+                           TrainConfig(local_epochs=2), [np.random.default_rng(22)])
+    mean_loss(block, window)
     assert len(ds) > 0
     assert built == []
     # the derived view is the one place that builds them

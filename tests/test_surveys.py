@@ -103,6 +103,19 @@ def test_build_distribution_preserves_row_order():
     assert [name for name, _ in build_distribution(survey).entries] == ["Zeta", "Alpha", "Mid"]
 
 
+def test_equal_distributions_compare_and_hash_equal():
+    # the hash is computed once, at construction; equality still compares the fields
+    counts = {"Zeta": 1, "Alpha": 2, "Mid": 3}
+    one = build_distribution(CountrySurvey(country="X", total=10, symptom_counts=counts))
+    two = build_distribution(CountrySurvey(country="X", total=10, symptom_counts=dict(counts)))
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert {one: "walk"}[two] == "walk"
+    for other in (build_distribution(CountrySurvey(country="Y", total=10, symptom_counts=counts)),
+                  build_distribution(CountrySurvey(country="X", total=20, symptom_counts=counts))):
+        assert other != one
+    assert "_hash" not in repr(one)
+
+
 def test_load_corpus_requires_fifty_terms(tmp_path):
     p = tmp_path / "corpus.txt"
     p.write_text("\n".join(f"term{i}" for i in range(49)), encoding="utf-8")

@@ -15,11 +15,12 @@ speed, see `speed.py`). The worker also reports each call's minor page
 faults: the change in its `ru_minflt` over the call, which counts the
 pages the call's fresh allocations fault in. On its untimed call only,
 the worker also counts the calls of the package's `mlp._backprop`,
-`mlp.adam_step`, `mlp._forward` (one a scoring pass) and
-`evaluation.forward` (COUNTED): it wraps each, makes the call and
-restores them. The call counts of a fixed workload and seed
-repeat exactly, so they show a change in how training or scoring is
-batched without timing noise.
+`mlp.adam_step`, `mlp._forward` (one a scoring pass),
+`evaluation.forward` and `sampling.ClientDataset.__len__` (COUNTED): it
+wraps each, a function of a module or of a class, makes the call and
+restores them. The call counts of a fixed workload and seed repeat
+exactly, so they show a change in how training or scoring is batched,
+or how often a client's size is read, without timing noise.
 
 Each workload's summary gives its pairs' ratio, base time over change
 time: its median, its quartiles and how many pairs the change won (ratio
@@ -65,24 +66,29 @@ from bench_pairs import extract, quartiles
 
 WORKER_TIMEOUT_S = 60
 
-# the package functions, "module.attribute", whose calls the untimed call counts
-COUNTED = ("mlp._backprop", "mlp.adam_step", "mlp._forward", "evaluation.forward")
+# the package functions, "module.attribute" or "module.Class.attribute", whose calls the
+# untimed call counts
+COUNTED = ("mlp._backprop", "mlp.adam_step", "mlp._forward", "evaluation.forward",
+           "sampling.ClientDataset.__len__")
 
 
 def counted(package, function):
     """function()'s result and the calls it made through each COUNTED name of `package`.
 
-    Each name is wrapped in its module while function runs and restored
-    after it, so a call through the module's global counts; a name the
-    package lacks counts None.
+    Each name is wrapped where it lives, in its module or its class, while
+    function runs and restored after it, so a call through the module's
+    global, or len() of an instance for a class's __len__, counts; a name
+    the package lacks counts None.
     """
     counts: dict[str, int | None] = dict.fromkeys(COUNTED)
     sites = {}
     for name in COUNTED:
-        module_name, attr = name.split(".")
-        module = getattr(package, module_name, None)
-        if hasattr(module, attr):
-            sites[name] = (module, attr, getattr(module, attr))
+        *path, attr = name.split(".")
+        owner = package
+        for part in path:
+            owner = getattr(owner, part, None)
+        if hasattr(owner, attr):
+            sites[name] = (owner, attr, getattr(owner, attr))
 
     def counter(name, original):
         def wrapper(*args, **kwargs):
@@ -90,14 +96,14 @@ def counted(package, function):
             return original(*args, **kwargs)
         return wrapper
 
-    for name, (module, attr, original) in sites.items():
+    for name, (owner, attr, original) in sites.items():
         counts[name] = 0
-        setattr(module, attr, counter(name, original))
+        setattr(owner, attr, counter(name, original))
     try:
         result = function()
     finally:
-        for module, attr, original in sites.values():
-            setattr(module, attr, original)
+        for owner, attr, original in sites.values():
+            setattr(owner, attr, original)
     return result, counts
 
 

@@ -157,14 +157,17 @@ def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[in
     Runs go in canonical order, mechanisms by (kind, noise level, epsilon)
     and then seeds ascending, and each run's rows come by epoch and then
     symptom, so the rows do not depend on the order the caller lists them.
-    A repeated mechanism or seed would repeat a run's rows, so either is
-    refused. The canonical list is cut into consecutive groups of runs
+    A repeated mechanism or seed would repeat a run's rows, and an empty
+    mechanism or seed list would give no run, so each is refused, before
+    any run. The canonical list is cut into consecutive groups of runs
     that hold at most GROUP_VECTORS parameter vectors between them; each
     group runs in one run_simulation call under spec, and each of its runs
     is recorded as the group ends, its round reports in `rounds`. A run's
     rows do not depend on its group.
     """
     for name, items in (("mechanisms", mechanisms), ("seeds", seeds)):
+        if not items:
+            raise ValueError(f"sweep has no {name}")
         repeated = [x for i, x in enumerate(items) if x in items[:i]]
         if repeated:
             raise ValueError(f"sweep {name} repeat {', '.join(map(repr, dict.fromkeys(repeated)))}")

@@ -268,16 +268,18 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     window trains once it holds WINDOW_EXAMPLES examples, and once more
     after the last client, in one train_local call, as one mlp.Window
     (its clients' arrays in one size-sorted layout) with a start and a
-    stream per client. train_local returns one output block, a row per
-    client, and one mean_loss call scores each row on its own client's
-    data. The block's rows, wrapped without a copy, are the updates, each
-    weighted by its client's size as the window read it. Each run then
-    merges its updates, in ascending client_id order, with its own
-    fedavg_aggregate. Clients that come up empty are skipped; a run in
-    which every selected client does so carries its global parameters
-    forward unchanged. Each run gets its own RoundReport; its wall_time
-    and stage times (synthesis, training and aggregation) are those of the
-    whole call's round.
+    stream per client; from then on the round holds none of their
+    datasets, so their examples are held once, in the window. train_local
+    returns one output block, a row per client in the window's order, and
+    one mean_loss call scores each row on its own client's data. The
+    block's rows, wrapped without a copy, are the updates, each weighted
+    by its client's size as the window read it. Each run then merges its
+    updates, in ascending client_id order, with its own fedavg_aggregate.
+    Clients that come up empty are skipped; a run in which every selected
+    client does so carries its global parameters forward unchanged. Each
+    run gets its own RoundReport; its wall_time and stage times
+    (synthesis, training and aggregation) are those of the whole call's
+    round.
     """
     started = time.perf_counter()
     synthesis_s = training_s = 0.0
@@ -287,24 +289,27 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     updates: list[list[tuple[MlpParameters, int]]] = [[] for _ in runs]
     losses: list[list[float]] = [[] for _ in runs]
     skipped = [0] * len(runs)
-    # this window's non-empty clients as (run, dataset, training stream)
-    pending: list[tuple[int, ClientDataset, np.random.Generator]] = []
+    # this window's non-empty clients: their datasets, until the window takes them, and
+    # their (run, training stream) pairs
+    datasets: list[ClientDataset] = []
+    pending: list[tuple[int, np.random.Generator]] = []
     by_examples = spec.weighting == WEIGHT_BY_EXAMPLES
 
     def train_window() -> None:
         nonlocal training_s
-        window = Window([dataset for _, dataset, _ in pending])
+        window = Window(datasets)
+        datasets.clear()  # the window holds the examples now
         begun = time.perf_counter()
         # positional, under this module's names: perfbench wraps them there
-        block, order = train_local([params[r] for r, _, _ in pending], window, spec.train,
-                                   [rng for _, _, rng in pending])
+        block = train_local([params[r] for r, _ in pending], window, spec.train,
+                            [rng for _, rng in pending])
         window_losses = mean_loss(block, window)
         training_s += time.perf_counter() - begun
-        # block row p is client order[p]; each run takes its updates in input order
-        position = [0] * len(order)
-        for p, i in enumerate(order):
+        # block row p is client window.order[p]; each run takes its updates in input order
+        position = [0] * len(pending)
+        for p, i in enumerate(window.order):
             position[i] = p
-        for (r, _, _), p in zip(pending, position):
+        for (r, _), p in zip(pending, position):
             weight = window.sizes[p] if by_examples else 1
             updates[r].append((MlpParameters._wrap(block[p]), weight))
             losses[r].append(window_losses[p])
@@ -323,14 +328,16 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
             n_persons = int(population.sizes[client_id])
             country = int(population.countries[client_id])
             begun = time.perf_counter()
-            dataset = synthesize_client(n_persons, distributions[country], noise, phrases,
-                                        data_rng)
+            # unnamed, so that no variable still holds it once the window takes it
+            datasets.append(synthesize_client(n_persons, distributions[country], noise,
+                                              phrases, data_rng))
             synthesis_s += time.perf_counter() - begun
-            examples = len(dataset)
+            examples = len(datasets[-1])
             if examples == 0:
+                datasets.pop()
                 skipped[r] += 1
                 continue
-            pending.append((r, dataset, train_rng))
+            pending.append((r, train_rng))
             held += examples
             if held >= WINDOW_EXAMPLES:
                 train_window()

@@ -7,8 +7,8 @@ once per parameter set. A parameter set is validated once, when it is
 built, and is read-only from then on. init_params and fedavg_aggregate
 hand their fresh private vectors to MlpParameters._adopt, which checks
 only that each is finite and freezes it, with no copy; train_local
-checks and freezes its whole output block at once, whose rows
-MlpParameters._wrap then wraps as they are. The public constructor
+checks and freezes its whole output block at once, whose rows its caller
+wraps as they are with MlpParameters._wrap. The public constructor
 copies and checks everything.
 
 A client's examples are row indices into the run's shared phrase table:
@@ -38,10 +38,10 @@ gradients and Adam moments with a row per client of the largest chunk,
 and Adam scratch of at most LOCKSTEP_CLIENTS rows. Each chunk trains in
 place in its k rows of the block from slices of the layout, and reuses
 the workspace's first rows, so a chunk allocates nothing of that size.
-The block is checked for finiteness once, frozen and returned whole, with
-the window's order: the block is what mean_loss scores and what FedAvg
-merges, a row per update. At step j the clients still training are a
-prefix of the chunk, all on Adam step j + 1, so adam_step updates that
+The block is checked for finiteness once, frozen and returned whole; row
+p is the window's position p. The block is what mean_loss scores and
+what FedAvg merges, a row per update. At step j the clients still
+training are a prefix of the chunk, all on Adam step j + 1, so adam_step updates that
 prefix in blocks of at most LOCKSTEP_CLIENTS rows, past which its cost
 per element rises; each block's gradient rows, read for the last time,
 serve as its denom. The prefix is split into contiguous runs of size
@@ -56,8 +56,9 @@ through np.dot, and a (k, n, 50) stack of k clients through np.matmul,
 which runs one small BLAS product per client and so gives each client
 the bits np.dot gives it alone; tests compare the bytes of ragged
 windows with a per-client reference, and the golden runs at 1 and 4 BLAS
-threads. A run of one client steps on its own 1-D parameter row through
-np.dot, which has less dispatch overhead. Each ReLU's gradient is masked
+threads. _views picks a pass's layer views, in training and scoring
+alike: a lone client's own 1-D row, through np.dot, which has less
+dispatch overhead, or a stack's. Each ReLU's gradient is masked
 by multiplying in place with np.sign of its output, and adam_step skips
 its first-moment bias-correction divide once that correction is exactly
 1.0; both keep every bit.
@@ -443,7 +444,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
 
 
 def train_local(params: list[MlpParameters], dataset: Window, config: TrainConfig,
-                rngs: list[np.random.Generator]) -> tuple[np.ndarray, tuple[int, ...]]:
+                rngs: list[np.random.Generator]) -> np.ndarray:
     """Run local_epochs of minibatch Adam over each client of the window, in lockstep.
 
     Client i (in input order) starts from params[i] with a fresh optimizer
@@ -457,10 +458,11 @@ def train_local(params: list[MlpParameters], dataset: Window, config: TrainConfi
     LOCKSTEP_MAX_CLIENTS (see the module docstring), each from slices of
     the window's layout, and each result has the bits of a run of its own.
 
-    Returns the output block and the window's order: row p is the trained
-    vector of client order[p]. The block is checked once, and refused if
-    any element is non-finite, then made read-only. (`dataset` keeps its
-    name: perfbench's tracer reads the window's len() under it.)
+    Returns the output block: row p is the trained vector of the client at
+    window position p, which is client window.order[p] of the input. The
+    block is checked once, and refused if any element is non-finite, then
+    made read-only. (`dataset` keeps its name: perfbench's tracer reads
+    the window's len() under it.)
     """
     window = dataset
     sizes = window.sizes
@@ -490,23 +492,19 @@ def train_local(params: list[MlpParameters], dataset: Window, config: TrainConfi
     if not np.isfinite(out).all():
         raise ValueError("non-finite parameters")
     out.flags.writeable = False
-    return out, window.order
+    return out
 
 
-def _stacked_layers(theta: np.ndarray) -> tuple:
-    """(weight, bias) views of (k, N_PARAMS) rows for a stacked pass: biases as (k, 1, fan_out)."""
-    return tuple((w, b[:, None]) for w, b in layer_views(theta))
+def _views(flat: np.ndarray, first: int, end: int) -> tuple:
+    """(weight, bias) views of the parameter rows [first, end) of flat, for one pass.
 
-
-def _run_views(theta: np.ndarray, grad: np.ndarray, first: int, end: int) -> tuple:
-    """_backprop's (layers, grads) views for the run of chunk rows [first, end).
-
-    A run of one client gets its own 1-D rows' 2-D views; a longer run gets
-    stacked views, its biases broadcasting over its rows.
+    One row gets its own 1-D row's views, shaped like MlpParameters.layers;
+    several get stacked views: (k, fan_in, fan_out) weights and (k, 1,
+    fan_out) biases, which broadcast over each client's rows.
     """
     if end - first == 1:
-        return layer_views(theta[first]), layer_views(grad[first])
-    return _stacked_layers(theta[first:end]), layer_views(grad[first:end])
+        return layer_views(flat[first])
+    return tuple((w, b[:, None]) for w, b in layer_views(flat[first:end]))
 
 
 def _gather(table: np.ndarray, pieces: list) -> tuple[np.ndarray, np.ndarray]:
@@ -589,7 +587,7 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], window: Window, ch
               for first, last in zip(edges, edges[1:])]
     per_epoch = [-(-sizes[first] // BATCH_SIZE) for first in edges[:-1]]
     last_step = [steps * epochs for steps in per_epoch]
-    # run_views[first][end]: _run_views of the run of groups [first, end), once it has been met
+    # run_views[first][end]: _backprop's (layers, grads) views of groups [first, end), once met
     run_views = [[None] * (len(groups) + 1) for _ in groups]
     shuffled: list = [None] * len(groups)  # each group's rows and label columns this epoch
     drawn: list[list] = [[] for _ in groups]  # each group's later epochs, already shuffled
@@ -631,7 +629,10 @@ def _train_chunk(theta: np.ndarray, starts: list[np.ndarray], window: Window, ch
             x, labels = _gather(table, pieces[first:end])
             views = run_views[first][end]
             if views is None:
-                views = run_views[first][end] = _run_views(theta, grad, edges[first], edges[end])
+                a, b = edges[first], edges[end]
+                # a lone client steps on 1-D rows, its gradient as well as its parameters
+                grads = layer_views(grad[a] if b - a == 1 else grad[a:b])
+                views = run_views[first][end] = _views(theta, a, b), grads
             _backprop(views[0], x, labels, views[1])
             first = end
         for theta_b, grad_b, m_b, v_b, scratch_b in blocks:
@@ -665,11 +666,9 @@ def mean_loss(block: np.ndarray, window: Window) -> list[float]:
             end += 1
         rows = window.rows[offsets[first]:offsets[end]]
         labels = window.labels[offsets[first]:offsets[end]]
-        if end - first == 1:
-            # fresh views, not cached ones: each local update is scored once
-            layers = layer_views(block[first])
-        else:
-            layers = _stacked_layers(block[first:end])
+        # fresh views, not cached ones: each local update is scored once
+        layers = _views(block, first, end)
+        if end - first > 1:
             rows, labels = rows.reshape(end - first, n), labels.reshape(end - first, n)
         count = max(1, n // SCORE_ROWS)
         loss = np.empty((end - first, n))

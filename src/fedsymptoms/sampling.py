@@ -16,9 +16,10 @@ generator's raw 64-bit words instead: its persons' walks
 (`_replay_walks`) and its negative picks (`_replay_picks`), the same
 draws in the same order, so the same rows; the generator's state is
 written once at the end, so numpy's shuffle that follows, and the final
-state, are those of the scalar walk. Two cases keep the scalar walk:
-normal_threshold, whose ziggurat normal draw cannot be rebuilt from
-words with numpy's public API, and any bit generator other than PCG64.
+state, are those of the scalar walk. The words are PCG64's, as every
+rng.py stream is, and synthesize_client refuses any other generator.
+Only normal_threshold keeps the scalar walk: its ziggurat normal draw
+cannot be rebuilt from words with numpy's public API.
 """
 
 from __future__ import annotations
@@ -162,15 +163,13 @@ class LabeledExample(NamedTuple):
 class ClientDataset:
     """One simulated client's labeled training examples, as rows of a phrase table.
 
-    Example i is row ``rows[i]`` of ``phrases.matrix``, labeled ``labels[i]``
-    (read-only float64, each 0.0 or 1.0). ``examples`` is derived from
-    these on each access and never stored.
+    Example i is row ``rows[i]`` of ``phrases.matrix``, labeled ``labels[i]``.
+    ``examples`` is derived from these on each access and never stored.
 
-    The public constructor checks what it is given: integer rows, one
-    dimension, as many labels as rows, every row inside the phrase
-    table and every label 0 or 1; it stores read-only intp and float64
-    copies. synthesize_client, which builds arrays of that form itself,
-    takes the private ``_built`` instead, which only freezes them.
+    The constructor takes two 1-D arrays of one length, intp rows inside
+    the table and float64 labels, each 0.0 or 1.0, as they are: no copy,
+    no check. It makes them read-only in place. synthesize_client is the
+    one package code that builds them.
     """
 
     phrases: PhraseTable = field(repr=False)
@@ -178,28 +177,8 @@ class ClientDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if rows.size and not np.issubdtype(rows.dtype, np.integer):
-            raise ValueError(f"rows must be integers, got {rows.dtype}")
-        rows = _read_only(rows.astype(np.intp))
-        labels = _read_only(np.array(self.labels, dtype=np.float64))
-        if rows.ndim != 1 or labels.shape != rows.shape:
-            raise ValueError(f"labels of shape {labels.shape} for rows of shape {rows.shape}")
-        if rows.size and not 0 <= rows.min() <= rows.max() < len(self.phrases.names):
-            raise ValueError(f"rows outside the phrase table's {len(self.phrases.names)} rows")
-        if not ((labels == 0.0) | (labels == 1.0)).all():
-            raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def _built(cls, phrases: PhraseTable, rows: np.ndarray, labels: np.ndarray) -> "ClientDataset":
-        """Wrap fresh intp rows inside the table and float64 0/1 labels, unchecked and uncopied."""
-        dataset = object.__new__(cls)
-        object.__setattr__(dataset, "phrases", phrases)
-        object.__setattr__(dataset, "rows", _read_only(rows))
-        object.__setattr__(dataset, "labels", _read_only(labels))
-        return dataset
+        _read_only(self.rows)
+        _read_only(self.labels)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -444,18 +423,22 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     takes ~25 us a run_IV_wide client of 1-2 persons against ~38 us with
     the walks alone replayed and numpy's batch of picks, and ~4.1 ms a
     run_I_single client of 1,800 persons against ~6.4 ms. Under
-    normal_threshold, or on another bit generator, each person takes
-    `_walk` and the picks one numpy call.
+    normal_threshold each person takes `_walk` and the picks one numpy
+    call. rng must be a PCG64 generator, as every rng.py stream is; any
+    other is refused, also before any draw.
     """
     # a bool is an int to Python, but True would synthesize one person
     if isinstance(n_persons, bool) or not isinstance(n_persons, numbers.Integral):
         raise ValueError(f"n_persons must be an integer, got {n_persons!r}")
     if n_persons < 1:
         raise ValueError("n_persons must be at least 1")
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise ValueError(f"synthesize_client needs a PCG64 generator, "
+                         f"got {type(rng.bit_generator).__name__}")
 
     terms, pool = phrases.term_rows, phrases.negatives[dist.prominent_lower]
     emitted: list[int] = []  # the positives' rows, then the replayed negatives'
-    if type(rng.bit_generator) is np.random.PCG64 and noise.kind != NORMAL_THRESHOLD:
+    if noise.kind != NORMAL_THRESHOLD:
         raw = _RawWords(rng)
         _replay_walks(phrases.word_walks[dist], terms, noise, raw, n_persons, emitted)
         n_pos = len(emitted)
@@ -469,7 +452,7 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
         n_pos = len(emitted)
 
     if not n_pos:
-        return ClientDataset._built(phrases, np.empty(0, np.intp), np.empty(0))
+        return ClientDataset(phrases, np.empty(0, np.intp), np.empty(0))
     if not pool:
         raise ValueError("corpus has no terms outside the prominent-symptom set")
 
@@ -479,4 +462,4 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     order = rng.permutation(2 * n_pos)
     # positives come first before the shuffle, so a row is positive iff it came from [0, n_pos);
     # every row comes from the table's walks and negatives, so nothing needs re-checking
-    return ClientDataset._built(phrases, rows[order], (order < n_pos).astype(np.float64))
+    return ClientDataset(phrases, rows[order], (order < n_pos).astype(np.float64))

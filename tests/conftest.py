@@ -89,6 +89,17 @@ def matrix_phrase_table(matrix):
                        negatives={})
 
 
+def client_dataset(phrases, rows, labels):
+    """A ClientDataset of fresh intp rows and float64 labels, from any integer rows and 0/1 labels.
+
+    The constructor stores the arrays it is given as they are, typed as
+    synthesize_client builds them; a test that writes its rows and labels
+    by hand builds its datasets here.
+    """
+    return ClientDataset(phrases=phrases, rows=np.array(rows, dtype=np.intp),
+                         labels=np.array(labels, dtype=np.float64))
+
+
 def separable_dataset(seed, n=200):
     """Balanced fixture on the first axis: positives at +e1, negatives at -e1.
 
@@ -99,8 +110,8 @@ def separable_dataset(seed, n=200):
     points = np.zeros((2, LAYER_SIZES[0]))
     points[:, 0] = [1.0, -1.0]  # row 0 positive, row 1 negative
     order = rng.permutation(len(labels))
-    return ClientDataset(phrases=matrix_phrase_table(points),
-                         rows=np.where(labels[order] == 1, 0, 1), labels=labels[order])
+    return client_dataset(matrix_phrase_table(points), np.where(labels[order] == 1, 0, 1),
+                          labels[order])
 
 
 def training_accuracy(params, dataset):

@@ -301,8 +301,8 @@ def test_10_separable_fixture_trains_to_perfection(capsys):
     for seed in range(1, 11):
         dataset = separable_dataset(seed)
         params = init_params(init_stream(seed))
-        block, _ = train_local([params], Window((dataset,)), TrainConfig(local_epochs=5),
-                               client_train_stream(seed, [0], 0))
+        block = train_local([params], Window((dataset,)), TrainConfig(local_epochs=5),
+                            client_train_stream(seed, [0], 0))
         perfect.append(training_accuracy(MlpParameters(block[0]), dataset) == 1.0)
     report(capsys, all(perfect), "10 separable-data sanity",
            f"{sum(perfect)}/10 seeds reach training accuracy 1.0 "

@@ -165,6 +165,22 @@ def test_sweep_refuses_a_repeated_mechanism_or_seed(monkeypatch, surveys, corpus
         sweep(spec, mechanisms, list(seeds), surveys, corpus, table, evalset)
 
 
+@pytest.mark.parametrize("levels, seeds, message", [
+    ((), (1,), "sweep has no mechanisms$"),
+    ((0.5,), (), "sweep has no seeds$"),
+    ((), (), "sweep has no mechanisms$"),
+])
+def test_sweep_refuses_an_empty_mechanism_or_seed_list(monkeypatch, surveys, corpus, table,
+                                                       evalset, levels, seeds, message):
+    # refused before any run starts, as run_simulation refuses no runs; it used to return
+    # an empty SweepResult
+    monkeypatch.setattr(evaluation, "run_simulation", None)
+    spec = simulation_spec("I", scale=0.01)
+    mechanisms = [NoiseMechanism(UNIFORM_THRESHOLD, level) for level in levels]
+    with pytest.raises(ValueError, match=message):
+        sweep(spec, mechanisms, list(seeds), surveys, corpus, table, evalset)
+
+
 def test_prediction_csv_format(tmp_path):
     rows = [
         PredictionRow(simulation="I", mechanism=UNIFORM_THRESHOLD,

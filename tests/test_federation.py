@@ -1,7 +1,9 @@
 """Topology scaling, population assignment, FedAvg algebra, round loop and its windows."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -395,13 +397,14 @@ def chunked_round_results(monkeypatch, spec, run, surveys, corpus, table, settin
         cohorts, sizes, updates = [], [], []
 
         def recorded(params, dataset, config, rngs):
-            block, order = real(params, dataset, config, rngs)
+            block = real(params, dataset, config, rngs)
+            order = dataset.order
             cohorts.append(len(order))
             # block row p is input client order[p]
             by_input = sorted(range(len(order)), key=order.__getitem__)
             sizes.extend(dataset.sizes[p] for p in by_input)
             updates.extend(block[p].tobytes() for p in by_input)
-            return block, order
+            return block
 
         monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", chunk)
         monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", cap)
@@ -486,6 +489,40 @@ def test_counting_examples_at_the_train_local_seam_stays_exact(monkeypatch, surv
     assert len(counted) == spec.global_epochs
     assert expected > 0 and sum(counted) == expected
     assert pinned in (None, expected)
+
+
+@pytest.mark.parametrize("budget", [federation.WINDOW_EXAMPLES, 40],
+                         ids=["one-window", "windows-of-40"])
+def test_a_round_holds_no_dataset_while_its_windows_train(monkeypatch, surveys, corpus, table,
+                                                          budget):
+    # a window, once built, is the one holder of its clients' examples: no dataset the
+    # round synthesized is alive at any train_local or mean_loss call
+    spec = simulation_spec("III", scale=0.01, global_epochs=1)
+    monkeypatch.setattr(federation, "WINDOW_EXAMPLES", budget)
+    datasets, live = [], []
+    real_synthesize = federation.synthesize_client
+
+    def synthesize(*args):
+        dataset = real_synthesize(*args)
+        datasets.append(weakref.ref(dataset))
+        return dataset
+
+    def counted(real):
+        def call(*args):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in datasets))
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(federation, "synthesize_client", synthesize)
+    monkeypatch.setattr(federation, "train_local", counted(federation.train_local))
+    monkeypatch.setattr(federation, "mean_loss", counted(federation.mean_loss))
+    [(_, [report])] = run_simulation(spec, surveys, corpus, table,
+                                     [(NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 1)])
+    assert len(datasets) == report.participating_clients == 9
+    # a train_local and a mean_loss call a window: one window, or several of 40 examples
+    assert len(live) > 2 if budget == 40 else len(live) == 2
+    assert live == [0] * len(live)
 
 
 def run_bytes(snapshots, reports):

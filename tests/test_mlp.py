@@ -47,10 +47,9 @@ from fedsymptoms.mlp import (
     save_checkpoint,
     train_local,
 )
-from fedsymptoms.sampling import ClientDataset
-
 from conftest import (
     batch_loss,
+    client_dataset,
     matrix_phrase_table,
     perturbed,
     separable_dataset,
@@ -60,8 +59,9 @@ from conftest import (
 
 def train_one(params, dataset, config, rng):
     """train_local on a window of one client: its one block row, wrapped as parameters."""
-    block, order = train_local([params], Window((dataset,)), config, [rng])
-    assert order == (0,)
+    window = Window((dataset,))
+    block = train_local([params], window, config, [rng])
+    assert window.order == (0,)
     return MlpParameters._wrap(block[0])
 
 
@@ -322,8 +322,7 @@ def test_train_local_deterministic():
 
 def test_train_local_rejects_empty_dataset():
     # the window refuses an empty client before train_local sees it
-    empty = ClientDataset(phrases=matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))),
-                          rows=np.empty(0, np.intp), labels=np.empty(0))
+    empty = client_dataset(matrix_phrase_table(np.zeros((1, LAYER_SIZES[0]))), [], [])
     with pytest.raises(ValueError, match="empty client"):
         Window((empty,))
 
@@ -332,8 +331,7 @@ def test_train_local_refuses_a_non_finite_update():
     # a NaN table row gives a NaN gradient; the returned parameters refuse it
     x = np.ones((4, LAYER_SIZES[0]))
     x[2, 7] = np.nan
-    dataset = ClientDataset(phrases=matrix_phrase_table(x),
-                            rows=np.arange(4), labels=np.array([1, 0, 1, 0]))
+    dataset = client_dataset(matrix_phrase_table(x), np.arange(4), [1, 0, 1, 0])
     params = init_params(np.random.default_rng(16))
     with pytest.raises(ValueError, match="non-finite"):
         train_one(params, dataset, TrainConfig(local_epochs=1), np.random.default_rng(16))
@@ -479,8 +477,7 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
     x = rng.standard_normal((n, LAYER_SIZES[0]))
     x[::7] = 0.0  # rows whose logit is the output bias, exactly 0 at init
     labels = rng.integers(0, 2, size=n)
-    dataset = ClientDataset(phrases=matrix_phrase_table(x),
-                            rows=np.arange(n), labels=labels)
+    dataset = client_dataset(matrix_phrase_table(x), np.arange(n), labels)
     params = MlpParameters(3.0 * init_params(np.random.default_rng(21)).flat)
 
     # the scaled start covers every branch of the sigmoid and the clamp
@@ -513,8 +510,7 @@ def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
     n = 70  # batches of 32, 32 and 6: 3 steps an epoch
     x = rng.standard_normal((n, LAYER_SIZES[0]))
     labels = rng.integers(0, 2, size=n)
-    dataset = ClientDataset(phrases=matrix_phrase_table(x),
-                            rows=np.arange(n), labels=labels)
+    dataset = client_dataset(matrix_phrase_table(x), np.arange(n), labels)
     params = init_params(np.random.default_rng(24))
     config = TrainConfig(local_epochs=134)  # 402 steps
     trained = train_one(params, dataset, config, np.random.default_rng(25))
@@ -527,8 +523,8 @@ def ragged_clients(sizes, seed, table_rows=300):
     """Clients of the given sizes, drawn with repeats from one shared random table."""
     rng = np.random.default_rng(seed)
     table = matrix_phrase_table(rng.standard_normal((table_rows, LAYER_SIZES[0])))
-    return [ClientDataset(phrases=table, rows=rng.integers(table_rows, size=n),
-                          labels=rng.integers(0, 2, size=n)) for n in sizes]
+    return [client_dataset(table, rng.integers(table_rows, size=n), rng.integers(0, 2, size=n))
+            for n in sizes]
 
 
 def check_window_matches_frozen_reference(params, clients, config, seed):
@@ -539,9 +535,10 @@ def check_window_matches_frozen_reference(params, clients, config, seed):
     """
     starts = params if isinstance(params, list) else [params] * len(clients)
     streams = [np.random.default_rng([seed, i]) for i in range(len(clients))]
-    block, order = train_local(starts, Window(clients), config, streams)
+    window = Window(clients)
+    block = train_local(starts, window, config, streams)
     assert block.shape == (len(clients), N_PARAMS) and not block.flags.writeable
-    trained = by_client(block, order)
+    trained = by_client(block, window.order)
     for i, (client, start, update) in enumerate(zip(clients, starts, trained)):
         x = client.phrases.matrix[client.rows]
         expected = ref_train_local(start.flat, x, client.labels, config,
@@ -607,14 +604,14 @@ def test_the_block_check_refuses_a_non_finite_output_row():
     x = np.random.default_rng(92).standard_normal((6, LAYER_SIZES[0]))
     x[5, 3] = np.nan
     table = matrix_phrase_table(x)
-    clients = [ClientDataset(phrases=table, rows=rows, labels=np.arange(len(rows)) % 2)
+    clients = [client_dataset(table, rows, np.arange(len(rows)) % 2)
                for rows in ([0, 1, 2, 3], [1, 5, 2], [4, 3])]
     params = init_params(np.random.default_rng(93))
     streams = [np.random.default_rng([94, i]) for i in range(3)]
     with pytest.raises(ValueError, match="non-finite"):
         train_local([params] * 3, Window(clients), TrainConfig(local_epochs=1), streams)
-    block, _ = train_local([params] * 2, Window([clients[0], clients[2]]),
-                           TrainConfig(local_epochs=1), streams[:2])
+    block = train_local([params] * 2, Window([clients[0], clients[2]]),
+                        TrainConfig(local_epochs=1), streams[:2])
     assert np.isfinite(block).all()
 
 
@@ -692,7 +689,8 @@ def test_small_clients_draw_several_epochs_shuffles_at_once():
     params = init_params(np.random.default_rng(63))
     config = TrainConfig(local_epochs=5)
     streams = [DrawRecorder(np.random.default_rng([64, i])) for i in range(len(sizes))]
-    trained = by_client(*train_local([params] * len(sizes), Window(clients), config, streams))
+    window = Window(clients)
+    trained = by_client(train_local([params] * len(sizes), window, config, streams), window.order)
     assert [stream.draws for stream in streams] == [[3, 2], [1] * 5, [5], [1] * 5]
     for i, (client, update) in enumerate(zip(clients, trained)):
         expected = ref_train_local(params.flat, client.phrases.matrix[client.rows],
@@ -928,8 +926,7 @@ def at_blas_threads(threads: int, code: str) -> str:
 def random_client(n, rng, table_rows=300):
     """A client of n rows drawn with repeats from a random table, like a synthesized one."""
     table = matrix_phrase_table(rng.standard_normal((table_rows, LAYER_SIZES[0])))
-    return ClientDataset(phrases=table,
-                         rows=rng.integers(table_rows, size=n), labels=rng.integers(0, 2, size=n))
+    return client_dataset(table, rng.integers(table_rows, size=n), rng.integers(0, 2, size=n))
 
 
 # around each block boundary, and every 1-11-row tail that joins the block before it
@@ -962,8 +959,8 @@ def forward_digests() -> list[str]:
     for seed in (31, 33, 36):
         params = init_params(np.random.default_rng(seed))
         x = np.random.default_rng(seed + 1000).standard_normal((59429, LAYER_SIZES[0]))
-        client = ClientDataset(phrases=matrix_phrase_table(x), rows=np.arange(len(x)),
-                               labels=np.random.default_rng(seed + 2000).integers(0, 2, len(x)))
+        client = client_dataset(matrix_phrase_table(x), np.arange(len(x)),
+                                np.random.default_rng(seed + 2000).integers(0, 2, len(x)))
         loss = np.float64(score_one(params, client))
         digests.append(hashlib.sha256(loss.tobytes()).hexdigest())
     return digests
@@ -1056,7 +1053,7 @@ def test_mean_loss_checks_its_block():
     params = init_params(np.random.default_rng(67))
     with pytest.raises(ValueError, match="1 parameter sets for 2 clients"):
         mean_loss(params.flat[None], Window(clients))
-    empty = ClientDataset(phrases=clients[0].phrases, rows=np.arange(0), labels=np.arange(0))
+    empty = client_dataset(clients[0].phrases, [], [])
     with pytest.raises(ValueError, match="empty client"):
         Window(clients + [empty])
 

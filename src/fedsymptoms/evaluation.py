@@ -21,7 +21,7 @@ import numpy as np
 from .config import check_seed
 from .embeddings import EmbeddingTable, encode_phrase
 from .federation import SIMULATION_IDS, SimulationSpec, run_simulation
-from .mlp import MlpParameters, forward
+from .mlp import forward
 from .sampling import NoiseMechanism
 from .surveys import CountrySurvey
 
@@ -124,7 +124,7 @@ class SweepResult:
     rounds: list[dict] = field(default_factory=list)
 
 
-def record_run(spec: SimulationSpec, snapshots: list[MlpParameters],
+def record_run(spec: SimulationSpec, snapshots: list[np.ndarray],
                evalset: EvalSet, embeddings: EmbeddingTable,
                mechanism: NoiseMechanism, seed: int) -> SweepResult:
     """Turn one run's post-round snapshots into sweep rows.

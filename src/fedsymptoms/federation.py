@@ -19,19 +19,13 @@ import numpy as np
 
 from . import rng as streams
 from .embeddings import EmbeddingTable
-from .mlp import (
-    MlpParameters,
-    TrainConfig,
-    Window,
-    init_params,
-    mean_loss,
-    train_local,
-)
+from .mlp import TrainConfig, Window, init_params, mean_loss, train_local
 from .sampling import (
     ClientDataset,
     NoiseMechanism,
     PhraseTable,
     build_phrase_table,
+    check_number,
     synthesize_client,
 )
 from .surveys import CountrySurvey, assign_countries, build_distribution
@@ -72,17 +66,6 @@ def scaled_count(value: int, scale: float) -> int:
     return max(1, math.ceil(_rounded_product(value, scale)))
 
 
-def _check_type(name: str, value, kind: type) -> None:
-    """Refuse a value that is not a numbers.Integral or numbers.Real `kind`, or is a bool.
-
-    A bool is an int to Python, but True for a count or a fraction is a mistake,
-    not a 1.
-    """
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     """What every run of one simulation call shares; a run owns only its noise and seed.
@@ -102,19 +85,19 @@ class SimulationSpec:
 
     def __post_init__(self):
         lo, hi = self.size_range
-        _check_type("size_range", lo, numbers.Integral)
-        _check_type("size_range", hi, numbers.Integral)
+        check_number("size_range", lo, numbers.Integral)
+        check_number("size_range", hi, numbers.Integral)
         if not (1 <= lo <= hi):
             raise ValueError(f"bad size_range {self.size_range}")
-        _check_type("n_clients", self.n_clients, numbers.Integral)
+        check_number("n_clients", self.n_clients, numbers.Integral)
         if self.n_clients < 1:
             raise ValueError("n_clients must be positive")
-        _check_type("participation_fraction", self.participation_fraction, numbers.Real)
+        check_number("participation_fraction", self.participation_fraction, numbers.Real)
         if not 0.0 < self.participation_fraction <= 1.0:
             raise ValueError("participation_fraction must be in (0, 1]")
         if _rounded_product(self.n_clients, self.participation_fraction) < 1.0:
             raise ValueError("participation_fraction selects no clients")
-        _check_type("global_epochs", self.global_epochs, numbers.Integral)
+        check_number("global_epochs", self.global_epochs, numbers.Integral)
         if self.global_epochs < 0:
             raise ValueError("global_epochs must be non-negative")
         if self.weighting not in WEIGHTINGS:
@@ -146,7 +129,7 @@ def simulation_spec(sim_id: str, *, scale: float = 1.0,
     """
     if sim_id not in _TOPOLOGY:
         raise ValueError(f"unknown simulation id {sim_id!r}; expected one of {SIMULATION_IDS}")
-    _check_type("scale", scale, numbers.Real)
+    check_number("scale", scale, numbers.Real)
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
     (lo, hi), n_clients = _TOPOLOGY[sim_id]
@@ -210,8 +193,8 @@ def build_population(spec: SimulationSpec, surveys: list[CountrySurvey],
 _MERGE_TOLERANCE = 2.0 ** -42
 
 
-def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
-    """Weighted mean of parameter sets, weights n_k / sum(n_k).
+def fedavg_aggregate(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Weighted mean of parameter sets, weights n_k / sum(n_k), as a read-only vector of its own.
 
     Computed as first update plus the weighted deltas of the rest, so a
     round where every client returns the same parameters reproduces them
@@ -222,7 +205,10 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
     with the mean: for K updates it is below (K + 2) * eps * spread, where
     spread = sum_k (n_k / total) * |x_k - x_1|. Where that bound could
     exceed _MERGE_TOLERANCE * max(1, |mean|), as when large updates cancel,
-    the value is replaced by the exact weighted mean, rounded once.
+    or the merged value is not finite, as when a difference overflows, the
+    value is replaced by the exact weighted mean, rounded once. An update
+    holding a NaN or an infinity leaves its value not finite, and is
+    refused there.
     """
     if not updates:
         raise ValueError("no surviving clients this round")
@@ -230,22 +216,28 @@ def fedavg_aggregate(updates: list[tuple[MlpParameters, int]]) -> MlpParameters:
         if n < 1:
             raise ValueError("update weights must be positive integers")
     total = sum(n for _, n in updates)
-    base = updates[0][0].flat
+    base = updates[0][0]
     delta = np.zeros_like(base)
     spread = np.zeros_like(base)
-    for params, n in updates[1:]:
-        diff = params.flat - base
-        delta += (n / total) * diff
-        spread += (n / total) * np.abs(diff, out=diff)
-    merged = base + delta
+    # a difference that overflows is caught below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for params, n in updates[1:]:
+            diff = params - base
+            delta += (n / total) * diff
+            spread += (n / total) * np.abs(diff, out=diff)
+        merged = base + delta
     bound = (len(updates) + 2) * np.finfo(np.float64).eps * spread
-    inexact = np.flatnonzero(bound > _MERGE_TOLERANCE * np.maximum(1.0, np.abs(merged)))
+    # where a difference overflowed, bound and tolerance are both inf: name such values too
+    inexact = np.flatnonzero((bound > _MERGE_TOLERANCE * np.maximum(1.0, np.abs(merged)))
+                             | ~np.isfinite(merged))
     if inexact.size:
         weights = [n for _, n in updates]
-        columns = np.stack([params.flat[inexact] for params, _ in updates], axis=1)
+        columns = np.stack([params[inexact] for params, _ in updates], axis=1)
+        if not np.isfinite(columns).all():
+            raise ValueError("non-finite parameters")
         merged[inexact] = [_exact_mean(values, weights) for values in columns.tolist()]
-    # merged is this call's own array, so it is adopted without a copy
-    return MlpParameters._adopt(merged)
+    merged.flags.writeable = False
+    return merged
 
 
 def _exact_mean(values: list[float], weights: list[int]) -> float:
@@ -253,10 +245,10 @@ def _exact_mean(values: list[float], weights: list[int]) -> float:
     return float(sum(Fraction(v) * n for v, n in zip(values, weights)) / sum(weights))
 
 
-def run_round(params: list[MlpParameters], round_index: int, populations: list[Population],
+def run_round(params: list[np.ndarray], round_index: int, populations: list[Population],
               spec: SimulationSpec, distributions: list, phrases: PhraseTable,
               runs: list[tuple[NoiseMechanism, int]]
-              ) -> tuple[list[MlpParameters], list[RoundReport]]:
+              ) -> tuple[list[np.ndarray], list[RoundReport]]:
     """Execute one broadcast / local-train / aggregate cycle of 0-based round_index for each run.
 
     Run r has global parameters params[r], population populations[r] and
@@ -272,7 +264,7 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     datasets, so their examples are held once, in the window. train_local
     returns one output block, a row per client in the window's order, and
     one mean_loss call scores each row on its own client's data. The
-    block's rows, wrapped without a copy, are the updates, each weighted
+    block's rows, as they are, are the updates, each weighted
     by its client's size as the window read it. Each run then merges its
     updates, in ascending client_id order, with its own fedavg_aggregate.
     Clients that come up empty are skipped; a run in which every selected
@@ -286,7 +278,7 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
     data_round = 0 if spec.fixed_client_data else round_index
 
     # per run: its updates, their local losses and its skipped clients
-    updates: list[list[tuple[MlpParameters, int]]] = [[] for _ in runs]
+    updates: list[list[tuple[np.ndarray, int]]] = [[] for _ in runs]
     losses: list[list[float]] = [[] for _ in runs]
     skipped = [0] * len(runs)
     # this window's non-empty clients: their datasets, until the window takes them, and
@@ -311,7 +303,7 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
             position[i] = p
         for (r, _), p in zip(pending, position):
             weight = window.sizes[p] if by_examples else 1
-            updates[r].append((MlpParameters._wrap(block[p]), weight))
+            updates[r].append((block[p], weight))
             losses[r].append(window_losses[p])
         pending.clear()
 
@@ -365,7 +357,7 @@ def run_round(params: list[MlpParameters], round_index: int, populations: list[P
 
 def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
                    embeddings: EmbeddingTable, runs: list[tuple[NoiseMechanism, int]]
-                   ) -> list[tuple[list[MlpParameters], list[RoundReport]]]:
+                   ) -> list[tuple[list[np.ndarray], list[RoundReport]]]:
     """Run spec.global_epochs rounds of each (noise, master_seed) run under spec, side by side.
 
     Returns one (snapshots, reports) per run, in order: the parameters

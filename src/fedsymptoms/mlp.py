@@ -1,15 +1,13 @@
 """Binary MLP classifier (50, 32, 16, 8, 1) built on plain numpy.
 
 Three ReLU hidden layers feed one sigmoid output neuron. Training is
-binary cross-entropy under Adam. All 2,305 parameters live in one flat
-float64 vector; each layer's weights and biases are views into it, built
-once per parameter set. A parameter set is validated once, when it is
-built, and is read-only from then on. init_params and fedavg_aggregate
-hand their fresh private vectors to MlpParameters._adopt, which checks
-only that each is finite and freezes it, with no copy; train_local
-checks and freezes its whole output block at once, whose rows its caller
-wraps as they are with MlpParameters._wrap. The public constructor
-copies and checks everything.
+binary cross-entropy under Adam. A parameter set is all 2,305
+parameters in one read-only float64 (N_PARAMS,) array; each layer's
+weights and biases are views into it (layer_views), built by each call
+that reads them. init_params freezes the vector it draws; train_local
+checks and freezes its whole output block at once, whose rows are
+parameter sets as they are. load_checkpoint is the one place a vector
+enters from outside the program, and checks it there.
 
 A client's examples are row indices into the run's shared phrase table:
 each training step gathers its own minibatch from that table, and
@@ -104,15 +102,15 @@ between threads.
 from __future__ import annotations
 
 import numbers
+import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
 
-from .sampling import ClientDataset
+from .sampling import ClientDataset, check_number
 
 LAYER_SIZES = (50, 32, 16, 8, 1)
 N_PARAMS = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]))
@@ -155,68 +153,6 @@ def layer_views(flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         views.append((w, flat[..., offset:offset + fan_out]))
         offset += fan_out
     return tuple(views)
-
-
-@dataclass(frozen=True)
-class MlpParameters:
-    """All weights and biases in one read-only, finite vector of N_PARAMS."""
-
-    flat: np.ndarray
-
-    def __post_init__(self):
-        flat = np.array(self.flat, dtype=np.float64)
-        if flat.shape != (N_PARAMS,):
-            raise ValueError(f"expected shape ({N_PARAMS},), got {flat.shape}")
-        if not np.isfinite(flat).all():
-            raise ValueError("non-finite parameters")
-        flat.flags.writeable = False
-        object.__setattr__(self, "flat", flat)
-
-    @classmethod
-    def _adopt(cls, flat: np.ndarray) -> "MlpParameters":
-        """Wrap a fresh float64 vector of N_PARAMS that no one else holds, without a copy.
-
-        For init_params' and fedavg_aggregate's own results: the vector is
-        refused if non-finite, as the constructor would, and is made
-        read-only in place.
-        """
-        if not np.isfinite(flat).all():
-            raise ValueError("non-finite parameters")
-        flat.flags.writeable = False
-        return cls._wrap(flat)
-
-    @classmethod
-    def _wrap(cls, flat: np.ndarray) -> "MlpParameters":
-        """Wrap a read-only, finite float64 vector of N_PARAMS as it is: no check, no copy.
-
-        For a row of train_local's output block, which train_local checks
-        and freezes once as a whole.
-        """
-        params = object.__new__(cls)
-        object.__setattr__(params, "flat", flat)
-        return params
-
-    @classmethod
-    def from_layers(cls, layers) -> "MlpParameters":
-        """Pack (weight, bias) pairs, checking each array's shape."""
-        if len(layers) != len(LAYER_SIZES) - 1:
-            raise ValueError(f"expected {len(LAYER_SIZES) - 1} layers, got {len(layers)}")
-        parts = []
-        for i, (w, b) in enumerate(layers):
-            fan_in, fan_out = LAYER_SIZES[i], LAYER_SIZES[i + 1]
-            for arr, shape, what in ((w, (fan_in, fan_out), "weights"),
-                                     (b, (fan_out,), "biases")):
-                arr = np.asarray(arr, dtype=np.float64)
-                if arr.shape != shape:
-                    raise ValueError(f"layer {i} {what}: expected shape {shape}, "
-                                     f"got {arr.shape}")
-                parts.append(arr.ravel())
-        return cls(np.concatenate(parts))
-
-    @cached_property
-    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only (weight, bias) views of each layer, built once per parameter set."""
-        return layer_views(self.flat)
 
 
 class Window:
@@ -267,20 +203,20 @@ class TrainConfig:
 
     def __post_init__(self):
         # checked here: True would train one epoch, and 2.5 fail in range() after synthesis
-        if isinstance(self.local_epochs, bool) or not isinstance(self.local_epochs, numbers.Integral):
-            raise ValueError(f"local_epochs must be an integer, got {self.local_epochs!r}")
+        check_number("local_epochs", self.local_epochs, numbers.Integral)
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be at least 1")
 
 
-def init_params(rng: np.random.Generator) -> MlpParameters:
-    """Glorot-uniform weights, zero biases."""
+def init_params(rng: np.random.Generator) -> np.ndarray:
+    """A read-only parameter set of Glorot-uniform weights and zero biases."""
     flat = np.zeros(N_PARAMS)
     for w, _ in layer_views(flat):
         fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-limit, limit, size=w.shape)
-    return MlpParameters._adopt(flat)
+    flat.flags.writeable = False
+    return flat
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -295,9 +231,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _activations(layers, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The ReLU outputs h1, h2, h3 and the (..., n, 1) output logits z of a batch.
 
-    One client's (n, 50) rows take (weight, bias) views shaped like
-    MlpParameters.layers; a stack of k clients' (k, n, 50) batches takes
-    (k, fan_in, fan_out) weights and (k, 1, fan_out) biases.
+    One client's (n, 50) rows take the (weight, bias) views that
+    layer_views gives of one parameter set; a stack of k clients' (k, n,
+    50) batches takes (k, fan_in, fan_out) weights and (k, 1, fan_out)
+    biases.
     """
     # np.dot runs the same BLAS kernels as @, with less dispatch overhead
     mm = np.dot if x.ndim == 2 else np.matmul
@@ -330,7 +267,7 @@ def _row_bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def forward(params: MlpParameters, x) -> float | np.ndarray:
+def forward(params: np.ndarray, x) -> float | np.ndarray:
     """Probability for a length-50 phrase vector, or an (m,) array of them for (m, 50) rows.
 
     Each row of an (m, 50) call gets the bits of a (50,) call of its own:
@@ -343,7 +280,7 @@ def forward(params: MlpParameters, x) -> float | np.ndarray:
                          f"got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input components")
-    p = _forward(params.layers, x.reshape(-1, 1, LAYER_SIZES[0]))[:, 0]
+    p = _forward(layer_views(params), x.reshape(-1, 1, LAYER_SIZES[0]))[:, 0]
     np.clip(p, OUTPUT_CLIP, 1.0 - OUTPUT_CLIP, out=p)
     return float(p[0]) if x.ndim == 1 else p
 
@@ -392,18 +329,18 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     return p
 
 
-def loss_and_gradient(params: MlpParameters, x, y) -> tuple[float, np.ndarray]:
+def loss_and_gradient(params: np.ndarray, x, y) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy over an (n, 50) batch and its exact gradient.
 
     `y` holds the 0/1 labels. The gradient is a flat vector laid out
-    like MlpParameters.flat.
+    like a parameter set.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     grad = np.empty(N_PARAMS)
-    p = _backprop(params.layers, x, y[:, None], layer_views(grad))
+    p = _backprop(layer_views(params), x, y[:, None], layer_views(grad))
     return float(np.mean(_row_bce(p.ravel(), y))), grad
 
 
@@ -419,8 +356,8 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     356 on, 1 - BETA1 ** step rounds to exactly 1.0, and the first moment
     is used as it is, with no divide by its bias correction. The gradient
     is not checked here: a non-finite element leaves a NaN in theta that no
-    later step clears, and the MlpParameters that train_local returns
-    refuses it.
+    later step clears, and train_local's check of its output block refuses
+    it.
     """
     m *= BETA1
     np.multiply(1.0 - BETA1, grad, out=scratch)
@@ -443,7 +380,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     theta -= np.divide(scratch, denom, out=scratch)
 
 
-def train_local(params: list[MlpParameters], dataset: Window, config: TrainConfig,
+def train_local(params: list[np.ndarray], dataset: Window, config: TrainConfig,
                 rngs: list[np.random.Generator]) -> np.ndarray:
     """Run local_epochs of minibatch Adam over each client of the window, in lockstep.
 
@@ -487,7 +424,7 @@ def train_local(params: list[MlpParameters], dataset: Window, config: TrainConfi
                       for n in (rows, rows, rows, min(rows, LOCKSTEP_CLIENTS)))
     for chunk in map(slice, bounds, bounds[1:]):
         clients = window.order[chunk]
-        _train_chunk(out[chunk], [params[i].flat for i in clients], window, chunk,
+        _train_chunk(out[chunk], [params[i] for i in clients], window, chunk,
                      [rngs[i] for i in clients], config.local_epochs, workspace)
     if not np.isfinite(out).all():
         raise ValueError("non-finite parameters")
@@ -498,7 +435,7 @@ def train_local(params: list[MlpParameters], dataset: Window, config: TrainConfi
 def _views(flat: np.ndarray, first: int, end: int) -> tuple:
     """(weight, bias) views of the parameter rows [first, end) of flat, for one pass.
 
-    One row gets its own 1-D row's views, shaped like MlpParameters.layers;
+    One row gets its own 1-D row's views, those of layer_views(flat[first]);
     several get stacked views: (k, fan_in, fan_out) weights and (k, 1,
     fan_out) biases, which broadcast over each client's rows.
     """
@@ -683,20 +620,51 @@ def mean_loss(block: np.ndarray, window: Window) -> list[float]:
     return losses
 
 
-def save_checkpoint(params: MlpParameters, path: str) -> None:
+def save_checkpoint(params: np.ndarray, path: str) -> None:
     """Write layer arrays to an .npz file that round-trips bit-exactly."""
     payload = {"layer_sizes": np.array(LAYER_SIZES, dtype=np.int64)}
-    for i, (w, b) in enumerate(params.layers):
+    for i, (w, b) in enumerate(layer_views(params)):
         payload[f"w{i}"] = w
         payload[f"b{i}"] = b
     np.savez(path, **payload)
 
 
-def load_checkpoint(path: str) -> MlpParameters:
-    with np.load(path) as data:
-        sizes = tuple(int(s) for s in data["layer_sizes"])
-        if sizes != LAYER_SIZES:
-            raise ValueError(f"checkpoint layer sizes {sizes} do not match {LAYER_SIZES}")
-        layers = tuple((data[f"w{i}"], data[f"b{i}"])
-                       for i in range(len(LAYER_SIZES) - 1))
-    return MlpParameters.from_layers(layers)
+def load_checkpoint(path: str) -> np.ndarray:
+    """The parameter set in a save_checkpoint file, as one read-only vector.
+
+    This is where a parameter set enters from outside the program, so the
+    file is checked here: that it is an .npz archive of real-valued arrays,
+    its layer sizes, every layer's shape and every value. A file that fails
+    is refused with ValueError.
+    """
+    names = ["layer_sizes", *(f"{kind}{i}" for i in range(len(LAYER_SIZES) - 1)
+                              for kind in "wb")]
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError(f"checkpoint {path} is not an .npz archive")
+        with archive as data:
+            missing = [name for name in names if name not in data.files]
+            if missing:
+                raise ValueError(f"checkpoint lacks {', '.join(missing)}")
+            arrays = {name: data[name] for name in names}
+    except (EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"checkpoint {path} is not an .npz archive") from err
+    for name, array in arrays.items():
+        # a member that is not an .npy file comes back as bytes
+        if not isinstance(array, np.ndarray) or array.dtype.kind not in "iuf":
+            raise ValueError(f"checkpoint {name} is not a real-valued array")
+    sizes = arrays["layer_sizes"].tolist()
+    if sizes != list(LAYER_SIZES):
+        raise ValueError(f"checkpoint layer sizes {sizes} do not match {LAYER_SIZES}")
+    flat = np.empty(N_PARAMS)
+    for i, (w, b) in enumerate(layer_views(flat)):
+        for name, view in ((f"w{i}", w), (f"b{i}", b)):
+            if arrays[name].shape != view.shape:
+                raise ValueError(f"checkpoint {name}: expected shape {view.shape}, "
+                                 f"got {arrays[name].shape}")
+            view[...] = arrays[name]
+    if not np.isfinite(flat).all():
+        raise ValueError("non-finite parameters")
+    flat.flags.writeable = False
+    return flat

@@ -42,6 +42,17 @@ LAPLACE_DP = "laplace_dp"
 MECHANISM_KINDS = (UNIFORM_THRESHOLD, NORMAL_THRESHOLD, LAPLACE_DP)
 
 
+def check_number(name: str, value, kind: type) -> None:
+    """Refuse a value that is not a numbers.Integral or numbers.Real `kind`, or is a bool.
+
+    A bool is an int to Python, but True for a count, a level or a fraction is
+    a mistake, not a 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseMechanism:
     """How the not-displayed branch decides to report a random term.
@@ -59,13 +70,10 @@ class NoiseMechanism:
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
             raise ValueError(f"mechanism must be one of {MECHANISM_KINDS}, got {self.kind!r}")
-        # a bool is an int to Python, but True would be level 1.0, or an epsilon the
-        # CSVs record as True
-        if isinstance(self.noise_level, bool) or not isinstance(self.noise_level, numbers.Real):
-            raise ValueError(f"noise_level must be a number, got {self.noise_level!r}")
-        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon,
-                                                            (numbers.Real, type(None))):
-            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
+        # True would be level 1.0, or an epsilon the CSVs record as True
+        check_number("noise_level", self.noise_level, numbers.Real)
+        if self.epsilon is not None:
+            check_number("epsilon", self.epsilon, numbers.Real)
         # float() stores a numpy scalar as the float64 the draws compare against and the
         # records spell; + 0.0 turns -0.0 into 0.0, so one level has one CSV spelling
         object.__setattr__(self, "noise_level", float(self.noise_level) + 0.0)
@@ -427,9 +435,8 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     call. rng must be a PCG64 generator, as every rng.py stream is; any
     other is refused, also before any draw.
     """
-    # a bool is an int to Python, but True would synthesize one person
-    if isinstance(n_persons, bool) or not isinstance(n_persons, numbers.Integral):
-        raise ValueError(f"n_persons must be an integer, got {n_persons!r}")
+    # True would synthesize one person
+    check_number("n_persons", n_persons, numbers.Integral)
     if n_persons < 1:
         raise ValueError("n_persons must be at least 1")
     if type(rng.bit_generator) is not np.random.PCG64:

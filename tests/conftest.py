@@ -6,13 +6,7 @@ import pytest
 from fedsymptoms import assets
 from fedsymptoms.embeddings import EmbeddingTable, load_embeddings
 from fedsymptoms.evaluation import build_evalset
-from fedsymptoms.mlp import (
-    LAYER_SIZES,
-    MlpParameters,
-    forward,
-    layer_views,
-    loss_and_gradient,
-)
+from fedsymptoms.mlp import LAYER_SIZES, forward, layer_views, loss_and_gradient
 from fedsymptoms.sampling import ClientDataset, PhraseTable
 from fedsymptoms.surveys import (
     CountrySurvey,
@@ -121,10 +115,10 @@ def training_accuracy(params, dataset):
 
 def perturbed(params, layer, which, index, delta):
     """params with one weight (which "w") or bias (which "b") of `layer` moved by delta."""
-    flat = params.flat.copy()
+    flat = params.copy()
     w, b = layer_views(flat)[layer]
     (w if which == "w" else b)[index] += delta
-    return MlpParameters(flat)
+    return flat
 
 
 def batch_loss(params, x, y):

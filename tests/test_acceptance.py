@@ -29,7 +29,7 @@ from fedsymptoms.federation import (
 )
 from fedsymptoms.mlp import (
     LAYER_SIZES,
-    MlpParameters,
+    N_PARAMS,
     TrainConfig,
     Window,
     init_params,
@@ -64,11 +64,11 @@ def report(capsys, ok, label, detail):
 
 
 def random_params(rng, scale=0.3):
-    layers = []
-    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
-        layers.append((rng.normal(0.0, scale, size=(fan_in, fan_out)),
-                       rng.normal(0.0, scale, size=fan_out)))
-    return MlpParameters.from_layers(layers)
+    flat = np.empty(N_PARAMS)
+    for w, b in layer_views(flat):
+        w[...] = rng.normal(0.0, scale, size=w.shape)
+        b[...] = rng.normal(0.0, scale, size=b.shape)
+    return flat
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +184,7 @@ def test_06_analytic_gradients_match_finite_differences(capsys):
         y = np.array([label for _, label in batch], dtype=np.float64)
         _, grad = loss_and_gradient(params, x, y)
         grad = layer_views(grad)
-        for layer, (w, b) in enumerate(params.layers):
+        for layer, (w, b) in enumerate(layer_views(params)):
             coords = [("w", (int(rng.integers(w.shape[0])), int(rng.integers(w.shape[1]))))
                       for _ in range(3)]
             coords.append(("b", int(rng.integers(b.shape[0]))))
@@ -213,42 +213,27 @@ def test_07_aggregation_algebra(capsys):
 
     base = random_params(rng)
     agg = fedavg_aggregate([(base, 1), (base, 2), (base, 3)])
-    fixed = all(np.array_equal(w, bw) and np.array_equal(b, bb)
-                for (w, b), (bw, bb) in zip(agg.layers, base.layers))
-    checks.append(("identical-update fixed point", fixed))
+    checks.append(("identical-update fixed point", bool(np.array_equal(agg, base))))
 
     updates = [(random_params(rng), n) for n in (3, 5, 7, 11)]
     total = sum(n for _, n in updates)
     agg = fedavg_aggregate(updates)
+    flats = [(p, n / total) for p, n in updates]
     worst = 0.0
-    for layer in range(len(agg.layers)):
-        for part in range(2):
-            got = agg.layers[layer][part].ravel()
-            flats = [(p.layers[layer][part].ravel(), n / total) for p, n in updates]
-            for j in range(got.size):
-                oracle = math.fsum(arr[j] * weight for arr, weight in flats)
-                # a mean can cancel toward zero; scale by the inputs too
-                scale = max(abs(oracle), max(abs(arr[j]) for arr, _ in flats), 1e-30)
-                worst = max(worst, abs(got[j] - oracle) / scale)
+    for j in range(agg.size):
+        oracle = math.fsum(arr[j] * weight for arr, weight in flats)
+        # a mean can cancel toward zero; scale by the inputs too
+        scale = max(abs(oracle), max(abs(arr[j]) for arr, _ in flats), 1e-30)
+        worst = max(worst, abs(agg[j] - oracle) / scale)
     checks.append((f"weighted mean vs fsum, worst rel {worst:.1e}", worst <= 1e-12))
 
-    hull = True
-    for layer in range(len(agg.layers)):
-        for part in range(2):
-            stack = np.stack([p.layers[layer][part] for p, _ in updates])
-            got = agg.layers[layer][part]
-            hull = hull and bool(np.all(got >= stack.min(axis=0) - 1e-12))
-            hull = hull and bool(np.all(got <= stack.max(axis=0) + 1e-12))
+    stack = np.stack([p for p, _ in updates])
+    hull = bool(np.all(agg >= stack.min(axis=0) - 1e-12)
+                and np.all(agg <= stack.max(axis=0) + 1e-12))
     checks.append(("convex hull", hull))
 
     equal = fedavg_aggregate([(p, 4) for p, _ in updates])
-    plain = True
-    for layer in range(len(equal.layers)):
-        for part in range(2):
-            stack = np.stack([p.layers[layer][part] for p, _ in updates])
-            plain = plain and bool(np.allclose(equal.layers[layer][part],
-                                               stack.mean(axis=0),
-                                               rtol=0.0, atol=1e-12))
+    plain = bool(np.allclose(equal, stack.mean(axis=0), rtol=0.0, atol=1e-12))
     checks.append(("equal weights = plain mean", plain))
 
     ok = all(passed for _, passed in checks)
@@ -303,7 +288,7 @@ def test_10_separable_fixture_trains_to_perfection(capsys):
         params = init_params(init_stream(seed))
         block = train_local([params], Window((dataset,)), TrainConfig(local_epochs=5),
                             client_train_stream(seed, [0], 0))
-        perfect.append(training_accuracy(MlpParameters(block[0]), dataset) == 1.0)
+        perfect.append(training_accuracy(block[0], dataset) == 1.0)
     report(capsys, all(perfect), "10 separable-data sanity",
            f"{sum(perfect)}/10 seeds reach training accuracy 1.0 "
            f"within 5 epochs on the 200-point fixture")

@@ -21,7 +21,7 @@ from fedsymptoms.evaluation import (
     write_predictions_csv,
 )
 from fedsymptoms.federation import run_simulation, simulation_spec
-from fedsymptoms.mlp import LAYER_SIZES, MlpParameters
+from fedsymptoms.mlp import N_PARAMS
 from fedsymptoms.sampling import (
     LAPLACE_DP,
     NO_NOISE,
@@ -31,13 +31,6 @@ from fedsymptoms.sampling import (
 )
 
 from conftest import TIMED_FIELDS
-
-
-def zero_params():
-    layers = tuple(
-        (np.zeros((LAYER_SIZES[i], LAYER_SIZES[i + 1])), np.zeros(LAYER_SIZES[i + 1]))
-        for i in range(len(LAYER_SIZES) - 1))
-    return MlpParameters.from_layers(layers)
 
 
 def test_evalset_covers_all_sixteen_symptoms(evalset):
@@ -70,7 +63,7 @@ def test_evalset_validation():
 
 def test_accuracy_counts_threshold_ties_as_positive(evalset, table):
     # zero weights push every sigmoid output to exactly 0.5
-    params = zero_params()
+    params = np.zeros(N_PARAMS)
     spec = simulation_spec("I", scale=0.01)
     result = record_run(spec, [params, params], evalset, table, NO_NOISE, seed=1)
     assert [r.prediction for r in result.predictions] == [0.5] * len(evalset.symptoms)

@@ -24,7 +24,7 @@ from fedsymptoms.federation import (
     scaled_count,
     simulation_spec,
 )
-from fedsymptoms.mlp import LAYER_SIZES, N_PARAMS, MlpParameters, init_params
+from fedsymptoms.mlp import N_PARAMS, init_params, layer_views
 from fedsymptoms.rng import client_data_stream, population_stream, selection_stream
 from fedsymptoms.sampling import (
     NO_NOISE,
@@ -197,25 +197,18 @@ def random_params(seed):
     return init_params(np.random.default_rng(seed))
 
 
-def as_flat(params):
-    return np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                           for w, b in params.layers])
-
-
 def test_fedavg_identical_updates_is_exact_fixed_point():
     params = random_params(0)
     for weights in ([1, 1, 1], [3, 5], [7, 11, 13, 17]):
         merged = fedavg_aggregate([(params, n) for n in weights])
-        for (wm, bm), (wp, bp) in zip(merged.layers, params.layers):
-            assert np.array_equal(wm, wp)
-            assert np.array_equal(bm, bp)
+        assert np.array_equal(merged, params)
 
 
 def test_fedavg_matches_extended_precision_oracle():
     updates = [(random_params(i), n) for i, n in enumerate([600, 1400, 250], start=1)]
-    merged = as_flat(fedavg_aggregate(updates))
+    merged = fedavg_aggregate(updates)
     total = sum(n for _, n in updates)
-    flats = [as_flat(p) for p, _ in updates]
+    flats = [p for p, _ in updates]
     oracle = np.array([
         math.fsum(flats[k][j] * updates[k][1] for k in range(len(updates))) / total
         for j in range(len(merged))
@@ -228,8 +221,8 @@ def test_fedavg_matches_extended_precision_oracle():
 
 def test_fedavg_stays_in_convex_hull():
     updates = [(random_params(i), n) for i, n in enumerate([2, 9, 5], start=10)]
-    merged = as_flat(fedavg_aggregate(updates))
-    flats = np.stack([as_flat(p) for p, _ in updates])
+    merged = fedavg_aggregate(updates)
+    flats = np.stack([p for p, _ in updates])
     lo = flats.min(axis=0) - 1e-12
     hi = flats.max(axis=0) + 1e-12
     assert np.all(merged >= lo) and np.all(merged <= hi)
@@ -237,31 +230,32 @@ def test_fedavg_stays_in_convex_hull():
 
 def test_fedavg_equal_weights_equals_plain_mean():
     updates = [(random_params(i), 4) for i in range(20, 23)]
-    merged = as_flat(fedavg_aggregate(updates))
-    plain = np.mean(np.stack([as_flat(p) for p, _ in updates]), axis=0)
+    merged = fedavg_aggregate(updates)
+    plain = np.mean(np.stack([p for p, _ in updates]), axis=0)
     scale = np.maximum(np.abs(plain), 1e-30)
     assert np.max(np.abs(merged - plain) / scale) <= 1e-12
 
 
 def test_fedavg_weight_scaling_invariance():
     params = [random_params(i) for i in range(30, 33)]
-    a = as_flat(fedavg_aggregate(list(zip(params, [1, 2, 3]))))
-    b = as_flat(fedavg_aggregate(list(zip(params, [10, 20, 30]))))
+    a = fedavg_aggregate(list(zip(params, [1, 2, 3])))
+    b = fedavg_aggregate(list(zip(params, [10, 20, 30])))
     assert np.array_equal(a, b)
 
 
 def test_fedavg_returns_a_read_only_vector_of_its_own():
-    # the merged vector is adopted without a copy, so no update may hold it;
+    # the merged vector is frozen in place, so no update may hold it;
     # the last case cancels 1e300 against -1e300 and takes the exact path
     huge = np.full(N_PARAMS, 1e300)
     for updates in ([(random_params(40), 3)],
                     [(random_params(41), 2), (random_params(42), 5)],
-                    [(MlpParameters(huge), 1), (MlpParameters(-huge), 1)]):
+                    [(huge, 1), (-huge, 1)]):
         merged = fedavg_aggregate(updates)
-        assert not merged.flat.flags.writeable
+        assert merged.dtype == np.float64 and merged.shape == (N_PARAMS,)
+        assert not merged.flags.writeable
         for params, _ in updates:
-            assert not np.shares_memory(merged.flat, params.flat)
-    assert not merged.flat.any()
+            assert not np.shares_memory(merged, params)
+    assert not merged.any()
 
 
 def test_fedavg_rejects_empty_and_bad_weights():
@@ -282,28 +276,46 @@ def weighted_scalars(draw):
     return values, weights
 
 
-def params_with_value(value):
-    layers = tuple(
-        (np.full((LAYER_SIZES[i], LAYER_SIZES[i + 1]), value),
-         np.full(LAYER_SIZES[i + 1], value))
-        for i in range(len(LAYER_SIZES) - 1))
-    return MlpParameters.from_layers(layers)
+def params_with_value(value, where):
+    """A parameter vector holding value at the coordinates `where` and 0.0 elsewhere."""
+    flat = np.zeros(N_PARAMS)
+    flat[where] = value
+    return flat
 
 
 @given(weighted_scalars())
 # large updates that cancel: "first update plus weighted deltas" alone misses by ~1e-12
 @example(([15625.0, 0.0], [1, 16915]))
 @example(([26594.0, 0.0, 0.0, 1.0, 0.0], [1, 1, 1, 1, 8108]))
+# updates whose difference overflows to -inf, with exact means 0, -8.5e307 and ~7.29e307
+@example(([1.7e308, -1.7e308], [1, 1]))
+@example(([1.7e308, -1.7e308], [1, 3]))
+@example(([1.7e308, -1.7e308], [5, 2]))
 @settings(max_examples=50, deadline=None)
 def test_fedavg_scalar_property(case):
     values, weights = case
-    updates = [(params_with_value(v), n) for v, n in zip(values, weights)]
-    merged = fedavg_aggregate(updates)
-    got = merged.layers[0][0][0, 0]
     # the exact weighted mean, rounded once
     oracle = float(sum(Fraction(v) * n for v, n in zip(values, weights)) / sum(weights))
-    assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
-    assert min(values) - 1e-9 <= got <= max(values) + 1e-9
+    # each update holds its value in every coordinate, or in coordinate 7 alone
+    for where in (slice(None), 7):
+        merged = fedavg_aggregate([(params_with_value(v, where), n)
+                                   for v, n in zip(values, weights)])
+        got = merged[7]
+        assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        assert min(values) - 1e-9 <= got <= max(values) + 1e-9
+        assert np.array_equal(merged, params_with_value(got, where))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_fedavg_refuses_a_non_finite_update(bad, position):
+    # the one check on updates that a library caller passes in
+    updates = [(random_params(i), n) for i, n in enumerate([3, 5])]
+    flat = updates[position][0].copy()
+    flat[11] = bad
+    updates[position] = (flat, updates[position][1])
+    with pytest.raises(ValueError, match="non-finite parameters"):
+        fedavg_aggregate(updates)
 
 
 def test_run_simulation_snapshots_and_reports(surveys, corpus, table):
@@ -334,9 +346,7 @@ def test_run_simulation_deterministic(surveys, corpus, table):
     run = (NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 2)
     [(a, _)] = run_simulation(spec, surveys, corpus, table, [run])
     [(b, _)] = run_simulation(spec, surveys, corpus, table, [run])
-    for ma, mb in zip(a, b):
-        for (wa, ba), (wb, bb) in zip(ma.layers, mb.layers):
-            assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+    assert all(np.array_equal(ma, mb) for ma, mb in zip(a, b, strict=True))
 
 
 def test_population_independent_of_noise(surveys, corpus, table):
@@ -354,13 +364,9 @@ def test_fixed_client_data_changes_dynamics(surveys, corpus, table):
     [(a, _)] = run_simulation(fresh, surveys, corpus, table, [(NO_NOISE, 5)])
     [(b, _)] = run_simulation(fixed, surveys, corpus, table, [(NO_NOISE, 5)])
     # first round uses round-0 data either way
-    wa0, _ = a[1].layers[0]
-    wb0, _ = b[1].layers[0]
-    assert np.array_equal(wa0, wb0)
+    assert np.array_equal(a[1], b[1])
     # later rounds diverge once fresh data kicks in
-    wa, _ = a[-1].layers[0]
-    wb, _ = b[-1].layers[0]
-    assert not np.array_equal(wa, wb)
+    assert not np.array_equal(layer_views(a[-1])[0][0], layer_views(b[-1])[0][0])
 
 
 def test_uniform_weighting_single_client_matches(surveys, corpus, table):
@@ -368,9 +374,7 @@ def test_uniform_weighting_single_client_matches(surveys, corpus, table):
     [(by_examples, _)] = run_simulation(spec, surveys, corpus, table, [(NO_NOISE, 6)])
     [(uniform, _)] = run_simulation(replace(spec, weighting=WEIGHT_UNIFORM), surveys, corpus,
                                     table, [(NO_NOISE, 6)])
-    wa, _ = by_examples[-1].layers[0]
-    wb, _ = uniform[-1].layers[0]
-    assert np.array_equal(wa, wb)
+    assert np.array_equal(by_examples[-1], uniform[-1])
 
 
 def test_unembeddable_surveyed_symptom_fails_at_run_start(corpus, table):
@@ -414,7 +418,7 @@ def chunked_round_results(monkeypatch, spec, run, surveys, corpus, table, settin
         # a budget of one row gives each client a window, and so a call, of its own
         assert set(cohorts) == ({1} if budget == 1 else {spec.clients_per_round})
         results[chunk, cap, budget] = (updates, sizes, repr(reports[0].mean_local_loss),
-                                       snapshots[-1].flat.tobytes())
+                                       snapshots[-1].tobytes())
     return results
 
 
@@ -525,9 +529,13 @@ def test_a_round_holds_no_dataset_while_its_windows_train(monkeypatch, surveys, 
     assert live == [0] * len(live)
 
 
+# 3 fever-or-cough respondents in 100: without noise, seed 5's first round is empty
+QUIET = [CountrySurvey(country="Quiet", total=1000, symptom_counts={"Fever": 30, "Cough": 10})]
+
+
 def run_bytes(snapshots, reports):
     """A run's snapshots as float64 bytes and its reports without their wall times."""
-    return ([params.flat.tobytes() for params in snapshots],
+    return ([params.tobytes() for params in snapshots],
             [(r.round, r.participating_clients, r.skipped_empty_clients,
               repr(r.mean_local_loss)) for r in reports])
 
@@ -536,13 +544,11 @@ def run_bytes(snapshots, reports):
                                       {"fixed_client_data": True}],
                          ids=["default", "uniform", "fixed-data"])
 def test_a_run_keeps_its_bytes_in_any_group(monkeypatch, corpus, table, settings):
-    # 3 fever-or-cough respondents in 100: without noise, seed 5's first round is empty
-    quiet = [CountrySurvey(country="Quiet", total=1000, symptom_counts={"Fever": 30, "Cough": 10})]
     spec = simulation_spec("III", scale=0.01, participation_fraction=0.25, global_epochs=3,
                            local_epochs=2, **settings)
     noisy = NoiseMechanism(UNIFORM_THRESHOLD, 0.5)
     runs = [(noisy, 1), (NoiseMechanism(UNIFORM_THRESHOLD, 0.9), 2), (noisy, 3), (NO_NOISE, 5)]
-    alone = [run_bytes(*run_simulation(spec, quiet, corpus, table, [run])[0])
+    alone = [run_bytes(*run_simulation(spec, QUIET, corpus, table, [run])[0])
              for run in runs]
     assert alone[3][1][0] == (1, 0, spec.clients_per_round, "None")
     assert alone[3][0][1] == alone[3][0][0]
@@ -552,9 +558,21 @@ def test_a_run_keeps_its_bytes_in_any_group(monkeypatch, corpus, table, settings
     for budget in (1, 40, federation.WINDOW_EXAMPLES):
         monkeypatch.setattr(federation, "WINDOW_EXAMPLES", budget)
         for group in (runs, runs[::-1], runs[1:3]):
-            results = run_simulation(spec, quiet, corpus, table, group)
+            results = run_simulation(spec, QUIET, corpus, table, group)
             assert [run_bytes(*result) for result in results] == [
                 alone[runs.index(run)] for run in group], (budget, group)
+
+
+def test_every_snapshot_is_a_read_only_parameter_vector(corpus, table):
+    # the init, rounds that merge, and seed 5's first round, which carries the init forward
+    spec = simulation_spec("III", scale=0.01, participation_fraction=0.25, global_epochs=2)
+    runs = [(NO_NOISE, 5), (NoiseMechanism(UNIFORM_THRESHOLD, 0.5), 1)]
+    [(carried, [empty, _]), (merged, reports)] = run_simulation(spec, QUIET, corpus, table, runs)
+    assert empty.participating_clients == 0 and carried[1] is carried[0]
+    assert all(report.participating_clients for report in reports)
+    for snapshot in carried + merged:
+        assert snapshot.dtype == np.float64 and snapshot.shape == (N_PARAMS,)
+        assert not snapshot.flags.writeable
 
 
 def test_run_simulation_refuses_no_runs(surveys, corpus, table):

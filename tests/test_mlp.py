@@ -30,7 +30,6 @@ from fedsymptoms.mlp import (
     LAYER_SIZES,
     LEARNING_RATE,
     LOSS_CLAMP,
-    MlpParameters,
     N_PARAMS,
     OUTPUT_CLIP,
     SCORE_ROWS,
@@ -58,16 +57,16 @@ from conftest import (
 
 
 def train_one(params, dataset, config, rng):
-    """train_local on a window of one client: its one block row, wrapped as parameters."""
+    """train_local on a window of one client: its one block row."""
     window = Window((dataset,))
     block = train_local([params], window, config, [rng])
     assert window.order == (0,)
-    return MlpParameters._wrap(block[0])
+    return block[0]
 
 
 def score_one(params, dataset):
     """mean_loss on a window of one client."""
-    [loss] = mean_loss(params.flat[None], Window((dataset,)))
+    [loss] = mean_loss(params[None], Window((dataset,)))
     return loss
 
 
@@ -81,8 +80,9 @@ def by_client(block, order):
 
 def test_init_shapes_and_glorot_bounds():
     params = init_params(np.random.default_rng(0))
-    assert len(params.layers) == len(LAYER_SIZES) - 1
-    for i, (w, b) in enumerate(params.layers):
+    assert params.dtype == np.float64 and params.shape == (N_PARAMS,)
+    assert len(layer_views(params)) == len(LAYER_SIZES) - 1
+    for i, (w, b) in enumerate(layer_views(params)):
         fan_in, fan_out = LAYER_SIZES[i], LAYER_SIZES[i + 1]
         assert w.shape == (fan_in, fan_out)
         assert b.shape == (fan_out,)
@@ -94,57 +94,31 @@ def test_init_shapes_and_glorot_bounds():
 def test_init_deterministic_per_stream():
     a = init_params(np.random.default_rng(42))
     b = init_params(np.random.default_rng(42))
-    for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
-        assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+    assert np.array_equal(a, b)
 
 
 def test_params_arrays_are_frozen():
     params = init_params(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        params.layers[0][0][0, 0] = 1.0
+        params[0] = 1.0
     trained = train_one(params, separable_dataset(0), TrainConfig(local_epochs=1),
                           np.random.default_rng(0))
     with pytest.raises(ValueError):
-        trained.flat[0] = 1.0
-    with pytest.raises(ValueError):
-        trained.layers[-1][1][0] = 1.0
+        trained[0] = 1.0
 
 
-def test_layer_views_are_built_once_per_parameter_set():
+def test_layer_views_share_the_vector_and_are_read_only():
     params = init_params(np.random.default_rng(0))
-    layers = params.layers
-    assert params.layers is layers
     offset = 0
-    for w, b in layers:
+    for w, b in layer_views(params):
         for view in (w, b):
             assert not view.flags.writeable
-            assert np.shares_memory(view, params.flat)
-            assert np.array_equal(view.ravel(), params.flat[offset:offset + view.size])
+            assert np.shares_memory(view, params)
+            assert np.array_equal(view.ravel(), params[offset:offset + view.size])
             offset += view.size
     assert offset == N_PARAMS
-    # a new parameter set gets its own views
-    other = MlpParameters(params.flat)
-    assert other.layers is not layers
-    assert np.shares_memory(other.layers[0][0], other.flat)
-
-
-def test_params_rejects_wrong_length_and_nonfinite():
     with pytest.raises(ValueError):
-        MlpParameters(np.zeros(N_PARAMS - 1))
-    for bad in (np.nan, np.inf):
-        flat = np.zeros(N_PARAMS)
-        flat[7] = bad
-        with pytest.raises(ValueError):
-            MlpParameters(flat)
-
-
-def test_from_layers_rejects_bad_layout():
-    layers = list(init_params(np.random.default_rng(0)).layers)
-    transposed = [(layers[0][0].T, layers[0][1])] + layers[1:]
-    with pytest.raises(ValueError):
-        MlpParameters.from_layers(transposed)
-    with pytest.raises(ValueError):
-        MlpParameters.from_layers(layers[:3])
+        layer_views(params)[-1][1][0] = 1.0
 
 
 def test_forward_matches_manual_chain():
@@ -153,9 +127,9 @@ def test_forward_matches_manual_chain():
     x = rng.standard_normal((7, LAYER_SIZES[0]))
 
     h = x
-    for w, b in params.layers[:-1]:
+    for w, b in layer_views(params)[:-1]:
         h = np.maximum(h @ w + b, 0.0)
-    w, b = params.layers[-1]
+    w, b = layer_views(params)[-1]
     z = (h @ w + b)[:, 0]
     expected = np.clip(1.0 / (1.0 + np.exp(-z)), OUTPUT_CLIP, 1.0 - OUTPUT_CLIP)
 
@@ -197,7 +171,7 @@ def check_forward_of_rows_matches_one_call_per_row():
     """
     rng = np.random.default_rng(72)
     for trial in range(60):
-        params = MlpParameters((0.05, 0.5, 3.0)[trial % 3] * rng.standard_normal(N_PARAMS))
+        params = (0.05, 0.5, 3.0)[trial % 3] * rng.standard_normal(N_PARAMS)
         for m in LONE_ROW_COUNTS:
             x = rng.standard_normal((m, LAYER_SIZES[0]))
             got = forward(params, x)
@@ -205,7 +179,7 @@ def check_forward_of_rows_matches_one_call_per_row():
             one_by_one = [forward(params, row) for row in x]
             assert all(type(p) is float for p in one_by_one)
             assert same_bytes(got, one_by_one), (trial, m)
-            assert same_bytes(got, [ref_forward_batch(params.layers, row[None, :])[0]
+            assert same_bytes(got, [ref_forward_batch(layer_views(params), row[None, :])[0]
                                     for row in x]), (trial, m)
 
 
@@ -226,9 +200,9 @@ def test_gradient_matches_finite_differences():
         y = rng.integers(0, 2, size=6)
         _, grad = loss_and_gradient(params, x, y)
         grad = layer_views(grad)
-        for layer in range(len(params.layers)):
+        for layer in range(len(layer_views(params))):
             gw, gb = grad[layer]
-            w, b = params.layers[layer]
+            w, b = layer_views(params)[layer]
             w_checks = [tuple(int(v) for v in idx)
                         for idx in rng.integers(0, w.shape, size=(4, 2))]
             for idx in w_checks:
@@ -290,7 +264,7 @@ def test_adam_step_matches_scalar_recursion():
 
 
 def test_adam_step_advances_with_the_step_count():
-    start = init_params(np.random.default_rng(12)).flat
+    start = init_params(np.random.default_rng(12))
     theta, m, v = start.copy(), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
     scratch, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)
     adam_step(theta, np.ones(N_PARAMS), m, v, 1, scratch, denom)
@@ -316,7 +290,7 @@ def test_train_local_deterministic():
     config = TrainConfig(local_epochs=2)
     a = train_one(params, dataset, config, np.random.default_rng(15))
     b = train_one(params, dataset, config, np.random.default_rng(15))
-    for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
+    for (wa, ba), (wb, bb) in zip(layer_views(a), layer_views(b)):
         assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
 
@@ -338,16 +312,16 @@ def test_train_local_refuses_a_non_finite_update():
 
 
 def test_train_local_returns_a_read_only_vector_of_its_own():
-    # the trained vector is adopted without a copy, so nothing else may hold it
+    # the trained vector is a row of train_local's frozen block, so nothing else may hold it
     dataset = separable_dataset(18)
     params = init_params(np.random.default_rng(18))
     trained = train_one(params, dataset, TrainConfig(local_epochs=1),
                           np.random.default_rng(18))
-    assert trained.flat.dtype == np.float64 and trained.flat.shape == (N_PARAMS,)
-    assert not trained.flat.flags.writeable
-    assert all(not w.flags.writeable and not b.flags.writeable for w, b in trained.layers)
-    for held in (params.flat, dataset.rows, dataset.labels, dataset.phrases.matrix):
-        assert not np.shares_memory(trained.flat, held)
+    assert trained.dtype == np.float64 and trained.shape == (N_PARAMS,)
+    assert not trained.flags.writeable
+    assert all(not w.flags.writeable and not b.flags.writeable for w, b in layer_views(trained))
+    for held in (params, dataset.rows, dataset.labels, dataset.phrases.matrix):
+        assert not np.shares_memory(trained, held)
 
 
 def test_mean_loss_drops_after_training():
@@ -363,18 +337,65 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path = str(tmp_path / "model.npz")
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    for (wa, ba), (wb, bb) in zip(params.layers, loaded.layers):
-        assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+    assert loaded.dtype == np.float64 and loaded.shape == (N_PARAMS,)
+    assert not loaded.flags.writeable
+    assert loaded.tobytes() == params.tobytes()
+
+
+def saved_payload(path):
+    """A checkpoint's arrays by name, after saving a fresh parameter set at path."""
+    save_checkpoint(init_params(np.random.default_rng(19)), path)
+    with np.load(path) as data:
+        return dict(data)
 
 
 def test_checkpoint_rejects_nonfinite_weights(tmp_path):
     path = str(tmp_path / "model.npz")
-    save_checkpoint(init_params(np.random.default_rng(19)), path)
-    with np.load(path) as data:
-        payload = dict(data)
-    payload["w1"][0, 0] = np.nan
-    np.savez(path, **payload)
-    with pytest.raises(ValueError):
+    for bad in (np.nan, np.inf):
+        payload = saved_payload(path)
+        payload["w1"][0, 0] = bad
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("short w0", "w0: expected shape"),
+    ("transposed w0", "w0: expected shape"),
+    ("no w3", "lacks w3"),
+    ("no layer_sizes", "lacks layer_sizes"),
+    ("other layer sizes", "layer sizes"),
+    ("complex w1", "w1 is not a real-valued array"),
+    ("empty file", "not an .npz archive"),
+    ("plain .npy file", "not an .npz archive"),
+    ("truncated archive", "not an .npz archive"),
+])
+def test_checkpoint_rejects_a_bad_layout(tmp_path, case, match):
+    path = str(tmp_path / "model.npz")
+    payload = saved_payload(path)
+    if case == "short w0":
+        payload["w0"] = payload["w0"][:-1]
+    elif case == "transposed w0":
+        payload["w0"] = payload["w0"].T
+    elif case == "other layer sizes":
+        payload["layer_sizes"] = payload["layer_sizes"][::-1]
+    elif case == "complex w1":
+        payload["w1"] = payload["w1"].astype(complex)
+    elif case.startswith("no "):
+        del payload[case.removeprefix("no ")]
+    if case == "empty file":
+        open(path, "wb").close()
+    elif case == "plain .npy file":
+        with open(path, "wb") as f:
+            np.save(f, payload["w0"])
+    elif case == "truncated archive":
+        with open(path, "rb") as f:
+            head = f.read()[:1000]
+        with open(path, "wb") as f:
+            f.write(head)
+    else:
+        np.savez(path, **payload)
+    with pytest.raises(ValueError, match=match):
         load_checkpoint(path)
 
 
@@ -478,13 +499,13 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
     x[::7] = 0.0  # rows whose logit is the output bias, exactly 0 at init
     labels = rng.integers(0, 2, size=n)
     dataset = client_dataset(matrix_phrase_table(x), np.arange(n), labels)
-    params = MlpParameters(3.0 * init_params(np.random.default_rng(21)).flat)
+    params = 3.0 * init_params(np.random.default_rng(21))
 
     # the scaled start covers every branch of the sigmoid and the clamp
     h = x
-    for w, b in params.layers[:-1]:
+    for w, b in layer_views(params)[:-1]:
         h = np.maximum(h @ w + b, 0.0)
-    logits = (h @ params.layers[-1][0] + params.layers[-1][1])[:, 0]
+    logits = (h @ layer_views(params)[-1][0] + layer_views(params)[-1][1])[:, 0]
     p = ref_sigmoid(logits)
     assert (logits < 0).any() and (logits > 0).any() and (logits == 0).any()
     outside = (p <= LOSS_CLAMP) | (p >= 1.0 - LOSS_CLAMP)
@@ -493,10 +514,10 @@ def test_training_step_matches_frozen_reference_bit_for_bit():
     y = labels.astype(np.float64)
     config = TrainConfig(local_epochs=3)
     trained = train_one(params, dataset, config, np.random.default_rng(22))
-    expected = ref_train_local(params.flat, x, y, config, np.random.default_rng(22))
-    assert same_bytes(trained.flat, expected)
+    expected = ref_train_local(params, x, y, config, np.random.default_rng(22))
+    assert same_bytes(trained, expected)
     for start in (params, trained):
-        assert same_bytes(score_one(start, dataset), ref_mean_loss(start.flat, x, y))
+        assert same_bytes(score_one(start, dataset), ref_mean_loss(start, x, y))
 
 
 def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
@@ -514,9 +535,9 @@ def test_training_past_the_adam_cut_over_matches_frozen_reference_bit_for_bit():
     params = init_params(np.random.default_rng(24))
     config = TrainConfig(local_epochs=134)  # 402 steps
     trained = train_one(params, dataset, config, np.random.default_rng(25))
-    expected = ref_train_local(params.flat, x, labels.astype(np.float64), config,
+    expected = ref_train_local(params, x, labels.astype(np.float64), config,
                                np.random.default_rng(25))
-    assert same_bytes(trained.flat, expected)
+    assert same_bytes(trained, expected)
 
 
 def ragged_clients(sizes, seed, table_rows=300):
@@ -541,7 +562,7 @@ def check_window_matches_frozen_reference(params, clients, config, seed):
     trained = by_client(block, window.order)
     for i, (client, start, update) in enumerate(zip(clients, starts, trained)):
         x = client.phrases.matrix[client.rows]
-        expected = ref_train_local(start.flat, x, client.labels, config,
+        expected = ref_train_local(start, x, client.labels, config,
                                    np.random.default_rng([seed, i]))
         assert same_bytes(update, expected), (i, len(client))
     return trained
@@ -559,7 +580,7 @@ def test_ragged_window_matches_frozen_reference_byte_for_byte(epochs):
     clients = ragged_clients(RAGGED_SIZES, 50 + epochs)
     start = init_params(np.random.default_rng(51))
     # 3x the start also puts outputs outside the LOSS_CLAMP band
-    for params in (start, MlpParameters(3.0 * start.flat)):
+    for params in (start, 3.0 * start):
         trained = check_window_matches_frozen_reference(
             params, clients, TrainConfig(local_epochs=epochs), 52)
     for i, update in enumerate(trained):
@@ -574,8 +595,8 @@ def test_clients_of_one_chunk_train_from_their_own_starts():
     trained = check_window_matches_frozen_reference(starts, clients,
                                                     TrainConfig(local_epochs=2), 73)
     for start in starts:
-        assert not start.flat.flags.writeable
-        assert not any(np.shares_memory(update, start.flat) for update in trained)
+        assert not start.flags.writeable
+        assert not any(np.shares_memory(update, start) for update in trained)
 
 
 def test_a_window_lays_its_clients_out_by_size_once():
@@ -693,7 +714,7 @@ def test_small_clients_draw_several_epochs_shuffles_at_once():
     trained = by_client(train_local([params] * len(sizes), window, config, streams), window.order)
     assert [stream.draws for stream in streams] == [[3, 2], [1] * 5, [5], [1] * 5]
     for i, (client, update) in enumerate(zip(clients, trained)):
-        expected = ref_train_local(params.flat, client.phrases.matrix[client.rows],
+        expected = ref_train_local(params, client.phrases.matrix[client.rows],
                                    client.labels, config, np.random.default_rng([64, i]))
         assert same_bytes(update, expected), len(client)
 
@@ -854,14 +875,14 @@ def backprop_cases():
     cases = [(f"{n} rows", params, rng.standard_normal((n, LAYER_SIZES[0])),
               rng.integers(0, 2, size=n).astype(np.float64)) for n in (1, 2, 31, 32, 33)]
     # unit 5 of the first hidden layer and unit 3 of the second are 0 on every row
-    layers = [(w.copy(), b.copy()) for w, b in params.layers]
+    dead = params.copy()
+    layers = layer_views(dead)
     layers[0][1][5] = -1e3
     layers[1][1][3] = -1e3
-    dead = MlpParameters.from_layers(layers)
     x = rng.standard_normal((32, LAYER_SIZES[0]))
     cases.append(("dead units", dead, x, rng.integers(0, 2, size=32).astype(np.float64)))
     # 3x the start puts some outputs outside the LOSS_CLAMP band and leaves others inside
-    cases.append(("saturated", MlpParameters(3.0 * params.flat), 3.0 * x,
+    cases.append(("saturated", 3.0 * params, 3.0 * x,
                   rng.integers(0, 2, size=32).astype(np.float64)))
     return cases
 
@@ -870,7 +891,7 @@ def test_backprop_matches_frozen_reference_byte_for_byte():
     for name, params, x, y in backprop_cases():
         loss, grad = loss_and_gradient(params, x, y)
         expected = np.empty(N_PARAMS)
-        ref_loss = ref_backprop(params.layers, x, y, layer_views(expected))
+        ref_loss = ref_backprop(layer_views(params), x, y, layer_views(expected))
         assert same_bytes(grad, expected), name
         assert same_bytes(loss, ref_loss), name
         if name == "dead units":
@@ -891,19 +912,16 @@ def test_forward_and_sigmoid_match_frozen_reference_on_extreme_logits():
     # logit = x[0] - x[1]; the BLAS products never give -0.0, so that
     # case is pinned on the sigmoid alone, and the +-3.3 rows are the
     # ones OUTPUT_CLIP leaves alone
-    layers = []
-    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
-        w = np.zeros((fan_in, fan_out))
-        if fan_out > 1:
+    params = np.zeros(N_PARAMS)
+    for w, _ in layer_views(params):
+        if w.shape[1] > 1:
             w[0, 0] = w[1, 1] = 1.0
         else:
             w[0, 0], w[1, 0] = 1.0, -1.0
-        layers.append((w, np.zeros(fan_out)))
-    params = MlpParameters.from_layers(layers)
     x = np.zeros((7, LAYER_SIZES[0]))
     x[:, :2] = [[800.0, 0.0], [0.0, 800.0], [40.0, 0.0], [0.0, 40.0],
                 [3.3, 0.0], [0.0, 3.3], [0.0, 0.0]]
-    assert same_bytes(forward(params, x), [ref_forward_batch(params.layers, row[None, :])[0]
+    assert same_bytes(forward(params, x), [ref_forward_batch(layer_views(params), row[None, :])[0]
                                            for row in x])
 
 
@@ -938,12 +956,12 @@ def check_blocked_scoring_matches_whole_matrix_reference():
     """mean_loss against one whole-matrix forward of every size."""
     rng = np.random.default_rng(23)
     start = init_params(np.random.default_rng(24))
-    for params in (start, MlpParameters(3.0 * start.flat)):
+    for params in (start, 3.0 * start):
         for n in REFERENCE_SIZES:
             dataset = random_client(n, rng)
             x = dataset.phrases.matrix[dataset.rows]
             assert same_bytes(score_one(params, dataset),
-                              ref_mean_loss(params.flat, x, dataset.labels)), n
+                              ref_mean_loss(params, x, dataset.labels)), n
 
 
 def test_blocked_scoring_matches_whole_matrix_reference_at_1_blas_thread():
@@ -984,10 +1002,9 @@ def window_scoring_case(sizes):
     clients = ragged_clients(sizes, 65)
     start = init_params(np.random.default_rng(66))
     # 3x the start also puts outputs outside the LOSS_CLAMP band
-    trained = [MlpParameters((1.0 + 2.0 * i / (len(sizes) - 1)) * start.flat)
-               for i in range(len(sizes))]
+    trained = [(1.0 + 2.0 * i / (len(sizes) - 1)) * start for i in range(len(sizes))]
     window = Window(clients)
-    losses = by_client(mean_loss(np.stack([trained[i].flat for i in window.order]), window),
+    losses = by_client(mean_loss(np.stack([trained[i] for i in window.order]), window),
                        window.order)
     return clients, trained, losses
 
@@ -996,7 +1013,7 @@ def check_window_scoring_matches_whole_matrix_reference():
     for sizes in (WINDOW_SIZES, CAPPED_SIZES):
         clients, trained, losses = window_scoring_case(sizes)
         for client, params, loss in zip(clients, trained, losses, strict=True):
-            expected = ref_mean_loss(params.flat, client.phrases.matrix[client.rows],
+            expected = ref_mean_loss(params, client.phrases.matrix[client.rows],
                                      client.labels)
             assert same_bytes(loss, expected), len(client)
 
@@ -1052,7 +1069,7 @@ def test_mean_loss_checks_its_block():
     clients = ragged_clients((3, 4), 67)
     params = init_params(np.random.default_rng(67))
     with pytest.raises(ValueError, match="1 parameter sets for 2 clients"):
-        mean_loss(params.flat[None], Window(clients))
+        mean_loss(params[None], Window(clients))
     empty = client_dataset(clients[0].phrases, [], [])
     with pytest.raises(ValueError, match="empty client"):
         Window(clients + [empty])

@@ -34,16 +34,37 @@ EMBEDDING_DIMENSION = LAYER_SIZES[0]
 
 
 def _load_inputs(config: RunConfig):
-    table = load_embeddings(config.embeddings_path, EMBEDDING_DIMENSION)
-    surveys = load_surveys(config.surveys_path, embeddings=table)
-    corpus = load_corpus(config.corpus_path, embeddings=table)
-    return table, surveys, corpus
+    embeddings = load_embeddings(config.embeddings_path, EMBEDDING_DIMENSION)
+    surveys = load_surveys(config.surveys_path, embeddings=embeddings)
+    corpus = load_corpus(config.corpus_path, embeddings=embeddings)
+    return embeddings, surveys, corpus
 
 
 def _sha256_of(path: str) -> str:
     import hashlib  # here, not at the top: loading it adds ~5 ms to every start-up
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _blas() -> dict[str, str]:
+    """numpy's BLAS build, and the kernel its bundled OpenBLAS chose for this CPU.
+
+    The CSVs' bits depend on that kernel (OPENBLAS_CORETYPE can force
+    another); the kernel is "unknown" where the library does not name it.
+    """
+    import ctypes  # here, not at the top, like hashlib in _sha256_of
+    from numpy._core import _multiarray_umath
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        # dlsym on numpy's extension also searches the libraries it links
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        kernel = "unknown"
+    else:
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+    return {"name": build.get("name", "unknown"), "version": build.get("version", "unknown"),
+            "kernel": kernel}
 
 
 def _write_results(command: str, config: RunConfig, spec, result,
@@ -58,6 +79,7 @@ def _write_results(command: str, config: RunConfig, spec, result,
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "blas": _blas(),
         "input_sha256": {key: _sha256_of(getattr(config, key))
                          for key in ("embeddings_path", "surveys_path", "corpus_path")},
         "config": asdict(config),
@@ -82,9 +104,9 @@ def _write_rounds(config: RunConfig, records) -> None:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    table, surveys, corpus = _load_inputs(config)
+    embeddings, surveys, corpus = _load_inputs(config)
     evalset = build_evalset(surveys)
-    print(f"embeddings: {len(table)} tokens, dimension {table.dimension}")
+    print(f"embeddings: {len(embeddings)} tokens, dimension {EMBEDDING_DIMENSION}")
     print(f"surveys: {len(surveys)} countries, {len(evalset.symptoms)} symptoms, "
           f"all embeddable")
     print(f"corpus: {len(corpus)} terms, all embeddable")
@@ -102,12 +124,12 @@ def cmd_run(config: RunConfig) -> int:
     if spec.global_epochs and target_epoch > spec.global_epochs:
         raise ValueError(f"epoch {target_epoch} not in run (1..{spec.global_epochs})")
     mechanism = config.noise_mechanism()
-    table, surveys, corpus = _load_inputs(config)
+    embeddings, surveys, corpus = _load_inputs(config)
 
-    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, table,
+    [(snapshots, reports)] = run_simulation(spec, surveys, corpus, embeddings,
                                             [(mechanism, config.master_seed)])
     evalset = build_evalset(surveys)
-    result = record_run(spec, snapshots, evalset, table, mechanism,
+    result = record_run(spec, snapshots, evalset, embeddings, mechanism,
                         config.master_seed)
 
     _write_results("run", config, spec, result)
@@ -154,9 +176,9 @@ def cmd_sweep(config: RunConfig, given: set[str], axis: str, values: list[float]
         mechanisms = [NoiseMechanism(kind=LAPLACE_DP, noise_level=config.noise_level,
                                      epsilon=eps) for eps in values]
     spec = config.spec()
-    table, surveys, corpus = _load_inputs(config)
+    embeddings, surveys, corpus = _load_inputs(config)
     evalset = build_evalset(surveys)
-    result = sweep(spec, mechanisms, seeds, surveys, corpus, table, evalset)
+    result = sweep(spec, mechanisms, seeds, surveys, corpus, embeddings, evalset)
 
     _write_results("sweep", config, spec, result,
                    extra={"axis": axis, "values": values, "seeds": seeds})

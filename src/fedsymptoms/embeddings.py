@@ -1,14 +1,14 @@
-"""Word-embedding table: loading and phrase encoding.
+"""Word embeddings: loading and phrase encoding.
 
-The table maps lowercase tokens to fixed-length vectors read from a
-plain-text file (one token plus its components per line). Multi-word
-phrases are encoded as the arithmetic mean of their token vectors.
+The embeddings are a plain dict from lowercase tokens to read-only
+vectors of one length, read from a plain-text file (one token plus its
+components per line). Multi-word phrases are encoded as the arithmetic
+mean of their token vectors.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,29 +16,15 @@ log = logging.getLogger(__name__)
 
 
 class UnembeddablePhraseError(ValueError):
-    """Raised when no token of a phrase is present in the table."""
+    """Raised when no token of a phrase is present in the embeddings."""
 
     def __init__(self, phrase: str):
         super().__init__(f"unembeddable phrase: {phrase!r}")
         self.phrase = phrase
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Immutable token-to-vector map with a fixed dimension."""
-
-    dimension: int
-    entries: dict[str, np.ndarray]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def load_embeddings(path: str, dimension: int) -> EmbeddingTable:
-    """Parse a text embedding file into an EmbeddingTable.
+def load_embeddings(path: str, dimension: int) -> dict[str, np.ndarray]:
+    """Parse a text embedding file into a dict of read-only (dimension,) vectors.
 
     Each line must be ``token v1 v2 ... v_dimension`` with single-space
     separation. Malformed lines (wrong component count, non-numeric
@@ -76,7 +62,7 @@ def load_embeddings(path: str, dimension: int) -> EmbeddingTable:
         raise ValueError(f"empty embedding table: {path}")
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
-    return EmbeddingTable(dimension=dimension, entries=entries)
+    return entries
 
 
 def tokenize(phrase: str) -> list[str]:
@@ -84,7 +70,7 @@ def tokenize(phrase: str) -> list[str]:
     return phrase.lower().replace("/", " ").split()
 
 
-def encode_phrase(table: EmbeddingTable, phrase: str) -> np.ndarray:
+def encode_phrase(embeddings: dict[str, np.ndarray], phrase: str) -> np.ndarray:
     """Encode a phrase as the read-only mean of its in-vocabulary token vectors.
 
     Out-of-vocabulary tokens are skipped. Raises UnembeddablePhraseError
@@ -93,7 +79,7 @@ def encode_phrase(table: EmbeddingTable, phrase: str) -> np.ndarray:
     """
     if not phrase.strip():
         raise ValueError("empty phrase")
-    hits = [table.entries[t] for t in tokenize(phrase) if t in table.entries]
+    hits = [embeddings[t] for t in tokenize(phrase) if t in embeddings]
     if not hits:
         raise UnembeddablePhraseError(phrase)
     values = np.mean(hits, axis=0)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import check_seed
-from .embeddings import EmbeddingTable, encode_phrase
+from .embeddings import encode_phrase
 from .federation import SIMULATION_IDS, SimulationSpec, run_simulation
 from .mlp import forward
 from .sampling import NoiseMechanism
@@ -125,7 +125,7 @@ class SweepResult:
 
 
 def record_run(spec: SimulationSpec, snapshots: list[np.ndarray],
-               evalset: EvalSet, embeddings: EmbeddingTable,
+               evalset: EvalSet, embeddings: dict[str, np.ndarray],
                mechanism: NoiseMechanism, seed: int) -> SweepResult:
     """Turn one run's post-round snapshots into sweep rows.
 
@@ -150,7 +150,8 @@ def record_run(spec: SimulationSpec, snapshots: list[np.ndarray],
 
 
 def sweep(spec: SimulationSpec, mechanisms: list[NoiseMechanism], seeds: list[int],
-          surveys: list[CountrySurvey], corpus, embeddings: EmbeddingTable,
+          surveys: list[CountrySurvey], corpus: tuple[str, ...],
+          embeddings: dict[str, np.ndarray],
           evalset: EvalSet) -> SweepResult:
     """One full run per (mechanism, seed), every run under spec.
 

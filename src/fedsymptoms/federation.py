@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as streams
-from .embeddings import EmbeddingTable
 from .mlp import TrainConfig, Window, init_params, mean_loss, train_local
 from .sampling import (
     ClientDataset,
@@ -222,9 +221,11 @@ def fedavg_aggregate(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     # a difference that overflows is caught below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for params, n in updates[1:]:
-            diff = params - base
-            delta += (n / total) * diff
-            spread += (n / total) * np.abs(diff, out=diff)
+            # for a weight w > 0, |fl(w * d)| == fl(w * |d|): one product serves both sums
+            weighted = params - base
+            weighted *= n / total
+            delta += weighted
+            spread += np.abs(weighted, out=weighted)
         merged = base + delta
     bound = (len(updates) + 2) * np.finfo(np.float64).eps * spread
     # where a difference overflowed, bound and tolerance are both inf: name such values too
@@ -355,8 +356,8 @@ def run_round(params: list[np.ndarray], round_index: int, populations: list[Popu
     return merged, reports
 
 
-def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus,
-                   embeddings: EmbeddingTable, runs: list[tuple[NoiseMechanism, int]]
+def run_simulation(spec: SimulationSpec, surveys: list[CountrySurvey], corpus: tuple[str, ...],
+                   embeddings: dict[str, np.ndarray], runs: list[tuple[NoiseMechanism, int]]
                    ) -> list[tuple[list[np.ndarray], list[RoundReport]]]:
     """Run spec.global_epochs rounds of each (noise, master_seed) run under spec, side by side.
 

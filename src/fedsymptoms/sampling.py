@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, encode_phrase
-from .surveys import MedicalCorpus, SymptomDistribution
+from .embeddings import encode_phrase
+from .surveys import SymptomDistribution
 
 UNIFORM_THRESHOLD = "uniform_threshold"
 NORMAL_THRESHOLD = "normal_threshold"
@@ -105,20 +105,22 @@ class PhraseTable:
     """Every phrase a run can emit, each encoded once, and the walks over it.
 
     Row i of the read-only ``matrix`` is the embedding of phrase
-    ``names[i]``. ``walks[dist]`` is dist's prominent-symptom list as
-    (row, display probability) pairs, in order, and ``word_walks[dist]``
-    the same list as (row, raw-word threshold) pairs (`word_threshold`);
-    ``term_rows[i]`` is the row of corpus term i. ``negatives[dist.prominent_lower]``
-    holds the rows of the corpus terms outside dist's prominent-symptom set,
-    in corpus order (possibly none), as a tuple.
+    ``names[i]``. Each distribution's entries are found by its country:
+    ``walks[dist.country]`` is dist's prominent-symptom list as
+    (row, display probability) pairs, in order, and
+    ``word_walks[dist.country]`` the same list as (row, raw-word
+    threshold) pairs (`word_threshold`); ``negatives[dist.country]``
+    holds the rows of the corpus terms outside dist's prominent-symptom
+    set, in corpus order (possibly none), as a tuple. ``term_rows[i]`` is
+    the row of corpus term i.
     """
 
     matrix: np.ndarray
     names: tuple[str, ...]
-    walks: dict[SymptomDistribution, tuple[tuple[int, float], ...]]
-    word_walks: dict[SymptomDistribution, tuple[tuple[int, int], ...]]
+    walks: dict[str, tuple[tuple[int, float], ...]]
+    word_walks: dict[str, tuple[tuple[int, int], ...]]
     term_rows: tuple[int, ...]
-    negatives: dict[frozenset[str], tuple[int, ...]]
+    negatives: dict[str, tuple[int, ...]]
 
 
 def word_threshold(p: float) -> int:
@@ -137,27 +139,32 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def build_phrase_table(embeddings: EmbeddingTable, corpus: MedicalCorpus,
+def build_phrase_table(embeddings: dict[str, np.ndarray], corpus: tuple[str, ...],
                        distributions: list[SymptomDistribution]) -> PhraseTable:
     """Encode every corpus term and every positive-count symptom once.
 
     An unembeddable phrase raises UnembeddablePhraseError, naming it,
     before any client is synthesized. The command line never gets here:
     its loaders refuse such phrases first, so only a library caller that
-    loads without an embedding table reaches this raise.
+    loads without embeddings reaches this raise. The table finds a
+    distribution by its country, so two unequal distributions of one
+    country raise ValueError naming it; one distribution may come twice.
     """
-    names = tuple(dict.fromkeys([*corpus.terms,
+    by_country: dict[str, SymptomDistribution] = {}
+    for d in distributions:
+        if by_country.setdefault(d.country, d) != d:
+            raise ValueError(f"two different distributions of country {d.country!r}")
+    names = tuple(dict.fromkeys([*corpus,
                                  *(name for d in distributions for name, _ in d.entries)]))
     rows = {phrase: i for i, phrase in enumerate(names)}
     matrix = _read_only(np.stack([encode_phrase(embeddings, phrase) for phrase in names]))
-    walks = {d: tuple((rows[name], p) for name, p in d.entries) for d in distributions}
-    word_walks = {d: tuple((row, word_threshold(p)) for row, p in walk)
-                  for d, walk in walks.items()}
-    negatives = {d.prominent_lower: tuple(rows[t] for t in corpus.terms
-                                          if t.lower() not in d.prominent_lower)
-                 for d in distributions}
-    return PhraseTable(matrix, names, walks, word_walks,
-                       tuple(rows[t] for t in corpus.terms), negatives)
+    walks = {c: tuple((rows[name], p) for name, p in d.entries) for c, d in by_country.items()}
+    word_walks = {c: tuple((row, word_threshold(p)) for row, p in walk)
+                  for c, walk in walks.items()}
+    negatives = {c: tuple(rows[t] for t in corpus if t.lower() not in d.prominent_lower)
+                 for c, d in by_country.items()}
+    return PhraseTable(matrix, names, walks, word_walks, tuple(rows[t] for t in corpus),
+                       negatives)
 
 
 class LabeledExample(NamedTuple):
@@ -401,11 +408,11 @@ def _replay_picks(raw: _RawWords, pool, n_picks: int, out: list) -> None:
     raw.i, raw.has, raw.half = i, has, half
 
 
-def simulate_person(dist: SymptomDistribution, corpus: MedicalCorpus,
+def simulate_person(dist: SymptomDistribution, corpus: tuple[str, ...],
                     noise: NoiseMechanism, rng: np.random.Generator) -> list[str]:
     """Walk the prominent-symptom list once and return displayed phrases (maybe none)."""
     displayed: list[str] = []
-    _walk(dist.entries, corpus.terms, noise, rng, displayed)
+    _walk(dist.entries, corpus, noise, rng, displayed)
     return displayed
 
 
@@ -417,7 +424,7 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     one batch, then one shuffle. Changing it would change every dataset
     produced from a given stream. `phrases` must be built from a list of
     distributions that includes `dist`; the persons walk its rows
-    (``walks[dist]``, ``term_rows``), so no phrase is looked up, and no
+    (``walks[dist.country]``, ``term_rows``), so no phrase is looked up, and no
     example object or feature row is made, per example. n_persons must
     be an integer of at least 1 (a bool is refused), checked before any
     draw.
@@ -443,17 +450,18 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
         raise ValueError(f"synthesize_client needs a PCG64 generator, "
                          f"got {type(rng.bit_generator).__name__}")
 
-    terms, pool = phrases.term_rows, phrases.negatives[dist.prominent_lower]
+    terms, pool = phrases.term_rows, phrases.negatives[dist.country]
     emitted: list[int] = []  # the positives' rows, then the replayed negatives'
     if noise.kind != NORMAL_THRESHOLD:
         raw = _RawWords(rng)
-        _replay_walks(phrases.word_walks[dist], terms, noise, raw, n_persons, emitted)
+        _replay_walks(phrases.word_walks[dist.country], terms, noise, raw, n_persons,
+                      emitted)
         n_pos = len(emitted)
         if n_pos <= _REPLAYED_PICKS and pool:
             _replay_picks(raw, pool, n_pos, emitted)
         raw.close()
     else:
-        walk = phrases.walks[dist]
+        walk = phrases.walks[dist.country]
         for _ in range(n_persons):
             _walk(walk, terms, noise, rng, emitted)
         n_pos = len(emitted)

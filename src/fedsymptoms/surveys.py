@@ -2,7 +2,7 @@
 
 Survey records hold absolute respondent counts per symptom; the display
 probability of a symptom is its count divided by the country total. The
-medical corpus is the pool of phrases from which noise symptoms and
+medical corpus is the tuple of phrases from which noise symptoms and
 negative training examples are drawn.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, encode_phrase
+from .embeddings import encode_phrase
 
 
 @dataclass(frozen=True)
@@ -35,41 +35,20 @@ class CountrySurvey:
 
 @dataclass(frozen=True)
 class SymptomDistribution:
-    """Prominent symptoms of one country with exact display probabilities.
-
-    Its hash is computed once, at construction: a distribution keys the
-    phrase table's walks, looked up once a synthesized client, and the
-    generated hash would re-hash every entry on each lookup. Equality is
-    the generated field-by-field one.
-    """
+    """Prominent symptoms of one country with exact display probabilities."""
 
     country: str
     entries: tuple[tuple[str, float], ...]
     prominent_lower: frozenset[str] = field(init=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "prominent_lower", frozenset(name.lower() for name, _ in self.entries)
         )
-        object.__setattr__(self, "_hash",
-                           hash((self.country, self.entries, self.prominent_lower)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
-@dataclass(frozen=True)
-class MedicalCorpus:
-    """Ordered pool of symptom/condition phrases."""
-
-    terms: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[CountrySurvey]:
+def load_surveys(path: str, embeddings: dict[str, np.ndarray] | None = None
+                 ) -> list[CountrySurvey]:
     """Parse the survey file.
 
     Format: blocks introduced by ``country: NAME`` followed by
@@ -78,7 +57,7 @@ def load_surveys(path: str, embeddings: EmbeddingTable | None = None) -> list[Co
     block is preserved. A format error, a country or symptom with no
     name, a repeated country, total or symptom and a total or count that
     is not an optional ``-`` and ASCII digits raise ValueError naming the
-    file and line. When an embedding table is supplied, every
+    file and line. When embeddings are supplied, every
     symptom, zero counts included, is checked to be embeddable;
     offenders are reported in one error.
     """
@@ -147,11 +126,12 @@ def _integer(where: str, value: str) -> int:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def load_corpus(path: str, embeddings: EmbeddingTable | None = None) -> MedicalCorpus:
-    """Load the corpus file (one term per line, ``#`` comments allowed).
+def load_corpus(path: str, embeddings: dict[str, np.ndarray] | None = None
+                ) -> tuple[str, ...]:
+    """Load the corpus file (one term per line, ``#`` comments allowed) as a tuple of terms.
 
     Terms must be distinct after lowercasing and at least 50 in number.
-    When an embedding table is supplied, every term is checked to be
+    When embeddings are supplied, every term is checked to be
     embeddable; offenders are reported in one error.
     """
     terms: list[str] = []
@@ -169,12 +149,12 @@ def load_corpus(path: str, embeddings: EmbeddingTable | None = None) -> MedicalC
     if len(terms) < 50:
         raise ValueError(f"{path}: corpus has {len(terms)} terms, need at least 50")
     _check_embeddable(path, "corpus terms", embeddings, terms)
-    return MedicalCorpus(terms=tuple(terms))
+    return tuple(terms)
 
 
-def _check_embeddable(path: str, what: str, embeddings: EmbeddingTable | None,
+def _check_embeddable(path: str, what: str, embeddings: dict[str, np.ndarray] | None,
                       phrases) -> None:
-    """Raise one error naming every distinct phrase with no embedding; no table, no check."""
+    """Raise one error naming every distinct phrase with no embedding; no embeddings, no check."""
     if embeddings is None:
         return
     bad = []

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from fedsymptoms import assets
-from fedsymptoms.embeddings import EmbeddingTable, load_embeddings
+from fedsymptoms.embeddings import load_embeddings
 from fedsymptoms.evaluation import build_evalset
 from fedsymptoms.mlp import LAYER_SIZES, forward, layer_views, loss_and_gradient
 from fedsymptoms.sampling import ClientDataset, PhraseTable
 from fedsymptoms.surveys import (
     CountrySurvey,
-    MedicalCorpus,
     build_distribution,
     load_corpus,
     load_surveys,
@@ -46,14 +45,14 @@ def distributions(surveys):
 
 
 def tiny_table(tokens, dimension=4, seed=0):
-    """Deterministic small embedding table for unit tests."""
+    """Deterministic small embeddings for unit tests: a dict of read-only vectors."""
     rng = np.random.default_rng(seed)
     entries = {}
     for token in tokens:
         vec = rng.standard_normal(dimension)
         vec.flags.writeable = False
         entries[token] = vec
-    return EmbeddingTable(dimension=dimension, entries=entries)
+    return entries
 
 
 @pytest.fixture
@@ -67,7 +66,7 @@ def tiny_survey():
 
 @pytest.fixture
 def tiny_corpus():
-    return MedicalCorpus(terms=("alpha", "beta", "gamma", "delta", "epsilon"))
+    return ("alpha", "beta", "gamma", "delta", "epsilon")
 
 
 def matrix_phrase_table(matrix):

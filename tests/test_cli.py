@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import platform
 import re
 import subprocess
@@ -286,6 +287,7 @@ def test_manifest_records_input_digests_and_versions(tmp_path):
              "--scale", "0.01", "--output-dir", str(tmp_path / "sweep")]
     assert main(small_run(tmp_path / "run")) == 0
     assert main(sweep) == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     inputs = {"embeddings_path": assets.default_embeddings_path(),
               "surveys_path": assets.default_surveys_path(),
               "corpus_path": assets.default_corpus_path()}
@@ -294,10 +296,29 @@ def test_manifest_records_input_digests_and_versions(tmp_path):
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"],
+                                    "kernel": cli._blas()["kernel"]}
+        assert manifest["blas"]["kernel"]
         assert set(manifest["input_sha256"]) == set(inputs)
         for key, path in inputs.items():
             with open(path, "rb") as fh:
                 assert manifest["input_sha256"][key] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the Haswell kernel is an x86-64 kernel")
+def test_manifest_records_a_forced_openblas_kernel(tmp_path):
+    if cli._blas()["kernel"] == "unknown":
+        pytest.skip("numpy's BLAS does not name its kernel")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "fedsymptoms.cli",
+                           *small_run(tmp_path, "--global-epochs", "1")],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["blas"]["kernel"] == "Haswell"
 
 
 def test_round_with_only_empty_clients_carries_the_model_forward(tmp_path, capsys):
@@ -528,7 +549,7 @@ def test_non_number_flag_is_a_usage_error():
 
 
 def test_validate_names_unembeddable_corpus_term(tmp_path, capsys):
-    terms = load_corpus(assets.default_corpus_path()).terms[:49]
+    terms = load_corpus(assets.default_corpus_path())[:49]
     bad = tmp_path / "corpus.txt"
     bad.write_text("\n".join(list(terms) + ["zzxq"]) + "\n", encoding="utf-8")
     assert main(["validate", "--corpus", str(bad)]) == 1

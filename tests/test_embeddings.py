@@ -22,7 +22,7 @@ def test_load_parses_tokens_and_vectors(tmp_path):
     write_lines(p, ["fever 1.0 2.0 3.0", "cough -1.0 0.5 0.25"])
     table = load_embeddings(str(p), 3)
     assert len(table) == 2
-    assert np.allclose(table.entries["fever"], [1.0, 2.0, 3.0])
+    assert np.allclose(table["fever"], [1.0, 2.0, 3.0])
     assert "cough" in table and "sneeze" not in table
 
 
@@ -43,14 +43,14 @@ def test_load_skips_malformed_lines(tmp_path):
         "alsogood 3.0 4.0",
     ])
     table = load_embeddings(str(p), 2)
-    assert sorted(table.entries) == ["alsogood", "good"]
+    assert sorted(table) == ["alsogood", "good"]
 
 
 def test_load_keeps_first_duplicate(tmp_path):
     p = tmp_path / "emb.txt"
     write_lines(p, ["tok 1.0 1.0", "tok 9.0 9.0"])
     table = load_embeddings(str(p), 2)
-    assert np.allclose(table.entries["tok"], [1.0, 1.0])
+    assert np.allclose(table["tok"], [1.0, 1.0])
 
 
 def test_load_missing_file_raises():
@@ -77,7 +77,7 @@ def test_vectors_are_read_only(tmp_path):
     write_lines(p, ["tok 1.0 2.0"])
     table = load_embeddings(str(p), 2)
     with pytest.raises(ValueError):
-        table.entries["tok"][0] = 5.0
+        table["tok"][0] = 5.0
 
 
 def test_tokenize_lowercases_and_splits_slash():
@@ -88,16 +88,16 @@ def test_tokenize_lowercases_and_splits_slash():
 def test_encode_phrase_is_token_mean():
     table = tiny_table(["runny", "nose"])
     vec = encode_phrase(table, "Runny nose")
-    expected = (table.entries["runny"] + table.entries["nose"]) / 2
+    expected = (table["runny"] + table["nose"]) / 2
     assert np.allclose(vec, expected)
-    assert vec.shape == (table.dimension,)
+    assert vec.shape == (4,)
     assert not vec.flags.writeable
 
 
 def test_encode_phrase_skips_oov_tokens():
     table = tiny_table(["sore"])
     vec = encode_phrase(table, "sore throat")
-    assert np.allclose(vec, table.entries["sore"])
+    assert np.allclose(vec, table["sore"])
     assert "throat" not in table
 
 
@@ -114,7 +114,7 @@ def test_encode_phrase_empty_raises():
 
 
 def test_bundled_fixture_covers_all_assets(table, surveys, corpus):
-    assert table.dimension == 50
-    phrases = [name for s in surveys for name in s.symptom_counts] + list(corpus.terms)
+    assert all(vec.shape == (50,) for vec in table.values())
+    phrases = [name for s in surveys for name in s.symptom_counts] + list(corpus)
     for phrase in phrases:
         assert all(token in table for token in tokenize(phrase)), phrase

@@ -13,7 +13,14 @@ The digests were recorded under the numpy ``major.minor`` in
 ``RECORDED_NUMPY``; another numpy may round differently, so the tests
 skip there and say why. ``MEAN_LOCAL_LOSS`` pins the ``repr`` of each
 round's ``mean_local_loss`` in ``rounds.jsonl``, which no CSV carries,
-and is checked the same two ways.
+and is checked the same two ways. The digests also belong to OpenBLAS's
+SkylakeX kernel, so a failing check names the kernel its run's
+``manifest.json`` records.
+
+Topology II has no digest. Its run is checked for the same bytes at 1
+and 4 BLAS threads instead, on this host's kernel and on the Haswell
+kernel that ``OPENBLAS_CORETYPE`` forces, whose bits differ from the
+golden ones.
 
 To re-record after a change that is meant to alter the numbers, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste its output.
@@ -145,21 +152,48 @@ def round_losses(out_dir) -> tuple[str, ...]:
     return tuple(repr(json.loads(line)["mean_local_loss"]) for line in lines)
 
 
+def kernel(out_dir) -> str:
+    """A failure note: the BLAS kernel that out_dir's manifest.json records."""
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    return f"run on the {manifest['blas']['kernel']} kernel"
+
+
 def cli_digests(argv: list[str], out_dir) -> dict[str, str]:
     if main(argv) != 0:
         raise RuntimeError(f"{argv[0]} failed")
     return csv_digests(out_dir)
 
 
-def subprocess_digests(argv: list[str], out_dir) -> dict[str, str]:
-    """The same command as cli_digests, in a fresh interpreter with 4 BLAS threads."""
+# the CLI with federation.WINDOW_EXAMPLES set from its first argument
+WINDOWED_CLI = ("import sys; from fedsymptoms import cli, federation; "
+                "federation.WINDOW_EXAMPLES = int(sys.argv.pop(1)); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def run_subprocess(argv: list[str], threads: int = 4, coretype: str | None = None,
+                   window_examples: int | None = None) -> None:
+    """Run the CLI in a fresh interpreter with `threads` BLAS threads.
+
+    `coretype` forces an OpenBLAS kernel, and `window_examples` sets the
+    round's window budget.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedsymptoms.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4", MKL_NUM_THREADS="4",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "fedsymptoms.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    entry = (["-m", "fedsymptoms.cli"] if window_examples is None
+             else ["-c", WINDOWED_CLI, str(window_examples)])
+    done = subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True,
+                          env=env)
     if done.returncode != 0:
         raise RuntimeError(f"{argv[0]} failed: {done.stderr}")
+
+
+def subprocess_digests(argv: list[str], out_dir) -> dict[str, str]:
+    """The same command as cli_digests, in a fresh interpreter with 4 BLAS threads."""
+    run_subprocess(argv)
     return csv_digests(out_dir)
 
 
@@ -173,32 +207,33 @@ def skip_under_other_numpy():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests_match_golden(name, tmp_path):
     skip_under_other_numpy()
-    assert cli_digests(run_argv(name, tmp_path), tmp_path) == GOLDEN[name]
+    assert cli_digests(run_argv(name, tmp_path), tmp_path) == GOLDEN[name], kernel(tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_mean_local_loss_matches_golden(name, tmp_path):
     skip_under_other_numpy()
     cli_digests(run_argv(name, tmp_path), tmp_path)
-    assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name]
+    assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name], kernel(tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests_match_golden_at_4_blas_threads(name, tmp_path):
     skip_under_other_numpy()
-    assert subprocess_digests(run_argv(name, tmp_path), tmp_path) == GOLDEN[name]
+    assert subprocess_digests(run_argv(name, tmp_path), tmp_path) == GOLDEN[name], \
+        kernel(tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_mean_local_loss_matches_golden_at_4_blas_threads(name, tmp_path):
     skip_under_other_numpy()
     subprocess_digests(run_argv(name, tmp_path), tmp_path)
-    assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name]
+    assert round_losses(tmp_path) == MEAN_LOCAL_LOSS[name], kernel(tmp_path)
 
 
 def test_sweep_csv_digests_match_golden(tmp_path):
     skip_under_other_numpy()
-    assert cli_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN
+    assert cli_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN, kernel(tmp_path)
 
 
 def test_two_group_sweep_csv_digests_match_golden(monkeypatch, tmp_path):
@@ -212,13 +247,32 @@ def test_two_group_sweep_csv_digests_match_golden(monkeypatch, tmp_path):
 
     monkeypatch.setattr(evaluation, "run_simulation", recorded)
     monkeypatch.setattr(evaluation, "GROUP_VECTORS", TWO_GROUP_VECTORS)
-    assert cli_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN
+    assert cli_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN, kernel(tmp_path)
     assert groups == [6, 2]
 
 
 def test_sweep_csv_digests_match_golden_at_4_blas_threads(tmp_path):
     skip_under_other_numpy()
-    assert subprocess_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN
+    assert subprocess_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN, kernel(tmp_path)
+
+
+# two clients of 200 to 400 persons; each run takes about 0.65 s
+II_ARGV = ("run", "--seed", "4", "--simulation", "II", "--scale", "0.02",
+           "--mechanism", "uniform_threshold", "--noise-level", "0.5")
+
+
+@pytest.mark.parametrize("window_examples", [None, 1], ids=["default-windows", "a-window-a-client"])
+@pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["native-kernel", "haswell-kernel"])
+def test_topology_II_is_byte_identical_at_1_and_4_blas_threads(tmp_path, coretype,
+                                                               window_examples):
+    outputs = []
+    for threads in (1, 4):
+        out_dir = tmp_path / f"{threads}-threads"
+        run_subprocess([*II_ARGV, "--output-dir", str(out_dir)], threads, coretype,
+                       window_examples)
+        outputs.append({name: (out_dir / name).read_bytes()
+                        for name in (*CSV_NAMES, "model_final.npz")})
+    assert outputs[0] == outputs[1], kernel(out_dir)
 
 
 if __name__ == "__main__":

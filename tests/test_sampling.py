@@ -25,7 +25,7 @@ from fedsymptoms.sampling import (
     simulate_person,
     synthesize_client,
 )
-from fedsymptoms.surveys import CountrySurvey, MedicalCorpus, build_distribution
+from fedsymptoms.surveys import CountrySurvey, build_distribution
 
 from conftest import matrix_phrase_table, tiny_table
 
@@ -125,7 +125,7 @@ def make_fixture():
         symptom_counts={"alpha": 800, "beta": 200, "gamma": 0},
     )
     dist = build_distribution(survey)
-    corpus = MedicalCorpus(terms=("alpha", "beta", "gamma", "delta", "epsilon"))
+    corpus = ("alpha", "beta", "gamma", "delta", "epsilon")
     table = tiny_table(["alpha", "beta", "gamma", "delta", "epsilon"])
     return dist, corpus, build_phrase_table(table, corpus, [dist])
 
@@ -134,7 +134,7 @@ def quiet_fixture():
     """A one-symptom survey shown to 1 in 10**9 persons: a few persons emit nothing."""
     dist = build_distribution(CountrySurvey(country="Quiet", total=10**9,
                                             symptom_counts={"alpha": 1}))
-    corpus = MedicalCorpus(terms=("alpha", "beta"))
+    corpus = ("alpha", "beta")
     return dist, corpus, build_phrase_table(tiny_table(["alpha", "beta"]), corpus, [dist])
 
 
@@ -177,7 +177,7 @@ def test_simulate_person_noise_draws_corpus_terms():
     emitted = set()
     for _ in range(2000):
         emitted.update(simulate_person(dist, corpus, mech, rng))
-    assert emitted <= set(corpus.terms)
+    assert emitted <= set(corpus)
     assert "delta" in emitted and "epsilon" in emitted
 
 
@@ -232,10 +232,10 @@ def ref_synthesize_examples(n_persons, dist, corpus, noise, rng):
             if rng.random() < p:
                 emitted.append(symptom)
             elif noise.fires(rng):
-                emitted.append(corpus.terms[rng.integers(len(corpus.terms))])
+                emitted.append(corpus[rng.integers(len(corpus))])
     if not emitted:
         return []
-    pool = tuple(t for t in corpus.terms if t.lower() not in dist.prominent_lower)
+    pool = tuple(t for t in corpus if t.lower() not in dist.prominent_lower)
     examples = [(1, s) for s in emitted]
     picks = rng.integers(len(pool), size=len(emitted))
     examples.extend((0, pool[i]) for i in picks)
@@ -256,10 +256,10 @@ def test_synthesize_client_matches_frozen_object_reference(noise, replayed_picks
                            symptom_counts={"beta": 300, "alpha": 600, "gamma": 0})
     dist = build_distribution(survey)
     # repeated and reordered terms, so a term's corpus index is not its table row
-    corpus = MedicalCorpus(terms=("delta", "alpha", "delta", "epsilon", "beta", "gamma", "delta"))
+    corpus = ("delta", "alpha", "delta", "epsilon", "beta", "gamma", "delta")
     table = build_phrase_table(tiny_table(["alpha", "beta", "gamma", "delta", "epsilon"]),
                                corpus, [dist])
-    assert table.term_rows != tuple(range(len(corpus.terms)))
+    assert table.term_rows != tuple(range(len(corpus)))
     for seed, n_persons in zip(range(10), (60, 1, 2) * 4):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ds = synthesize_client(n_persons, dist, noise, table, rng)
@@ -469,7 +469,7 @@ def test_synthesize_client_empty_when_nothing_emitted():
 def test_synthesize_client_requires_negative_pool():
     survey = CountrySurvey(country="X", total=10, symptom_counts={"alpha": 9})
     dist = build_distribution(survey)
-    corpus = MedicalCorpus(terms=("alpha",))
+    corpus = ("alpha",)
     table = build_phrase_table(tiny_table(["alpha"]), corpus, [dist])
     with pytest.raises(ValueError):
         synthesize_client(50, dist, NO_NOISE, table,
@@ -488,9 +488,8 @@ def test_negative_pool_is_built_once_per_table():
     dist, _, _ = make_fixture()
     terms = CountingTerms(("alpha", "beta", "gamma", "delta", "epsilon"))
     terms.walks = 0
-    corpus = MedicalCorpus(terms=terms)
-    table = build_phrase_table(tiny_table(list(terms)), corpus, [dist])
-    pool = table.negatives[dist.prominent_lower]
+    table = build_phrase_table(tiny_table(list(terms)), terms, [dist])
+    pool = table.negatives[dist.country]
     assert [table.names[row] for row in pool] == ["gamma", "delta", "epsilon"]
     assert type(pool) is tuple and all(type(row) is int for row in pool)
     walks = terms.walks
@@ -502,7 +501,7 @@ def test_negative_pool_is_built_once_per_table():
 
 
 def test_missing_negative_pool_fails_only_for_a_client_that_emits():
-    corpus = MedicalCorpus(terms=("alpha",))
+    corpus = ("alpha",)
     quiet = build_distribution(CountrySurvey(country="Quiet", total=10**9,
                                              symptom_counts={"alpha": 1}))
     loud = build_distribution(CountrySurvey(country="X", total=10,
@@ -594,12 +593,25 @@ def test_phrase_table_encodes_each_phrase_once(monkeypatch):
     table = build_phrase_table(raw, corpus, [dist, dist])
     # alpha and beta are both surveyed and corpus terms; gamma has a zero
     # count, so only the corpus puts it in the table
-    assert encoded == list(corpus.terms)
-    assert table.names == corpus.terms
-    assert table.matrix.shape == (len(corpus.terms), 4)
+    assert encoded == list(corpus)
+    assert table.names == corpus
+    assert table.matrix.shape == (len(corpus), 4)
     assert not table.matrix.flags.writeable
     for row, phrase in enumerate(table.names):
-        assert np.array_equal(table.matrix[row], raw.entries[phrase])
+        assert np.array_equal(table.matrix[row], raw[phrase])
+
+
+def test_phrase_table_refuses_two_different_distributions_of_one_country():
+    # the table finds a distribution's walks and negatives by its country alone
+    dist, corpus, _ = make_fixture()
+    other = build_distribution(CountrySurvey(country=dist.country, total=1000,
+                                             symptom_counts={"alpha": 500}))
+    raw = tiny_table(["alpha", "beta", "gamma", "delta", "epsilon"])
+    with pytest.raises(ValueError, match="two different distributions of country 'Testland'"):
+        build_phrase_table(raw, corpus, [dist, other])
+    twice = build_phrase_table(raw, corpus, [dist, dist])
+    assert list(twice.walks) == list(twice.word_walks) == list(twice.negatives) == ["Testland"]
+    assert twice.walks["Testland"] == build_phrase_table(raw, corpus, [dist]).walks["Testland"]
 
 
 def test_client_dataset_stores_the_arrays_it_is_given_read_only():

@@ -75,7 +75,7 @@ def build_vocabulary(
         for name in survey.symptom_counts:
             for token in tokenize(name):
                 add(token)
-    for term in corpus.terms:
+    for term in corpus:
         for token in tokenize(term):
             add(token)
     for token in FUNCTION_WORDS + FILLER_WORDS:

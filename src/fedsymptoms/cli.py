@@ -26,7 +26,7 @@ from .evaluation import (
     write_predictions_csv,
 )
 from .federation import SIMULATION_IDS, WEIGHTINGS, run_simulation
-from .mlp import LAYER_SIZES, save_checkpoint
+from .mlp import LAYER_SIZES, save_checkpoint, train_processes
 from .sampling import LAPLACE_DP, MECHANISM_KINDS, NoiseMechanism
 from .surveys import integer, load_corpus, load_surveys
 
@@ -80,6 +80,8 @@ def _write_results(command: str, config: RunConfig, spec, result,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "blas": _blas(),
+        # the processes each training window was shared out over, at most one a chunk
+        "train_processes": train_processes(),
         "input_sha256": {key: _sha256_of(getattr(config, key))
                          for key in ("embeddings_path", "surveys_path", "corpus_path")},
         "config": asdict(config),

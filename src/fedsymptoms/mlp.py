@@ -31,12 +31,13 @@ clients, then each next client of the same size as its last, up to
 LOCKSTEP_MAX_CLIENTS, so clients of one size share a chunk and its
 stacked passes; with all sizes distinct every chunk but the last has
 LOCKSTEP_CLIENTS clients. A call holds one output block with a row per
-client, in the window's order, and one workspace of four arrays:
-gradients and Adam moments with a row per client of the largest chunk,
-and Adam scratch of at most LOCKSTEP_CLIENTS rows. Each chunk trains in
-place in its k rows of the block from slices of the layout, and reuses
-the workspace's first rows, so a chunk allocates nothing of that size.
-The block is checked for finiteness once, frozen and returned whole; row
+client, in the window's order, and each process that trains (see
+Processes) one workspace of four arrays: gradients and Adam moments with
+a row per client of its largest chunk, and Adam scratch of at most
+LOCKSTEP_CLIENTS rows. Each chunk trains in place in its k rows of the
+block from slices of the layout, and reuses the workspace's first rows,
+so a chunk allocates nothing of that size. The block is checked for
+finiteness once, frozen and returned whole; row
 p is the window's position p. The block is what mean_loss scores and
 what FedAvg merges, a row per update. At step j the clients still
 training are a prefix of the chunk, all on Adam step j + 1, so adam_step updates that
@@ -46,6 +47,28 @@ serve as its denom. The prefix is split into contiguous runs of size
 groups (see Shuffles) whose minibatches have the same number of rows,
 and each run takes one gather, with one piece a size group, and one
 forward and backward pass over a slice of the chunk's arrays.
+
+Processes. A window's chunks are independent: each has its own clients,
+start vectors, streams and block rows, and zeroes the Adam moments it
+reads. So train_local shares them out over P = min(train_processes(),
+chunks) processes, train_processes() being the CPUs of the process's
+affinity, interleaved: process w trains chunks w, w + P, ... . The
+calling process forks P - 1 children with os.fork and trains share 0
+meanwhile. The block is then an anonymous shared mmap made before the
+fork, viewed with np.frombuffer, and each child writes its chunks' rows
+straight into it. Nothing is pickled or sent: a child inherits the
+window, the starts and the streams. Each chunk runs _train_chunk on the
+same inputs whichever process runs it, on a workspace of its process, so
+every byte is the same at any P. A stream advances only in the process
+that trains its chunk. A child ends with os._exit: 0, or 1 after
+writing its error's repr to its pipe. The caller reaps every child in a
+finally (killing them first if its own share failed) before it checks
+and freezes the block, so no process outlives the call, and a child's
+failure fails the call with RuntimeError and that repr. A one-chunk
+window or a one-CPU affinity trains in the calling process into an
+ordinary array, forking nothing. The package starts no thread, and the
+bundled OpenBLAS stops its own thread pool across a fork, so a call may
+fork at any BLAS thread count; the golden runs check 4 threads.
 
 One forward pass. _activations writes the four layers out once, for
 scoring (_forward) and training (_backprop) alike; _backprop adds only
@@ -102,11 +125,12 @@ between threads.
 from __future__ import annotations
 
 import numbers
+import os
 import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import ClassVar
+from typing import ClassVar, NoReturn
 
 import numpy as np
 
@@ -380,6 +404,16 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     theta -= np.divide(scratch, denom, out=scratch)
 
 
+def train_processes() -> int:
+    """How many processes a train_local call may train in: the CPUs this process may run on.
+
+    The process's CPU affinity sets it, so `taskset -c 0` gives one. A
+    call uses at most one process a chunk. Without an affinity (not
+    Linux) it is one.
+    """
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def train_local(params: list[np.ndarray], dataset: Window, config: TrainConfig,
                 rngs: list[np.random.Generator]) -> np.ndarray:
     """Run local_epochs of minibatch Adam over each client of the window, in lockstep.
@@ -394,12 +428,17 @@ def train_local(params: list[np.ndarray], dataset: Window, config: TrainConfig,
     LOCKSTEP_CLIENTS extended over clients of the chunk's last size up to
     LOCKSTEP_MAX_CLIENTS (see the module docstring), each from slices of
     the window's layout, and each result has the bits of a run of its own.
+    The chunks are shared out over min(train_processes(), chunks)
+    processes, this one and forked children (see Processes in the module
+    docstring); the rngs advance in the process that trains their chunk
+    only, so a caller must not draw from them afterwards.
 
     Returns the output block: row p is the trained vector of the client at
     window position p, which is client window.order[p] of the input. The
     block is checked once, and refused if any element is non-finite, then
-    made read-only. (`dataset` keeps its name: perfbench's tracer reads
-    the window's len() under it.)
+    made read-only. A child's failure raises RuntimeError with its error's
+    repr. (`dataset` keeps its name: perfbench's tracer reads the window's
+    len() under it.)
     """
     window = dataset
     sizes = window.sizes
@@ -415,21 +454,100 @@ def train_local(params: list[np.ndarray], dataset: Window, config: TrainConfig,
         while end < limit and sizes[end] == sizes[end - 1]:
             end += 1
         bounds.append(end)
-    # a row per position, each chunk training in place in its own rows, and one
-    # workspace that every chunk reuses: grad, m and v rows for the largest chunk, and
-    # scratch rows for one adam_step block
-    rows = max(end - start for start, end in zip(bounds, bounds[1:]))
-    out = np.empty((len(sizes), N_PARAMS))
-    workspace = tuple(np.empty((n, N_PARAMS))
-                      for n in (rows, rows, rows, min(rows, LOCKSTEP_CLIENTS)))
-    for chunk in map(slice, bounds, bounds[1:]):
-        clients = window.order[chunk]
-        _train_chunk(out[chunk], [params[i] for i in clients], window, chunk,
-                     [rngs[i] for i in clients], config.local_epochs, workspace)
+    chunks = list(map(slice, bounds, bounds[1:]))
+    processes = min(train_processes(), len(chunks))
+
+    def train(share: list[slice]) -> None:
+        _train_share(out, share, params, window, rngs, config.local_epochs)
+
+    # a row per position, each chunk training in place in its own rows
+    if processes == 1:
+        out = np.empty((len(sizes), N_PARAMS))
+        train(chunks)
+    else:
+        import mmap  # here, not at the top: importing the package imports nothing new
+        # shared with the children forked below, which write their chunks' rows into it
+        out = np.frombuffer(mmap.mmap(-1, len(sizes) * N_PARAMS * 8)).reshape(-1, N_PARAMS)
+        # interleaved: the chunks come largest clients first, so each share gets some of each
+        _train_forked([chunks[w::processes] for w in range(processes)], train)
     if not np.isfinite(out).all():
         raise ValueError("non-finite parameters")
     out.flags.writeable = False
     return out
+
+
+def _train_share(out: np.ndarray, chunks: list[slice], params: list[np.ndarray],
+                 window: Window, rngs: list[np.random.Generator], epochs: int) -> None:
+    """Train the chunks of one process into their rows of out, on one workspace.
+
+    The workspace, which every chunk reuses, is grad, m and v rows for the
+    largest chunk, and scratch rows for one adam_step block.
+    """
+    rows = max(chunk.stop - chunk.start for chunk in chunks)
+    workspace = tuple(np.empty((n, N_PARAMS))
+                      for n in (rows, rows, rows, min(rows, LOCKSTEP_CLIENTS)))
+    for chunk in chunks:
+        clients = window.order[chunk]
+        _train_chunk(out[chunk], [params[i] for i in clients], window, chunk,
+                     [rngs[i] for i in clients], epochs, workspace)
+
+
+# the most bytes of a child's error report: under PIPE_BUF, so one write never blocks
+_REPORT_BYTES = 512
+
+
+def _train_forked(shares: list[list[slice]], train) -> None:
+    """train(share) for each of shares[1:] in a forked child, and for shares[0] here meanwhile.
+
+    A child reports an error's repr on its pipe and exits 1, or exits 0;
+    it never returns. Every child is reaped before this returns or raises,
+    and killed first if this process's own share failed, whose error then
+    propagates. Otherwise the first failed child's report is raised as
+    RuntimeError.
+    """
+    children = []  # (pid, read end of its pipe)
+    trained = False
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(train, share, write)
+            os.close(write)
+            children.append((pid, read))
+        train(shares[0])
+        trained = True
+    finally:
+        failures = []
+        for pid, read in children:
+            if not trained:
+                import signal  # here, not at the top, like mmap
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            report = os.read(read, _REPORT_BYTES).decode(errors="replace")
+            os.close(read)
+            if status:
+                failures.append(report or f"training process exited with status {status}")
+    if failures:
+        raise RuntimeError(f"a training process failed: {failures[0]}")
+
+
+def _child(train, share: list[slice], write: int) -> NoReturn:
+    """A forked child's whole life: train its share, report an error on `write`, and exit."""
+    status = 1
+    try:
+        train(share)
+        status = 0
+    # BaseException too: a child must never return into the parent's stack, even on Ctrl-C
+    except BaseException as err:
+        os.write(write, repr(err).encode()[:_REPORT_BYTES])
+    finally:
+        os._exit(status)
 
 
 def _views(flat: np.ndarray, first: int, end: int) -> tuple:

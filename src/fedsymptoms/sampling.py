@@ -105,8 +105,9 @@ class PhraseTable:
     """Every phrase a run can emit, each encoded once, and the walks over it.
 
     Row i of the read-only ``matrix`` is the embedding of phrase
-    ``names[i]``. Each distribution's entries are found by its country:
-    ``walks[dist.country]`` is dist's prominent-symptom list as
+    ``names[i]``. ``distributions[country]`` is the distribution the table
+    was built from for that country, and its entries are found by its
+    country: ``walks[dist.country]`` is dist's prominent-symptom list as
     (row, display probability) pairs, in order, and
     ``word_walks[dist.country]`` the same list as (row, raw-word
     threshold) pairs (`word_threshold`); ``negatives[dist.country]``
@@ -121,6 +122,7 @@ class PhraseTable:
     word_walks: dict[str, tuple[tuple[int, int], ...]]
     term_rows: tuple[int, ...]
     negatives: dict[str, tuple[int, ...]]
+    distributions: dict[str, SymptomDistribution]
 
 
 def word_threshold(p: float) -> int:
@@ -164,7 +166,7 @@ def build_phrase_table(embeddings: dict[str, np.ndarray], corpus: tuple[str, ...
     negatives = {c: tuple(rows[t] for t in corpus if t.lower() not in d.prominent_lower)
                  for c, d in by_country.items()}
     return PhraseTable(matrix, names, walks, word_walks, tuple(rows[t] for t in corpus),
-                       negatives)
+                       negatives, by_country)
 
 
 class LabeledExample(NamedTuple):
@@ -423,11 +425,12 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     Draw order is fixed: all persons, then the negative corpus picks as
     one batch, then one shuffle. Changing it would change every dataset
     produced from a given stream. `phrases` must be built from a list of
-    distributions that includes `dist`; the persons walk its rows
-    (``walks[dist.country]``, ``term_rows``), so no phrase is looked up, and no
-    example object or feature row is made, per example. n_persons must
-    be an integer of at least 1 (a bool is refused), checked before any
-    draw.
+    distributions that includes `dist`, or one equal to it, and any other
+    dist is refused with ValueError before any draw; the persons walk its
+    rows (``walks[dist.country]``, ``term_rows``), so no phrase is looked
+    up, and no example object or feature row is made, per example.
+    n_persons must be an integer of at least 1 (a bool is refused),
+    checked before any draw.
 
     On a PCG64 generator under uniform_threshold or laplace_dp, the
     persons' walks are replayed from raw words (`_replay_walks`), and so
@@ -449,6 +452,11 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     if type(rng.bit_generator) is not np.random.PCG64:
         raise ValueError(f"synthesize_client needs a PCG64 generator, "
                          f"got {type(rng.bit_generator).__name__}")
+    # the rows are the table's own distribution's: `is` first, as every run's clients pass it
+    own = phrases.distributions.get(dist.country)
+    if own is not dist and own != dist:
+        raise ValueError(f"the phrase table was not built from this distribution of "
+                         f"{dist.country!r}")
 
     terms, pool = phrases.term_rows, phrases.negatives[dist.country]
     emitted: list[int] = []  # the positives' rows, then the replayed negatives'

@@ -79,7 +79,7 @@ def matrix_phrase_table(matrix):
     matrix.flags.writeable = False
     names = tuple(f"row{i}" for i in range(len(matrix)))
     return PhraseTable(matrix=matrix, names=names, walks={}, word_walks={}, term_rows=(),
-                       negatives={})
+                       negatives={}, distributions={})
 
 
 def client_dataset(phrases, rows, labels):

@@ -70,7 +70,11 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
     sampling = types.SimpleNamespace(ClientDataset=ClientDataset)
     package = types.SimpleNamespace(mlp=module, evaluation=evaluation, sampling=sampling)
 
+    cpus = os.sched_getaffinity(0)
+
     def work():
+        # the call runs on one CPU
+        assert os.sched_getaffinity(0) == {min(cpus)}
         assert module._backprop is not backprop and evaluation.forward is not forward
         assert module._forward is not forward and ClientDataset.__len__ is not length
         # len() of an instance goes through the class's wrapped __len__
@@ -85,6 +89,7 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
     assert module._backprop is backprop and not hasattr(module, "adam_step")
     assert module._forward is forward and evaluation.forward is forward
     assert ClientDataset.__len__ is length and len(ClientDataset()) == 4
+    assert os.sched_getaffinity(0) == cpus
 
     def fails():
         module._backprop(1)
@@ -93,6 +98,7 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
     with pytest.raises(ValueError, match="call failed"):
         bench_calls.counted(package, fails)
     assert module._backprop is backprop and evaluation.forward is forward
+    assert os.sched_getaffinity(0) == cpus
     # a tree without the module, or without the class, counts each of their names as None
     _, counts = bench_calls.counted(types.SimpleNamespace(mlp=module), lambda: None)
     assert counts["evaluation.forward"] is None
@@ -100,6 +106,40 @@ def test_counted_wraps_each_name_for_one_call_and_restores_it(monkeypatch):
     _, counts = bench_calls.counted(types.SimpleNamespace(sampling=types.SimpleNamespace()),
                                     lambda: None)
     assert counts["sampling.ClientDataset.__len__"] is None
+
+
+def test_counted_counts_every_chunk_of_a_window_the_package_would_share_out(monkeypatch):
+    # twelve clients in chunks of two: on more than one CPU the package trains them in
+    # forked processes, whose calls no wrapper here would see; counted runs them on one
+    monkeypatch.syspath_prepend(TOOLS)
+    bench_calls = importlib.import_module("bench_calls")
+    import numpy as np
+
+    import fedsymptoms
+    from fedsymptoms import mlp
+    from conftest import client_dataset, matrix_phrase_table
+
+    rng = np.random.default_rng(7)
+    table = matrix_phrase_table(rng.standard_normal((50, mlp.LAYER_SIZES[0])))
+    clients = [client_dataset(table, rng.integers(50, size=n), rng.integers(0, 2, size=n))
+               for n in (40, 7, 33, 40, 12, 65, 3, 33, 20, 9, 64, 1)]
+    start = mlp.init_params(np.random.default_rng(8))
+    monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 2)
+    monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 2)
+
+    def train():
+        streams = [np.random.default_rng([9, i]) for i in range(len(clients))]
+        return mlp.train_local([start] * len(clients), mlp.Window(clients),
+                               mlp.TrainConfig(local_epochs=2), streams)
+
+    block, counts = bench_calls.counted(fedsymptoms, train)
+    monkeypatch.setattr(mlp, "train_processes", lambda: 1)
+    alone, expected = bench_calls.counted(fedsymptoms, train)
+    # 6 chunks of two, one adam_step block a chunk a step, each stepping as long as its
+    # largest client: 2 epochs of 3, 2, 2, 1, 1 and 1 steps (65, 40, 33, 20, 9 and 3 rows)
+    assert counts["mlp.adam_step"] == 2 * (3 + 2 + 2 + 1 + 1 + 1)
+    assert counts == expected
+    assert block.tobytes() == alone.tobytes()
 
 
 class FakeWorker:

@@ -299,6 +299,8 @@ def test_manifest_records_input_digests_and_versions(tmp_path):
         assert manifest["blas"] == {"name": blas["name"], "version": blas["version"],
                                     "kernel": cli._blas()["kernel"]}
         assert manifest["blas"]["kernel"]
+        # one process a CPU of this process's affinity; no CSV carries it
+        assert manifest["train_processes"] == len(os.sched_getaffinity(0))
         assert set(manifest["input_sha256"]) == set(inputs)
         for key, path in inputs.items():
             with open(path, "rb") as fh:

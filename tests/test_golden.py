@@ -17,6 +17,10 @@ and is checked the same two ways. The digests also belong to OpenBLAS's
 SkylakeX kernel, so a failing check names the kernel its run's
 ``manifest.json`` records.
 
+The sweep is also run under a one-CPU affinity and under the full one:
+its windows train in one process and in one per CPU, with the same
+bytes.
+
 Topology II has no digest. Its run is checked for the same bytes at 1
 and 4 BLAS threads instead, on this host's kernel and on the Haswell
 kernel that ``OPENBLAS_CORETYPE`` forces, whose bits differ from the
@@ -171,11 +175,12 @@ WINDOWED_CLI = ("import sys; from fedsymptoms import cli, federation; "
 
 
 def run_subprocess(argv: list[str], threads: int = 4, coretype: str | None = None,
-                   window_examples: int | None = None) -> None:
+                   window_examples: int | None = None, cpus: set[int] | None = None) -> None:
     """Run the CLI in a fresh interpreter with `threads` BLAS threads.
 
-    `coretype` forces an OpenBLAS kernel, and `window_examples` sets the
-    round's window budget.
+    `coretype` forces an OpenBLAS kernel, `window_examples` sets the
+    round's window budget, and `cpus` narrows that interpreter's CPU
+    affinity, and so the processes its training windows use.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedsymptoms.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
@@ -185,8 +190,10 @@ def run_subprocess(argv: list[str], threads: int = 4, coretype: str | None = Non
         env["OPENBLAS_CORETYPE"] = coretype
     entry = (["-m", "fedsymptoms.cli"] if window_examples is None
              else ["-c", WINDOWED_CLI, str(window_examples)])
+    # run in the forked child before it starts the interpreter: this process keeps its own
+    narrow = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
     done = subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True,
-                          env=env)
+                          env=env, preexec_fn=narrow)
     if done.returncode != 0:
         raise RuntimeError(f"{argv[0]} failed: {done.stderr}")
 
@@ -254,6 +261,22 @@ def test_two_group_sweep_csv_digests_match_golden(monkeypatch, tmp_path):
 def test_sweep_csv_digests_match_golden_at_4_blas_threads(tmp_path):
     skip_under_other_numpy()
     assert subprocess_digests(sweep_argv(tmp_path), tmp_path) == SWEEP_GOLDEN, kernel(tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_sweep_is_byte_identical_in_one_process_and_in_one_per_cpu(tmp_path):
+    # the sweep's windows hold 72 clients, 9 or more chunks: one CPU trains them all in
+    # the CLI's process, the full affinity shares them out over one process per CPU
+    full = os.sched_getaffinity(0)
+    outputs = []
+    for cpus in ({min(full)}, full):
+        out_dir = tmp_path / f"{len(cpus)}-cpus"
+        run_subprocess(sweep_argv(out_dir), threads=1, cpus=cpus)
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["train_processes"] == len(cpus)
+        outputs.append((csv_digests(out_dir), round_losses(out_dir)))
+    assert outputs[0] == outputs[1], kernel(out_dir)
+    assert os.sched_getaffinity(0) == full
 
 
 # two clients of 200 to 400 persons; each run takes about 0.65 s

@@ -13,6 +13,7 @@ run in a fresh interpreter with that many threads.
 import hashlib
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -772,6 +773,8 @@ def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
     # takes 3 clients, then each next client of its last one's size, up to the cap
     clients = ragged_clients(CHUNKED_SIZES, 68)
     real = mlp._train_chunk
+    # one process, so every chunk runs here, where the spy sees it
+    monkeypatch.setattr(mlp, "train_processes", lambda: 1)
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
     for cap, expected in CHUNKS_BY_CAP.items():
         chunks = []
@@ -794,7 +797,7 @@ def test_chunks_come_largest_first_with_ties_in_input_order(monkeypatch):
 def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
     # ragged sizes in chunks of 3, the second extended over the ties at 31 (3 + 4 + 2):
     # each chunk trains in its own rows of one output block, on the first rows of the
-    # same four workspace arrays
+    # same four workspace arrays, all in one process, where the spy sees them
     sizes = (33, 1, 65, 32, 2, 64, 31, 31, 31)
     clients = ragged_clients(sizes, 74)
     calls = []
@@ -804,6 +807,7 @@ def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
         calls.append((theta, workspace))
         return real(theta, starts, window, chunk, rngs, epochs, workspace)
 
+    monkeypatch.setattr(mlp, "train_processes", lambda: 1)
     monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
     monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 32)
     monkeypatch.setattr(mlp, "_train_chunk", spy)
@@ -830,6 +834,150 @@ def test_every_chunk_trains_in_one_block_with_one_workspace(monkeypatch):
         assert trained[i].base is block
         assert trained[i].ctypes.data == block[p].ctypes.data
     assert not block.flags.writeable
+
+
+def forks_of(monkeypatch, processes, function):
+    """function() with train_processes() pinned to `processes`; its result and os.fork calls."""
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(None)
+        return real()  # a child never returns from the call it was forked in
+
+    monkeypatch.setattr(mlp, "train_processes", lambda: processes)
+    monkeypatch.setattr(os, "fork", counted)
+    try:
+        return function(), len(forks)
+    finally:
+        monkeypatch.setattr(os, "fork", real)
+
+
+@pytest.mark.parametrize("cap", sorted(CHUNKS_BY_CAP))
+def test_a_window_has_the_same_bytes_in_1_2_and_3_processes(monkeypatch, cap):
+    # ragged sizes in chunks of 3 extended over ties up to the cap: 3 or 4 chunks, or 12
+    # at a cap of 1; P - 1 children train every P-th chunk into the shared block
+    clients = ragged_clients(CHUNKED_SIZES, 95)
+    starts = [init_params(np.random.default_rng([96, i])) for i in range(len(clients))]
+    monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
+    monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", cap)
+    window = Window(clients)
+
+    def train():
+        streams = [np.random.default_rng([97, i]) for i in range(len(clients))]
+        return train_local(starts, window, TrainConfig(local_epochs=2), streams)
+
+    blocks = {}
+    for processes in (1, 2, 3):
+        blocks[processes], forks = forks_of(monkeypatch, processes, train)
+        assert forks == min(processes, len(CHUNKS_BY_CAP[cap])) - 1
+        assert not blocks[processes].flags.writeable
+    assert blocks[1].tobytes() == blocks[2].tobytes() == blocks[3].tobytes()
+    # the one-process block matches each client trained alone on the frozen reference
+    for i, update in enumerate(by_client(blocks[1], window.order)):
+        x = clients[i].phrases.matrix[clients[i].rows]
+        expected = ref_train_local(starts[i], x, clients[i].labels,
+                                   TrainConfig(local_epochs=2), np.random.default_rng([97, i]))
+        assert same_bytes(update, expected), i
+
+
+def block_digests_by_process_count() -> list[str]:
+    """sha256 of the ragged window's block in 1, 2 and 3 processes, at each chunk cap in turn."""
+    clients = ragged_clients(CHUNKED_SIZES, 95)
+    starts = [init_params(np.random.default_rng([96, i])) for i in range(len(clients))]
+    saved = mlp.train_processes, mlp.LOCKSTEP_CLIENTS, mlp.LOCKSTEP_MAX_CLIENTS
+    digests = []
+    try:
+        mlp.LOCKSTEP_CLIENTS = 3
+        for cap in sorted(CHUNKS_BY_CAP):
+            mlp.LOCKSTEP_MAX_CLIENTS = cap
+            for processes in (1, 2, 3):
+                mlp.train_processes = lambda processes=processes: processes
+                streams = [np.random.default_rng([97, i]) for i in range(len(clients))]
+                block = train_local(starts, Window(clients), TrainConfig(local_epochs=2),
+                                    streams)
+                digests.append(hashlib.sha256(block.tobytes()).hexdigest())
+    finally:
+        mlp.train_processes, mlp.LOCKSTEP_CLIENTS, mlp.LOCKSTEP_MAX_CLIENTS = saved
+    return digests
+
+
+def test_process_counts_give_the_same_bytes_at_1_and_4_blas_threads():
+    code = "import test_mlp; print(*test_mlp.block_digests_by_process_count())"
+    one, four = (at_blas_threads(threads, code).split() for threads in (1, 4))
+    assert one == four and len(one) == 3 * len(CHUNKS_BY_CAP)
+    # each cap's three process counts give one block
+    assert all(len(set(one[i:i + 3])) == 1 for i in range(0, len(one), 3))
+
+
+def test_a_one_chunk_window_trains_here_at_any_process_count(monkeypatch):
+    clients = ragged_clients((40, 7, 40), 98)
+    start = init_params(np.random.default_rng(99))
+    streams = [np.random.default_rng([100, i]) for i in range(3)]
+    block, forks = forks_of(monkeypatch, 3, lambda: train_local(
+        [start] * 3, Window(clients), TrainConfig(local_epochs=1), streams))
+    # an ordinary array of its own, not a view of a shared map
+    assert forks == 0 and block.base is None
+
+
+def no_child_left():
+    """True once every child of this process has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failed_share_fails_the_call_and_leaves_no_process(monkeypatch, where):
+    # four chunks of 3 over two processes: the parent trains chunks 0 and 2, a child 1 and 3
+    clients = ragged_clients(CHUNKED_SIZES, 101)
+    start = init_params(np.random.default_rng(102))
+    streams = [np.random.default_rng([103, i]) for i in range(len(clients))]
+    parent = os.getpid()
+    real = mlp._train_chunk
+
+    def failing(theta, starts, window, chunk, rngs, epochs, workspace):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError(f"chunk at {chunk.start} failed in the {where}")
+        return real(theta, starts, window, chunk, rngs, epochs, workspace)
+
+    monkeypatch.setattr(mlp, "train_processes", lambda: 2)
+    monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 3)
+    monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 3)
+    monkeypatch.setattr(mlp, "_train_chunk", failing)
+    assert no_child_left()
+    # a child's error comes back as its repr; the parent's own propagates as it is
+    if where == "child":
+        expected = RuntimeError, r"failed: ValueError\('chunk at 3 failed in the child'\)"
+    else:
+        expected = ValueError, "chunk at 0 failed in the parent"
+    with pytest.raises(expected[0], match=expected[1]):
+        train_local([start] * len(clients), Window(clients), TrainConfig(local_epochs=1),
+                    streams)
+    assert no_child_left()
+
+
+def test_a_child_that_dies_without_a_report_fails_the_call(monkeypatch):
+    clients = ragged_clients((40, 7, 40, 9), 104)
+    start = init_params(np.random.default_rng(105))
+    streams = [np.random.default_rng([106, i]) for i in range(4)]
+    parent = os.getpid()
+    real = mlp._train_chunk
+
+    def dying(theta, starts, window, chunk, rngs, epochs, workspace):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(theta, starts, window, chunk, rngs, epochs, workspace)
+
+    monkeypatch.setattr(mlp, "train_processes", lambda: 2)
+    monkeypatch.setattr(mlp, "LOCKSTEP_CLIENTS", 2)
+    monkeypatch.setattr(mlp, "LOCKSTEP_MAX_CLIENTS", 2)
+    monkeypatch.setattr(mlp, "_train_chunk", dying)
+    with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL}"):
+        train_local([start] * 4, Window(clients), TrainConfig(local_epochs=1), streams)
+    assert no_child_left()
 
 
 def test_adam_steps_a_chunk_in_blocks_of_lockstep_clients_rows(monkeypatch):

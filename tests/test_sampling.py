@@ -614,6 +614,31 @@ def test_phrase_table_refuses_two_different_distributions_of_one_country():
     assert twice.walks["Testland"] == build_phrase_table(raw, corpus, [dist]).walks["Testland"]
 
 
+def test_synthesis_refuses_a_distribution_the_table_was_not_built_from():
+    # the table's rows are found by country: a distribution of its country that is not its
+    # own would be walked with the table's entries, so it is refused before any draw
+    dist, corpus, table = make_fixture()
+    other = build_distribution(CountrySurvey(country=dist.country, total=1000,
+                                             symptom_counts={"alpha": 500}))
+    stranger = build_distribution(CountrySurvey(country="Elsewhere", total=1000,
+                                                symptom_counts={"alpha": 500}))
+    for wrong in (other, stranger):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"not built from this distribution of "
+                                             f"'{wrong.country}'"):
+            synthesize_client(3, wrong, NO_NOISE, table, rng)
+        assert rng.bit_generator.state == state
+    # the table's own distribution, and an equal one built apart, give the same dataset
+    equal = build_distribution(CountrySurvey(country=dist.country, total=1000,
+                                             symptom_counts={"alpha": 800, "beta": 200,
+                                                             "gamma": 0}))
+    assert equal == dist and equal is not dist and table.distributions == {dist.country: dist}
+    own, twin = (synthesize_client(40, d, NO_NOISE, table, np.random.default_rng(6))
+                 for d in (dist, equal))
+    assert np.array_equal(own.rows, twin.rows) and np.array_equal(own.labels, twin.labels)
+
+
 def test_client_dataset_stores_the_arrays_it_is_given_read_only():
     # no copy and no check: synthesize_client builds the arrays typed, and they are frozen
     # in place

@@ -17,8 +17,10 @@ pages the call's fresh allocations fault in. On its untimed call only,
 the worker also counts the calls of the package's `mlp._backprop`,
 `mlp.adam_step`, `mlp._forward` (one a scoring pass),
 `evaluation.forward` and `sampling.ClientDataset.__len__` (COUNTED): it
-wraps each, a function of a module or of a class, makes the call and
-restores them. The call counts of a fixed workload and seed repeat
+wraps each, a function of a module or of a class, narrows its own CPU
+affinity to one CPU, makes the call and restores them. On one CPU the
+package trains every window in the worker itself, not in processes
+forked one a CPU, so the counts cover the whole call. The call counts of a fixed workload and seed repeat
 exactly, so they show a change in how training or scoring is batched,
 or how often a client's size is read, without timing noise.
 
@@ -78,7 +80,10 @@ def counted(package, function):
     Each name is wrapped where it lives, in its module or its class, while
     function runs and restored after it, so a call through the module's
     global, or len() of an instance for a class's __len__, counts; a name
-    the package lacks counts None.
+    the package lacks counts None. function runs with this process's CPU
+    affinity narrowed to its lowest CPU, restored after it, so a package
+    that shares its training out over forked processes, one a CPU, makes
+    every call here, where the wrappers count it.
     """
     counts: dict[str, int | None] = dict.fromkeys(COUNTED)
     sites = {}
@@ -99,9 +104,12 @@ def counted(package, function):
     for name, (owner, attr, original) in sites.items():
         counts[name] = 0
         setattr(owner, attr, counter(name, original))
+    cpus = os.sched_getaffinity(0)
     try:
+        os.sched_setaffinity(0, {min(cpus)})
         result = function()
     finally:
+        os.sched_setaffinity(0, cpus)
         for owner, attr, original in sites.values():
             setattr(owner, attr, original)
     return result, counts

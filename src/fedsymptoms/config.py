@@ -62,7 +62,10 @@ class RunConfig:
             if value is None and kind != f.type:
                 continue
             if kind == "float" and type(value) is int:
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ValueError(f"{f.name} is too large for a float") from None
                 object.__setattr__(self, f.name, value)
             if type(value) is not _TYPES[kind]:
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")

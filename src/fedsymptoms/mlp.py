@@ -14,9 +14,9 @@ each training step gathers its own minibatch from that table, and
 mean_loss scores in blocks of SCORE_ROWS rows, so the memory a call
 holds is bounded by the batch, block and chunk size, not by the client
 size. A training step computes the gradient only; the loss lives in
-mean_loss (forward only) and loss_and_gradient. Every client trains with
-the same Adam LEARNING_RATE and minibatches of BATCH_SIZE rows; only the
-number of local epochs is set per run (TrainConfig).
+mean_loss (forward only). Every client trains with the same Adam
+LEARNING_RATE and minibatches of BATCH_SIZE rows; only the number of
+local epochs is set per run (TrainConfig).
 
 Lockstep training. train_local trains a Window of clients, each from
 its own start and with its own shuffling stream, and returns the
@@ -351,21 +351,6 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray, grads) -> np.ndarray:
     mm(x.mT, dz, out=gw0)
     np.add.reduce(dz, axis=-2, out=gb0)
     return p
-
-
-def loss_and_gradient(params: np.ndarray, x, y) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy over an (n, 50) batch and its exact gradient.
-
-    `y` holds the 0/1 labels. The gradient is a flat vector laid out
-    like a parameter set.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    grad = np.empty(N_PARAMS)
-    p = _backprop(layer_views(params), x, y[:, None], layer_views(grad))
-    return float(np.mean(_row_bce(p.ravel(), y))), grad
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -10,16 +10,16 @@ read-only PhraseTable; a client dataset is only an array of row indices
 into that table and an array of 0/1 labels, so the walk appends row ids
 and no per-example object or feature copy is kept.
 
-`_walk` is the definition of one person's walk: one numpy call per
-draw. `synthesize_client` replays a client's whole survey from the
-generator's raw 64-bit words instead: its persons' walks
-(`_replay_walks`) and its negative picks (`_replay_picks`), the same
-draws in the same order, so the same rows; the generator's state is
-written once at the end, so numpy's shuffle that follows, and the final
-state, are those of the scalar walk. The words are PCG64's, as every
-rng.py stream is, and synthesize_client refuses any other generator.
-Only normal_threshold keeps the scalar walk: its ziggurat normal draw
-cannot be rebuilt from words with numpy's public API.
+A person's walk is numpy's draws in this order: per entry, one
+``rng.random() < p`` displays it; on a miss, the noise draw
+(NoiseMechanism) decides; when that fires, ``rng.integers`` picks the
+term. synthesize_client takes each draw it can from the generator's raw
+64-bit words. Under uniform_threshold and laplace_dp it replays a whole
+survey (`_replay_walks`, `_replay_picks`) from words read ahead and
+writes the state once, so the rows and final state are numpy's; under
+normal_threshold only the display draws are words, as numpy's ziggurat
+normal cannot be rebuilt from words with its public API. The words are
+PCG64's, as every rng.py stream is; any other generator is refused.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ def check_number(name: str, value, kind: type) -> None:
 class NoiseMechanism:
     """How the not-displayed branch decides to report a random term.
 
-    uniform_threshold fires when a uniform [0,1) draw falls below
-    noise_level; normal_threshold fires when a standard normal draw
-    falls below noise_level; laplace_dp fires when a Laplace(0, 1/eps)
-    draw exceeds noise_level.
+    Its one draw, in numpy's calls: uniform_threshold fires when
+    ``rng.random() < noise_level``, normal_threshold when
+    ``rng.standard_normal() < noise_level``, and laplace_dp when
+    ``rng.laplace(0.0, 1.0 / epsilon) > noise_level``.
     """
 
     kind: str
@@ -88,14 +88,6 @@ class NoiseMechanism:
         elif self.epsilon is not None:
             raise ValueError(f"epsilon applies only to laplace_dp, not {self.kind}")
 
-    def fires(self, rng: np.random.Generator) -> bool:
-        """Draw the noise statistic and report whether it fires."""
-        if self.kind == UNIFORM_THRESHOLD:
-            return rng.random() < self.noise_level
-        if self.kind == NORMAL_THRESHOLD:
-            return rng.standard_normal() < self.noise_level
-        return rng.laplace(0.0, 1.0 / self.epsilon) > self.noise_level
-
 
 NO_NOISE = NoiseMechanism(kind=UNIFORM_THRESHOLD, noise_level=0.0)
 
@@ -107,18 +99,16 @@ class PhraseTable:
     Row i of the read-only ``matrix`` is the embedding of phrase
     ``names[i]``. ``distributions[country]`` is the distribution the table
     was built from for that country, and its entries are found by its
-    country: ``walks[dist.country]`` is dist's prominent-symptom list as
-    (row, display probability) pairs, in order, and
-    ``word_walks[dist.country]`` the same list as (row, raw-word
-    threshold) pairs (`word_threshold`); ``negatives[dist.country]``
-    holds the rows of the corpus terms outside dist's prominent-symptom
-    set, in corpus order (possibly none), as a tuple. ``term_rows[i]`` is
-    the row of corpus term i.
+    country: ``word_walks[dist.country]`` is dist's prominent-symptom list
+    as (row, raw-word threshold) pairs (`word_threshold` of each display
+    probability), in order; ``negatives[dist.country]`` holds the rows of
+    the corpus terms outside dist's prominent-symptom set, in corpus order
+    (possibly none), as a tuple. ``term_rows[i]`` is the row of corpus
+    term i.
     """
 
     matrix: np.ndarray
     names: tuple[str, ...]
-    walks: dict[str, tuple[tuple[int, float], ...]]
     word_walks: dict[str, tuple[tuple[int, int], ...]]
     term_rows: tuple[int, ...]
     negatives: dict[str, tuple[int, ...]]
@@ -160,13 +150,12 @@ def build_phrase_table(embeddings: dict[str, np.ndarray], corpus: tuple[str, ...
                                  *(name for d in distributions for name, _ in d.entries)]))
     rows = {phrase: i for i, phrase in enumerate(names)}
     matrix = _read_only(np.stack([encode_phrase(embeddings, phrase) for phrase in names]))
-    walks = {c: tuple((rows[name], p) for name, p in d.entries) for c, d in by_country.items()}
-    word_walks = {c: tuple((row, word_threshold(p)) for row, p in walk)
-                  for c, walk in walks.items()}
+    word_walks = {c: tuple((rows[name], word_threshold(p)) for name, p in d.entries)
+                  for c, d in by_country.items()}
     negatives = {c: tuple(rows[t] for t in corpus if t.lower() not in d.prominent_lower)
                  for c, d in by_country.items()}
-    return PhraseTable(matrix, names, walks, word_walks, tuple(rows[t] for t in corpus),
-                       negatives, by_country)
+    return PhraseTable(matrix, names, word_walks, tuple(rows[t] for t in corpus), negatives,
+                       by_country)
 
 
 class LabeledExample(NamedTuple):
@@ -206,21 +195,6 @@ class ClientDataset:
         names = self.phrases.names
         return tuple(LabeledExample(label, names[row])
                      for row, label in zip(self.rows.tolist(), self.labels.astype(int).tolist()))
-
-
-def _walk(entries, terms, noise: NoiseMechanism, rng: np.random.Generator,
-          displayed: list) -> None:
-    """Append one person's displayed items: `entries` are (item, p), `terms` the noise pool.
-
-    For each entry, one uniform draw against its probability; only
-    when that misses, one noise draw; only when that fires, one more
-    draw to pick the random term.
-    """
-    for item, p in entries:
-        if rng.random() < p:
-            displayed.append(item)
-        elif noise.fires(rng):
-            displayed.append(terms[rng.integers(len(terms))])
 
 
 # 64 words keep a block's array and list in numpy's and Python's small-block
@@ -294,10 +268,10 @@ class _RawWords:
 
 def _replay_walks(entries, terms, noise: NoiseMechanism, raw: _RawWords, n_persons: int,
                   out: list) -> None:
-    """Run `_walk` n_persons times from raw's words, with the same result.
+    """Walk n_persons persons (see the module docstring) from raw's words, appending their items.
 
     `entries` are (item, word threshold) pairs (`word_threshold` of each
-    probability). The draws come in `_walk`'s order and give the same
+    probability). The draws come in the walk's order and give numpy's
     items, and raw ends where the generator would, kept 32-bit half
     included. Each numpy draw is a plain function of the words:
 
@@ -410,14 +384,6 @@ def _replay_picks(raw: _RawWords, pool, n_picks: int, out: list) -> None:
     raw.i, raw.has, raw.half = i, has, half
 
 
-def simulate_person(dist: SymptomDistribution, corpus: tuple[str, ...],
-                    noise: NoiseMechanism, rng: np.random.Generator) -> list[str]:
-    """Walk the prominent-symptom list once and return displayed phrases (maybe none)."""
-    displayed: list[str] = []
-    _walk(dist.entries, corpus, noise, rng, displayed)
-    return displayed
-
-
 def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMechanism,
                       phrases: PhraseTable, rng: np.random.Generator) -> ClientDataset:
     """Simulate n_persons respondents and build the balanced dataset.
@@ -427,7 +393,7 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     produced from a given stream. `phrases` must be built from a list of
     distributions that includes `dist`, or one equal to it, and any other
     dist is refused with ValueError before any draw; the persons walk its
-    rows (``walks[dist.country]``, ``term_rows``), so no phrase is looked
+    rows (``word_walks[dist.country]``, ``term_rows``), so no phrase is looked
     up, and no example object or feature row is made, per example.
     n_persons must be an integer of at least 1 (a bool is refused),
     checked before any draw.
@@ -441,9 +407,10 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
     takes ~25 us a run_IV_wide client of 1-2 persons against ~38 us with
     the walks alone replayed and numpy's batch of picks, and ~4.1 ms a
     run_I_single client of 1,800 persons against ~6.4 ms. Under
-    normal_threshold each person takes `_walk` and the picks one numpy
-    call. rng must be a PCG64 generator, as every rng.py stream is; any
-    other is refused, also before any draw.
+    normal_threshold a display draw is one raw word, the normal and term
+    draws and the picks numpy's calls: nothing is read ahead, so no state
+    is written back. rng must be a PCG64 generator, as every rng.py
+    stream is; any other is refused, also before any draw.
     """
     # True would synthesize one person
     check_number("n_persons", n_persons, numbers.Integral)
@@ -469,9 +436,14 @@ def synthesize_client(n_persons: int, dist: SymptomDistribution, noise: NoiseMec
             _replay_picks(raw, pool, n_pos, emitted)
         raw.close()
     else:
-        walk = phrases.walks[dist.country]
-        for _ in range(n_persons):
-            _walk(walk, terms, noise, rng, emitted)
+        # random_raw() gives the word rng.random() would turn into the display draw
+        word, normal, pick = rng.bit_generator.random_raw, rng.standard_normal, rng.integers
+        walk, level, k = phrases.word_walks[dist.country], noise.noise_level, len(terms)
+        for row, threshold in islice(cycle(walk), n_persons * len(walk)):
+            if word() < threshold:
+                emitted.append(row)
+            elif normal() < level:
+                emitted.append(terms[pick(k)])
         n_pos = len(emitted)
 
     if not n_pos:

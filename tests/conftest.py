@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from fedsymptoms import assets
+from fedsymptoms import assets, mlp
 from fedsymptoms.embeddings import load_embeddings
 from fedsymptoms.evaluation import build_evalset
-from fedsymptoms.mlp import LAYER_SIZES, forward, layer_views, loss_and_gradient
+from fedsymptoms.mlp import LAYER_SIZES, N_PARAMS, forward, layer_views
 from fedsymptoms.sampling import ClientDataset, PhraseTable
 from fedsymptoms.surveys import (
     CountrySurvey,
@@ -78,8 +78,8 @@ def matrix_phrase_table(matrix):
     matrix = np.array(matrix, dtype=np.float64)
     matrix.flags.writeable = False
     names = tuple(f"row{i}" for i in range(len(matrix)))
-    return PhraseTable(matrix=matrix, names=names, walks={}, word_walks={}, term_rows=(),
-                       negatives={}, distributions={})
+    return PhraseTable(matrix=matrix, names=names, word_walks={}, term_rows=(), negatives={},
+                       distributions={})
 
 
 def client_dataset(phrases, rows, labels):
@@ -118,6 +118,20 @@ def perturbed(params, layer, which, index, delta):
     w, b = layer_views(flat)[layer]
     (w if which == "w" else b)[index] += delta
     return flat
+
+
+def loss_and_gradient(params, x, y):
+    """Mean binary cross-entropy over an (n, 50) batch and its exact gradient, a flat vector.
+
+    The package's training step computes the gradient alone
+    (mlp._backprop) and mean_loss the loss alone; this frozen reference
+    joins them, with mlp._row_bce, for the gradient checks.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    grad = np.empty(N_PARAMS)
+    p = mlp._backprop(layer_views(params), x, y[:, None], layer_views(grad))
+    return float(np.mean(mlp._row_bce(p.ravel(), y))), grad
 
 
 def batch_loss(params, x, y):

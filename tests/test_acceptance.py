@@ -34,7 +34,6 @@ from fedsymptoms.mlp import (
     Window,
     init_params,
     layer_views,
-    loss_and_gradient,
     train_local,
 )
 from fedsymptoms.rng import client_train_stream, init_stream
@@ -43,11 +42,19 @@ from fedsymptoms.sampling import (
     NO_NOISE,
     UNIFORM_THRESHOLD,
     NoiseMechanism,
-    simulate_person,
+    build_phrase_table,
+    synthesize_client,
 )
-from fedsymptoms.surveys import build_distribution
+from fedsymptoms.surveys import SymptomDistribution
 
-from conftest import batch_loss, perturbed, separable_dataset, training_accuracy
+from conftest import (
+    batch_loss,
+    loss_and_gradient,
+    perturbed,
+    separable_dataset,
+    tiny_table,
+    training_accuracy,
+)
 
 SEEDS = (1, 2, 3, 4, 5)
 NOISE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -127,26 +134,26 @@ def test_03_accuracy_recovers_with_weaker_privacy(laplace_sweep, capsys):
            f"eps={EPSILONS[-1]:g} at 1.0 for {hits}/5 seeds")
 
 
-def test_04_person_walk_matches_survey_rates(surveys, corpus, capsys):
+def test_04_person_walk_matches_survey_rates(corpus, table, distributions, capsys):
     n = 100_000
     rng = np.random.default_rng(2024)
+    phrases = build_phrase_table(table, corpus, distributions)
+    rows = {name: row for row, name in enumerate(phrases.names)}
     ok = True
     worst_label, worst_z = "", 0.0
     example = None
-    for survey in surveys:
-        dist = build_distribution(survey)
-        counts = {name: 0 for name, _ in dist.entries}
-        for _ in range(n):
-            for symptom in simulate_person(dist, corpus, NO_NOISE, rng):
-                counts[symptom] += 1
+    for dist in distributions:
+        # without noise, each positive row is one displayed symptom
+        ds = synthesize_client(n, dist, NO_NOISE, phrases, rng)
+        counts = np.bincount(ds.rows[ds.labels == 1.0], minlength=len(phrases.names))
         for name, p in dist.entries:
             sigma = math.sqrt(p * (1.0 - p) / n)
-            z = abs(counts[name] / n - p) / sigma
+            z = abs(counts[rows[name]] / n - p) / sigma
             if z > worst_z:
-                worst_label, worst_z = f"{survey.country}/{name}", z
+                worst_label, worst_z = f"{dist.country}/{name}", z
             ok = ok and z <= Z999
-            if survey.country == "Kenya" and name == "Fever":
-                example = f"Kenya Fever {counts[name] / n:.5f} vs {p:.5f}"
+            if dist.country == "Kenya" and name == "Fever":
+                example = f"Kenya Fever {counts[rows[name]] / n:.5f} vs {p:.5f}"
     report(capsys, ok, "04 display frequency oracle",
            f"{n} persons per country, worst |z| {worst_z:.2f} at {worst_label} "
            f"(limit {Z999}); {example}")
@@ -156,11 +163,16 @@ def test_05_laplace_fire_rate_matches_tail(capsys):
     n = 1_000_000
     level = 0.5
     rng = np.random.default_rng(77)
+    # one symptom, never displayed: each person makes one noise draw, and each that
+    # fires gives one positive row
+    dist = SymptomDistribution("Tailland", (("alpha", 0.0),))
+    corpus = ("alpha", "beta")
+    phrases = build_phrase_table(tiny_table(corpus), corpus, [dist])
     details = []
     ok = True
     for eps in (1.0, 2.0, 10.0):
         mech = NoiseMechanism(kind=LAPLACE_DP, noise_level=level, epsilon=eps)
-        fired = sum(mech.fires(rng) for _ in range(n))
+        fired = int(synthesize_client(n, dist, mech, phrases, rng).labels.sum())
         expected = 0.5 * math.exp(-eps * level)
         sigma = math.sqrt(expected * (1.0 - expected) / n)
         z = abs(fired / n - expected) / sigma

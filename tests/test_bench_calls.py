@@ -1,5 +1,6 @@
-"""tools/bench_calls.py's worker protocol, its series over several workloads, the minor
-page faults it reports, and the pairs it keeps when a call fails."""
+"""tools/bench_calls.py's worker protocol, its series over several workloads, the raw wall
+time, CPU seconds and minor page faults it reports, and the pairs it keeps when a call
+fails."""
 
 import importlib
 import json
@@ -25,10 +26,15 @@ def test_a_worker_reports_each_calls_faults_and_its_peak_rss_after_its_last_call
     try:
         # one untimed call, whose training steps are counted, then one timed call
         counts = bench_calls.warm_up({"base": worker}, "base")
-        seconds, faults = bench_calls.call({"base": worker}, "base")
-        assert seconds > 0.0
+        measures = bench_calls.call({"base": worker}, "base")
+        assert set(measures) == set(bench_calls.MEASURES)
+        assert measures["ref_s"] > 0.0 and measures["wall_s"] > 0.0
+        # the call's own CPU time; every run_I_single window is one chunk, trained in the
+        # worker itself, so no child ran
+        assert measures["cpu_self_s"] > 0.0
+        assert measures["cpu_children_s"] == 0.0
         # a first call faults in the pages of everything it builds
-        assert type(faults) is int and faults > 0
+        assert type(measures["minflt"]) is int and measures["minflt"] > 0
         peak = bench_calls.finish(worker)
     finally:
         if worker.returncode is None:
@@ -206,7 +212,11 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
         # two warm-up calls, two pairs, then pair 3 fails on its second side
         if len(calls) == 8:
             raise error
-        return (2.0, 300) if side == "base" else (1.0, 7)
+        if side == "base":
+            return {"ref_s": 2.0, "wall_s": 3.0, "cpu_self_s": 2.5, "cpu_children_s": 0.0,
+                    "minflt": 300}
+        return {"ref_s": 1.0, "wall_s": 2.0, "cpu_self_s": 1.0, "cpu_children_s": 1.5,
+                "minflt": 7}
 
     def finish(worker):
         raise AssertionError("no peak RSS is read after a failed call")
@@ -228,6 +238,9 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
         "pair 2 run_IV_wide (change first): base 2.0000 s, change 1.0000 s, ratio 2.000",
         "run_IV_wide, 2 pairs, seed 1, base 0123456789ab change 0123456789ab: "
         "base/change time ratio 2.000 [2.000-2.000], change won 2/2",
+        "run_IV_wide raw wall: base/change wall ratio 1.500 [1.500-1.500], change won 2/2; "
+        "median CPU s a call: base self 2.500, children 0.000; "
+        "change self 1.000, children 1.500",
         "run_IV_wide calls in the untimed call: base _backprop 9, adam_step 8; "
         "change _backprop 4, adam_step 6"]
     result = json.loads(lines[-1])
@@ -235,6 +248,10 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
                                                "change": {"_backprop": 4, "adam_step": 6}}}
     assert result["times"] == {"run_IV_wide": {"base": [2.0, 2.0], "change": [1.0, 1.0]}}
     assert result["minor_faults"] == {"run_IV_wide": {"base": [300, 300], "change": [7, 7]}}
+    assert result["wall_s"] == {"run_IV_wide": {"base": [3.0, 3.0], "change": [2.0, 2.0]}}
+    assert result["cpu_self_s"] == {"run_IV_wide": {"base": [2.5, 2.5], "change": [1.0, 1.0]}}
+    assert result["cpu_children_s"] == {"run_IV_wide": {"base": [0.0, 0.0],
+                                                        "change": [1.5, 1.5]}}
     assert result["peak_rss_mb"] == {"run_IV_wide": None}
     assert all(worker.closed and worker.returncode == 0 for worker in workers.values())
 
@@ -242,10 +259,12 @@ def test_a_failed_call_keeps_the_completed_pairs(monkeypatch, tmp_path, capsys, 
 class FakeWorkload:
     """Fake workers for a series over several workloads.
 
-    A call's time and faults and a worker's peak RSS depend on its side and
-    on the workload it serves; the change side's faults alternate between
-    two values, so their median is not one call's. `fail` makes that
-    workload's first change call fail.
+    A call's measures and a worker's peak RSS depend on its side and on
+    the workload it serves; the change side's faults and children's CPU
+    seconds alternate between two values, so their median is not one
+    call's. The change side's raw wall time is less flattered than its
+    reference-speed time. `fail` makes that workload's first change call
+    fail.
     """
 
     def __init__(self, fail=None):
@@ -273,9 +292,12 @@ class FakeWorkload:
         workload = workers[side].workload
         step = 1.0 + WORKLOADS.index(workload)
         if side == "base":
-            return 2.0 * step, 1000 * int(step)
+            return {"ref_s": 2.0 * step, "wall_s": 3.0 * step, "cpu_self_s": 2.0 * step,
+                    "cpu_children_s": 0.0, "minflt": 1000 * int(step)}
         self.change_calls += 1
-        return step, 10 + self.change_calls % 2
+        odd = self.change_calls % 2
+        return {"ref_s": step, "wall_s": 2.0 * step, "cpu_self_s": step,
+                "cpu_children_s": step + odd, "minflt": 10 + odd}
 
     def finish(self, worker):
         worker.returncode = 0
@@ -311,6 +333,13 @@ def test_each_workload_gets_its_own_worker_pair_summary_and_json_key(
     assert [line.split(",")[0] for line in summaries] == list(expected)
     assert all(line.endswith("base/change time ratio 2.000 [2.000-2.000], change won 2/2")
                for line in summaries)
+    # the children's median of step and step + 1 is step + 0.5
+    assert [line for line in lines if " raw wall: " in line] == [
+        f"{name} raw wall: base/change wall ratio 1.500 [1.500-1.500], change won 2/2; "
+        f"median CPU s a call: base self {2.0 * (1 + WORKLOADS.index(name)):.3f}, "
+        f"children 0.000; change self {1.0 + WORKLOADS.index(name):.3f}, "
+        f"children {1.5 + WORKLOADS.index(name):.3f}"
+        for name in expected]
     # the median of the change side's two timed calls, 10 and 11 faults, is 10.5; "{:.0f}"
     # rounds it half to even
     assert peaks == [f"{name} peak RSS after 3 calls a side: "
@@ -323,10 +352,14 @@ def test_each_workload_gets_its_own_worker_pair_summary_and_json_key(
     result = json.loads(lines[-1])
     assert result["workloads"] == list(expected)
     assert list(result["times"]) == list(expected) == list(result["peak_rss_mb"])
-    assert list(result["minor_faults"]) == list(expected)
+    for key in ("minor_faults", "wall_s", "cpu_self_s", "cpu_children_s"):
+        assert list(result[key]) == list(expected)
     for name in expected:
         step = 1.0 + WORKLOADS.index(name)
         assert result["times"][name] == {"base": [2 * step] * 2, "change": [step] * 2}
+        assert result["wall_s"][name] == {"base": [3 * step] * 2, "change": [2 * step] * 2}
+        assert result["cpu_self_s"][name] == {"base": [2 * step] * 2, "change": [step] * 2}
+        assert sorted(result["cpu_children_s"][name]["change"]) == [step, step + 1]
         # every timed call's faults, and none of the warm-up's
         assert result["minor_faults"][name]["base"] == [1000 * int(step)] * 2
         assert sorted(result["minor_faults"][name]["change"]) == [10, 11]
@@ -356,6 +389,9 @@ def test_a_failed_workload_ends_the_series(monkeypatch, tmp_path, capsys):
     result = json.loads(out.splitlines()[-1])
     assert result["times"]["run_IV_wide"] == {"base": [], "change": []}
     assert result["minor_faults"]["run_IV_wide"] == {"base": [], "change": []}
+    assert result["wall_s"]["run_IV_wide"] == {"base": [], "change": []}
+    assert result["cpu_children_s"]["run_IV_wide"] == {"base": [], "change": []}
+    assert "run_IV_wide raw wall" not in out and "run_I_single raw wall" in out
     assert result["peak_rss_mb"] == {"run_I_single": {"base": 40.0, "change": 40.5},
                                      "run_IV_wide": None}
     # the base side's untimed call completed; the change side's failed

@@ -450,6 +450,20 @@ def test_bad_config_value_fails_before_inputs_load(tmp_path, capsys, key, value)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["noise_level", "epsilon", "scale", "participation_fraction"])
+def test_a_config_integer_too_large_for_a_float_is_refused_by_name(tmp_path, key):
+    # JSON reads 10**400 as an int, and float() of it raises OverflowError, which is not
+    # a ValueError: the command would print a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"master_seed": 1, "output_dir": str(tmp_path / "out"),
+                               key: 10**400}), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "fedsymptoms.cli", "run", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {key} is too large for a float\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_noise_level_in_config_file_is_a_float(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"master_seed": 1, "scale": 0.01,

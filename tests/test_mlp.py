@@ -42,7 +42,6 @@ from fedsymptoms.mlp import (
     init_params,
     layer_views,
     load_checkpoint,
-    loss_and_gradient,
     mean_loss,
     save_checkpoint,
     train_local,
@@ -50,6 +49,7 @@ from fedsymptoms.mlp import (
 from conftest import (
     batch_loss,
     client_dataset,
+    loss_and_gradient,
     matrix_phrase_table,
     perturbed,
     separable_dataset,
@@ -237,12 +237,6 @@ def test_loss_matches_clamped_cross_entropy():
     p = np.clip(forward(params, x), LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     expected = float(np.mean(-(y * np.log(p) + (1 - y) * np.log1p(-p))))
     assert abs(loss - expected) < 1e-12
-
-
-def test_loss_rejects_empty_batch():
-    params = init_params(np.random.default_rng(10))
-    with pytest.raises(ValueError):
-        loss_and_gradient(params, np.empty((0, LAYER_SIZES[0])), np.empty(0))
 
 
 def test_adam_step_matches_scalar_recursion():

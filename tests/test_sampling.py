@@ -22,19 +22,46 @@ from fedsymptoms.sampling import (
     ClientDataset,
     NoiseMechanism,
     build_phrase_table,
-    simulate_person,
     synthesize_client,
 )
-from fedsymptoms.surveys import CountrySurvey, build_distribution
+from fedsymptoms.surveys import CountrySurvey, SymptomDistribution, build_distribution
 
 from conftest import matrix_phrase_table, tiny_table
 
 Z999 = 3.2905
 
 
+def ref_fires(noise, rng):
+    """Frozen copy of the noise draw, one numpy call: whether the mechanism fires."""
+    if noise.kind == UNIFORM_THRESHOLD:
+        return rng.random() < noise.noise_level
+    if noise.kind == NORMAL_THRESHOLD:
+        return rng.standard_normal() < noise.noise_level
+    return rng.laplace(0.0, 1.0 / noise.epsilon) > noise.noise_level
+
+
+def ref_walk(entries, terms, noise, rng, displayed):
+    """Frozen copy of one person's walk, one numpy call a draw; appends the items displayed.
+
+    `entries` are (item, p) pairs and `terms` the noise pool.
+    """
+    for item, p in entries:
+        if rng.random() < p:
+            displayed.append(item)
+        elif ref_fires(noise, rng):
+            displayed.append(terms[rng.integers(len(terms))])
+
+
 def firing_rate(mech, n, seed=0):
-    rng = np.random.default_rng(seed)
-    return sum(mech.fires(rng) for _ in range(n)) / n
+    """The share of n synthesized persons whose noise draw fires.
+
+    Each walks one symptom that is never displayed, so each makes one noise
+    draw, and each that fires gives one positive row.
+    """
+    dist = SymptomDistribution("Noisy", (("alpha", 0.0),))
+    corpus = ("alpha", "beta")
+    table = build_phrase_table(tiny_table(corpus), corpus, [dist])
+    return synthesize_client(n, dist, mech, table, np.random.default_rng(seed)).labels.sum() / n
 
 
 def assert_rate(mech, expected, n=200_000):
@@ -93,11 +120,8 @@ def test_uniform_threshold_fire_rate_equals_level():
 
 
 def test_uniform_threshold_edge_levels():
-    rng = np.random.default_rng(0)
-    never = NoiseMechanism(UNIFORM_THRESHOLD, 0.0)
-    assert not any(never.fires(rng) for _ in range(10_000))
-    always = NoiseMechanism(UNIFORM_THRESHOLD, 1.0)
-    assert all(always.fires(rng) for _ in range(10_000))
+    assert firing_rate(NoiseMechanism(UNIFORM_THRESHOLD, 0.0), 10_000) == 0.0
+    assert firing_rate(NoiseMechanism(UNIFORM_THRESHOLD, 1.0), 10_000) == 1.0
 
 
 def test_normal_threshold_fire_rate_is_gaussian_cdf():
@@ -138,45 +162,41 @@ def quiet_fixture():
     return dist, corpus, build_phrase_table(tiny_table(["alpha", "beta"]), corpus, [dist])
 
 
-def test_simulate_person_no_noise_emits_prominent_only():
-    dist, corpus, _ = make_fixture()
-    rng = np.random.default_rng(5)
-    seen = set()
-    for _ in range(2000):
-        seen.update(simulate_person(dist, corpus, NO_NOISE, rng))
-    assert seen == {"alpha", "beta"}
+def positives(ds):
+    """The phrase of each positive example of a dataset: the items its persons displayed."""
+    return [ds.phrases.names[row] for row in ds.rows[ds.labels == 1.0].tolist()]
 
 
-def test_simulate_person_display_frequency_oracle():
-    dist, corpus, _ = make_fixture()
-    rng = np.random.default_rng(6)
+def test_walk_without_noise_emits_prominent_only():
+    dist, _, table = make_fixture()
+    ds = synthesize_client(2000, dist, NO_NOISE, table, np.random.default_rng(5))
+    assert set(positives(ds)) == {"alpha", "beta"}
+
+
+def test_walk_display_frequency_oracle():
+    dist, _, table = make_fixture()
     n = 50_000
-    counts = {"alpha": 0, "beta": 0}
-    for _ in range(n):
-        for phrase in simulate_person(dist, corpus, NO_NOISE, rng):
-            counts[phrase] += 1
+    shown = positives(synthesize_client(n, dist, NO_NOISE, table, np.random.default_rng(6)))
+    assert set(shown) == {"alpha", "beta"}
     for name, p in dist.entries:
         sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(counts[name] / n - p) < Z999 * sigma
+        assert abs(shown.count(name) / n - p) < Z999 * sigma
 
 
-def test_simulate_person_full_noise_fills_every_slot():
+def test_walk_under_full_noise_fills_every_slot():
     # at level 1.0 the miss branch always fires, so each prominent-symptom
     # slot emits either the true phrase or a random corpus term
-    dist, corpus, _ = make_fixture()
+    dist, _, table = make_fixture()
     mech = NoiseMechanism(UNIFORM_THRESHOLD, 1.0)
     rng = np.random.default_rng(7)
     for _ in range(500):
-        assert len(simulate_person(dist, corpus, mech, rng)) == len(dist.entries)
+        assert len(positives(synthesize_client(1, dist, mech, table, rng))) == len(dist.entries)
 
 
-def test_simulate_person_noise_draws_corpus_terms():
-    dist, corpus, _ = make_fixture()
+def test_walk_noise_draws_corpus_terms():
+    dist, corpus, table = make_fixture()
     mech = NoiseMechanism(UNIFORM_THRESHOLD, 1.0)
-    rng = np.random.default_rng(8)
-    emitted = set()
-    for _ in range(2000):
-        emitted.update(simulate_person(dist, corpus, mech, rng))
+    emitted = set(positives(synthesize_client(2000, dist, mech, table, np.random.default_rng(8))))
     assert emitted <= set(corpus)
     assert "delta" in emitted and "epsilon" in emitted
 
@@ -228,11 +248,7 @@ def ref_synthesize_examples(n_persons, dist, corpus, noise, rng):
     """Frozen copy of the earlier object-based synthesis: (label, phrase) pairs."""
     emitted = []
     for _ in range(n_persons):
-        for symptom, p in dist.entries:
-            if rng.random() < p:
-                emitted.append(symptom)
-            elif noise.fires(rng):
-                emitted.append(corpus[rng.integers(len(corpus))])
+        ref_walk(dist.entries, corpus, noise, rng, emitted)
     if not emitted:
         return []
     pool = tuple(t for t in corpus if t.lower() not in dist.prominent_lower)
@@ -244,7 +260,8 @@ def ref_synthesize_examples(n_persons, dist, corpus, noise, rng):
 
 
 @pytest.mark.parametrize("noise", [NO_NOISE, NoiseMechanism(UNIFORM_THRESHOLD, 0.5),
-                                   NoiseMechanism(NORMAL_THRESHOLD, 0.0),
+                                   *(NoiseMechanism(NORMAL_THRESHOLD, level)
+                                     for level in (0.0, 0.5, 1.0)),
                                    NoiseMechanism(LAPLACE_DP, 0.5, 2.0)])
 @pytest.mark.parametrize("replayed_picks", [0, sampling._REPLAYED_PICKS, 10**9])
 def test_synthesize_client_matches_frozen_object_reference(noise, replayed_picks, monkeypatch):
@@ -276,10 +293,11 @@ def test_synthesize_client_matches_frozen_object_reference(noise, replayed_picks
 
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
 @pytest.mark.parametrize("noise", [NoiseMechanism(UNIFORM_THRESHOLD, 0.5),
+                                   NoiseMechanism(NORMAL_THRESHOLD, 0.5),
                                    NoiseMechanism(LAPLACE_DP, 0.5, 2.0)])
 def test_synthesize_client_refuses_a_generator_other_than_pcg64(noise, bit_generator):
-    # the replay reads PCG64 words, the bit generator of every stream rng.py makes; any
-    # other is refused before any draw
+    # every mechanism reads PCG64 words, the bit generator of every stream rng.py makes;
+    # any other is refused before any draw
     dist, _, table = make_fixture()
     rng, untouched = (np.random.Generator(bit_generator(3)) for _ in range(2))
     message = f"needs a PCG64 generator, got {bit_generator.__name__}$"
@@ -305,7 +323,7 @@ def replay_walks(entries, terms, noise, rng, n_persons, items):
 
 
 def scalar_and_replayed_walks(entries, terms, noise, n_persons, rng_of):
-    """(items, final PCG64 state) of `_walk` n_persons times, then of `_replay_walks`."""
+    """(items, final PCG64 state) of `ref_walk` n_persons times, then of `_replay_walks`."""
     results = []
     for replay in (False, True):
         rng, items = rng_of(), []
@@ -313,7 +331,7 @@ def scalar_and_replayed_walks(entries, terms, noise, n_persons, rng_of):
             replay_walks(entries, terms, noise, rng, n_persons, items)
         else:
             for _ in range(n_persons):
-                sampling._walk(entries, terms, noise, rng, items)
+                ref_walk(entries, terms, noise, rng, items)
         results.append((items, rng.bit_generator.state))
     return results
 
@@ -452,7 +470,7 @@ def test_replay_with_no_terms_raises_numpys_error_only_when_a_pick_is_due():
     assert replayed == scalar
     always = NoiseMechanism(UNIFORM_THRESHOLD, 1.0)
     with pytest.raises(ValueError) as scalar_error:
-        sampling._walk(REPLAY_WALK, (), always, np.random.default_rng(5), [])
+        ref_walk(REPLAY_WALK, (), always, np.random.default_rng(5), [])
     with pytest.raises(ValueError) as replay_error:
         replay_walks(REPLAY_WALK, (), always, np.random.default_rng(5), 50, [])
     assert str(replay_error.value) == str(scalar_error.value)
@@ -610,8 +628,9 @@ def test_phrase_table_refuses_two_different_distributions_of_one_country():
     with pytest.raises(ValueError, match="two different distributions of country 'Testland'"):
         build_phrase_table(raw, corpus, [dist, other])
     twice = build_phrase_table(raw, corpus, [dist, dist])
-    assert list(twice.walks) == list(twice.word_walks) == list(twice.negatives) == ["Testland"]
-    assert twice.walks["Testland"] == build_phrase_table(raw, corpus, [dist]).walks["Testland"]
+    assert list(twice.word_walks) == list(twice.negatives) == ["Testland"]
+    assert (twice.word_walks["Testland"]
+            == build_phrase_table(raw, corpus, [dist]).word_walks["Testland"])
 
 
 def test_synthesis_refuses_a_distribution_the_table_was_not_built_from():

@@ -11,23 +11,31 @@ one untimed call on each side, pair i makes one call on each side, the
 base side first in even pairs and the change side first in odd ones.
 Every call is timed and its output checked as perfbench does it
 (`run.call_cli`, BLAS pinned to one thread, the time taken at reference
-speed, see `speed.py`). The worker also reports each call's minor page
-faults: the change in its `ru_minflt` over the call, which counts the
-pages the call's fresh allocations fault in. On its untimed call only,
-the worker also counts the calls of the package's `mlp._backprop`,
-`mlp.adam_step`, `mlp._forward` (one a scoring pass),
-`evaluation.forward` and `sampling.ClientDataset.__len__` (COUNTED): it
-wraps each, a function of a module or of a class, narrows its own CPU
-affinity to one CPU, makes the call and restores them. On one CPU the
-package trains every window in the worker itself, not in processes
-forked one a CPU, so the counts cover the whole call. The call counts of a fixed workload and seed repeat
-exactly, so they show a change in how training or scoring is batched,
-or how often a client's size is read, without timing noise.
+speed, see `speed.py`). Reference speed divides out the host's drift
+but flatters a change that moves work into other processes, as the speed
+kernel runs in the worker's own thread; so the worker also reports each
+call's raw wall time and its CPU seconds, user plus system: its own
+(`RUSAGE_SELF`, which includes the speed kernel's samples) and its
+reaped children's (`RUSAGE_CHILDREN`, the processes the package forks to
+train), as two fields. It also reports each call's minor page faults:
+the change in its `ru_minflt` over the call, which counts the pages the
+call's fresh allocations fault in. On its untimed call only, the worker
+also counts the calls of the package's `mlp._backprop`, `mlp.adam_step`,
+`mlp._forward` (one a scoring pass), `evaluation.forward` and
+`sampling.ClientDataset.__len__` (COUNTED): it wraps each, a function of
+a module or of a class, narrows its own CPU affinity to one CPU, makes
+the call and restores them. On one CPU the package trains every window
+in the worker itself, not in processes forked one a CPU, so the counts
+cover the whole call. The call counts of a fixed workload and seed
+repeat exactly, so they show a change in how training or scoring is
+batched, or how often a client's size is read, without timing noise.
 
 Each workload's summary gives its pairs' ratio, base time over change
 time: its median, its quartiles and how many pairs the change won (ratio
-above 1). It also gives each side's peak RSS (`ru_maxrss`), which each
-worker reads once its last call is done, and each side's median minor
+above 1), at reference speed and then in raw wall time, and each side's
+median CPU seconds a call, its own and its children's. It also gives
+each side's peak RSS (`ru_maxrss`), which each worker reads once its
+last call is done, and each side's median minor
 page faults a timed call. Both workers have then made the same number
 of calls, so the two peaks compare memory and not call counts;
 perfbench's `peak_rss_mb`, read at the end of a time window, rises with
@@ -47,9 +55,11 @@ in the change's BENCHMARK.json:
     python3 tools/bench_calls.py HEAD~1 HEAD --workload all --pairs 20
 
 The temporary directory follows `TMPDIR`. The last line of standard
-output is one JSON object with every timed call's time and minor page
-faults, each side's peak RSS and each side's COUNTED call counts (null
-for a name the side's tree lacks), keyed by workload.
+output is one JSON object with every timed call's time at reference
+speed ("times"), raw wall time ("wall_s"), CPU seconds ("cpu_self_s",
+"cpu_children_s") and minor page faults ("minor_faults"), each side's
+peak RSS and each side's COUNTED call counts (null for a name the side's
+tree lacks), keyed by workload.
 """
 
 from __future__ import annotations
@@ -72,6 +82,10 @@ WORKER_TIMEOUT_S = 60
 # untimed call counts
 COUNTED = ("mlp._backprop", "mlp.adam_step", "mlp._forward", "evaluation.forward",
            "sampling.ClientDataset.__len__")
+
+# what a worker reports of each call, and its key in the JSON line
+MEASURES = {"ref_s": "times", "wall_s": "wall_s", "cpu_self_s": "cpu_self_s",
+            "cpu_children_s": "cpu_children_s", "minflt": "minor_faults"}
 
 
 def counted(package, function):
@@ -133,15 +147,22 @@ def serve(tree: str, workload: str, seed: int) -> int:
     def one_call():
         return run.call_cli(cli, run.WORKLOADS[workload], seed, digests)
 
+    def usage():
+        own, children = (resource.getrusage(who) for who in (resource.RUSAGE_SELF,
+                                                             resource.RUSAGE_CHILDREN))
+        return own.ru_minflt, own.ru_utime + own.ru_stime, children.ru_utime + children.ru_stime
+
     for line in sys.stdin:
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = usage()
         if line.strip() == "warm":
             outcome, counts = counted(fedsymptoms, one_call)
         else:
             outcome, counts = one_call(), None
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        print(json.dumps({"ref_s": outcome.wall_s * outcome.speed, "minflt": faults,
-                          "problems": outcome.problems, "counts": counts}), flush=True)
+        faults, cpu_self, cpu_children = (b - a for a, b in zip(before, usage()))
+        print(json.dumps({"ref_s": outcome.wall_s * outcome.speed, "wall_s": outcome.wall_s,
+                          "cpu_self_s": cpu_self, "cpu_children_s": cpu_children,
+                          "minflt": faults, "problems": outcome.problems, "counts": counts}),
+              flush=True)
     # stdin closed: every call is done
     print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
           flush=True)
@@ -170,10 +191,10 @@ def request(workers: dict[str, subprocess.Popen], side: str, line: str) -> dict:
     return reply
 
 
-def call(workers: dict[str, subprocess.Popen], side: str) -> tuple[float, int]:
-    """One call on a side's worker; its time at reference speed and its minor page faults."""
+def call(workers: dict[str, subprocess.Popen], side: str) -> dict:
+    """One call on a side's worker; its MEASURES, keyed as the worker reports them."""
     reply = request(workers, side, "call")
-    return reply["ref_s"], reply["minflt"]
+    return {name: reply[name] for name in MEASURES}
 
 
 def warm_up(workers: dict[str, subprocess.Popen], side: str) -> dict[str, int | None]:
@@ -185,24 +206,34 @@ def finish(worker: subprocess.Popen) -> float:
     """Close a worker's calls; the peak RSS in MB it reports after its last call."""
     worker.stdin.close()
     line = worker.stdout.readline()
+    worker.stdout.close()
     worker.wait(timeout=WORKER_TIMEOUT_S)
     if not line:
         raise RuntimeError(f"worker exited with {worker.returncode} before its peak RSS")
     return json.loads(line)["peak_rss_mb"]
 
 
+def ratio_summary(label: str, base: list[float], change: list[float]) -> str:
+    """The pairs' base/change ratio of a measure: its median, quartiles and the change's wins."""
+    ratios = [b / c for b, c in zip(base, change)]
+    q1, q2, q3 = quartiles(ratios)
+    wins = sum(1 for r in ratios if r > 1.0)
+    return (f"base/change {label} ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
+            f"change won {wins}/{len(ratios)}")
+
+
 def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str, seed: int,
-                   pairs: int) -> tuple[dict, dict, dict | None, dict]:
+                   pairs: int) -> tuple[dict, dict | None, dict]:
     """Pairs of calls of one workload on a fresh worker pair; prints its lines as it goes.
 
-    Returns each side's call times, minor page faults, peak RSS and
-    COUNTED call counts in its untimed call: the peaks None if a call
-    failed, with the times and faults of the pairs completed before it,
-    and a side's counts None if its untimed call did not complete.
+    Returns each side's MEASURES of its timed calls, keyed by measure, its
+    peak RSS and its COUNTED call counts in its untimed call: the peaks
+    None if a call failed, with the measures of the pairs completed
+    before it, and a side's counts None if its untimed call did not
+    complete.
     """
     workers: dict[str, subprocess.Popen] = {}
-    times: dict[str, list[float]] = {"base": [], "change": []}
-    faults: dict[str, list[int]] = {"base": [], "change": []}
+    series = {name: {"base": [], "change": []} for name in MEASURES}
     counts: dict[str, dict | None] = {"base": None, "change": None}
     completed = 0
     peaks = None
@@ -215,9 +246,9 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
             for i in range(pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    seconds, minflt = call(workers, side)
-                    times[side].append(seconds)
-                    faults[side].append(minflt)
+                    for name, value in call(workers, side).items():
+                        series[name][side].append(value)
+                times = series["ref_s"]
                 print(f"pair {i + 1} {workload} ({order[0]} first): "
                       f"base {times['base'][-1]:.4f} s, change {times['change'][-1]:.4f} s, "
                       f"ratio {times['base'][-1] / times['change'][-1]:.3f}", flush=True)
@@ -226,8 +257,9 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
             # BrokenPipeError: the worker exited before it read its call
             print(f"error: {workload} pair {completed + 1}: {exc}", file=sys.stderr, flush=True)
             # a pair the failure cut short counts for neither side
-            for side_values in (*times.values(), *faults.values()):
-                del side_values[completed:]
+            for values in series.values():
+                for side_values in values.values():
+                    del side_values[completed:]
         else:
             peaks = {side: finish(worker) for side, worker in workers.items()}
     finally:
@@ -241,24 +273,27 @@ def bench_workload(trees: dict[str, str], commits: dict[str, str], workload: str
 
     summary = (f"{workload}, {completed} pairs, seed {seed}, "
                f"base {commits['base'][:12]} change {commits['change'][:12]}")
-    ratios = [b / c for b, c in zip(times["base"], times["change"])]
-    if ratios:
-        q1, q2, q3 = quartiles(ratios)
-        wins = sum(1 for r in ratios if r > 1.0)
-        summary += (f": base/change time ratio {q2:.3f} [{q1:.3f}-{q3:.3f}], "
-                    f"change won {wins}/{completed}")
+    if completed:
+        summary += ": " + ratio_summary("time", **series["ref_s"])
     print(summary)
+    if completed:
+        print(f"{workload} raw wall: " + ratio_summary("wall", **series["wall_s"])
+              + "; median CPU s a call: " + "; ".join(
+                  f"{side} self {statistics.median(series['cpu_self_s'][side]):.3f}, "
+                  f"children {statistics.median(series['cpu_children_s'][side]):.3f}"
+                  for side in ("base", "change")))
     if all(counts.values()):
         print(f"{workload} calls in the untimed call: " + "; ".join(
             f"{side} " + ", ".join(f"{name} {count}" for name, count in side_counts.items())
             for side, side_counts in counts.items()))
     if peaks:
+        faults = series["minflt"]
         print(f"{workload} peak RSS after {completed + 1} calls a side: "
               f"base {peaks['base']:.2f} MB, change {peaks['change']:.2f} MB "
               f"({100 * (peaks['change'] / peaks['base'] - 1):+.2f}%); "
               f"median minor faults a call: base {statistics.median(faults['base']):.0f}, "
               f"change {statistics.median(faults['change']):.0f}")
-    return times, faults, peaks, counts
+    return series, peaks, counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -279,8 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be positive")
 
     tmp = tempfile.mkdtemp(prefix="bench_calls_")
-    times: dict[str, dict[str, list[float]]] = {}
-    faults: dict[str, dict[str, list[int]]] = {}
+    series: dict[str, dict[str, dict[str, list]]] = {key: {} for key in MEASURES.values()}
     peaks: dict[str, dict | None] = {}
     counts: dict[str, dict] = {}
     try:
@@ -292,13 +326,14 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown workload(s) {unknown}; expected some of {known} or all")
         for name in workloads:
-            times[name], faults[name], peaks[name], counts[name] = bench_workload(
-                trees, commits, name, args.seed, args.pairs)
+            measured, peaks[name], counts[name] = bench_workload(trees, commits, name,
+                                                                 args.seed, args.pairs)
+            for measure, key in MEASURES.items():
+                series[key][name] = measured[measure]
             if peaks[name] is None:
                 break  # a failed call ends the series
         print(json.dumps({"workloads": workloads, "seed": args.seed, "commits": commits,
-                          "times": times, "minor_faults": faults, "peak_rss_mb": peaks,
-                          "calls": counts}))
+                          **series, "peak_rss_mb": peaks, "calls": counts}))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0 if len(peaks) == len(workloads) and all(peaks.values()) else 1
